@@ -1,10 +1,9 @@
-//! Criterion benchmarks for the streaming-ingest pipeline: streaming vs
-//! batch analysis throughput, and snapshot merge scaling with shard
-//! count.
+//! Criterion benchmarks for streaming ingest: streaming vs batch
+//! analysis throughput, trace parse throughput, and snapshot merge
+//! scaling with shard count.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pio_core::diagnosis::{diagnose_with, Thresholds};
-use pio_ingest::pipeline::{IngestConfig, IngestPipeline, OverflowPolicy};
 use pio_ingest::shard::{EnsembleSnapshot, ShardKey, ShardStats, SmallWriteAgg};
 use pio_ingest::sketch::HeavyHitters;
 use pio_ingest::{DiagnoserConfig, StreamDiagnoser};
@@ -69,23 +68,6 @@ fn bench_streaming_vs_batch(c: &mut Criterion) {
             black_box(d.findings().len())
         })
     });
-    for workers in [1usize, 4] {
-        group.bench_function(&format!("pipeline_{workers}w"), |b| {
-            b.iter(|| {
-                let pipeline = IngestPipeline::new(IngestConfig {
-                    workers,
-                    policy: OverflowPolicy::Block,
-                    ..IngestConfig::default()
-                });
-                let mut sink = pipeline.sink();
-                for r in black_box(&recs) {
-                    sink.push(r);
-                }
-                drop(sink);
-                black_box(pipeline.finish().ingested)
-            })
-        });
-    }
     group.finish();
 }
 
@@ -113,7 +95,7 @@ fn shard_maps(shards: usize) -> Vec<HashMap<ShardKey, ShardStats>> {
 
 /// Parse throughput of the trace readers over the same records: the
 /// serde_json-per-line baseline, the hand-rolled JSONL fast path, and
-/// the binary ptb / ptb2 block readers.
+/// the binary ptb2 block reader.
 fn bench_parse_formats(c: &mut Criterion) {
     let meta = TraceMeta {
         experiment: "bench".into(),
@@ -127,8 +109,6 @@ fn bench_parse_formats(c: &mut Criterion) {
     }
     let mut jsonl = Vec::new();
     pio_trace::io::write_jsonl(&trace, &mut jsonl).unwrap();
-    let mut ptb = Vec::new();
-    pio_trace::ptb::write_ptb(&trace, &mut ptb).unwrap();
     let mut ptb2 = Vec::new();
     pio_trace::ptb2::write_ptb2(&trace, &mut ptb2).unwrap();
 
@@ -149,14 +129,6 @@ fn bench_parse_formats(c: &mut Criterion) {
         b.iter(|| {
             let mut sink = pio_trace::NullSink;
             pio_ingest::stream_jsonl(std::io::Cursor::new(black_box(&jsonl[..])), &mut sink)
-                .unwrap()
-                .1
-        })
-    });
-    group.bench_function("ptb", |b| {
-        b.iter(|| {
-            let mut sink = pio_trace::NullSink;
-            pio_ingest::stream_ptb(std::io::Cursor::new(black_box(&ptb[..])), &mut sink)
                 .unwrap()
                 .1
         })

@@ -1,27 +1,28 @@
 //! Offline trace analysis — the tool a user points at a saved IPM-I/O
-//! trace (JSONL, binary ptb, or columnar ptb2, as written by
-//! `pio_trace::io` or any conforming producer) to get the paper's full
-//! ensemble treatment without re-running anything. The input format is
-//! sniffed from the file's bytes via the `TraceCodec` registry;
-//! `--format jsonl|ptb|ptb2` forces it.
+//! trace (JSONL or binary ptb2, as written by `pio_trace::io` or any
+//! conforming producer) to get the paper's full ensemble treatment
+//! without re-running anything. The input format is sniffed from the
+//! file's bytes via the `TraceCodec` registry; `--format jsonl|ptb2`
+//! forces it.
 //!
-//! Usage: `analyze <trace> [--stream] [--format jsonl|ptb|ptb2] [--diagram] [--csv DIR]`
+//! Usage: `analyze <trace> [--stream] [--format jsonl|ptb2] [--diagram] [--csv DIR]`
 //!
 //! Prints the IPM summary, per-call-class ensemble statistics and modes,
 //! per-phase breakdown, and the bottleneck diagnosis; optionally the
 //! ASCII trace diagram and CSV exports of the histograms.
 //!
 //! With `--stream`, the trace is never loaded into memory: records are
-//! streamed one line at a time through the `pio-ingest` pipeline and
-//! online diagnoser, and the report is rendered from the mergeable
-//! snapshot — constant memory regardless of trace size.
+//! decoded one block at a time into the online diagnoser and the
+//! ensemble-snapshot builder teed over the one stream (the pair a
+//! `pio-fleetd` tenant runs), and the report is rendered from the
+//! mergeable snapshot — constant memory regardless of trace size.
 
 use pio_bench::util::format_from_args;
 use pio_core::empirical::EmpiricalDist;
 use pio_core::loghist::LogHistogram;
 use pio_core::rates::write_rate_curve;
 use pio_core::report;
-use pio_ingest::{IngestConfig, IngestPipeline, StreamDiagnoser};
+use pio_ingest::{SnapshotBuilder, SnapshotConfig, StreamDiagnoser};
 use pio_trace::codec::codec_for;
 use pio_trace::phase::phase_summaries;
 use pio_trace::{io as trace_io, CallKind, Tee, TraceFormat};
@@ -33,7 +34,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
         eprintln!(
-            "usage: analyze <trace> [--stream] [--format jsonl|ptb|ptb2] [--diagram] [--csv DIR]"
+            "usage: analyze <trace> [--stream] [--format jsonl|ptb2] [--diagram] [--csv DIR]"
         );
         std::process::exit(2);
     };
@@ -127,13 +128,13 @@ fn main() {
     }
 }
 
-/// The `--stream` path: one record in memory at a time, report rendered
+/// The `--stream` path: one block in memory at a time, report rendered
 /// from the mergeable ensemble snapshot and the online diagnoser.
 fn stream_analyze(path: &str, forced_format: Option<TraceFormat>) {
     let mut diagnoser = StreamDiagnoser::with_defaults();
-    let pipeline = IngestPipeline::new(IngestConfig::default());
+    let mut builder = SnapshotBuilder::new(SnapshotConfig::default());
     let (meta, n) = {
-        let mut tee = Tee(&mut diagnoser, pipeline.sink());
+        let mut tee = Tee(&mut diagnoser, &mut builder);
         let p = std::path::Path::new(path);
         let streamed = match forced_format {
             // A forced format bypasses sniffing (e.g. a trace behind a
@@ -150,7 +151,7 @@ fn stream_analyze(path: &str, forced_format: Option<TraceFormat>) {
             }
         }
     };
-    let snap = pipeline.finish();
+    let snap = builder.into_snapshot(0);
     println!(
         "# {} [{}]: {} ranks, seed {}, {} records (streamed)\n",
         meta.experiment, meta.platform, meta.ranks, meta.seed, n

@@ -11,7 +11,11 @@
 //!
 //! `--only` restricts the run to metrics whose name starts with the
 //! given prefix (repeatable; whole sections are skipped when nothing in
-//! them matches). `--baseline` enables the regression gate: each
+//! them matches). A filtered run is a partial summary, so `--only`
+//! requires an explicit `--out` (exit 2 without one): it never
+//! overwrites the full `BENCH_summary.json` baseline.
+//!
+//! `--baseline` enables the regression gate: each
 //! `--gate` metric (default `fleetd/pipeline_serial_8x50k`) is compared
 //! against the baseline file's `ns_per_op` and the process exits
 //! nonzero if any gate regresses by more than `--tolerance` percent
@@ -22,7 +26,7 @@ use pio_bench::summary::{self, BenchSummary};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let mut out = "BENCH_summary.json".to_string();
+    let mut out: Option<String> = None;
     let mut reps: Option<u32> = None;
     let mut only: Vec<String> = Vec::new();
     let mut baseline: Option<String> = None;
@@ -32,7 +36,7 @@ fn main() {
         let value = || args.get(i + 1).cloned();
         match arg.as_str() {
             "--out" => match value() {
-                Some(p) => out = p,
+                Some(p) => out = Some(p),
                 None => die("--out requires a path"),
             },
             "--reps" => match value().and_then(|v| v.parse::<u32>().ok()) {
@@ -58,6 +62,10 @@ fn main() {
             _ => {}
         }
     }
+    if let Err(msg) = only_needs_out(&only, out.as_deref()) {
+        die(msg);
+    }
+    let out = out.unwrap_or_else(|| "BENCH_summary.json".to_string());
 
     println!("== bench_summary: fixed-scale hot-path scenarios ==");
     let mut s = summary::run_filtered(reps, &only);
@@ -105,7 +113,32 @@ fn main() {
     println!("wrote {out}");
 }
 
+/// A `--only` run measures a subset, so writing it to the default path
+/// would replace the committed full baseline with a partial one.
+fn only_needs_out(only: &[String], out: Option<&str>) -> Result<(), &'static str> {
+    if !only.is_empty() && out.is_none() {
+        return Err("--only writes a partial summary: pass --out PATH \
+                    (the default BENCH_summary.json is the full baseline)");
+    }
+    Ok(())
+}
+
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_without_out_is_refused() {
+        let only = vec!["fault/".to_string()];
+        let err = only_needs_out(&only, None).unwrap_err();
+        assert!(err.contains("--out"), "{err}");
+        assert!(only_needs_out(&only, Some("partial.json")).is_ok());
+        // A full run may still default to the baseline path.
+        assert!(only_needs_out(&[], None).is_ok());
+    }
 }

@@ -1,7 +1,6 @@
 //! Generate a sample trace file for `analyze` (also doubles as the
 //! save-path smoke test): a scaled IOR run saved as JSONL or, with
-//! `--format ptb|ptb2` (or a `.ptb` / `.ptb2` output extension), one of
-//! the binary formats.
+//! `--format ptb2` (or a `.ptb2` output extension), the binary format.
 use pio_bench::util::format_from_args;
 use pio_fs::FsConfig;
 use pio_mpi::{RunConfig, Runner};

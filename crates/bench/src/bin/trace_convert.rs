@@ -1,11 +1,10 @@
-//! Convert traces between JSONL and the binary ptb / ptb2 formats.
+//! Convert traces between JSONL and the binary ptb2 format.
 //!
-//! Usage: `trace_convert <in> <out> [--format jsonl|ptb|ptb2] [--verify]`
+//! Usage: `trace_convert <in> <out> [--format jsonl|ptb2] [--verify]`
 //!
 //! The input format is sniffed from the file's bytes; the output format
 //! comes from `--format`, or failing that from the output extension
-//! (`.ptb` → ptb, `.ptb2` → ptb2, anything else → JSONL). With
-//! `--verify`, the written
+//! (`.ptb2` → ptb2, anything else → JSONL). With `--verify`, the written
 //! file is read back and checked record-for-record against the input —
 //! a full round-trip proof, not just a clean exit.
 
@@ -30,7 +29,7 @@ fn main() {
         }
     }
     let [input, output] = positional[..] else {
-        eprintln!("usage: trace_convert <in> <out> [--format jsonl|ptb|ptb2] [--verify]");
+        eprintln!("usage: trace_convert <in> <out> [--format jsonl|ptb2] [--verify]");
         std::process::exit(2);
     };
     let verify = args.iter().any(|a| a == "--verify");

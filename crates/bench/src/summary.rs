@@ -53,9 +53,9 @@ pub struct SizeMetric {
     pub records: u64,
     /// Bytes per record.
     pub bytes_per_record: f64,
-    /// How many times smaller than ptb v1 this encoding is (1.0 for
-    /// ptb v1 itself; < 1.0 means larger).
-    pub ratio_vs_ptb: f64,
+    /// How many times smaller than JSONL this encoding is (1.0 for JSONL
+    /// itself; < 1.0 means larger).
+    pub ratio_vs_jsonl: f64,
 }
 
 /// The whole summary: every metric plus process-level peak memory.
@@ -556,26 +556,23 @@ pub fn run_filtered(reps: Option<u32>, only: &[String]) -> BenchSummary {
     }
 
     // Trace-plane parse throughput: the same 1M-record trace through
-    // the serde baseline, the fast JSONL scanner, and the binary ptb /
-    // ptb2 block decoders. The trace itself is dropped before timing so
-    // only the serialized bytes stay resident.
+    // the serde baseline, the fast JSONL scanner, and the binary ptb2
+    // block decoder. The trace itself is dropped before timing so only
+    // the serialized bytes stay resident.
     let parse_metrics = [
         "ingest/parse_jsonl_serde_1m",
         "ingest/parse_jsonl_1m",
-        "ingest/parse_ptb_1m",
         "ingest/parse_ptb2_1m",
     ];
-    let size_metrics = ["size/jsonl_1m", "size/ptb_1m", "size/ptb2_1m"];
+    let size_metrics = ["size/jsonl_1m", "size/ptb2_1m"];
     if parse_metrics.iter().chain(&size_metrics).any(|n| want(n)) {
-        let (jsonl_bytes, ptb_bytes, ptb2_bytes) = {
+        let (jsonl_bytes, ptb2_bytes) = {
             let trace = ingest_trace(1_000_000);
             let mut jsonl = Vec::new();
             pio_trace::io::write_jsonl(&trace, &mut jsonl).expect("jsonl encode");
-            let mut ptb = Vec::new();
-            pio_trace::ptb::write_ptb(&trace, &mut ptb).expect("ptb encode");
             let mut ptb2 = Vec::new();
             pio_trace::ptb2::write_ptb2(&trace, &mut ptb2).expect("ptb2 encode");
-            (jsonl, ptb, ptb2)
+            (jsonl, ptb2)
         };
         let n_records = 1_000_000u64;
         let size = |name: &str, bytes: &[u8]| SizeMetric {
@@ -583,11 +580,10 @@ pub fn run_filtered(reps: Option<u32>, only: &[String]) -> BenchSummary {
             bytes: bytes.len() as u64,
             records: n_records,
             bytes_per_record: bytes.len() as f64 / n_records as f64,
-            ratio_vs_ptb: ptb_bytes.len() as f64 / bytes.len() as f64,
+            ratio_vs_jsonl: jsonl_bytes.len() as f64 / bytes.len() as f64,
         };
         for (name, bytes) in [
             ("size/jsonl_1m", &jsonl_bytes),
-            ("size/ptb_1m", &ptb_bytes),
             ("size/ptb2_1m", &ptb2_bytes),
         ] {
             if want(name) {
@@ -608,16 +604,6 @@ pub fn run_filtered(reps: Option<u32>, only: &[String]) -> BenchSummary {
                 let (meta, n) =
                     pio_ingest::stream_jsonl(std::io::Cursor::new(&jsonl_bytes[..]), &mut sink)
                         .expect("jsonl stream");
-                black_box(meta);
-                n
-            }));
-        }
-        if want("ingest/parse_ptb_1m") {
-            metrics.push(measure("ingest/parse_ptb_1m", "record", r(2), || {
-                let mut sink = NullSink;
-                let (meta, n) =
-                    pio_ingest::stream_ptb(std::io::Cursor::new(&ptb_bytes[..]), &mut sink)
-                        .expect("ptb stream");
                 black_box(meta);
                 n
             }));
@@ -733,13 +719,13 @@ pub fn render(s: &BenchSummary) -> String {
         let _ = writeln!(
             out,
             "{:<36} {:>12} {:>14} {:>16}",
-            "encoding", "bytes", "bytes/record", "vs ptb"
+            "encoding", "bytes", "bytes/record", "vs jsonl"
         );
         for z in &s.sizes {
             let _ = writeln!(
                 out,
                 "{:<36} {:>12} {:>14.1} {:>15.2}x",
-                z.name, z.bytes, z.bytes_per_record, z.ratio_vs_ptb
+                z.name, z.bytes, z.bytes_per_record, z.ratio_vs_jsonl
             );
         }
     }
@@ -816,14 +802,14 @@ mod tests {
                 bytes: 450,
                 records: 10,
                 bytes_per_record: 45.0,
-                ratio_vs_ptb: 1.0,
+                ratio_vs_jsonl: 1.0,
             }],
             peak_rss_kb: peak_rss_kb(),
         };
         let json = serde_json::to_string(&s).unwrap();
         assert!(json.contains("pio-bench/summary/v2"));
         assert!(json.contains("ns_per_op"));
-        assert!(json.contains("ratio_vs_ptb"));
+        assert!(json.contains("ratio_vs_jsonl"));
         assert!(!render(&s).is_empty());
     }
 }

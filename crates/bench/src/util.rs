@@ -317,7 +317,7 @@ pub fn fault_or_schedule_from_args() -> Option<FaultPlan> {
     }
 }
 
-/// Parse `--format jsonl|ptb|ptb2` from argv; `None` when absent so callers
+/// Parse `--format jsonl|ptb2` from argv; `None` when absent so callers
 /// keep their own default (sniffing on input, JSONL on output).
 ///
 /// Like [`scale_from_args`], a malformed format name is an error (exit
@@ -329,7 +329,7 @@ pub fn format_from_args() -> Option<TraceFormat> {
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!(
-                "usage: {} [--format jsonl|ptb|ptb2]",
+                "usage: {} [--format jsonl|ptb2]",
                 args.first().map_or("bench", |a| a)
             );
             std::process::exit(2);
@@ -346,9 +346,10 @@ pub fn parse_format(args: &[String]) -> Result<Option<TraceFormat>, String> {
             let raw = args
                 .get(i + 1)
                 .ok_or_else(|| "--format requires a value".to_string())?;
-            format = Some(TraceFormat::from_name(raw).ok_or_else(|| {
-                format!("unknown --format {raw:?}: expected jsonl, ptb, or ptb2")
-            })?);
+            format = Some(
+                TraceFormat::from_name(raw)
+                    .ok_or_else(|| format!("unknown --format {raw:?}: expected jsonl or ptb2"))?,
+            );
         }
     }
     Ok(format)
@@ -695,10 +696,6 @@ mod tests {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert_eq!(parse_format(&args(&["bench"])), Ok(None));
         assert_eq!(
-            parse_format(&args(&["bench", "--format", "ptb"])),
-            Ok(Some(TraceFormat::Ptb))
-        );
-        assert_eq!(
             parse_format(&args(&["bench", "--format", "jsonl"])),
             Ok(Some(TraceFormat::Jsonl))
         );
@@ -708,11 +705,14 @@ mod tests {
         );
         // Last occurrence wins, matching --scale.
         assert_eq!(
-            parse_format(&args(&["bench", "--format", "ptb", "--format", "jsonl"])),
+            parse_format(&args(&["bench", "--format", "ptb2", "--format", "jsonl"])),
             Ok(Some(TraceFormat::Jsonl))
         );
         assert!(parse_format(&args(&["bench", "--format"])).is_err());
         assert!(parse_format(&args(&["bench", "--format", "csv"])).is_err());
+        // The retired v1 name is no longer a format.
+        let err = parse_format(&args(&["bench", "--format", "ptb"])).unwrap_err();
+        assert!(err.contains("expected jsonl or ptb2"), "{err}");
     }
 
     #[test]

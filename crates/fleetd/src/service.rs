@@ -434,7 +434,7 @@ impl FleetService {
     }
 
     /// Register `name` and stream an on-disk trace file into it — any
-    /// format the `TraceCodec` registry knows (JSONL, ptb, ptb2),
+    /// format the `TraceCodec` registry knows (JSONL, ptb2),
     /// sniffed from the file's leading bytes. Phase boundaries flow
     /// through to the tenant's diagnoser; end of file is end of stream.
     /// Returns the trace metadata and the number of records ingested.

@@ -14,38 +14,33 @@
 //!   concatenated stream, which makes sharding safe.
 //! * [`shard`] — per-`(call kind, rank group, phase)` accumulators and
 //!   the merged [`shard::EnsembleSnapshot`], whose
-//!   memory is O(shards × bins) regardless of event count.
-//! * [`pipeline`] — the concurrent bounded-memory
-//!   [`pipeline::IngestPipeline`]: producers fan records
-//!   over bounded channels (explicit backpressure: block or
-//!   drop-and-count) into worker-owned shards.
+//!   memory is O(shards × bins) regardless of event count. The
+//!   [`shard::SnapshotBuilder`] that fills it is a
+//!   [`RecordSink`](pio_trace::RecordSink).
 //! * [`diagnose`] — the [`diagnose::StreamDiagnoser`]:
 //!   incremental versions of the `pio-core` detectors over tumbling
 //!   windows and barrier boundaries, raising the paper's findings
 //!   mid-run through the same verdict functions as the batch path.
 //! * [`reader`] — incremental trace reading through the `TraceCodec`
-//!   registry (JSONL via the hand-rolled fast parser, binary ptb / ptb2
-//!   via the block readers, format sniffed from the file): diagnose an
+//!   registry (JSONL via the hand-rolled fast parser, binary ptb2 via
+//!   the block reader, format sniffed from the file): diagnose an
 //!   on-disk trace in constant memory via any
-//!   [`RecordSink`](pio_trace::RecordSink), or feed every pipeline
-//!   worker concurrently with [`reader::stream_file_parallel`].
+//!   [`RecordSink`](pio_trace::RecordSink) — typically
+//!   `Tee(StreamDiagnoser, SnapshotBuilder)`, the same pair a
+//!   `pio-fleetd` tenant runs.
 //! * [`tenant`] — multi-stream accounting: a per-job
-//!   [`tenant::TenantMeter`] enforcing a resident-memory budget with
-//!   the pipeline's overflow-policy semantics, for fleet-style services
-//!   that ingest many jobs at once (`pio-fleetd`).
+//!   [`tenant::TenantMeter`] enforcing a resident-memory budget under
+//!   an [`OverflowPolicy`], for fleet-style services that ingest many
+//!   jobs at once (`pio-fleetd`, the concurrent ingest path).
 
 pub mod diagnose;
-pub mod pipeline;
 pub mod reader;
 pub mod shard;
 pub mod sketch;
 pub mod tenant;
 
 pub use diagnose::{DiagnoserConfig, StreamDiagnoser, TimedFinding};
-pub use pipeline::{IngestConfig, IngestPipeline, IngestSink, OverflowPolicy};
-pub use reader::{
-    stream_file, stream_file_parallel, stream_jsonl, stream_ptb, stream_ptb2, stream_ptb_parallel,
-};
+pub use reader::{stream_file, stream_jsonl, stream_ptb2};
 pub use shard::{EnsembleSnapshot, ShardKey, ShardStats, SnapshotBuilder, SnapshotConfig};
 pub use sketch::{HeavyHitters, OnlineMoments, QuantileSketch};
-pub use tenant::{Admission, TenantMeter};
+pub use tenant::{Admission, OverflowPolicy, TenantMeter};

@@ -1,5 +1,5 @@
-//! Incremental trace reading: one record (JSONL) or one block (ptb /
-//! ptb2) in memory at a time.
+//! Incremental trace reading: one record (JSONL) or one block (ptb2) in
+//! memory at a time.
 //!
 //! All streaming goes through the [`TraceCodec`] registry in
 //! `pio_trace::codec`: each codec decodes incrementally into a
@@ -7,23 +7,14 @@
 //! [`Trace`](pio_trace::Trace), so a multi-gigabyte trace can be
 //! diagnosed in constant memory. [`stream_file`] sniffs the format from
 //! the file's leading bytes so callers need not care;
-//! [`stream_jsonl`] / [`stream_ptb`] / [`stream_ptb2`] pin a format for
-//! in-memory readers.
+//! [`stream_jsonl`] / [`stream_ptb2`] pin a format for in-memory
+//! readers.
 //!
 //! Barrier boundaries are synthesized from the records' phase indices:
 //! when the stream advances from phase `p` to `p+1`, every phase up to
 //! `p` is complete and the sink's [`phase_end`](RecordSink::phase_end)
 //! fires for it (see `pio_trace::codec::PhaseTracker`).
-//!
-//! [`stream_file_parallel`] feeds every worker of an [`IngestPipeline`]
-//! concurrently from one trace file and still produces a bit-identical
-//! snapshot: each reader thread decodes the stream independently and
-//! forwards only the records its worker owns (`rank % workers`), so
-//! every worker observes exactly the file-order subsequence it would
-//! have received from a single sequential producer — same records, same
-//! order, same f64 accumulation order.
 
-use crate::pipeline::IngestPipeline;
 use pio_trace::codec::{codec_for, sniff_codec, TraceCodec};
 use pio_trace::io::TraceFormat;
 use pio_trace::{RecordSink, TraceMeta};
@@ -39,17 +30,8 @@ pub fn stream_jsonl<R: BufRead, S: RecordSink>(
     codec_for(TraceFormat::Jsonl).stream(&mut reader, sink)
 }
 
-/// Stream a binary ptb (v1) trace into `sink` (same contract as
+/// Stream a binary ptb2 trace into `sink` (same contract as
 /// [`stream_jsonl`]: phase boundaries synthesized, `finish()` called).
-pub fn stream_ptb<R: Read, S: RecordSink>(
-    reader: R,
-    sink: &mut S,
-) -> std::io::Result<(TraceMeta, u64)> {
-    codec_for(TraceFormat::Ptb).stream(&mut BufReader::new(reader), sink)
-}
-
-/// Stream a columnar ptb2 trace into `sink` (same contract as
-/// [`stream_jsonl`]).
 pub fn stream_ptb2<R: Read, S: RecordSink>(
     reader: R,
     sink: &mut S,
@@ -83,113 +65,10 @@ fn sniff_path(path: &Path) -> std::io::Result<&'static dyn TraceCodec> {
     sniff_codec(&head[..n])
 }
 
-/// A sink adapter that forwards only the records one pipeline worker
-/// owns (`rank % workers == own`).
-struct RankFilter<S> {
-    inner: S,
-    workers: usize,
-    own: usize,
-}
-
-impl<S: RecordSink> RecordSink for RankFilter<S> {
-    fn push(&mut self, r: &pio_trace::Record) {
-        if r.rank as usize % self.workers == self.own {
-            self.inner.push(r);
-        }
-    }
-
-    /// Forward maximal owned runs of a decoded block in one call; the
-    /// inner sink sees the same record subsequence as per-record
-    /// filtering, without a virtual push per record.
-    fn push_block(&mut self, block: &[pio_trace::Record]) {
-        let mut start = 0;
-        while start < block.len() {
-            if block[start].rank as usize % self.workers != self.own {
-                start += 1;
-                continue;
-            }
-            let mut end = start + 1;
-            while end < block.len() && block[end].rank as usize % self.workers == self.own {
-                end += 1;
-            }
-            self.inner.push_block(&block[start..end]);
-            start = end;
-        }
-    }
-
-    // phase_end is dropped: the pipeline's sink ignores phase marks, and
-    // forwarding them from W concurrent readers would duplicate them.
-    fn finish(&mut self) {}
-}
-
-/// Feed a trace file to every worker of `pipeline` concurrently,
-/// whatever its format.
-///
-/// One reader thread per pipeline worker scans the whole stream (decode
-/// is cheap; parsing the file once per worker costs far less than
-/// serializing all records through one producer) and pushes only the
-/// records its worker owns, preserving file order per worker — so the
-/// resulting snapshot is bit-identical to a sequential [`stream_file`]
-/// into `pipeline.sink()`. Returns the metadata and the total record
-/// count of the file.
-///
-/// Phase boundaries are not synthesized (the pipeline's sink ignores
-/// them); use [`stream_file`] with a composite sink when an online
-/// diagnoser also needs the stream.
-pub fn stream_file_parallel(
-    path: &Path,
-    pipeline: &IngestPipeline,
-) -> std::io::Result<(TraceMeta, u64)> {
-    let codec = sniff_path(path)?;
-    let workers = pipeline.workers();
-    let mut results: Vec<std::io::Result<(TraceMeta, u64)>> = Vec::new();
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let sink = pipeline.sink();
-                s.spawn(move |_| -> std::io::Result<(TraceMeta, u64)> {
-                    let f = std::fs::File::open(path)?;
-                    let mut filter = RankFilter {
-                        inner: sink,
-                        workers,
-                        own: w,
-                    };
-                    let out = codec.stream(&mut BufReader::new(f), &mut filter)?;
-                    filter.inner.flush();
-                    Ok(out)
-                })
-            })
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("trace reader thread panicked"));
-        }
-    })
-    .expect("reader scope");
-    // Every thread read the same file; return the first result (or the
-    // first error).
-    let mut out = None;
-    for r in results {
-        let v = r?;
-        out.get_or_insert(v);
-    }
-    Ok(out.expect("at least one reader thread"))
-}
-
-/// Legacy name for [`stream_file_parallel`], kept for callers that
-/// predate format-generic parallel decode.
-pub fn stream_ptb_parallel(
-    path: &Path,
-    pipeline: &IngestPipeline,
-) -> std::io::Result<(TraceMeta, u64)> {
-    stream_file_parallel(path, pipeline)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::IngestConfig;
     use pio_trace::io::write_jsonl;
-    use pio_trace::ptb::write_ptb;
     use pio_trace::ptb2::write_ptb2;
     use pio_trace::{CallKind, Record, Trace};
 
@@ -255,26 +134,18 @@ mod tests {
         let t = sample(3, 10);
         let mut jsonl = Vec::new();
         write_jsonl(&t, &mut jsonl).unwrap();
-        let mut ptb = Vec::new();
-        write_ptb(&t, &mut ptb).unwrap();
         let mut ptb2 = Vec::new();
         write_ptb2(&t, &mut ptb2).unwrap();
 
         let mut from_jsonl = EventLog::default();
         let (m1, n1) = stream_jsonl(std::io::Cursor::new(&jsonl), &mut from_jsonl).unwrap();
-        let check = |m2: TraceMeta, n2: u64, from_bin: &EventLog| {
-            assert_eq!(m1, m2);
-            assert_eq!(n1, n2);
-            assert_eq!(from_jsonl.pushes, from_bin.pushes);
-            assert_eq!(from_jsonl.phase_ends, from_bin.phase_ends);
-            assert!(from_bin.finished);
-        };
-        let mut from_ptb = EventLog::default();
-        let (m2, n2) = stream_ptb(std::io::Cursor::new(&ptb), &mut from_ptb).unwrap();
-        check(m2, n2, &from_ptb);
         let mut from_ptb2 = EventLog::default();
         let (m2, n2) = stream_ptb2(std::io::Cursor::new(&ptb2), &mut from_ptb2).unwrap();
-        check(m2, n2, &from_ptb2);
+        assert_eq!(m1, m2);
+        assert_eq!(n1, n2);
+        assert_eq!(from_jsonl.pushes, from_ptb2.pushes);
+        assert_eq!(from_jsonl.phase_ends, from_ptb2.phase_ends);
+        assert!(from_ptb2.finished);
 
         let mut collected = Trace::new(t.meta.clone());
         stream_ptb2(std::io::Cursor::new(&ptb2), &mut collected).unwrap();
@@ -296,53 +167,15 @@ mod tests {
             assert_eq!(log.phase_ends, vec![0, 1], "{p:?}");
             std::fs::remove_file(&p).ok();
         }
-    }
-
-    #[test]
-    fn parallel_ingest_is_bit_identical_to_sequential_for_every_format() {
-        let dir = std::env::temp_dir().join("pio_ingest_parallel_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        // Uneven durations so f64 accumulation order matters.
-        let mut t = Trace::new(TraceMeta {
-            experiment: "par".into(),
-            platform: "test".into(),
-            ranks: 16,
-            seed: 3,
-        });
-        for i in 0..10_000u64 {
-            t.push(Record {
-                rank: (i % 16) as u32,
-                call: CallKind::ALL[(i % 12) as usize],
-                fd: 3,
-                offset: i << 12,
-                bytes: 4096 + i % 999,
-                start_ns: i * 1000,
-                end_ns: i * 1000 + 1 + (i * i) % 77_777,
-                phase: (i / 2500) as u32,
-            });
-        }
-        let cfg = IngestConfig::default();
-        let sequential = {
-            let path = dir.join("par.ptb");
-            pio_trace::io::save_as(&t, &path, TraceFormat::Ptb).unwrap();
-            let pipeline = IngestPipeline::new(cfg.clone());
-            let mut sink = pipeline.sink();
-            let (_, n) = stream_file(&path, &mut sink).unwrap();
-            assert_eq!(n, 10_000);
-            drop(sink);
-            std::fs::remove_file(&path).ok();
-            pipeline.finish()
-        };
-        for format in TraceFormat::ALL {
-            let path = dir.join(format!("par.{}", format.name()));
-            pio_trace::io::save_as(&t, &path, format).unwrap();
-            let pipeline = IngestPipeline::new(cfg.clone());
-            let (meta, n) = stream_file_parallel(&path, &pipeline).unwrap();
-            assert_eq!(meta, t.meta);
-            assert_eq!(n, 10_000);
-            assert_eq!(sequential, pipeline.finish(), "{}", format.name());
-            std::fs::remove_file(&path).ok();
-        }
+        // A retired ptb v1 file is refused before the sink sees anything.
+        let p = dir.join("retired.ptb");
+        std::fs::write(&p, b"PTB1\x02\x00\x00\x00{}").unwrap();
+        let mut log = EventLog::default();
+        let err = stream_file(&p, &mut log).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::Unsupported, "{err}");
+        assert!(err.to_string().contains("version '1'"), "{err}");
+        assert!(!log.finished);
+        std::fs::remove_file(&p).ok();
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Per-shard accumulators and the merged ensemble snapshot.
 //!
 //! A shard is keyed by `(call kind, rank group, barrier phase)` and holds
-//! only mergeable sketches, so the whole pipeline's memory is
-//! O(shards × bins) regardless of how many events stream through. A
+//! only mergeable sketches, so a snapshot's memory is O(shards × bins)
+//! regardless of how many events stream through. A
 //! [`EnsembleSnapshot`] is the order-independent merge of every shard,
 //! plus the global scalars and heavy-hitter sketch the serialized-rank
 //! detector needs; it re-runs the paper's detectors through the shared
@@ -22,7 +22,7 @@ use pio_core::diagnosis::{
 use pio_core::modes::find_modes_on_grid;
 use pio_des::hist::{BinTable, LogBins, LogHistogram};
 use pio_des::FxHashMap;
-use pio_trace::{CallKind, Record};
+use pio_trace::{CallKind, Record, RecordSink};
 use std::collections::HashMap;
 
 /// Number of call classes (shard slots are direct-indexed by
@@ -184,7 +184,7 @@ impl ShardStats {
 }
 
 /// Geometry and capacity knobs shared by every snapshot accumulator —
-/// the pipeline's workers, a fleet tenant, or a test harness. Two
+/// `analyze --stream`, a fleet tenant, or a test harness. Two
 /// accumulators are mergeable exactly when they share one of these.
 #[derive(Debug, Clone)]
 pub struct SnapshotConfig {
@@ -222,8 +222,9 @@ impl Default for SnapshotConfig {
 }
 
 /// The sequential snapshot accumulator: one record stream in, an
-/// [`EnsembleSnapshot`] out, in `O(shards × bins)` memory. The pipeline's
-/// workers each own one; a fleet tenant owns one per job. Builders over
+/// [`EnsembleSnapshot`] out, in `O(shards × bins)` memory. It is a
+/// [`RecordSink`], so it tees beside a stream diagnoser over one decode
+/// (`analyze --stream`); a fleet tenant owns one per job. Builders over
 /// the same [`SnapshotConfig`] merge freely through
 /// [`EnsembleSnapshot::merge`].
 #[derive(Debug, Clone)]
@@ -485,6 +486,20 @@ impl SnapshotBuilder {
             vec![Self::profile_map(self.profiles)],
             self.small,
         )
+    }
+}
+
+/// A builder consumes a record stream directly: `push` is
+/// [`SnapshotBuilder::accumulate`] and `push_block` is
+/// [`SnapshotBuilder::accumulate_block`]. Phase marks and end of stream
+/// carry nothing a snapshot keeps (phases are read off the records).
+impl RecordSink for SnapshotBuilder {
+    fn push(&mut self, r: &Record) {
+        self.accumulate(r);
+    }
+
+    fn push_block(&mut self, block: &[Record]) {
+        self.accumulate_block(block);
     }
 }
 
@@ -1073,9 +1088,7 @@ mod tests {
         let snap = build(&recs).into_snapshot(0);
         assert_eq!(snap.ingested, 600);
         assert_eq!(snap.ranks, 16);
-        // The pipeline's workers use the same builder, so sequential
-        // accumulation and the concurrent path share one code path now;
-        // spot-check a merged kind against a fresh reference builder.
+        // The cloning snapshot and the consuming one agree.
         let reference = build(&recs).snapshot(0);
         assert_eq!(snap, reference);
     }

@@ -3,8 +3,9 @@
 //! decides what happens to its record blocks once the tenant's
 //! accumulator state reaches that budget.
 //!
-//! The decision reuses the pipeline's [`OverflowPolicy`] semantics at
-//! the memory boundary instead of the channel boundary:
+//! One [`OverflowPolicy`] governs both boundaries a fleet service has:
+//! a full transport channel (the service applies it there) and a tenant
+//! over its memory budget (this meter applies it here):
 //!
 //! * [`OverflowPolicy::DropAndCount`] — blocks arriving while the tenant
 //!   is over budget are shed whole and every record in them is counted,
@@ -21,7 +22,15 @@
 //! grows deterministically with its records), so admission is
 //! reproducible for any worker-pool size or cross-tenant interleaving.
 
-use crate::pipeline::OverflowPolicy;
+/// What a producer does when its destination is full — a transport
+/// channel at capacity, or a tenant over its memory budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OverflowPolicy {
+    /// Wait for the worker to catch up (lossless).
+    Block,
+    /// Drop the block and count its records (non-stalling).
+    DropAndCount,
+}
 
 /// What to do with an arriving block, given the tenant's budget state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

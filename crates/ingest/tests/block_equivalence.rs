@@ -8,7 +8,7 @@
 use std::io::Cursor;
 
 use pio_ingest::{DiagnoserConfig, SnapshotBuilder, SnapshotConfig, StreamDiagnoser};
-use pio_trace::{codec_for, CallKind, Record, RecordSink, Trace, TraceFormat, TraceMeta};
+use pio_trace::{codec_for, CallKind, Record, RecordSink, Tee, Trace, TraceFormat, TraceMeta};
 use proptest::prelude::*;
 
 /// Arbitrary records across every call kind, with durations spanning the
@@ -113,38 +113,15 @@ proptest! {
     }
 }
 
-/// A full analysis sink (diagnoser + builder) whose block path is the
-/// production one; [`PerRecord`] wraps it to force the trait-default
-/// record-at-a-time loop for the reference side.
-struct Analysis {
-    diag: StreamDiagnoser,
-    builder: SnapshotBuilder,
-}
+/// The full analysis sink `analyze --stream` and a fleet tenant run —
+/// diagnoser and snapshot builder teed over one stream, both through
+/// their `RecordSink` impls, whose block path is the production one;
+/// [`PerRecord`] wraps it to force the trait-default record-at-a-time
+/// loop for the reference side.
+type Analysis = Tee<StreamDiagnoser, SnapshotBuilder>;
 
-impl Analysis {
-    fn new() -> Self {
-        Analysis {
-            diag: diagnoser(),
-            builder: SnapshotBuilder::new(SnapshotConfig::default()),
-        }
-    }
-}
-
-impl RecordSink for Analysis {
-    fn push(&mut self, r: &Record) {
-        self.diag.push(r);
-        self.builder.accumulate(r);
-    }
-    fn push_block(&mut self, block: &[Record]) {
-        self.diag.push_block(block);
-        self.builder.accumulate_block(block);
-    }
-    fn phase_end(&mut self, phase: u32) {
-        self.diag.phase_end(phase);
-    }
-    fn finish(&mut self) {
-        self.diag.finish();
-    }
+fn analysis() -> Analysis {
+    Tee(diagnoser(), SnapshotBuilder::new(SnapshotConfig::default()))
 }
 
 /// Forwards everything per record; never exposes a block, so the inner
@@ -170,7 +147,7 @@ proptest! {
     /// Streaming the same encoded trace through every codec produces
     /// identical analysis whether the codec's blocks flow into the
     /// batched kernels or are unrolled record by record — and the
-    /// verdicts agree across all three encodings.
+    /// verdicts agree across both encodings.
     #[test]
     fn codec_streams_are_block_record_equivalent(records in arb_records()) {
         let mut trace = Trace::new(TraceMeta {
@@ -189,25 +166,25 @@ proptest! {
             let mut bytes = Vec::new();
             codec.write(&trace, &mut bytes).expect("encode");
 
-            let mut batched = Analysis::new();
+            let mut batched = analysis();
             let (_, n) = codec
                 .stream(&mut Cursor::new(&bytes), &mut batched)
                 .expect("stream batched");
             prop_assert_eq!(n as usize, records.len());
 
-            let mut unrolled = PerRecord(Analysis::new());
+            let mut unrolled = PerRecord(analysis());
             codec
                 .stream(&mut Cursor::new(&bytes), &mut unrolled)
                 .expect("stream unrolled");
 
             prop_assert_eq!(
-                batched.diag.findings(),
-                unrolled.0.diag.findings(),
+                batched.0.findings(),
+                unrolled.0.0.findings(),
                 "findings diverge under {}",
                 codec.name()
             );
-            let a = batched.builder.into_snapshot(0);
-            let b = unrolled.0.builder.into_snapshot(0);
+            let a = batched.1.into_snapshot(0);
+            let b = unrolled.0.1.into_snapshot(0);
             prop_assert_eq!(&a, &b, "snapshot diverges under {}", codec.name());
             snapshots.push(a);
         }

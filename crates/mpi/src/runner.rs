@@ -655,13 +655,13 @@ mod tests {
     }
 
     #[test]
-    fn streaming_capture_to_ptb_round_trips() {
+    fn streaming_capture_to_ptb2_round_trips() {
         // Capture straight to the binary trace format — no in-memory
         // Trace — then decode and compare with the buffered run.
         let job = simple_job(8, 4);
         let buffered = go(&job, cfg(21));
 
-        let mut enc = pio_trace::PtbWriter::new(Vec::new(), &buffered.trace().meta).unwrap();
+        let mut enc = pio_trace::Ptb2Writer::new(Vec::new(), &buffered.trace().meta).unwrap();
         Runner::new(&job, cfg(21))
             .sink(&mut enc)
             .execute_one()
@@ -673,7 +673,7 @@ mod tests {
         );
         let bytes = enc.into_inner().unwrap();
 
-        let mut back = pio_trace::ptb::read_ptb(std::io::Cursor::new(bytes)).unwrap();
+        let mut back = pio_trace::ptb2::read_ptb2(std::io::Cursor::new(bytes)).unwrap();
         assert_eq!(back.meta, buffered.trace().meta);
         back.sort_by_start();
         assert_eq!(back.records, buffered.trace().records);

@@ -2,13 +2,12 @@
 //! with uniform sniff / read / write / stream entry points and a static
 //! registry.
 //!
-//! Before this existed, every consumer (`mktrace`, `analyze`,
-//! `trace_convert`, `stream_file`, …) carried its own
-//! `match TraceFormat { … }` arm over the free functions in [`crate::io`]
-//! and [`crate::ptb`]; adding a format meant editing every call site.
-//! Now a format is one `TraceCodec` impl plus one registry entry —
-//! `ptb2` was added exactly that way — and call sites go through
-//! [`codec_for`] / [`sniff_codec`].
+//! Every consumer (`mktrace`, `analyze`, `trace_convert`, `stream_file`,
+//! …) goes through [`codec_for`] / [`sniff_codec`] instead of carrying
+//! its own `match TraceFormat { … }` arm, so a format is one
+//! `TraceCodec` impl plus one registry entry. The registry holds two:
+//! JSONL (interchange) and ptb2 (the binary fast path). A `PTB1` head
+//! (the retired row-major v1) sniffs as an unsupported ptb version.
 //!
 //! Streaming goes through the same trait: [`TraceCodec::stream`] decodes
 //! incrementally into a [`RecordSink`], synthesizing barrier-phase
@@ -16,7 +15,6 @@
 //! `pio-fleetd`) see identical event sequences whatever the encoding.
 
 use crate::io::{read_jsonl, write_jsonl, TraceFormat};
-use crate::ptb::{read_ptb, write_ptb, PtbBlockReader, PTB_MAGIC};
 use crate::ptb2::{read_ptb2, write_ptb2, Ptb2BlockReader, PTB2_MAGIC};
 use crate::record::Record;
 use crate::sink::RecordSink;
@@ -201,42 +199,6 @@ impl TraceCodec for JsonlCodec {
     }
 }
 
-/// The row-major binary v1 codec (45-byte frames).
-pub struct PtbCodec;
-
-impl TraceCodec for PtbCodec {
-    fn format(&self) -> TraceFormat {
-        TraceFormat::Ptb
-    }
-
-    fn sniff(&self, head: &[u8]) -> bool {
-        head.len() >= 4 && head[..4] == PTB_MAGIC
-    }
-
-    fn read(&self, r: &mut dyn BufRead) -> io::Result<Trace> {
-        read_ptb(r)
-    }
-
-    fn write(&self, trace: &Trace, w: &mut dyn Write) -> io::Result<()> {
-        write_ptb(trace, w)
-    }
-
-    fn stream(
-        &self,
-        r: &mut dyn BufRead,
-        sink: &mut dyn RecordSink,
-    ) -> io::Result<(TraceMeta, u64)> {
-        let mut dec = PtbBlockReader::new(r)?;
-        let meta = dec.meta().clone();
-        let mut phases = PhaseTracker::new();
-        while let Some(block) = dec.next_block()? {
-            phases.on_block(block, sink);
-        }
-        phases.finish(sink);
-        Ok((meta, dec.records_read()))
-    }
-}
-
 /// The columnar binary v2 codec (structure-of-arrays blocks).
 pub struct Ptb2Codec;
 
@@ -273,9 +235,9 @@ impl TraceCodec for Ptb2Codec {
     }
 }
 
-/// Every registered codec, magic-bearing binary formats first (JSONL
+/// Every registered codec, the magic-bearing binary format first (JSONL
 /// last because its sniff is the loosest).
-static CODECS: [&dyn TraceCodec; 3] = [&Ptb2Codec, &PtbCodec, &JsonlCodec];
+static CODECS: [&dyn TraceCodec; 2] = [&Ptb2Codec, &JsonlCodec];
 
 /// The static codec registry.
 pub fn codecs() -> &'static [&'static dyn TraceCodec] {
@@ -295,7 +257,8 @@ pub fn codec_for(format: TraceFormat) -> &'static dyn TraceCodec {
 ///
 /// Unrecognized content is a clean [`io::ErrorKind::Unsupported`] error
 /// — including heads shorter than any magic prefix and `PTB` files with
-/// an unknown version byte — never a panic or a misdetection.
+/// an unknown version byte (the retired `PTB1` among them) — never a
+/// panic or a misdetection.
 pub fn sniff_codec(head: &[u8]) -> io::Result<&'static dyn TraceCodec> {
     if let Some(c) = codecs().iter().copied().find(|c| c.sniff(head)) {
         return Ok(c);
@@ -308,11 +271,11 @@ pub fn sniff_codec(head: &[u8]) -> io::Result<&'static dyn TraceCodec> {
         )
     } else if head.starts_with(b"PTB") {
         format!(
-            "unsupported ptb format version {:?} (known: ptb, ptb2)",
+            "unsupported ptb format version {:?} (known: jsonl, ptb2)",
             head[3] as char
         )
     } else {
-        "unrecognized trace format (expected JSONL, ptb, or ptb2)".to_string()
+        "unrecognized trace format (expected jsonl or ptb2)".to_string()
     };
     Err(io::Error::new(io::ErrorKind::Unsupported, msg))
 }
@@ -472,9 +435,13 @@ mod tests {
 
     #[test]
     fn unknown_ptb_version_names_the_version() {
-        let err = sniff_codec(b"PTB9....").map(|c| c.format()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
-        assert!(err.to_string().contains("version"), "{err}");
+        for (head, version) in [(b"PTB9....", "'9'"), (b"PTB1....", "'1'")] {
+            let err = sniff_codec(head).map(|c| c.format()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("version {version}")), "{msg}");
+            assert!(msg.contains("known: jsonl, ptb2"), "{msg}");
+        }
         let err = sniff_codec(b"garbage.").map(|c| c.format()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Unsupported);
     }

@@ -1,8 +1,8 @@
 //! Trace serialization: JSONL (one record per line, as IPM-I/O "emits the
-//! entire trace"), the binary [`ptb`](crate::ptb) / [`ptb2`](crate::ptb2)
-//! formats, and CSV for plotting tools. [`load`] sniffs the on-disk
-//! format from the file's leading bytes via the codec registry
-//! ([`crate::codec`]), so every consumer transparently reads them all.
+//! entire trace"), the binary [`ptb2`](crate::ptb2) format, and CSV for
+//! plotting tools. [`load`] sniffs the on-disk format from the file's
+//! leading bytes via the codec registry ([`crate::codec`]), so every
+//! consumer transparently reads both.
 
 use crate::trace::{Trace, TraceMeta};
 use std::io::{BufRead, Write};
@@ -12,22 +12,19 @@ use std::io::{BufRead, Write};
 pub enum TraceFormat {
     /// Text: one JSON object per line (meta first).
     Jsonl,
-    /// Binary v1: CRC-checked fixed-width record blocks (row-major).
-    Ptb,
-    /// Binary v2: CRC-checked columnar blocks with per-column
-    /// compression (see [`crate::ptb2`]).
+    /// Binary: CRC-checked columnar blocks with per-column compression
+    /// (see [`crate::ptb2`]).
     Ptb2,
 }
 
 impl TraceFormat {
-    /// Every known format, binary formats first (sniffing order).
-    pub const ALL: [TraceFormat; 3] = [TraceFormat::Ptb2, TraceFormat::Ptb, TraceFormat::Jsonl];
+    /// Every known format, the binary format first (sniffing order).
+    pub const ALL: [TraceFormat; 2] = [TraceFormat::Ptb2, TraceFormat::Jsonl];
 
-    /// Parse a user-facing format name (`"jsonl"` / `"ptb"` / `"ptb2"`).
+    /// Parse a user-facing format name (`"jsonl"` / `"ptb2"`).
     pub fn from_name(name: &str) -> Option<TraceFormat> {
         match name {
             "jsonl" => Some(TraceFormat::Jsonl),
-            "ptb" => Some(TraceFormat::Ptb),
             "ptb2" => Some(TraceFormat::Ptb2),
             _ => None,
         }
@@ -37,7 +34,6 @@ impl TraceFormat {
     pub fn name(self) -> &'static str {
         match self {
             TraceFormat::Jsonl => "jsonl",
-            TraceFormat::Ptb => "ptb",
             TraceFormat::Ptb2 => "ptb2",
         }
     }
@@ -52,7 +48,8 @@ impl TraceFormat {
     /// Classify leading file bytes via the codec registry.
     ///
     /// Heads shorter than any magic prefix, `PTB` files with an unknown
-    /// version byte, and content no codec claims are all a clean
+    /// version byte (including the retired `PTB1`), and content no codec
+    /// claims are all a clean
     /// [`std::io::ErrorKind::Unsupported`] error — never a panic or a
     /// misdetection.
     pub fn sniff_bytes(head: &[u8]) -> std::io::Result<TraceFormat> {
@@ -252,9 +249,8 @@ mod tests {
         let t = sample();
         // Deliberately mismatched extensions: only the bytes matter.
         for (fname, format) in [
-            ("binary.jsonl", TraceFormat::Ptb),
-            ("text.ptb", TraceFormat::Jsonl),
-            ("columnar.ptb", TraceFormat::Ptb2),
+            ("binary.jsonl", TraceFormat::Ptb2),
+            ("text.ptb2", TraceFormat::Jsonl),
         ] {
             let p = dir.join(fname);
             save_as(&t, &p, format).unwrap();
@@ -264,6 +260,13 @@ mod tests {
             assert_eq!(back.records, t.records);
             std::fs::remove_file(&p).ok();
         }
+        // A retired ptb v1 file is refused cleanly, not misread.
+        let p = dir.join("retired.ptb");
+        std::fs::write(&p, b"PTB1\x02\x00\x00\x00{}").unwrap();
+        let err = load(&p).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::Unsupported, "{err}");
+        assert!(err.to_string().contains("version '1'"), "{err}");
+        std::fs::remove_file(&p).ok();
     }
 
     #[test]
@@ -281,10 +284,7 @@ mod tests {
             TraceFormat::from_extension(Path::new("a/b.ptb2")),
             Some(TraceFormat::Ptb2)
         );
-        assert_eq!(
-            TraceFormat::from_extension(Path::new("t.ptb")),
-            Some(TraceFormat::Ptb)
-        );
+        assert_eq!(TraceFormat::from_extension(Path::new("t.ptb")), None);
         assert_eq!(
             TraceFormat::from_extension(Path::new("t.jsonl")),
             Some(TraceFormat::Jsonl)
@@ -300,8 +300,8 @@ mod tests {
             assert_eq!(err.kind(), std::io::ErrorKind::Unsupported, "head={head:?}");
         }
         assert_eq!(
-            TraceFormat::sniff_bytes(b"PTB1....").unwrap(),
-            TraceFormat::Ptb
+            TraceFormat::sniff_bytes(b"PTB1....").unwrap_err().kind(),
+            std::io::ErrorKind::Unsupported
         );
         assert_eq!(
             TraceFormat::sniff_bytes(b"PTB2....").unwrap(),

@@ -17,16 +17,17 @@
 //!   never store individual events.
 //! * [`sink`] — streaming record sinks: consume events as they happen
 //!   instead of buffering a whole trace (`pio-ingest` builds on this).
-//! * [`io`] — JSONL / ptb / CSV serialization of traces.
+//! * [`io`] — JSONL / ptb2 / CSV serialization of traces.
 //! * [`jsonl`] — the hot hand-rolled JSONL record parser (with
 //!   `serde_json` as the strict fallback).
-//! * [`ptb`] — the compact CRC-checked binary trace format, with a
-//!   streaming block reader and a `RecordSink` encoder.
-//! * [`ptb2`] — the columnar v2 format: structure-of-arrays blocks with
-//!   frame-of-reference/delta timestamps, dictionary-coded call kinds
-//!   and varint sizes, decoded by branch-free columnar loops.
+//! * [`ptb2`] — the compact CRC-checked binary trace format:
+//!   structure-of-arrays blocks with frame-of-reference/delta
+//!   timestamps, dictionary-coded call kinds and varint sizes, decoded
+//!   by branch-free columnar loops; a streaming block reader and a
+//!   `RecordSink` encoder.
 //! * [`codec`] — the `TraceCodec` trait and static registry that give
-//!   every format uniform sniff/read/write/stream entry points.
+//!   both formats (JSONL and ptb2) uniform sniff/read/write/stream
+//!   entry points.
 //! * [`summary`] — an IPM-style per-call summary report.
 
 pub mod codec;
@@ -35,7 +36,6 @@ pub mod io;
 pub mod jsonl;
 pub mod phase;
 pub mod profile;
-pub mod ptb;
 pub mod ptb2;
 pub mod record;
 pub mod sink;
@@ -46,7 +46,6 @@ pub use codec::{codec_for, codecs, sniff_codec, PhaseTracker, TraceCodec};
 pub use fdtable::FdTable;
 pub use io::TraceFormat;
 pub use profile::OnlineProfile;
-pub use ptb::{PtbBlockReader, PtbWriter};
 pub use ptb2::{Ptb2BlockReader, Ptb2Writer};
 pub use record::{CallKind, Record};
 pub use sink::{Demux, NullSink, RecordSink, Tee};

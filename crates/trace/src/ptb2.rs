@@ -1,13 +1,15 @@
 //! `ptb2` — the columnar binary trace format (Portable Trace Blocks v2).
 //!
-//! `ptb` v1 stores row-major 45-byte frames: decoding is a per-record
-//! scatter of eight field loads. v2 goes structure-of-arrays per block —
-//! all ranks, then all timestamps, then all offsets, … — so decode
-//! becomes a handful of branch-free columnar loops the compiler can
-//! autovectorize, and per-column lightweight compression (frame-of-
-//! reference, delta, dictionary, varint) shrinks blocks 2–4× on real
-//! traces. Same CRC discipline as v1: every payload is CRC-32-checked,
-//! length-prefixed, and the terminator carries the total record count.
+//! JSONL is the interchange format; `ptb2` is the fast path. Blocks are
+//! structure-of-arrays — all ranks, then all timestamps, then all
+//! offsets, … — so decode becomes a handful of branch-free columnar
+//! loops the compiler can autovectorize, and per-column lightweight
+//! compression (frame-of-reference, delta, dictionary, varint) makes a
+//! record ~8× smaller than its JSONL line. Every payload is
+//! CRC-32-checked, length-prefixed, and the terminator carries the total
+//! record count, so truncation — even exactly at a block boundary — is
+//! detected rather than silently read short. (Version 1, row-major
+//! 45-byte frames, is retired: a `PTB1` head is an unsupported version.)
 //!
 //! Container layout (all integers little-endian):
 //!
@@ -48,13 +50,10 @@
 //! round-trips exactly, however adversarial — the property tests in
 //! `tests/trace_formats.rs` drive the full field ranges.
 //!
-//! [`Ptb2BlockReader`] mirrors v1's streaming reader: reused buffers,
+//! [`Ptb2BlockReader`] is the streaming decoder: reused buffers,
 //! bounded allocation, and corruption/truncation errors that name the
 //! failing block index and byte offset.
 
-use crate::ptb::{
-    bad_data, call_code, call_from_code, crc32, read_exact_ctx, read_header, write_header,
-};
 use crate::record::{CallKind, Record};
 use crate::sink::RecordSink;
 use crate::trace::{Trace, TraceMeta};
@@ -64,12 +63,13 @@ use std::io::{self, Read, Write};
 pub const PTB2_MAGIC: [u8; 4] = *b"PTB2";
 
 /// Records per block written by [`write_ptb2`] / [`Ptb2Writer::new`].
-/// Larger than v1's: column headers amortize and width choices improve
-/// with more records per block, while the writer's buffer stays small
-/// (4096 records ≈ 180 KiB of `Record`s).
+/// Column headers amortize and width choices improve with more records
+/// per block, while the writer's buffer stays small (4096 records ≈
+/// 180 KiB of `Record`s).
 pub const DEFAULT_BLOCK_RECORDS: usize = 4096;
 
-/// Upper bound a reader accepts for one block's record count.
+/// Upper bound a reader accepts for one block's record count — a
+/// corrupt count field must not become a multi-gigabyte allocation.
 const MAX_BLOCK_RECORDS: u32 = 1 << 22;
 
 /// Per-record worst case a legitimate encoder can produce: six integer
@@ -79,6 +79,142 @@ const MAX_BYTES_PER_RECORD: u64 = 6 * 8 + 1 + 10;
 /// Column-header worst case: six integer columns (tag+base+width), the
 /// call dictionary (len + 12 codes + width).
 const MAX_COLUMN_OVERHEAD: u64 = 6 * 10 + 14;
+
+/// CRC-32/ISO-HDLC (the zlib/PNG polynomial), slice-by-8 table-driven:
+/// eight const-built tables let the loop fold 8 input bytes per step
+/// with independent lookups instead of an 8-step serial byte chain —
+/// the checksum is on the block-decode hot path.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    const TABLES: [[u32; 256]; 8] = {
+        let mut tables = [[0u32; 256]; 8];
+        let mut i = 0;
+        while i < 256 {
+            let mut c = i as u32;
+            let mut k = 0;
+            while k < 8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+                k += 1;
+            }
+            tables[0][i] = c;
+            i += 1;
+        }
+        let mut t = 1;
+        while t < 8 {
+            let mut i = 0;
+            while i < 256 {
+                let prev = tables[t - 1][i];
+                tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+                i += 1;
+            }
+            t += 1;
+        }
+        tables
+    };
+    let mut c = !0u32;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
+}
+
+/// Wire code of a call kind: its index in [`CallKind::ALL`].
+fn call_code(k: CallKind) -> u8 {
+    k as u8
+}
+
+/// Inverse of [`call_code`]; corrupt codes are data errors, not panics.
+fn call_from_code(code: u8) -> io::Result<CallKind> {
+    CallKind::ALL
+        .get(code as usize)
+        .copied()
+        .ok_or_else(|| bad_data(format!("ptb: invalid call code {code}")))
+}
+
+fn bad_data(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// Write the header: `magic | meta_len u32 | meta JSON | crc32(meta)
+/// u32`.
+fn write_header<W: Write>(w: &mut W, magic: &[u8; 4], meta: &TraceMeta) -> io::Result<()> {
+    let meta_json = serde_json::to_string(meta)?;
+    let meta_bytes = meta_json.as_bytes();
+    w.write_all(magic)?;
+    w.write_all(&(meta_bytes.len() as u32).to_le_bytes())?;
+    w.write_all(meta_bytes)?;
+    w.write_all(&crc32(meta_bytes).to_le_bytes())?;
+    Ok(())
+}
+
+/// Read and validate the header written by [`write_header`]. `fmt`
+/// names the format in error messages. The first three magic bytes
+/// identify the ptb family and the fourth is the version, so any other
+/// version (including the retired `PTB1`) is an "unsupported format
+/// version" error. Returns the metadata and the number of header bytes
+/// consumed (the byte offset the first block starts at).
+fn read_header<R: Read>(r: &mut R, magic: &[u8; 4], fmt: &str) -> io::Result<(TraceMeta, u64)> {
+    let mut got = [0u8; 4];
+    read_exact_ctx(r, &mut got, &format!("{fmt} header"))?;
+    if got[..3] != magic[..3] {
+        return Err(bad_data(format!("{fmt}: bad magic (not a {fmt} file)")));
+    }
+    if got[3] != magic[3] {
+        return Err(bad_data(format!(
+            "{fmt}: unsupported format version {:?} (this reader speaks {:?})",
+            got[3] as char, magic[3] as char
+        )));
+    }
+    let mut len = [0u8; 4];
+    read_exact_ctx(r, &mut len, &format!("{fmt} header"))?;
+    let meta_len = u32::from_le_bytes(len);
+    if meta_len > 1 << 20 {
+        return Err(bad_data(format!(
+            "{fmt}: implausible meta length {meta_len}"
+        )));
+    }
+    let mut meta_bytes = vec![0u8; meta_len as usize];
+    read_exact_ctx(r, &mut meta_bytes, &format!("{fmt} header"))?;
+    let mut crc = [0u8; 4];
+    read_exact_ctx(r, &mut crc, &format!("{fmt} header"))?;
+    if crc32(&meta_bytes) != u32::from_le_bytes(crc) {
+        return Err(bad_data(format!("{fmt}: header CRC mismatch")));
+    }
+    let meta_json = std::str::from_utf8(&meta_bytes)
+        .map_err(|_| bad_data(format!("{fmt}: header meta is not UTF-8")))?;
+    let meta: TraceMeta = serde_json::from_str(meta_json)?;
+    Ok((meta, 12 + meta_len as u64 + 4))
+}
+
+/// `read_exact` with a truncation message naming what was being read.
+fn read_exact_ctx<R: Read>(r: &mut R, buf: &mut [u8], what: &str) -> io::Result<()> {
+    r.read_exact(buf).map_err(|e| {
+        if e.kind() == io::ErrorKind::UnexpectedEof {
+            io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("truncated file while reading {what}"),
+            )
+        } else {
+            e
+        }
+    })
+}
 
 /// Zigzag-map a signed value so small magnitudes become small unsigneds.
 #[inline]
@@ -453,9 +589,13 @@ fn decode_block(
     Ok(())
 }
 
-/// A streaming `ptb2` encoder that is also a [`RecordSink`] — the v2
-/// counterpart of [`crate::ptb::PtbWriter`], with the same error-stash
-/// contract on the sink path.
+/// A streaming `ptb2` encoder that is also a [`RecordSink`], so a
+/// simulation run can capture straight to the binary format without
+/// ever buffering a [`Trace`].
+///
+/// Because [`RecordSink`] methods cannot return errors, the sink path
+/// stashes the first I/O error instead ([`Ptb2Writer::error`]); the
+/// direct [`Ptb2Writer::push_record`] path returns it.
 pub struct Ptb2Writer<W: Write> {
     w: W,
     buf: Vec<Record>,
@@ -754,6 +894,22 @@ mod tests {
     }
 
     #[test]
+    fn crc32_known_vectors() {
+        // Standard CRC-32/ISO-HDLC check values.
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn call_codes_cover_every_kind() {
+        for (i, k) in CallKind::ALL.iter().enumerate() {
+            assert_eq!(call_code(*k) as usize, i);
+            assert_eq!(call_from_code(i as u8).unwrap(), *k);
+        }
+        assert!(call_from_code(12).is_err());
+    }
+
+    #[test]
     fn zigzag_round_trips_extremes() {
         for v in [0i64, 1, -1, i64::MIN, i64::MAX, 42, -42] {
             assert_eq!(unzigzag(zigzag(v)), v);
@@ -915,6 +1071,11 @@ mod tests {
         buf[3] = b'9';
         let err = read_ptb2(std::io::Cursor::new(&buf)).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
+        // The retired row-major v1 is just another unknown version.
+        buf[3] = b'1';
+        let err = read_ptb2(std::io::Cursor::new(&buf)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version '1'"), "{err}");
         buf[0] = b'X';
         let err = read_ptb2(std::io::Cursor::new(&buf)).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
@@ -942,7 +1103,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_encoding_is_smaller_than_v1_frames() {
+    fn columnar_encoding_is_much_smaller_than_jsonl() {
         // A realistic shape: strided offsets, near-constant sizes,
         // monotone timestamps, few call kinds.
         let mut t = Trace::new(TraceMeta::default());
@@ -962,15 +1123,15 @@ mod tests {
                 phase: (i / 2500) as u32,
             });
         }
-        let mut v1 = Vec::new();
-        crate::ptb::write_ptb(&t, &mut v1).unwrap();
+        let mut jsonl = Vec::new();
+        crate::io::write_jsonl(&t, &mut jsonl).unwrap();
         let mut v2 = Vec::new();
         write_ptb2(&t, &mut v2).unwrap();
         assert!(
-            v2.len() * 2 <= v1.len(),
-            "ptb2 {} not >=2x smaller than ptb {}",
+            v2.len() * 4 <= jsonl.len(),
+            "ptb2 {} not >=4x smaller than jsonl {}",
             v2.len(),
-            v1.len()
+            jsonl.len()
         );
     }
 }

@@ -4,8 +4,9 @@
 //! simulated MPI runtime or by a JSONL reader) without requiring the
 //! whole event stream to be buffered. The in-memory [`Trace`], the
 //! fixed-memory [`OnlineProfile`], and the binary-format encoder
-//! [`crate::ptb::PtbWriter`] are all sinks; `pio-ingest` adds a
-//! concurrent sharded pipeline behind the same trait.
+//! [`crate::ptb2::Ptb2Writer`] are all sinks; `pio-ingest` adds the
+//! online diagnoser and the ensemble-snapshot builder behind the same
+//! trait, and [`Tee`] runs both over one stream.
 
 use crate::profile::OnlineProfile;
 use crate::record::Record;
@@ -23,7 +24,7 @@ pub trait RecordSink {
     /// Consume a block of records — semantically identical to calling
     /// [`Self::push`] once per record, in order (the default does
     /// exactly that). Decoders that already hold a decoded block hand
-    /// it over in one call so batch-aware sinks (the ingest pipeline,
+    /// it over in one call so batch-aware sinks (the snapshot builder,
     /// the fleet transport, the analysis sketches) can amortize
     /// dispatch, routing, and bin classification across the block.
     /// Implementations must produce bit-identical state to the

@@ -121,8 +121,7 @@ pub fn findings_text(findings: &[TimedFinding]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pio_ingest::pipeline::{IngestConfig, IngestPipeline};
-    use pio_ingest::StreamDiagnoser;
+    use pio_ingest::{SnapshotBuilder, SnapshotConfig, StreamDiagnoser};
     use pio_trace::{Record, RecordSink};
 
     fn rec(rank: u32, call: CallKind, dur: f64, phase: u32) -> Record {
@@ -140,8 +139,7 @@ mod tests {
 
     #[test]
     fn panel_renders_table_and_histogram() {
-        let pipeline = IngestPipeline::new(IngestConfig::default());
-        let mut sink = pipeline.sink();
+        let mut sink = SnapshotBuilder::new(SnapshotConfig::default());
         for i in 0..500u32 {
             sink.push(&rec(
                 i % 16,
@@ -151,8 +149,7 @@ mod tests {
             ));
             sink.push(&rec(i % 16, CallKind::Write, 0.02, 0));
         }
-        drop(sink);
-        let snap = pipeline.finish();
+        let snap = sink.into_snapshot(0);
         let text = snapshot_panel(&snap, 30);
         assert!(text.contains("1000 records"));
         assert!(text.contains("read"));

@@ -3,20 +3,16 @@
 //! *shared* detectors both post-mortem (batch `diagnose` over the
 //! buffered trace) and mid-run (the `StreamDiagnoser` fed
 //! record-by-record), with the clean baselines attribution-free on both
-//! paths. The engine knobs — shard count, ingest worker count, trace
-//! format — must all be semantically invisible: same verdict, byte for
-//! byte.
+//! paths. The engine knobs — shard count, trace format — must both be
+//! semantically invisible: same verdict, byte for byte.
 
 use events_to_ensembles::fault::{FaultPlan, FaultSchedule};
-use events_to_ensembles::ingest::pipeline::{IngestConfig, IngestPipeline};
 use events_to_ensembles::ingest::{
-    stream_file_parallel, stream_jsonl, stream_ptb, stream_ptb2, DiagnoserConfig, StreamDiagnoser,
-    TimedFinding,
+    stream_jsonl, stream_ptb2, DiagnoserConfig, StreamDiagnoser, TimedFinding,
 };
 use events_to_ensembles::stats::attribution::FaultClass;
-use events_to_ensembles::stats::diagnosis::{run_verdict, Thresholds, Verdict};
+use events_to_ensembles::stats::diagnosis::{run_verdict, Verdict};
 use events_to_ensembles::trace::io::write_jsonl;
-use events_to_ensembles::trace::ptb::write_ptb;
 use events_to_ensembles::trace::ptb2::write_ptb2;
 use events_to_ensembles::trace::{Record, RecordSink, Trace};
 use pio_bench::fault_matrix::{run_once, run_once_sharded, scenarios, verdict_of, Expect};
@@ -277,12 +273,11 @@ fn verdicts_are_bit_identical_across_shard_counts() {
 #[test]
 fn stream_verdicts_are_identical_across_formats_and_ingest_threads() {
     // The compound corpus through every transport: the same faulted
-    // trace serialized as jsonl, ptb, and ptb2 must drive the streaming
+    // trace serialized as jsonl and ptb2 must drive the streaming
     // diagnoser to identical findings (same firing order, same record
-    // counts), and the snapshot plane must diagnose identically at 1, 2,
-    // and 8 ingest workers.
-    let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
-    std::fs::create_dir_all(tmp).unwrap();
+    // counts). Concurrent ingest is the fleet service's job, pinned at
+    // pools {1, 2, 8} in `tests/fleetd_sim.rs`; snapshot shard-count
+    // invariance is the `rollup_is_shard_count_invariant` proptest.
     for sc in scenarios(SCALE) {
         if !matches!(sc.expected, Expect::Pair(..)) {
             continue;
@@ -302,11 +297,9 @@ fn stream_verdicts_are_identical_across_formats_and_ingest_threads() {
 
         let mut jsonl = Vec::new();
         write_jsonl(&t, &mut jsonl).unwrap();
-        let mut ptb = Vec::new();
-        write_ptb(&t, &mut ptb).unwrap();
         let mut ptb2 = Vec::new();
         write_ptb2(&t, &mut ptb2).unwrap();
-        for (fmt, bytes) in [("jsonl", &jsonl), ("ptb", &ptb), ("ptb2", &ptb2)] {
+        for (fmt, bytes) in [("jsonl", &jsonl), ("ptb2", &ptb2)] {
             let mut d = StreamDiagnoser::new(DiagnoserConfig {
                 window: 256,
                 ..DiagnoserConfig::default()
@@ -318,7 +311,6 @@ fn stream_verdicts_are_identical_across_formats_and_ingest_threads() {
                         .unwrap()
                         .1
                 }
-                "ptb" => stream_ptb(cursor, &mut d).unwrap().1,
                 _ => stream_ptb2(cursor, &mut d).unwrap().1,
             };
             assert_eq!(
@@ -334,34 +326,5 @@ fn stream_verdicts_are_identical_across_formats_and_ingest_threads() {
                 sc.fault
             );
         }
-
-        // Snapshot plane: worker count is a throughput knob.
-        let path = tmp.join(format!(
-            "corpus-{}-{seed}.ptb2",
-            sc.fault.replace(['@', '+'], "-")
-        ));
-        std::fs::write(&path, &ptb2).unwrap();
-        let th = Thresholds::default();
-        let mut snapshots = Vec::new();
-        for workers in [1usize, 2, 8] {
-            let pipeline = IngestPipeline::new(IngestConfig {
-                workers,
-                ..IngestConfig::default()
-            });
-            let (_, n) = stream_file_parallel(&path, &pipeline).unwrap();
-            assert_eq!(n, t.records.len() as u64);
-            snapshots.push((workers, pipeline.finish()));
-        }
-        let (_, first) = &snapshots[0];
-        let reference_findings = first.diagnose(&th);
-        for (workers, snap) in &snapshots[1..] {
-            assert_eq!(
-                snap.diagnose(&th),
-                reference_findings,
-                "{} @ {workers} ingest workers: snapshot findings diverged",
-                sc.fault
-            );
-        }
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -1,11 +1,10 @@
 //! The paper's core statistical claim, end to end: ensembles are stable
 //! across runs, order statistics explain phase times, and the LLN
 //! prediction machinery tracks measurements — and the attribution
-//! verdicts built on top are deterministic across ingest parallelism
-//! and trace encodings.
+//! verdicts built on top are deterministic across trace encodings.
 
 use events_to_ensembles::fs::FsConfig;
-use events_to_ensembles::ingest::{stream_file, IngestConfig, IngestPipeline};
+use events_to_ensembles::ingest::{stream_file, SnapshotBuilder, SnapshotConfig};
 use events_to_ensembles::mpi::{RunConfig, Runner};
 use events_to_ensembles::stats::attribution::FaultClass;
 use events_to_ensembles::stats::diagnosis::{Finding, Thresholds};
@@ -115,9 +114,11 @@ fn lln_prediction_tracks_measurement_direction() {
     assert!(pred[1].1 >= pred[0].1, "{pred:?}");
 }
 
-/// Attribution verdicts are a function of the trace alone: sharded
-/// ingest at 1, 2, and 8 workers, from either on-disk encoding, reaches
-/// bit-identical findings — and the straggler run is actually named.
+/// Attribution verdicts are a function of the trace alone: the snapshot
+/// builder, fed from either on-disk encoding, reaches bit-identical
+/// findings — and the straggler run is actually named. (Verdicts across
+/// ingest threads are the fleet service's contract, pinned at pools
+/// {1, 2, 8} in `tests/fleetd_sim.rs`.)
 #[test]
 fn attribution_verdicts_identical_across_threads_and_formats() {
     let sc = pio_bench::fault_matrix::scenarios(16)
@@ -131,7 +132,7 @@ fn attribution_verdicts_identical_across_threads_and_formats() {
     std::fs::create_dir_all(&dir).unwrap();
     let paths = [
         (dir.join("t.jsonl"), TraceFormat::Jsonl),
-        (dir.join("t.ptb"), TraceFormat::Ptb),
+        (dir.join("t.ptb2"), TraceFormat::Ptb2),
     ];
     for (path, format) in &paths {
         events_to_ensembles::trace::io::save_as(&trace, path, *format).unwrap();
@@ -139,25 +140,17 @@ fn attribution_verdicts_identical_across_threads_and_formats() {
 
     let mut verdicts: Vec<(String, String)> = Vec::new();
     for (path, _) in &paths {
-        for workers in [1usize, 2, 8] {
-            let pipeline = IngestPipeline::new(IngestConfig {
-                workers,
-                ..IngestConfig::default()
-            });
-            {
-                let mut sink = pipeline.sink();
-                stream_file(path, &mut sink).unwrap();
-            }
-            let findings = pipeline.finish().diagnose(&Thresholds::default());
-            assert!(
-                findings
-                    .iter()
-                    .filter_map(Finding::attribution)
-                    .any(|a| a.implicates(FaultClass::StragglerNode)),
-                "{path:?} x{workers}: {findings:?}"
-            );
-            verdicts.push((format!("{path:?} x{workers}"), format!("{findings:?}")));
-        }
+        let mut builder = SnapshotBuilder::new(SnapshotConfig::default());
+        stream_file(path, &mut builder).unwrap();
+        let findings = builder.into_snapshot(0).diagnose(&Thresholds::default());
+        assert!(
+            findings
+                .iter()
+                .filter_map(Finding::attribution)
+                .any(|a| a.implicates(FaultClass::StragglerNode)),
+            "{path:?}: {findings:?}"
+        );
+        verdicts.push((format!("{path:?}"), format!("{findings:?}")));
     }
     let (_, reference) = &verdicts[0];
     for (label, v) in &verdicts {

@@ -1,12 +1,12 @@
 //! End-to-end streaming diagnosis: the MADbench read-ahead bug (paper
 //! §IV) must be flagged by the online diagnoser *mid-run* — before the
 //! trace ends — with the same verdict the batch ensemble analysis
-//! reaches on the buffered trace, and the sharded pipeline must hold
+//! reaches on the buffered trace, and the snapshot builder must hold
 //! only O(shards × bins) state while doing it.
 
 use events_to_ensembles::fs::FsConfig;
 use events_to_ensembles::ingest::{
-    DiagnoserConfig, IngestConfig, IngestPipeline, StreamDiagnoser, TimedFinding,
+    DiagnoserConfig, SnapshotBuilder, SnapshotConfig, StreamDiagnoser, TimedFinding,
 };
 use events_to_ensembles::mpi::{RunConfig, Runner};
 use events_to_ensembles::stats::diagnosis::{diagnose, Finding};
@@ -118,24 +118,20 @@ fn streaming_stays_clean_on_patched_platform() {
     );
 }
 
-/// The sharded pipeline's snapshot diagnosis agrees with batch on the
-/// buggy run, and its state is O(shards × bins): replaying the same
-/// stream four times over leaves the footprint unchanged.
+/// The snapshot builder's diagnosis of a live capture agrees with batch
+/// on the buggy run, and its state is O(shards × bins): replaying the
+/// same stream four times over leaves the footprint unchanged.
 #[test]
 fn pipeline_snapshot_diagnosis_is_bounded_and_agrees_with_batch() {
     let (job, _) = madbench_cfg();
     let cfg = RunConfig::new(FsConfig::franklin().scaled(SCALE), 7, "madbench-pipeline");
 
-    let pipeline = IngestPipeline::new(IngestConfig::default());
-    let res = {
-        let mut sink = pipeline.sink();
-        Runner::new(&job, cfg.clone())
-            .sink(&mut sink)
-            .execute_one()
-            .expect("streaming run")
-    };
-    let snap = pipeline.finish();
-    assert_eq!(snap.dropped, 0, "blocking policy must be lossless");
+    let mut builder = SnapshotBuilder::new(SnapshotConfig::default());
+    let res = Runner::new(&job, cfg.clone())
+        .sink(&mut builder)
+        .execute_one()
+        .expect("streaming run");
+    let snap = builder.into_snapshot(0);
     assert!(res.stats.bytes_read > 0);
 
     let snap_findings =
@@ -147,18 +143,19 @@ fn pipeline_snapshot_diagnosis_is_bounded_and_agrees_with_batch() {
     // shards × bins, never with records ingested.
     let buffered = Runner::new(&job, cfg).execute_one().expect("buffered run");
     let replay = |times: usize| {
-        let p = IngestPipeline::new(IngestConfig::default());
-        {
-            let mut sink = p.sink();
-            for _ in 0..times {
-                for r in &buffered.trace().records {
-                    sink.push(r);
-                }
+        let mut sink = SnapshotBuilder::new(SnapshotConfig::default());
+        for _ in 0..times {
+            for r in &buffered.trace().records {
+                sink.push(r);
             }
         }
-        p.finish()
+        sink.into_snapshot(0)
     };
     let once = replay(1);
+    assert_eq!(
+        snap.ingested, once.ingested,
+        "live capture must be lossless"
+    );
     let four = replay(4);
     assert_eq!(four.ingested, 4 * once.ingested);
     assert_eq!(once.approx_bytes(), four.approx_bytes());

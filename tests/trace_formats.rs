@@ -1,27 +1,24 @@
 //! The fast-trace-plane contract, property-tested end to end:
 //!
-//! * JSONL ↔ ptb ↔ ptb2 conversion preserves every `Record` field and
-//!   the `TraceMeta`, for arbitrary records across the full field
-//!   ranges.
+//! * JSONL ↔ ptb2 conversion preserves every `Record` field and the
+//!   `TraceMeta`, for arbitrary records across the full field ranges.
 //! * The hand-rolled JSONL scanner agrees with `serde_json` on
 //!   arbitrary records — and on malformed lines, where its fallback
 //!   must reproduce the strict parser's accept/reject decision exactly.
-//! * Truncated or bit-flipped ptb / ptb2 bytes are rejected with a
-//!   clean `io::Error`, never a panic or a silently short read.
-//! * Batched channel transport and parallel ingestion (1, 2, and 8
-//!   worker threads) produce snapshots bit-identical to the sequential
-//!   per-record path, and the online diagnoser reaches identical
-//!   findings from every encoding of a real simulated trace.
-//! * ptb2's columnar compression earns its keep: ≥2× smaller than ptb
-//!   v1 on a real trace.
+//! * Truncated or bit-flipped ptb2 bytes are rejected with a clean
+//!   `io::Error`, never a panic or a silently short read.
+//! * The online diagnoser and the snapshot builder reach bit-identical
+//!   findings and snapshots from either encoding of a real simulated
+//!   trace.
+//! * ptb2's columnar compression earns its keep: ≥4× smaller than JSONL
+//!   on a real trace.
 
 use events_to_ensembles::ingest::{
-    stream_file, stream_file_parallel, stream_jsonl, stream_ptb, stream_ptb2, DiagnoserConfig,
-    IngestConfig, IngestPipeline, StreamDiagnoser,
+    stream_file, stream_jsonl, stream_ptb2, DiagnoserConfig, SnapshotBuilder, SnapshotConfig,
+    StreamDiagnoser,
 };
 use events_to_ensembles::trace::io::{read_jsonl, write_jsonl, TraceFormat};
 use events_to_ensembles::trace::jsonl::{parse_record, parse_record_fast};
-use events_to_ensembles::trace::ptb::{read_ptb, write_ptb};
 use events_to_ensembles::trace::ptb2::{read_ptb2, write_ptb2};
 use events_to_ensembles::trace::{CallKind, Record, RecordSink, Trace, TraceMeta};
 use proptest::prelude::*;
@@ -78,31 +75,11 @@ proptest! {
         prop_assert_eq!(&from_jsonl.meta, &t.meta);
         prop_assert_eq!(&from_jsonl.records, &t.records);
 
-        let mut ptb = Vec::new();
-        write_ptb(&t, &mut ptb).unwrap();
-        let from_ptb = read_ptb(std::io::Cursor::new(&ptb)).unwrap();
-        prop_assert_eq!(&from_ptb.meta, &t.meta);
-        prop_assert_eq!(&from_ptb.records, &t.records);
-
         let mut ptb2 = Vec::new();
         write_ptb2(&t, &mut ptb2).unwrap();
         let from_ptb2 = read_ptb2(std::io::Cursor::new(&ptb2)).unwrap();
         prop_assert_eq!(&from_ptb2.meta, &t.meta);
         prop_assert_eq!(&from_ptb2.records, &t.records);
-    }
-
-    #[test]
-    fn ptb_v1_v2_convert_parity(t in arb_trace()) {
-        // v1 -> decode -> v2 -> decode must be the identity: the two
-        // block layouts encode exactly the same record model.
-        let mut v1 = Vec::new();
-        write_ptb(&t, &mut v1).unwrap();
-        let decoded_v1 = read_ptb(std::io::Cursor::new(&v1)).unwrap();
-        let mut v2 = Vec::new();
-        write_ptb2(&decoded_v1, &mut v2).unwrap();
-        let decoded_v2 = read_ptb2(std::io::Cursor::new(&v2)).unwrap();
-        prop_assert_eq!(&decoded_v2.meta, &t.meta);
-        prop_assert_eq!(&decoded_v2.records, &t.records);
     }
 
     #[test]
@@ -137,39 +114,6 @@ proptest! {
                 prop_assert_eq!(Some(fast), strict.clone(), "fast diverged on {}", mangled);
             }
             prop_assert_eq!(parse_record(&mangled).ok(), strict, "fallback diverged on {}", mangled);
-        }
-    }
-
-    #[test]
-    fn corrupt_ptb_is_an_error_never_a_panic(
-        t in arb_trace(),
-        cut in 0usize..20_000,
-        flip in 0usize..20_000,
-        bit in 0u8..8,
-    ) {
-        let mut clean = Vec::new();
-        write_ptb(&t, &mut clean).unwrap();
-
-        // Truncation at any depth: error, not a short read.
-        let cut = cut % clean.len();
-        if cut < clean.len() {
-            prop_assert!(read_ptb(std::io::Cursor::new(&clean[..cut])).is_err());
-        }
-
-        // One flipped bit anywhere: either a clean error, or (only when
-        // the flip lands in the meta-length field padding-compatible
-        // way) never silently different records.
-        let mut bent = clean.clone();
-        let i = flip % bent.len();
-        bent[i] ^= 1 << bit;
-        match read_ptb(std::io::Cursor::new(&bent)) {
-            Err(_) => {}
-            Ok(back) => {
-                // A surviving read must mean the flip was immaterial —
-                // which can't happen: every payload byte is CRC'd and
-                // every structural byte changes framing.
-                prop_assert_eq!(back.records, t.records, "bit flip at {} read differently", i);
-            }
         }
     }
 
@@ -249,41 +193,26 @@ fn all_format_streams_are_event_identical_on_a_real_trace() {
     let t = ior_trace();
     let mut jsonl = Vec::new();
     write_jsonl(&t, &mut jsonl).unwrap();
-    let mut ptb = Vec::new();
-    write_ptb(&t, &mut ptb).unwrap();
     let mut ptb2 = Vec::new();
     write_ptb2(&t, &mut ptb2).unwrap();
-    // The binary formats earn their keep: ptb smaller than the text
-    // encoding, and columnar ptb2 at least 2x smaller again than ptb's
-    // fixed 45-byte frames on a real simulated trace.
+    // The binary format earns its keep: columnar ptb2 at least 4x
+    // smaller than the text encoding on a real simulated trace.
     assert!(
-        ptb.len() < jsonl.len(),
-        "ptb {} >= jsonl {}",
-        ptb.len(),
-        jsonl.len()
-    );
-    assert!(
-        ptb2.len() * 2 <= ptb.len(),
-        "ptb2 {} not >=2x smaller than ptb {}",
+        ptb2.len() * 4 <= jsonl.len(),
+        "ptb2 {} not >=4x smaller than jsonl {}",
         ptb2.len(),
-        ptb.len()
+        jsonl.len()
     );
 
     let mut a = Collector::default();
     let (meta_a, n_a) = stream_jsonl(std::io::Cursor::new(&jsonl), &mut a).unwrap();
     let mut b = Collector::default();
-    let (meta_b, n_b) = stream_ptb(std::io::Cursor::new(&ptb), &mut b).unwrap();
-    let mut c = Collector::default();
-    let (meta_c, n_c) = stream_ptb2(std::io::Cursor::new(&ptb2), &mut c).unwrap();
+    let (meta_b, n_b) = stream_ptb2(std::io::Cursor::new(&ptb2), &mut b).unwrap();
     assert_eq!(meta_a, meta_b);
-    assert_eq!(meta_a, meta_c);
     assert_eq!(n_a, n_b);
-    assert_eq!(n_a, n_c);
     assert_eq!(a.records, b.records);
-    assert_eq!(a.records, c.records);
     assert_eq!(a.phase_ends, b.phase_ends);
-    assert_eq!(a.phase_ends, c.phase_ends);
-    assert!(a.finished && b.finished && c.finished);
+    assert!(a.finished && b.finished);
 }
 
 #[test]
@@ -300,16 +229,23 @@ fn diagnoser_and_snapshot_parity_across_formats_and_transport() {
         })
         .collect();
 
-    // One diagnoser + pipeline run per on-disk format, via the sniffing
-    // entry point — verdicts and snapshots must be bit-identical.
+    // One diagnoser + snapshot builder, teed over one stream, per
+    // on-disk format via the sniffing entry point (the `analyze
+    // --stream` transport) — verdicts and snapshots must be
+    // bit-identical, and match the builder fed straight from memory.
     let run = |path: &std::path::Path| {
         let mut diagnoser = StreamDiagnoser::new(DiagnoserConfig::default());
-        let pipeline = IngestPipeline::new(IngestConfig::default());
-        {
-            let mut tee = events_to_ensembles::trace::Tee(&mut diagnoser, pipeline.sink());
-            stream_file(path, &mut tee).unwrap();
-        }
-        (pipeline.finish(), format!("{:?}", diagnoser.findings()))
+        let mut builder = SnapshotBuilder::new(SnapshotConfig::default());
+        let (meta, n) = {
+            let mut tee = events_to_ensembles::trace::Tee(&mut diagnoser, &mut builder);
+            stream_file(path, &mut tee).unwrap()
+        };
+        assert_eq!(meta, t.meta, "{path:?}");
+        assert_eq!(n as usize, t.records.len(), "{path:?}");
+        (
+            builder.into_snapshot(0),
+            format!("{:?}", diagnoser.findings()),
+        )
     };
     let (snap_ref, findings_ref) = run(&paths[0]);
     for p in &paths[1..] {
@@ -317,31 +253,9 @@ fn diagnoser_and_snapshot_parity_across_formats_and_transport() {
         assert_eq!(snap, snap_ref, "{p:?}");
         assert_eq!(findings, findings_ref, "{p:?}");
     }
-
-    // Parallel block-split ingestion at each pool size: every format's
-    // parallel snapshot must be bit-identical to a sequential ingest
-    // with the same worker count (per-worker f64 accumulation order is
-    // part of the snapshot, so the baseline is per pool size).
-    for workers in [1usize, 2, 8] {
-        let cfg = IngestConfig {
-            workers,
-            ..IngestConfig::default()
-        };
-        let sequential = {
-            let pipeline = IngestPipeline::new(cfg.clone());
-            let mut sink = pipeline.sink();
-            stream_file(&paths[0], &mut sink).unwrap();
-            drop(sink);
-            pipeline.finish()
-        };
-        for path in &paths {
-            let pipeline = IngestPipeline::new(cfg.clone());
-            let (meta, n) = stream_file_parallel(path, &pipeline).unwrap();
-            assert_eq!(meta, t.meta, "{path:?} workers={workers}");
-            assert_eq!(n as usize, t.records.len(), "{path:?} workers={workers}");
-            assert_eq!(pipeline.finish(), sequential, "{path:?} workers={workers}");
-        }
-    }
+    let mut direct = SnapshotBuilder::new(SnapshotConfig::default());
+    direct.accumulate_block(&t.records);
+    assert_eq!(direct.into_snapshot(0), snap_ref);
 
     for p in &paths {
         std::fs::remove_file(p).ok();
