@@ -31,7 +31,6 @@ use crate::diagnosis::Thresholds;
 use pio_des::hist::{BinTable, LogBins, LogHistogram};
 use pio_des::FxHashMap;
 use pio_trace::{CallKind, Trace};
-use std::sync::OnceLock;
 
 /// Duration geometry shared by every tail profile: 1 µs to 1000 s.
 pub const TAIL_HIST_LO: f64 = 1e-6;
@@ -108,10 +107,11 @@ impl std::fmt::Display for FaultClass {
 /// The process-wide [`BinTable`] for the shared tail-profile geometry
 /// (`TAIL_HIST_LO..TAIL_HIST_HI` × `TAIL_HIST_BINS`) — every profile
 /// uses the same constants, so batch ingest paths classify against one
-/// table instead of calling `ln` per record.
+/// table instead of calling `ln` per record. It is
+/// [`BinTable::shared`] of that geometry: look it up once per
+/// accumulator, not per block, since the memo takes a lock.
 pub fn tail_bin_table() -> &'static BinTable {
-    static TABLE: OnceLock<BinTable> = OnceLock::new();
-    TABLE.get_or_init(|| BinTable::new(LogBins::new(TAIL_HIST_LO, TAIL_HIST_HI, TAIL_HIST_BINS)))
+    BinTable::shared(LogBins::new(TAIL_HIST_LO, TAIL_HIST_HI, TAIL_HIST_BINS))
 }
 
 /// Per-rank slice of a [`TailProfile`].
@@ -1338,6 +1338,13 @@ mod tests {
             assert_eq!(got.ops, cell.ops);
             assert!((got.secs - cell.secs).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn tail_bin_table_is_the_shared_tail_geometry_table() {
+        let g = LogBins::new(TAIL_HIST_LO, TAIL_HIST_HI, TAIL_HIST_BINS);
+        assert!(std::ptr::eq(tail_bin_table(), BinTable::shared(g)));
+        assert!(tail_bin_table().is_exact());
     }
 
     #[test]

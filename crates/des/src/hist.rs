@@ -10,6 +10,7 @@
 //! which is what makes per-shard and per-rank collection safe.
 
 use serde::{Deserialize, Serialize};
+use std::sync::{Mutex, PoisonError};
 
 /// Where a value lands relative to a [`LogBins`] geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,6 +208,31 @@ impl BinTable {
             edges,
             exact,
         }
+    }
+
+    /// The process-wide table for `geom`, built with [`Self::new`] on
+    /// first request and shared by every later caller.
+    ///
+    /// A build runs about 60 `ln`-based bisection steps per bin plus
+    /// boundary verification (~170 µs for the 96-bin duration geometry
+    /// on a 2-vCPU Xeon host), so two builds per job cost more than
+    /// analysing a job of a thousand records. Per-job accumulators
+    /// therefore take their tables from here. Keyed by the geometry's
+    /// bits; a table lives for the rest of the process, so callers pass
+    /// geometries from configuration, not from data (the code defaults
+    /// use two).
+    pub fn shared(geom: LogBins) -> &'static BinTable {
+        static TABLES: Mutex<Vec<&'static BinTable>> = Mutex::new(Vec::new());
+        let key = |g: &LogBins| (g.lo.to_bits(), g.hi.to_bits(), g.bins);
+        // Every update is a single push of a finished table, so a
+        // poisoned memo is still consistent.
+        let mut tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(t) = tables.iter().find(|t| key(&t.geom) == key(&geom)) {
+            return t;
+        }
+        let t: &'static BinTable = Box::leak(Box::new(BinTable::new(geom)));
+        tables.push(t);
+        t
     }
 
     /// The geometry this table classifies for.
@@ -534,41 +560,55 @@ mod tests {
     #[test]
     fn bin_table_matches_reference_on_specials_and_edges() {
         for g in table_geometries() {
-            let t = BinTable::new(g);
-            assert!(t.is_exact(), "expected exact table for {g:?}");
-            let mut probes = vec![
-                0.0,
-                -0.0,
-                -1.0,
-                f64::NAN,
-                f64::INFINITY,
-                f64::NEG_INFINITY,
-                f64::MIN_POSITIVE,
-                5e-324,
-                g.lo(),
-                g.hi(),
-                f64::MAX,
-            ];
-            // Every bin boundary ± 64 ULPs, plus exact edges/centers.
-            for i in 0..g.bins() {
-                let e = g.edges(i);
-                for anchor in [e.left, e.right, g.center(i)] {
-                    let bits = anchor.to_bits();
-                    for d in 0..64u64 {
-                        probes.push(f64::from_bits(bits.wrapping_add(d)));
-                        probes.push(f64::from_bits(bits.wrapping_sub(d)));
+            for t in [&BinTable::new(g), BinTable::shared(g)] {
+                assert!(t.is_exact(), "expected exact table for {g:?}");
+                let mut probes = vec![
+                    0.0,
+                    -0.0,
+                    -1.0,
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    f64::MIN_POSITIVE,
+                    5e-324,
+                    g.lo(),
+                    g.hi(),
+                    f64::MAX,
+                ];
+                // Every bin boundary ± 64 ULPs, plus exact edges/centers.
+                for i in 0..g.bins() {
+                    let e = g.edges(i);
+                    for anchor in [e.left, e.right, g.center(i)] {
+                        let bits = anchor.to_bits();
+                        for d in 0..64u64 {
+                            probes.push(f64::from_bits(bits.wrapping_add(d)));
+                            probes.push(f64::from_bits(bits.wrapping_sub(d)));
+                        }
                     }
                 }
-            }
-            for v in probes {
-                assert_eq!(t.slot(v), g.slot(v), "slot({v:e}) on {g:?}");
-                assert_eq!(
-                    t.index_clamped(v),
-                    g.index_clamped(v),
-                    "index_clamped({v:e}) on {g:?}"
-                );
+                for v in probes {
+                    assert_eq!(t.slot(v), g.slot(v), "slot({v:e}) on {g:?}");
+                    assert_eq!(
+                        t.index_clamped(v),
+                        g.index_clamped(v),
+                        "index_clamped({v:e}) on {g:?}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn shared_tables_are_one_per_geometry() {
+        let a = LogBins::new(1e-6, 1e3, 96);
+        let b = LogBins::new(1e-6, 1e3, 48);
+        assert!(std::ptr::eq(BinTable::shared(a), BinTable::shared(a)));
+        assert!(std::ptr::eq(
+            BinTable::shared(LogBins::new(1e-6, 1e3, 96)),
+            BinTable::shared(a)
+        ));
+        assert!(!std::ptr::eq(BinTable::shared(a), BinTable::shared(b)));
+        assert_eq!(BinTable::shared(b).geometry(), b);
     }
 
     #[test]

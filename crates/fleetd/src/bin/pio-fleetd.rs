@@ -14,6 +14,7 @@
 
 use pio_fleetd::{fleet_config, fleet_spec, FleetService, SimConfig};
 use pio_viz::{fleet_panel, FleetJobRow, OstContentionRow};
+use std::io::{ErrorKind, Write};
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -94,7 +95,14 @@ fn main() {
         })
         .collect();
     let panel = fleet_panel(&service.rollup(), &rows, &contention, 40);
-    println!("{panel}");
+    // A reader that has gone away (`pio-fleetd | head`) only ends the
+    // printing: `--out` and the attribution exit code still follow.
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{panel}") {
+        if e.kind() != ErrorKind::BrokenPipe {
+            eprintln!("pio-fleetd: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
 
     if let Some(path) = out {
         if let Err(e) = std::fs::write(&path, &panel) {

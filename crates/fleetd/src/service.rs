@@ -530,23 +530,32 @@ impl FleetService {
     /// and live) merged in job-id order. The canonical fold order makes
     /// the result identical across pool sizes and completion
     /// interleavings once the same streams have been processed.
+    ///
+    /// Completed snapshots are folded by reference under the completed
+    /// map's lock; only live tenants are materialised. The live maps are
+    /// locked inside it, which cannot deadlock because a worker releases
+    /// its live-map lock before it files a report, so no thread ever
+    /// waits for `completed` while holding a live map. Holding
+    /// `completed` throughout also means no job is seen both live and
+    /// completed.
     pub fn rollup(&self) -> EnsembleSnapshot {
-        let mut parts: Vec<(JobId, EnsembleSnapshot)> = self
-            .completed
-            .lock()
-            .iter()
-            .map(|(&id, r)| (id, r.snapshot.clone()))
-            .collect();
+        let done = self.completed.lock();
+        let mut live: Vec<(JobId, EnsembleSnapshot)> = Vec::new();
         for map in &self.live {
             let map = map.lock();
             for (&id, st) in map.iter() {
-                parts.push((id, st.builder.snapshot(st.meter.shed())));
+                live.push((id, st.builder.snapshot(st.meter.shed())));
             }
         }
-        parts.sort_by_key(|(id, _)| *id);
+        let mut parts: Vec<(JobId, &EnsembleSnapshot)> = done
+            .iter()
+            .map(|(&id, r)| (id, &r.snapshot))
+            .chain(live.iter().map(|(id, snap)| (*id, snap)))
+            .collect();
+        parts.sort_unstable_by_key(|(id, _)| *id);
         let mut acc = EnsembleSnapshot::empty(&self.cfg.snapshot);
         for (_, snap) in parts {
-            acc.merge(&snap);
+            acc.merge(snap);
         }
         acc
     }
@@ -928,6 +937,51 @@ mod tests {
         svc.shutdown();
         assert_eq!(svc.live_jobs(), 0);
         assert_eq!(svc.rollup().ingested, 600);
+    }
+
+    #[test]
+    fn rollup_folds_live_and_completed_tenants_in_id_order() {
+        for workers in [1, 2] {
+            let mut svc = FleetService::new(cfg(workers));
+            let mut ids = Vec::new();
+            let mut live = Vec::new();
+            for j in 0..6 {
+                let records = stream(300 + 40 * j, 4 + j as u32);
+                let mut sink = svc.register(&format!("job-{j}"));
+                for r in &records {
+                    sink.push(r);
+                }
+                ids.push(sink.id());
+                if sink.id() % 2 == 1 {
+                    sink.finish();
+                } else {
+                    // Flush without ending the stream: the tenant stays live.
+                    sink.phase_end(0);
+                    live.push((sink, records.len() as u64));
+                }
+            }
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            while svc.completed_jobs().len() < 3
+                || live
+                    .iter()
+                    .any(|(s, n)| svc.snapshot(s.id()).map(|x| x.ingested) != Some(*n))
+            {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "workers={workers}: tenants not drained"
+                );
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            assert_eq!(svc.completed_jobs(), vec![1, 3, 5]);
+            assert_eq!(svc.live_jobs(), 3);
+            let mut want = EnsembleSnapshot::empty(&svc.cfg.snapshot);
+            for &id in &ids {
+                want.merge(&svc.snapshot(id).expect("registered job"));
+            }
+            assert_eq!(svc.rollup(), want, "workers={workers}");
+            drop(live);
+            svc.shutdown();
+        }
     }
 
     #[test]

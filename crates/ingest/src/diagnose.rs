@@ -205,13 +205,18 @@ impl SmallWriteState {
 /// stored in `CallKind`-indexed arrays rather than hash maps, and the
 /// block ingestion path ([`RecordSink::push_block`]) classifies each
 /// duration once against a precomputed [`BinTable`] shared by every
-/// same-geometry accumulator. Both changes are representation-only: the
-/// record-at-a-time [`RecordSink::push`] path keeps the original
-/// log-domain arithmetic and stays the reference implementation.
+/// same-geometry accumulator (and, via [`BinTable::shared`], by every
+/// diagnoser and snapshot builder in the process). Both changes are
+/// representation-only: the record-at-a-time [`RecordSink::push`] path
+/// keeps the original log-domain arithmetic and stays the reference
+/// implementation.
 pub struct StreamDiagnoser {
     cfg: DiagnoserConfig,
     /// Bit-exact bin classifier for the configured duration geometry.
-    table: BinTable,
+    pub(crate) table: &'static BinTable,
+    /// Classifier for the tail-profile geometry ([`tail_bin_table`]),
+    /// looked up once here so the block path takes no lock.
+    tail_table: &'static BinTable,
     /// The configured geometry is the tail geometry at exactly double
     /// resolution (same range, 2× bins), so a tail bin is the configured
     /// bin halved: `floor(f·2n)/2 = floor(f·n)` exactly, range checks and
@@ -246,18 +251,20 @@ impl StreamDiagnoser {
     pub fn new(cfg: DiagnoserConfig) -> Self {
         let hitters = HeavyHitters::new(cfg.hitter_capacity);
         let small = SmallWriteState::new(cfg.hitter_capacity);
-        let table = BinTable::new(LogBins::new(cfg.hist_lo, cfg.hist_hi, cfg.hist_bins));
+        let table = BinTable::shared(LogBins::new(cfg.hist_lo, cfg.hist_hi, cfg.hist_bins));
+        let tail_table = tail_bin_table();
         let mut watch_mask = [false; KINDS];
         for k in &cfg.watch {
             watch_mask[*k as usize] = true;
         }
-        let tg = tail_bin_table().geometry();
+        let tg = tail_table.geometry();
         let tail_nested =
             cfg.hist_lo == tg.lo() && cfg.hist_hi == tg.hi() && cfg.hist_bins == 2 * tg.bins();
         let slot_fine_direct = cfg.hist_lo == tg.lo() && cfg.hist_hi == tg.hi();
         StreamDiagnoser {
             cfg,
             table,
+            tail_table,
             tail_nested,
             slot_fine_direct,
             watch_mask,
@@ -595,7 +602,6 @@ impl RecordSink for StreamDiagnoser {
         // `current_phase` advance per record so a window that fills
         // mid-block raises its finding with the exact same
         // `after_records` / `phase` stamp as the per-record path.
-        let ttable = tail_bin_table();
         for r in block {
             self.records += 1;
             self.ranks = self.ranks.max(r.rank + 1);
@@ -629,7 +635,7 @@ impl RecordSink for StreamDiagnoser {
             let tail_bin = if self.tail_nested {
                 bin >> 1
             } else {
-                ttable.index_clamped(secs)
+                self.tail_table.index_clamped(secs)
             };
             let cfg = &self.cfg;
             let kt = self.tails[k].get_or_insert_with(|| KindTail::new(cfg));
@@ -729,6 +735,15 @@ mod tests {
             end_ns: (dur * 1e9) as u64,
             phase,
         }
+    }
+
+    #[test]
+    fn tenants_share_one_bin_table() {
+        let a = StreamDiagnoser::with_defaults();
+        let b = StreamDiagnoser::with_defaults();
+        let s = crate::SnapshotBuilder::new(crate::SnapshotConfig::default());
+        assert!(std::ptr::eq(a.table, b.table));
+        assert!(std::ptr::eq(a.table, s.table));
     }
 
     #[test]

@@ -230,8 +230,12 @@ impl Default for SnapshotConfig {
 #[derive(Debug, Clone)]
 pub struct SnapshotBuilder {
     cfg: SnapshotConfig,
-    /// Bit-exact bin classifier for the configured duration geometry.
-    table: BinTable,
+    /// Bit-exact bin classifier for the configured duration geometry,
+    /// shared process-wide ([`BinTable::shared`]).
+    pub(crate) table: &'static BinTable,
+    /// Classifier for the tail-profile geometry ([`tail_bin_table`]),
+    /// looked up once here so the block path takes no lock.
+    tail_table: &'static BinTable,
     /// The configured geometry is the tail geometry at exactly double
     /// resolution (same range, 2× bins): a tail bin is the configured
     /// bin halved — `floor(f·2n)/2 = floor(f·n)` exactly, range checks
@@ -263,12 +267,14 @@ impl SnapshotBuilder {
     /// An empty builder over `cfg`'s geometry.
     pub fn new(cfg: SnapshotConfig) -> Self {
         let groups = cfg.rank_groups.max(1) as usize;
+        let tail_table = tail_bin_table();
         SnapshotBuilder {
             hitters: HeavyHitters::new(cfg.hitter_capacity),
             small: SmallWriteAgg::new(cfg.hitter_capacity),
-            table: BinTable::new(LogBins::new(cfg.hist_lo, cfg.hist_hi, cfg.hist_bins)),
+            table: BinTable::shared(LogBins::new(cfg.hist_lo, cfg.hist_hi, cfg.hist_bins)),
+            tail_table,
             tail_nested: {
-                let tg = tail_bin_table().geometry();
+                let tg = tail_table.geometry();
                 cfg.hist_lo == tg.lo() && cfg.hist_hi == tg.hi() && cfg.hist_bins == 2 * tg.bins()
             },
             shards: Vec::new(),
@@ -374,7 +380,6 @@ impl SnapshotBuilder {
         self.run_buf = run;
 
         // Pass 2 — everything else, in record order.
-        let ttable = tail_bin_table();
         for r in block {
             let secs = r.secs();
             let group = r.rank % self.cfg.rank_groups.max(1);
@@ -394,7 +399,7 @@ impl SnapshotBuilder {
                 let tail_bin = if self.tail_nested {
                     bin >> 1
                 } else {
-                    ttable.index_clamped(secs)
+                    self.tail_table.index_clamped(secs)
                 };
                 self.profiles[r.call as usize]
                     .get_or_insert_with(|| TailProfile::new(stripe))
