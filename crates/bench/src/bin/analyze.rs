@@ -16,8 +16,12 @@
 //! ensemble-snapshot builder teed over the one stream (the pair a
 //! `pio-fleetd` tenant runs), and the report is rendered from the
 //! mergeable snapshot — constant memory regardless of trace size.
+//!
+//! A reader that closes stdout early (`analyze t.jsonl | head`) ends the
+//! printing, not the run: CSV exports are still written and the exit
+//! status is 0.
 
-use pio_bench::util::format_from_args;
+use pio_bench::util::{format_from_args, print_stdout};
 use pio_core::empirical::EmpiricalDist;
 use pio_core::loghist::LogHistogram;
 use pio_core::rates::write_rate_curve;
@@ -70,19 +74,18 @@ fn main() {
     }
 
     // The full ensemble report (stats, modes, diagnosis).
-    println!("{}", report::render(&trace));
+    print_stdout(&format!("{}\n", report::render(&trace)));
 
     // Per-phase breakdown.
     let phases = phase_summaries(&trace);
     if !phases.is_empty() {
-        println!("## Phases");
-        println!(
-            "{:>6} {:>10} {:>10} {:>12} {:>12} {:>12}",
+        let mut table = format!(
+            "## Phases\n{:>6} {:>10} {:>10} {:>12} {:>12} {:>12}\n",
             "phase", "start(s)", "dur(s)", "read(MB)", "write(MB)", "slowest(s)"
         );
         for p in &phases {
-            println!(
-                "{:>6} {:>10.2} {:>10.2} {:>12.1} {:>12.1} {:>12.3}",
+            table += &format!(
+                "{:>6} {:>10.2} {:>10.2} {:>12.1} {:>12.1} {:>12.3}\n",
                 p.phase,
                 p.start.as_secs_f64(),
                 p.duration().as_secs_f64(),
@@ -91,20 +94,23 @@ fn main() {
                 p.slowest_op.as_secs_f64()
             );
         }
+        print_stdout(&table);
     }
 
     // Slowest rank — the "slowest individual performer".
     if let Some((rank, secs)) = trace.slowest_rank() {
-        println!("\nslowest rank: {rank} ({secs:.1} s of I/O time)");
+        print_stdout(&format!(
+            "\nslowest rank: {rank} ({secs:.1} s of I/O time)\n"
+        ));
     }
 
     if want_diagram {
-        println!("\n{}", ascii::trace_diagram(&trace, 24, 100));
+        print_stdout(&format!("\n{}\n", ascii::trace_diagram(&trace, 24, 100)));
         let curve = write_rate_curve(&trace, trace.makespan().as_secs_f64().max(1e-9) / 100.0);
-        println!(
-            "{}",
+        print_stdout(&format!(
+            "{}\n",
             ascii::rate_curve_text(&curve, 8, "aggregate write rate")
-        );
+        ));
     }
 
     if let Some(dir) = csv_dir {
@@ -124,7 +130,7 @@ fn main() {
             })
             .expect("csv write");
         }
-        println!("\nCSV exports written to {}", dir.display());
+        print_stdout(&format!("\nCSV exports written to {}\n", dir.display()));
     }
 }
 
@@ -152,17 +158,17 @@ fn stream_analyze(path: &str, forced_format: Option<TraceFormat>) {
         }
     };
     let snap = builder.into_snapshot(0);
-    println!(
-        "# {} [{}]: {} ranks, seed {}, {} records (streamed)\n",
+    print_stdout(&format!(
+        "# {} [{}]: {} ranks, seed {}, {} records (streamed)\n\n",
         meta.experiment, meta.platform, meta.ranks, meta.seed, n
-    );
-    println!("{}", pio_viz::snapshot_panel(&snap, 40));
-    println!("## Online findings");
+    ));
+    print_stdout(&format!("{}\n", pio_viz::snapshot_panel(&snap, 40)));
+    print_stdout("## Online findings\n");
     if n == 0 {
         // A valid but empty stream (header only): a clean "no data"
         // verdict, not a healthy-looking report over zero events.
-        println!("no data: the stream contained zero records — nothing to diagnose");
+        print_stdout("no data: the stream contained zero records — nothing to diagnose\n");
         return;
     }
-    print!("{}", pio_viz::findings_text(diagnoser.findings()));
+    print_stdout(&pio_viz::findings_text(diagnoser.findings()));
 }

@@ -8,7 +8,9 @@
 //! artifacts.
 
 use pio_bench::fault_matrix::{empty_plan_is_inert, per_window_report, render, run_matrix};
-use pio_bench::util::{parse_out, parse_path_flag, scale_from_args, shards_from_args};
+use pio_bench::util::{
+    parse_out, parse_path_flag, print_stdout, scale_from_args, shards_from_args,
+};
 
 fn main() {
     let scale = scale_from_args(8);
@@ -28,18 +30,20 @@ fn main() {
     };
     let seeds = [101, 202];
 
+    // A closed stdout only ends the printing (`print_stdout`): `--out`,
+    // `--windows` and the exit code still follow.
     let header = format!("== fault x workload matrix (scale {scale}, seeds {seeds:?}) ==");
-    println!("{header}");
+    print_stdout(&format!("{header}\n"));
     let cells = run_matrix(scale, &seeds);
     let table = render(&cells);
-    print!("{table}");
+    print_stdout(&table);
 
     let inert = empty_plan_is_inert(scale, seeds[0]);
     let inert_line = format!(
         "no-fault inertness (empty plan == no plan): {}",
         if inert { "exact" } else { "VIOLATED" }
     );
-    println!("{inert_line}");
+    print_stdout(&format!("{inert_line}\n"));
 
     let failed = cells.iter().filter(|c| !c.pass()).count();
     let verdict = if failed > 0 || !inert {
@@ -73,5 +77,5 @@ fn main() {
         eprintln!("{verdict}");
         std::process::exit(1);
     }
-    println!("{verdict}");
+    print_stdout(&format!("{verdict}\n"));
 }

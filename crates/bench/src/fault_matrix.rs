@@ -25,7 +25,7 @@ use pio_fault::{Fault, FaultPlan, FaultSchedule};
 use pio_fs::FsConfig;
 use pio_mpi::program::{Job, Op, Program};
 use pio_mpi::{RunConfig, RunReport, Runner};
-use pio_trace::CallKind;
+use pio_trace::{CallKind, Trace};
 use pio_workloads::IorConfig;
 
 /// What a cell's faulted run must be attributed to.
@@ -658,6 +658,22 @@ pub fn run_matrix(scale: u32, seeds: &[u64]) -> Vec<CellOutcome> {
     for s in scenarios(scale) {
         for &seed in seeds {
             out.push(run_cell(&s, seed));
+        }
+    }
+    out
+}
+
+/// Every cell's baseline and faulted trace at every seed, in matrix
+/// order (cell, then seed, then baseline before faulted): the traces a
+/// matrix run hands to batch diagnosis.
+pub fn matrix_traces(scale: u32, seeds: &[u64]) -> Vec<Trace> {
+    let mut out = Vec::new();
+    for s in scenarios(scale) {
+        let label = format!("fault-{}", s.fault);
+        for &seed in seeds {
+            for plan in [None, Some(&s.plan)] {
+                out.push(run_once(&s.job, &s.fs, seed, &label, plan).into_trace());
+            }
         }
     }
     out

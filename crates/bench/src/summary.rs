@@ -1,8 +1,9 @@
 //! The perf-regression harness behind the `bench_summary` binary.
 //!
 //! Runs a fixed set of hot-path scenarios — event-queue churn, the IOR
-//! simulation, one fault-matrix cell, and the KDE/bootstrap statistics
-//! kernels — and reports each as a machine-readable [`Metric`]
+//! simulation, one fault-matrix cell, batch diagnosis of the fault
+//! matrix's traces, and the KDE/bootstrap statistics kernels — and
+//! reports each as a machine-readable [`Metric`]
 //! (ns/op and ops/sec), plus peak RSS. The binary serializes the result
 //! to `BENCH_summary.json` so the performance trajectory of the repo is
 //! comparable commit-to-commit.
@@ -12,7 +13,7 @@
 //! noise. All inputs are deterministic, so two runs on the same machine
 //! measure the same work.
 
-use crate::fault_matrix::{run_cell, scenarios};
+use crate::fault_matrix::{matrix_traces, run_cell, scenarios};
 use pio_core::bootstrap::median_ci;
 use pio_core::empirical::EmpiricalDist;
 use pio_core::kde::Kde;
@@ -492,6 +493,26 @@ pub fn run_filtered(reps: Option<u32>, only: &[String]) -> BenchSummary {
     // <5% wall-clock ceiling are asserted inside, not just reported.
     if want("fault/schedule_overhead_1m") {
         metrics.push(schedule_overhead_metric(r(3), 5.0));
+    }
+
+    // Batch diagnosis (every detector over one buffered trace) of the
+    // fault matrix's traces at scale 16 (9 cells x 2 seeds x baseline/
+    // faulted = 36); ops = records. The traces are simulated before
+    // timing, so only `diagnose` is measured.
+    if want("core/diagnose_fault_matrix_scale16") {
+        let traces = matrix_traces(16, &[101, 202]);
+        let records: u64 = traces.iter().map(|t| t.records.len() as u64).sum();
+        metrics.push(measure(
+            "core/diagnose_fault_matrix_scale16",
+            "record",
+            r(5),
+            || {
+                for t in &traces {
+                    black_box(pio_core::diagnose(t));
+                }
+                records
+            },
+        ));
     }
 
     // Statistics kernels.

@@ -3,7 +3,24 @@
 use pio_core::empirical::EmpiricalDist;
 use pio_fault::{Fault, FaultPlan, FaultSchedule};
 use pio_trace::{CallKind, Trace, TraceFormat};
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
+
+/// Write `text` to stdout and flush it. A reader that has gone away
+/// (`analyze trace.jsonl | head -3`) only ends the printing: the
+/// broken-pipe error is ignored, and so is every later one (the runtime
+/// ignores SIGPIPE, so each later write fails the same way), so the
+/// binary still writes its files and sets its exit code. Any other write
+/// error is fatal (exit 1).
+pub fn print_stdout(text: &str) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        if e.kind() != ErrorKind::BrokenPipe {
+            eprintln!("error: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
 
 /// Parse `--scale N` from argv (default `default`). Scale divides task
 /// counts and transfer sizes so the full experiments can be smoke-run

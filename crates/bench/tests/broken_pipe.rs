@@ -1,0 +1,68 @@
+//! A reader that closes the pipe early (`analyze t.jsonl | head -0`,
+//! `fault_matrix | head -1`) must not turn a correct run into a failure:
+//! the binaries stop printing, still write their files, and exit 0.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, ExitStatus, Stdio};
+
+/// Run `bin` with stdout on a pipe whose read end is already dropped, so
+/// every write to it fails with a broken pipe however fast the child runs.
+fn run_with_closed_stdout(bin: &str, args: &[&str]) -> ExitStatus {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    Command::new(bin)
+        .args(args)
+        .stdout(writer)
+        .stderr(Stdio::null())
+        .status()
+        .unwrap_or_else(|e| panic!("run {bin}: {e}"))
+}
+
+/// A temporary directory unique to this test and process (the tests run
+/// in parallel and each removes its own).
+fn temp_dir_for(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("pio-bench-{test}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    dir
+}
+
+fn path_arg(p: &Path) -> &str {
+    p.to_str().expect("utf-8 temp path")
+}
+
+#[test]
+fn analyze_exits_cleanly_on_a_closed_stdout() {
+    let dir = temp_dir_for("analyze-epipe");
+    let trace = dir.join("t.jsonl");
+    let made = Command::new(env!("CARGO_BIN_EXE_mktrace"))
+        .arg(&trace)
+        .stderr(Stdio::null())
+        .status()
+        .expect("run mktrace");
+    assert!(made.success(), "mktrace exited with {made}");
+    for extra in [&[][..], &["--stream"][..]] {
+        let mut args = vec![path_arg(&trace)];
+        args.extend_from_slice(extra);
+        let status = run_with_closed_stdout(env!("CARGO_BIN_EXE_analyze"), &args);
+        assert!(status.success(), "analyze {args:?} exited with {status}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fault_matrix_exits_cleanly_on_a_closed_stdout_and_still_writes_out() {
+    let dir = temp_dir_for("fault-matrix-epipe");
+    let out = dir.join("matrix.txt");
+    let status = run_with_closed_stdout(
+        env!("CARGO_BIN_EXE_fault_matrix"),
+        &["--scale", "16", "--out", path_arg(&out)],
+    );
+    assert!(status.success(), "fault_matrix exited with {status}");
+    let table = std::fs::read_to_string(&out).expect("--out written");
+    assert!(
+        table.ends_with("PASS: all 18 cells\n"),
+        "unexpected --out tail: {:?}",
+        &table[table.len().saturating_sub(80)..]
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -30,7 +30,7 @@
 use crate::diagnosis::Thresholds;
 use pio_des::hist::{BinTable, LogBins, LogHistogram};
 use pio_des::FxHashMap;
-use pio_trace::{CallKind, Trace};
+use pio_trace::{CallKind, Record};
 
 /// Duration geometry shared by every tail profile: 1 µs to 1000 s.
 pub const TAIL_HIST_LO: f64 = 1e-6;
@@ -253,10 +253,13 @@ impl TailProfile {
             .chain(self.sparse.iter().map(|(&r, c)| (r, c)))
     }
 
-    /// Profile every record of `kind` in a trace.
-    pub fn from_trace(trace: &Trace, kind: CallKind, stripe_bytes: u64) -> Self {
+    /// Profile records of one call class, in the given order.
+    pub fn from_records<'r>(
+        records: impl IntoIterator<Item = &'r Record>,
+        stripe_bytes: u64,
+    ) -> Self {
         let mut p = TailProfile::new(stripe_bytes);
-        for r in trace.records.iter().filter(|r| r.call == kind) {
+        for r in records {
             p.add(r.rank, r.offset, r.secs());
         }
         p

@@ -21,9 +21,10 @@ use crate::attribution::{
 };
 use crate::empirical::EmpiricalDist;
 use crate::modes::{find_modes, harmonic_structure, Mode};
-use crate::rates::{durations, per_rank_io_time};
 use pio_des::hist::LogHistogram;
-use pio_trace::{CallKind, Trace};
+use pio_trace::{CallKind, Record, Trace};
+use std::cell::OnceCell;
+use std::collections::BTreeMap;
 
 /// Detector thresholds (defaults chosen to match the paper's examples).
 #[derive(Debug, Clone)]
@@ -423,16 +424,16 @@ pub fn harmonic_verdict(kind: CallKind, modes: &[Mode], th: &Thresholds) -> Opti
 
 /// Harmonic-mode detector over one call class.
 pub fn detect_harmonics(trace: &Trace, kind: CallKind, th: &Thresholds) -> Option<Finding> {
-    let samples = durations(trace, kind, None);
-    if samples.len() < th.min_samples {
-        return None;
-    }
-    let dist = EmpiricalDist::new(&samples);
+    harmonics(&ClassEvidence::gather(trace, kind), th)
+}
+
+fn harmonics(class: &ClassEvidence, th: &Thresholds) -> Option<Finding> {
+    let dist = class.dist(th)?;
     if dist.variance() <= 0.0 {
         return None;
     }
-    let modes = find_modes(&dist, 512, th.mode_height_frac);
-    harmonic_verdict(kind, &modes, th)
+    let modes = find_modes(dist, 512, th.mode_height_frac);
+    harmonic_verdict(class.kind, &modes, th)
 }
 
 /// Right-shoulder verdict from summary statistics (`n` samples with the
@@ -468,41 +469,39 @@ pub fn shoulder_verdict(
 /// Right-shoulder (pathological slow tail) detector. A detected shoulder
 /// is handed to the tail-decomposition machinery for attribution.
 pub fn detect_right_shoulder(trace: &Trace, kind: CallKind, th: &Thresholds) -> Option<Finding> {
-    let samples = durations(trace, kind, None);
-    if samples.len() < th.min_samples {
-        return None;
-    }
-    let dist = EmpiricalDist::new(&samples);
+    right_shoulder(&ClassEvidence::gather(trace, kind), th)
+}
+
+fn right_shoulder(class: &ClassEvidence, th: &Thresholds) -> Option<Finding> {
+    let dist = class.dist(th)?;
+    let n = class.records.len();
     let median = dist.median();
     let p99 = dist.quantile(0.99);
     let tail_mass = dist.fraction_above(th.tail_cut(median));
-    let attribution = shoulder_verdict(kind, samples.len(), median, p99, tail_mass, None, th)
+    let attribution = shoulder_verdict(class.kind, n, median, p99, tail_mass, None, th)
         .is_some()
-        .then(|| attribute_shoulder(trace, kind, median, th))
+        .then(|| attribute_shoulder(class, median, th))
         .flatten();
-    shoulder_verdict(kind, samples.len(), median, p99, tail_mass, attribution, th)
+    shoulder_verdict(class.kind, n, median, p99, tail_mass, attribution, th)
 }
 
 /// Decompose a detected shoulder's tail and name the fault class(es)
 /// the evidence points at, using the full windowed evidence model:
 /// whole-run profile + fine histogram, per-window slices, and
 /// rank-tagged tail events.
-fn attribute_shoulder(
-    trace: &Trace,
-    kind: CallKind,
-    median: f64,
-    th: &Thresholds,
-) -> Option<Attribution> {
-    let profile = TailProfile::from_trace(trace, kind, th.stripe_bytes);
-    if matches!(kind, CallKind::MetaRead | CallKind::MetaWrite) {
-        return Some(Attribution::single(attribute_meta_tail(&profile, th)));
+fn attribute_shoulder(class: &ClassEvidence, median: f64, th: &Thresholds) -> Option<Attribution> {
+    let profile = class.profile(th);
+    if matches!(class.kind, CallKind::MetaRead | CallKind::MetaWrite) {
+        return Some(Attribution::single(attribute_meta_tail(profile, th)));
     }
+    // The windowed evidence needs the tail cut, so it is a second pass
+    // over the class, taken only when a shoulder fires.
     let cut = th.tail_cut(median);
     let mut hist = LogHistogram::new(TAIL_HIST_LO, TAIL_HIST_HI, 96);
     let mut windows =
         WindowedProfile::new(th.attr_window_s, th.attr_max_windows, th.stripe_bytes, 96);
     let mut events = Vec::new();
-    for r in trace.records.iter().filter(|r| r.call == kind) {
+    for r in &class.records {
         let secs = r.secs();
         hist.add_clamped(secs);
         windows.add(r.rank, r.offset, r.start_ns, secs);
@@ -515,7 +514,7 @@ fn attribute_shoulder(
         }
     }
     let ev = DataTailEvidence {
-        profile: &profile,
+        profile,
         hist: &hist,
         windows: Some(&windows),
         events: Some(&events),
@@ -551,16 +550,15 @@ pub fn detect_rank_correlated_tail(
     kind: CallKind,
     th: &Thresholds,
 ) -> Option<Finding> {
-    let samples = durations(trace, kind, None);
-    if samples.len() < th.min_samples {
-        return None;
-    }
-    let median = EmpiricalDist::new(&samples).median();
+    rank_correlated_tail(&ClassEvidence::gather(trace, kind), th)
+}
+
+fn rank_correlated_tail(class: &ClassEvidence, th: &Thresholds) -> Option<Finding> {
+    let median = class.dist(th)?.median();
     if median <= 0.0 {
         return None;
     }
-    let profile = TailProfile::from_trace(trace, kind, th.stripe_bytes);
-    rank_tail_verdict(kind, &profile, th.tail_cut(median), th)
+    rank_tail_verdict(class.kind, class.profile(th), th.tail_cut(median), th)
 }
 
 /// Metadata-shoulder verdict from size-class aggregates: `small_ops`
@@ -606,35 +604,23 @@ pub fn metadata_shoulder_verdict(
 /// write-direction operations (the paper's GCRM signature: thousands of
 /// serialized sub-3KB task-0 writes).
 pub fn detect_metadata_shoulder(trace: &Trace, th: &Thresholds) -> Option<Finding> {
-    let mut small_ops = 0u64;
-    let mut small_secs = 0.0;
-    let mut write_secs = 0.0;
-    let mut per_rank: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
-    let (mut first_ns, mut last_ns) = (u64::MAX, 0u64);
-    for r in &trace.records {
-        if !matches!(r.call, CallKind::Write | CallKind::MetaWrite) {
-            continue;
-        }
-        let secs = r.secs();
-        write_secs += secs;
-        if r.bytes > 0 && r.bytes < th.small_write_bytes {
-            small_ops += 1;
-            small_secs += secs;
-            *per_rank.entry(r.rank).or_insert(0.0) += secs;
-            first_ns = first_ns.min(r.start_ns);
-            last_ns = last_ns.max(r.end_ns);
-        }
-    }
-    let top = per_rank
+    metadata_shoulder(&Evidence::gather(trace, th), th)
+}
+
+fn metadata_shoulder(ev: &Evidence, th: &Thresholds) -> Option<Finding> {
+    let small = &ev.small;
+    let top = ev
+        .ranks
         .iter()
-        .map(|(&r, &s)| (r, s))
+        .filter(|(_, t)| t.small_ops > 0)
+        .map(|(&r, t)| (r, t.small_secs))
         .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
-    let span = if last_ns > first_ns {
-        (last_ns - first_ns) as f64 / 1e9
+    let span = if small.last_ns > small.first_ns {
+        (small.last_ns - small.first_ns) as f64 / 1e9
     } else {
         0.0
     };
-    metadata_shoulder_verdict(small_ops, small_secs, write_secs, top, span, th)
+    metadata_shoulder_verdict(small.ops, small.secs, ev.write_secs, top, span, th)
 }
 
 /// Deterioration verdict over ordered `(group, median)` pairs: fires when
@@ -675,19 +661,24 @@ pub fn detect_progressive_deterioration(
     kind: CallKind,
     th: &Thresholds,
 ) -> Option<Finding> {
-    let n_phases = trace.phase_count();
-    let mut phase_medians = Vec::new();
-    for p in 0..n_phases {
-        let samples: Vec<f64> = trace
-            .in_phase(p)
-            .filter(|r| r.call == kind)
-            .map(|r| r.secs())
-            .collect();
-        if samples.len() >= th.min_samples.min(8) {
-            phase_medians.push((p, EmpiricalDist::new(&samples).median()));
-        }
-    }
-    deterioration_verdict(kind, &phase_medians, th)
+    progressive_deterioration(&ClassEvidence::gather(trace, kind), th)
+}
+
+fn progressive_deterioration(class: &ClassEvidence, th: &Thresholds) -> Option<Finding> {
+    // One sort by (phase, duration) groups the class by barrier phase,
+    // ascending, with each phase's durations already in the order its
+    // median needs.
+    let mut by_phase: Vec<(u32, f64)> = class.records.iter().map(|r| (r.phase, r.secs())).collect();
+    by_phase.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+    let phase_medians: Vec<(u32, f64)> = by_phase
+        .chunk_by(|a, b| a.0 == b.0)
+        .filter(|group| group.len() >= th.min_samples.min(8))
+        .map(|group| {
+            let sorted = group.iter().map(|&(_, secs)| secs).collect();
+            (group[0].0, EmpiricalDist::from_sorted_vec(sorted).median())
+        })
+        .collect();
+    deterioration_verdict(class.kind, &phase_medians, th)
 }
 
 /// Progressive deterioration over explicitly ordered sample groups
@@ -712,6 +703,8 @@ pub fn detect_deterioration_in_groups(
 /// (need not be exhaustive — only the maximum matters), `meta_total` the
 /// total metadata seconds, and `all_io_time` the total I/O seconds.
 /// Shared by the batch detector and the streaming heavy-hitter path.
+/// Ties on metadata seconds break to the lowest rank, so the verdict does
+/// not depend on the order of `per_rank`.
 pub fn serialized_meta_verdict(
     per_rank: &[(u32, f64, usize)],
     meta_total: f64,
@@ -722,7 +715,9 @@ pub fn serialized_meta_verdict(
     if meta_total <= 0.0 {
         return None;
     }
-    let &(rank, t, ops) = per_rank.iter().max_by(|a, b| a.1.total_cmp(&b.1))?;
+    let &(rank, t, ops) = per_rank
+        .iter()
+        .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))?;
     let share = t / meta_total;
     // Require genuine concentration: far above 1/ranks, made of *many*
     // operations (the serialization pathology — a handful of large
@@ -746,41 +741,34 @@ pub fn serialized_meta_verdict(
 
 /// Serialized-rank detector (metadata first, then all I/O).
 pub fn detect_serialized_rank(trace: &Trace, th: &Thresholds) -> Option<Finding> {
+    serialized_rank(&Evidence::gather(trace, th), th)
+}
+
+fn serialized_rank(ev: &Evidence, th: &Thresholds) -> Option<Finding> {
     // Metadata concentration.
-    let mut meta: std::collections::HashMap<u32, (f64, usize)> = std::collections::HashMap::new();
-    let mut meta_total = 0.0;
-    for r in trace
-        .records
+    let per_rank: Vec<(u32, f64, usize)> = ev
+        .ranks
         .iter()
-        .filter(|r| matches!(r.call, CallKind::MetaRead | CallKind::MetaWrite))
+        .filter(|(_, t)| t.meta_ops > 0)
+        .map(|(&r, t)| (r, t.meta_secs, t.meta_ops))
+        .collect();
+    if let Some(f) =
+        serialized_meta_verdict(&per_rank, ev.meta_total, ev.ranks_declared, ev.all_io, th)
     {
-        let e = meta.entry(r.rank).or_insert((0.0, 0));
-        e.0 += r.secs();
-        e.1 += 1;
-        meta_total += r.secs();
-    }
-    let per_rank: Vec<(u32, f64, usize)> = meta.iter().map(|(&r, &(t, ops))| (r, t, ops)).collect();
-    let all_io: f64 = trace
-        .records
-        .iter()
-        .filter(|r| r.call.is_io())
-        .map(|r| r.secs())
-        .sum();
-    if let Some(f) = serialized_meta_verdict(&per_rank, meta_total, trace.meta.ranks, all_io, th) {
         return Some(f);
     }
     // General I/O concentration.
-    let per_rank = per_rank_io_time(trace);
-    let total: f64 = per_rank.iter().map(|&(_, t)| t).sum();
-    if total <= 0.0 || per_rank.len() < 4 {
+    let total: f64 = ev.ranks.values().map(|t| t.io_secs).sum();
+    if total <= 0.0 || ev.ranks.len() < 4 {
         return None;
     }
-    let (rank, t) = per_rank
+    let (rank, t) = ev
+        .ranks
         .iter()
-        .cloned()
+        .map(|(&r, t)| (r, t.io_secs))
         .max_by(|a, b| a.1.total_cmp(&b.1))?;
     let share = t / total;
-    let fair = 1.0 / per_rank.len() as f64;
+    let fair = 1.0 / ev.ranks.len() as f64;
     if share >= th.serialized_share && share > 10.0 * fair {
         Some(Finding::SerializedRank {
             rank,
@@ -797,37 +785,173 @@ pub fn diagnose(trace: &Trace) -> Vec<Finding> {
     diagnose_with(trace, &Thresholds::default())
 }
 
-/// Run every detector with explicit thresholds.
+/// Run every detector with explicit thresholds. The evidence is gathered
+/// in one pass over the records; each detector then reads its share of
+/// it, in the same order and with the same f64 accumulation order as the
+/// public `detect_*` functions, so the findings equal their in-order
+/// concatenation bit for bit.
 pub fn diagnose_with(trace: &Trace, th: &Thresholds) -> Vec<Finding> {
+    let ev = Evidence::gather(trace, th);
+    let [write, read, meta_read, meta_write] = &ev.classes;
     let mut findings = Vec::new();
-    for kind in [CallKind::Write, CallKind::Read] {
-        if let Some(f) = detect_harmonics(trace, kind, th) {
-            findings.push(f);
-        }
-        if let Some(f) = detect_right_shoulder(trace, kind, th) {
-            findings.push(f);
-        }
-        if let Some(f) = detect_progressive_deterioration(trace, kind, th) {
-            findings.push(f);
-        }
-        if let Some(f) = detect_rank_correlated_tail(trace, kind, th) {
-            findings.push(f);
-        }
+    for class in [write, read] {
+        findings.extend(harmonics(class, th));
+        findings.extend(right_shoulder(class, th));
+        findings.extend(progressive_deterioration(class, th));
+        findings.extend(rank_correlated_tail(class, th));
     }
     // Metadata call classes get the shoulder treatment too — an MDS
     // stall shows up here, not on the data classes.
-    for kind in [CallKind::MetaRead, CallKind::MetaWrite] {
-        if let Some(f) = detect_right_shoulder(trace, kind, th) {
-            findings.push(f);
+    for class in [meta_read, meta_write] {
+        findings.extend(right_shoulder(class, th));
+    }
+    findings.extend(serialized_rank(&ev, th));
+    findings.extend(metadata_shoulder(&ev, th));
+    findings
+}
+
+/// The records of one call class, in record order, with the statistics
+/// several detectors share, each built once on first need.
+struct ClassEvidence<'t> {
+    kind: CallKind,
+    records: Vec<&'t Record>,
+    /// Sorted durations — harmonics, shoulder and rank tail share it.
+    dist: OnceCell<EmpiricalDist>,
+    /// Rank/stripe decomposition — shoulder attribution and rank tail
+    /// share it.
+    profile: OnceCell<TailProfile>,
+}
+
+impl<'t> ClassEvidence<'t> {
+    fn new(kind: CallKind) -> Self {
+        ClassEvidence {
+            kind,
+            records: Vec::new(),
+            dist: OnceCell::new(),
+            profile: OnceCell::new(),
         }
     }
-    if let Some(f) = detect_serialized_rank(trace, th) {
-        findings.push(f);
+
+    /// The class alone, for the single-detector entry points.
+    fn gather(trace: &'t Trace, kind: CallKind) -> Self {
+        let mut class = ClassEvidence::new(kind);
+        class.records = trace.records.iter().filter(|r| r.call == kind).collect();
+        class
     }
-    if let Some(f) = detect_metadata_shoulder(trace, th) {
-        findings.push(f);
+
+    /// The duration distribution, or `None` below `min_samples` (no
+    /// distributional claim on fewer).
+    fn dist(&self, th: &Thresholds) -> Option<&EmpiricalDist> {
+        if self.records.len() < th.min_samples || self.records.is_empty() {
+            return None;
+        }
+        Some(self.dist.get_or_init(|| {
+            let mut sorted: Vec<f64> = self.records.iter().map(|r| r.secs()).collect();
+            sorted.sort_unstable_by(f64::total_cmp);
+            EmpiricalDist::from_sorted_vec(sorted)
+        }))
     }
-    findings
+
+    fn profile(&self, th: &Thresholds) -> &TailProfile {
+        self.profile.get_or_init(|| {
+            TailProfile::from_records(self.records.iter().copied(), th.stripe_bytes)
+        })
+    }
+}
+
+/// Per-rank I/O aggregates.
+#[derive(Default)]
+struct RankTotals {
+    meta_secs: f64,
+    meta_ops: usize,
+    io_secs: f64,
+    small_secs: f64,
+    small_ops: u64,
+}
+
+/// The write-direction operations below `small_write_bytes`.
+struct SmallWrites {
+    ops: u64,
+    secs: f64,
+    first_ns: u64,
+    last_ns: u64,
+}
+
+/// Everything the detectors read from one trace, gathered in one pass.
+/// Every f64 total accumulates in record order.
+struct Evidence<'t> {
+    /// Write, Read, MetaRead, MetaWrite.
+    classes: [ClassEvidence<'t>; 4],
+    /// Ranks with at least one I/O record (iterated ascending).
+    ranks: BTreeMap<u32, RankTotals>,
+    /// The rank count the trace declares.
+    ranks_declared: u32,
+    /// Metadata seconds, all ranks.
+    meta_total: f64,
+    /// I/O seconds, all ranks.
+    all_io: f64,
+    /// Write-direction (Write + MetaWrite) seconds.
+    write_secs: f64,
+    small: SmallWrites,
+}
+
+impl<'t> Evidence<'t> {
+    fn gather(trace: &'t Trace, th: &Thresholds) -> Self {
+        let mut classes = [
+            CallKind::Write,
+            CallKind::Read,
+            CallKind::MetaRead,
+            CallKind::MetaWrite,
+        ]
+        .map(ClassEvidence::new);
+        let mut ranks: BTreeMap<u32, RankTotals> = BTreeMap::new();
+        let (mut meta_total, mut all_io, mut write_secs) = (0.0, 0.0, 0.0);
+        let mut small = SmallWrites {
+            ops: 0,
+            secs: 0.0,
+            first_ns: u64::MAX,
+            last_ns: 0,
+        };
+        for r in &trace.records {
+            let (slot, meta, write) = match r.call {
+                CallKind::Write => (0, false, true),
+                CallKind::Read => (1, false, false),
+                CallKind::MetaRead => (2, true, false),
+                CallKind::MetaWrite => (3, true, true),
+                _ => continue,
+            };
+            classes[slot].records.push(r);
+            let secs = r.secs();
+            let rank = ranks.entry(r.rank).or_default();
+            rank.io_secs += secs;
+            all_io += secs;
+            if meta {
+                rank.meta_secs += secs;
+                rank.meta_ops += 1;
+                meta_total += secs;
+            }
+            if write {
+                write_secs += secs;
+                if r.bytes > 0 && r.bytes < th.small_write_bytes {
+                    small.ops += 1;
+                    small.secs += secs;
+                    rank.small_secs += secs;
+                    rank.small_ops += 1;
+                    small.first_ns = small.first_ns.min(r.start_ns);
+                    small.last_ns = small.last_ns.max(r.end_ns);
+                }
+            }
+        }
+        Evidence {
+            classes,
+            ranks,
+            ranks_declared: trace.meta.ranks,
+            meta_total,
+            all_io,
+            write_secs,
+            small,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1287,6 +1411,205 @@ mod tests {
             run_verdict(&findings),
             Verdict::Single(FaultClass::StragglerNode)
         );
+    }
+
+    /// 64 ranks; ranks 3 and 7 each own 100 identical 0.5 s metadata
+    /// writes (a tie on metadata seconds), everyone writes 1 s of data.
+    fn tied_serialized_trace() -> Trace {
+        let mut t = Trace::new(meta(64));
+        for i in 0..100 {
+            for rank in [3, 7] {
+                t.push(rec(rank, CallKind::MetaWrite, 2048, i as f64, 0.5, 0));
+            }
+        }
+        for rank in 0..64u32 {
+            t.push(rec(rank, CallKind::Write, 1 << 20, 0.0, 1.0, 0));
+        }
+        t
+    }
+
+    #[test]
+    fn serialized_meta_verdict_breaks_ties_to_the_lowest_rank() {
+        let th = Thresholds::default();
+        for per_rank in [
+            [(3u32, 50.0, 100usize), (7, 50.0, 100)],
+            [(7, 50.0, 100), (3, 50.0, 100)],
+        ] {
+            match serialized_meta_verdict(&per_rank, 100.0, 64, 164.0, &th) {
+                Some(Finding::SerializedRank { rank, .. }) => assert_eq!(rank, 3, "{per_rank:?}"),
+                other => panic!("expected SerializedRank, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn serialized_rank_on_a_tie_is_deterministic() {
+        let t = tied_serialized_trace();
+        let th = Thresholds::default();
+        for call in 0..32 {
+            match detect_serialized_rank(&t, &th) {
+                Some(Finding::SerializedRank {
+                    rank,
+                    metadata: true,
+                    ..
+                }) => assert_eq!(rank, 3, "call {call}"),
+                other => panic!("call {call}: expected SerializedRank, got {other:?}"),
+            }
+        }
+    }
+
+    /// 32 ranks, no metadata: rank 5 does 100 one-second reads, every
+    /// other rank one.
+    fn io_hog_trace() -> Trace {
+        let mut t = Trace::new(meta(32));
+        for rank in 0..32u32 {
+            let ops = if rank == 5 { 100 } else { 1 };
+            for i in 0..ops {
+                t.push(rec(rank, CallKind::Read, 1 << 20, i as f64, 1.0, 0));
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn serialized_io_rank_detected() {
+        match detect_serialized_rank(&io_hog_trace(), &Thresholds::default()) {
+            Some(Finding::SerializedRank {
+                rank,
+                share,
+                metadata,
+            }) => {
+                assert_eq!(rank, 5);
+                // Per-rank I/O seconds, totalled in rank order.
+                assert_eq!(share, 100.0 / 131.0);
+                assert!(!metadata);
+            }
+            other => panic!("expected SerializedRank, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn per_rank_io_time_sums() {
+        let mut t = Trace::new(meta(3));
+        // 10 MB write over [0,1]; 10 MB write over [1,2]; read over [0,2].
+        t.push(rec(0, CallKind::Write, 10_000_000, 0.0, 1.0, 0));
+        t.push(rec(1, CallKind::Write, 10_000_000, 1.0, 1.0, 0));
+        t.push(rec(2, CallKind::Read, 20_000_000, 0.0, 2.0, 1));
+        let ev = Evidence::gather(&t, &Thresholds::default());
+        let v: Vec<(u32, f64)> = ev.ranks.iter().map(|(&r, t)| (r, t.io_secs)).collect();
+        assert_eq!(v, vec![(0, 1.0), (1, 1.0), (2, 2.0)]);
+    }
+
+    /// The public detectors, one after another, in `diagnose_with`'s order.
+    fn detectors_in_order(t: &Trace, th: &Thresholds) -> Vec<Finding> {
+        let mut out = Vec::new();
+        for kind in [CallKind::Write, CallKind::Read] {
+            out.extend(detect_harmonics(t, kind, th));
+            out.extend(detect_right_shoulder(t, kind, th));
+            out.extend(detect_progressive_deterioration(t, kind, th));
+            out.extend(detect_rank_correlated_tail(t, kind, th));
+        }
+        for kind in [CallKind::MetaRead, CallKind::MetaWrite] {
+            out.extend(detect_right_shoulder(t, kind, th));
+        }
+        out.extend(detect_serialized_rank(t, th));
+        out.extend(detect_metadata_shoulder(t, th));
+        out
+    }
+
+    #[test]
+    fn diagnose_is_the_public_detectors_in_order() {
+        // One fixture per detector, plus a mixed and an empty trace.
+        let mut harmonic = Trace::new(meta(128));
+        for i in 0..128u32 {
+            let dur = match i % 8 {
+                0 => 8.0,
+                1..=2 => 16.0,
+                _ => 32.0,
+            } + (i % 5) as f64 * 0.05;
+            harmonic.push(rec(i, CallKind::Write, 1 << 20, 0.0, dur, 0));
+        }
+        let mut shoulder = Trace::new(meta(64));
+        for i in 0..60u32 {
+            let dur = 15.0 + (i % 5) as f64 * 0.1;
+            shoulder.push(rec(i, CallKind::Read, 1 << 20, 0.0, dur, 0));
+        }
+        for (i, dur) in [(60u32, 90.0), (61, 200.0), (62, 450.0), (63, 35.0)] {
+            shoulder.push(rec(i, CallKind::Read, 1 << 20, 0.0, dur, 0));
+        }
+        let mut deteriorating = Trace::new(meta(32));
+        for (p, m) in [10.0, 10.0, 12.0, 20.0, 35.0, 60.0].into_iter().enumerate() {
+            for i in 0..32u32 {
+                let dur = m + (i % 3) as f64 * 0.1;
+                deteriorating.push(rec(
+                    i,
+                    CallKind::Read,
+                    1 << 20,
+                    p as f64 * 100.0,
+                    dur,
+                    p as u32,
+                ));
+            }
+        }
+        // Phases out of record order must group the same way.
+        let mut interleaved = deteriorating.clone();
+        interleaved.records.reverse();
+        let mut meta_storm = Trace::new(meta(64));
+        for i in 0..300u64 {
+            meta_storm.push(rec(0, CallKind::Write, 2048, i as f64 * 0.1, 0.1, 0));
+        }
+        for rank in 0..64u32 {
+            meta_storm.push(rec(rank, CallKind::Write, 8 << 20, 0.0, 2.0, 0));
+        }
+        let mut mds_stall = Trace::new(meta(16));
+        for rank in 0..16u32 {
+            for i in 0..8 {
+                let dur = if i == 0 { 2.0 } else { 0.01 };
+                mds_stall.push(rec(rank, CallKind::MetaRead, 0, i as f64, dur, 0));
+            }
+        }
+        let mut mixed = harmonic.clone();
+        mixed.records.extend(tied_serialized_trace().records);
+        let fixtures = [
+            ("harmonic", harmonic),
+            ("shoulder", shoulder),
+            ("deteriorating", deteriorating),
+            ("interleaved phases", interleaved),
+            ("serialized metadata", tied_serialized_trace()),
+            ("serialized I/O", io_hog_trace()),
+            ("straggler", straggler_trace(16, 32, &[3, 11])),
+            ("metadata shoulder", meta_storm),
+            ("mds stall", mds_stall),
+            ("mixed", mixed),
+            ("empty", Trace::new(meta(0))),
+        ];
+        let th = Thresholds::default();
+        let mut fired = std::collections::BTreeSet::new();
+        for (name, t) in &fixtures {
+            let findings = diagnose_with(t, &th);
+            assert_eq!(findings, detectors_in_order(t, &th), "{name}");
+            fired.extend(findings.iter().map(|f| match f {
+                Finding::HarmonicModes { .. } => "HarmonicModes",
+                Finding::RightShoulder { .. } => "RightShoulder",
+                Finding::ProgressiveDeterioration { .. } => "ProgressiveDeterioration",
+                Finding::SerializedRank { .. } => "SerializedRank",
+                Finding::RankCorrelatedTail { .. } => "RankCorrelatedTail",
+                Finding::MetadataShoulder { .. } => "MetadataShoulder",
+            }));
+        }
+        for variant in [
+            "HarmonicModes",
+            "RightShoulder",
+            "ProgressiveDeterioration",
+            "SerializedRank",
+            "RankCorrelatedTail",
+            "MetadataShoulder",
+        ] {
+            assert!(
+                fired.contains(variant),
+                "no fixture fires {variant}: {fired:?}"
+            );
+        }
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //!
 //! Grid evaluation has two paths behind one API:
 //!
-//! * **exact** — every sample contributes to every grid point,
-//!   O(n·points). Always available as [`Kde::grid_exact`]; used
-//!   automatically for small samples or very coarse grids.
+//! * **exact** — bit-identical to evaluating [`Kde::density`] at every
+//!   grid point, but each point sums only the samples within
+//!   `ZERO_TERM_BW` bandwidths of it: O(points·(log n + w)) for a window
+//!   of w samples, O(n·points) at worst. Always available as
+//!   [`Kde::grid_exact`]; used automatically for small samples or grids
+//!   coarser than the bandwidth.
 //! * **linear-binned** — samples are first spread onto the grid with
 //!   linear weights, then the binned masses are convolved with a
 //!   precomputed kernel table truncated where the Gaussian underflows,
@@ -16,9 +19,19 @@
 
 use crate::empirical::EmpiricalDist;
 
-/// Samples below this use the exact path: the binned setup cost isn't
-/// worth it, and exactness is free.
+/// Samples below this use the exact path even on a fine grid. It is
+/// not free — at 512 points, 256 compact samples still cost ~131k `exp`
+/// calls, since every sample lies in every point's window — but it keeps
+/// small-sample mode finding exact.
 const BINNED_MIN_SAMPLES: usize = 512;
+
+/// Half-width, in bandwidths, of the window of samples an exact grid
+/// point sums. A sample further away contributes
+/// `exp(-0.5·z²) < exp(-800)`, which is below half the smallest
+/// subnormal and so rounds to exactly +0.0; adding +0.0 to the
+/// non-negative running sum leaves it unchanged. Skipping those terms is
+/// therefore exact, not an approximation.
+const ZERO_TERM_BW: f64 = 40.0;
 
 /// Kernel truncation radius in bandwidths: `exp(-0.5·8.5²) ≈ 2e-16`,
 /// below f64 relative precision of the peak.
@@ -108,16 +121,46 @@ impl<'a> Kde<'a> {
         }
     }
 
-    /// Exact grid evaluation, O(n·points). Reference implementation for
-    /// the binned path's accuracy bound; callers that need exactness at
-    /// any size can use it directly.
+    /// Exact grid evaluation: every value is bit-identical to
+    /// [`Kde::density`] at the same `t`. Reference implementation for the
+    /// binned path's accuracy bound; callers that need exactness at any
+    /// size can use it directly.
+    ///
+    /// The samples are sorted and `(t − x)/h` is monotone in `x`, so the
+    /// terms with `|z| ≤ ZERO_TERM_BW` — the only ones that can be
+    /// non-zero — form one contiguous run, found by two binary searches
+    /// on that same expression. The run is summed in the same ascending
+    /// order as `density`'s full sum: the skipped terms are all +0.0, so
+    /// both sums see the same non-zero terms in the same order. An empty
+    /// run yields +0.0, which is what the full sum of zero terms gives
+    /// (an empty `f64` sum is −0.0, so that case is written out).
     pub fn grid_exact(&self, points: usize) -> Vec<(f64, f64)> {
         assert!(points >= 2);
         let (lo, hi) = self.span();
+        let h = self.bandwidth;
+        let norm = 1.0 / ((2.0 * std::f64::consts::PI).sqrt() * h * self.samples.len() as f64);
         (0..points)
             .map(|i| {
                 let t = lo + (hi - lo) * i as f64 / (points - 1) as f64;
-                (t, self.density(t))
+                let from = self
+                    .samples
+                    .partition_point(|&x| (t - x) / h > ZERO_TERM_BW);
+                let to = self
+                    .samples
+                    .partition_point(|&x| (t - x) / h >= -ZERO_TERM_BW);
+                let window = &self.samples[from..to];
+                let sum = if window.is_empty() {
+                    0.0
+                } else {
+                    window
+                        .iter()
+                        .map(|&x| {
+                            let z = (t - x) / h;
+                            (-0.5 * z * z).exp()
+                        })
+                        .sum::<f64>()
+                };
+                (t, sum * norm)
             })
             .collect()
     }
@@ -242,6 +285,103 @@ mod tests {
         let d = EmpiricalDist::new(&samples);
         let kde = Kde::new(&d);
         assert_eq!(kde.grid(256), kde.grid_exact(256));
+    }
+
+    /// Every exact grid value must carry the same bits as `density` at
+    /// the same abscissa.
+    fn assert_grid_is_density_bitwise(kde: &Kde, grid: &[(f64, f64)]) {
+        for (i, &(t, f)) in grid.iter().enumerate() {
+            assert_eq!(
+                f.to_bits(),
+                kde.density(t).to_bits(),
+                "point {i} (t={t}): grid {f} vs density {}",
+                kde.density(t)
+            );
+        }
+    }
+
+    #[test]
+    fn exact_grid_is_density_bit_for_bit() {
+        // Heavy-tailed (Pareto-like, ~1..8000 around a bandwidth well
+        // under 1): most grid points see only a few samples' windows.
+        let heavy: Vec<f64> = (0..400)
+            .map(|i| ((i as f64 + 0.5) / 400.0).powf(-1.5))
+            .collect();
+        // Compact: every sample lies in every point's window.
+        let compact: Vec<f64> = (0..300)
+            .map(|i| 10.0 + (i as f64 * 0.618).fract())
+            .collect();
+        for samples in [heavy, compact] {
+            let d = EmpiricalDist::new(&samples);
+            for kde in [
+                Kde::new(&d),
+                Kde::with_bandwidth(&d, 0.5 * Kde::new(&d).bandwidth()),
+            ] {
+                for points in [64, 512] {
+                    assert_grid_is_density_bitwise(&kde, &kde.grid_exact(points));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn large_sample_on_a_coarse_grid_stays_exact_bit_for_bit() {
+        // 768 reads: a tight bulk near 10 ms plus retry timeouts out to
+        // 2 s, spanning thousands of bandwidths — the grid step exceeds
+        // the bandwidth, so `grid` takes the exact path despite n ≥ 512.
+        let samples: Vec<f64> = (0..768)
+            .map(|i| {
+                if i % 11 == 0 {
+                    0.5 + (i % 4) as f64 * 0.5
+                } else {
+                    0.01 + (i % 7) as f64 * 1e-6
+                }
+            })
+            .collect();
+        let d = EmpiricalDist::new(&samples);
+        let kde = Kde::new(&d);
+        let grid = kde.grid(512);
+        let dt = grid[1].0 - grid[0].0;
+        assert!(samples.len() >= BINNED_MIN_SAMPLES && dt > kde.bandwidth());
+        assert_eq!(grid, kde.grid_exact(512));
+        assert_grid_is_density_bitwise(&kde, &grid);
+    }
+
+    #[test]
+    fn empty_windows_yield_positive_zero() {
+        // Two clusters a million bandwidths apart: the grid points
+        // between them have no sample within the window and must read
+        // exactly +0.0, as the full sum of underflowed terms does.
+        let samples: Vec<f64> = (0..64)
+            .map(|i| {
+                if i < 32 {
+                    i as f64 * 1e-3
+                } else {
+                    1e3 + i as f64 * 1e-3
+                }
+            })
+            .collect();
+        let d = EmpiricalDist::new(&samples);
+        let kde = Kde::with_bandwidth(&d, 1e-3);
+        let grid = kde.grid_exact(64);
+        let empty: Vec<_> = grid
+            .iter()
+            .filter(|&&(t, _)| t > 100.0 && t < 900.0)
+            .collect();
+        assert!(!empty.is_empty());
+        for &&(t, f) in &empty {
+            assert_eq!(f.to_bits(), 0.0f64.to_bits(), "t={t}: {f}");
+        }
+        assert_grid_is_density_bitwise(&kde, &grid);
+    }
+
+    #[test]
+    fn terms_beyond_the_window_underflow_to_zero() {
+        // The cutoff's premise: the largest skipped term is exactly +0.0.
+        let edge = (-0.5f64 * ZERO_TERM_BW * ZERO_TERM_BW).exp();
+        assert_eq!(edge, 0.0);
+        assert_eq!(edge.to_bits(), 0.0f64.to_bits());
+        assert_eq!((-0.5f64 * 40.0 * 40.0).exp(), 0.0);
     }
 
     #[test]

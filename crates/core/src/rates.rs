@@ -113,17 +113,6 @@ pub fn sec_per_mb_samples<F: Fn(&Record) -> bool>(trace: &Trace, pred: F) -> Vec
         .collect()
 }
 
-/// Per-rank total I/O seconds — the basis of the serialized-rank detector.
-pub fn per_rank_io_time(trace: &Trace) -> Vec<(u32, f64)> {
-    let mut map = std::collections::HashMap::new();
-    for r in trace.records.iter().filter(|r| r.call.is_io()) {
-        *map.entry(r.rank).or_insert(0.0) += r.secs();
-    }
-    let mut v: Vec<(u32, f64)> = map.into_iter().collect();
-    v.sort_by_key(|&(r, _)| r);
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,13 +202,6 @@ mod tests {
         // 1 s per 10 MB = 0.1 s/MB.
         assert_eq!(s.len(), 2);
         assert!((s[0] - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn per_rank_io_time_sums() {
-        let t = trace();
-        let v = per_rank_io_time(&t);
-        assert_eq!(v, vec![(0, 1.0), (1, 1.0), (2, 2.0)]);
     }
 
     #[test]

@@ -1849,17 +1849,23 @@ pub(crate) fn run_sharded(job: &Job, cfg: &RunConfig, shards: u32) -> Result<Run
 }
 
 /// Replay a finished report's trace into a streaming sink phase by
-/// phase, mirroring the classic streaming path's contract.
+/// phase, mirroring the classic streaming path's contract: each phase's
+/// records in buffered order, then `phase_end` for every phase (empty
+/// ones too), then `finish`. One stable pass groups the records by
+/// phase, so the replay is linear in the records.
 pub(crate) fn replay_into_sink(report: &mut RunReport, sink: &mut dyn RecordSink) {
     let Some(trace) = report.trace.take() else {
         return;
     };
-    let phases = trace.phase_count().max(1);
-    for k in 0..phases {
-        for r in trace.records.iter().filter(|r| r.phase == k) {
+    let mut by_phase: Vec<Vec<&Record>> = vec![Vec::new(); trace.phase_count().max(1) as usize];
+    for r in &trace.records {
+        by_phase[r.phase as usize].push(r);
+    }
+    for (k, records) in by_phase.iter().enumerate() {
+        for r in records {
             sink.push(r);
         }
-        sink.phase_end(k);
+        sink.phase_end(k as u32);
     }
     sink.finish();
 }
@@ -2078,6 +2084,63 @@ mod tests {
         assert_eq!(collected.records, buffered.trace().records);
         assert!(res.trace.is_none(), "streamed run buffers nothing");
         assert_eq!(res.end, buffered.end);
+    }
+
+    #[test]
+    fn sharded_sink_sees_the_buffered_phase_sequence() {
+        #[derive(Debug, Clone, PartialEq)]
+        enum Call {
+            Push(Record),
+            PhaseEnd(u32),
+            Finish,
+        }
+        #[derive(Default)]
+        struct Log(Vec<Call>);
+        impl RecordSink for Log {
+            fn push(&mut self, r: &Record) {
+                self.0.push(Call::Push(r.clone()));
+            }
+            fn phase_end(&mut self, phase: u32) {
+                self.0.push(Call::PhaseEnd(phase));
+            }
+            fn finish(&mut self) {
+                self.0.push(Call::Finish);
+            }
+        }
+        // Four barrier phases, records of every phase from every rank.
+        let programs = (0..8u32)
+            .map(|r| {
+                let mut b = ProgramBuilder::new().open(0).seek(0, r as u64 * 64 * MB);
+                for _ in 0..3 {
+                    b = b.write(0, MB).barrier();
+                }
+                b.write(0, MB).close(0).build()
+            })
+            .collect();
+        let job = Job {
+            programs,
+            files: vec![FileSpec { shared: true }],
+        };
+        let buffered = run_shards(&job, cfg(13), 2);
+        let trace = buffered.trace();
+        assert!(trace.phase_count() >= 4);
+        // The sequence the replay must produce, rebuilt by a scan per phase.
+        let mut expected = Vec::new();
+        for k in 0..trace.phase_count().max(1) {
+            for r in trace.records.iter().filter(|r| r.phase == k) {
+                expected.push(Call::Push(r.clone()));
+            }
+            expected.push(Call::PhaseEnd(k));
+        }
+        expected.push(Call::Finish);
+
+        let mut log = Log::default();
+        Runner::new(&job, cfg(13))
+            .shards(2)
+            .sink(&mut log)
+            .execute_one()
+            .unwrap();
+        assert_eq!(log.0, expected);
     }
 
     #[test]
