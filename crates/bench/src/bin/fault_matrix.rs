@@ -2,19 +2,18 @@
 //! workload that exposes its ensemble signature, two seeds each, with a
 //! baseline-clean, signature-present, and bit-reproducibility check per
 //! cell. Exits non-zero if any cell fails — CI smoke-runs this at
-//! `--scale 16` on both engines (classic, and `--shards 4` for the
-//! sharded one) and uploads the rendered table (`--out`) plus the
+//! `--scale 16` and uploads the rendered table (`--out`) plus the
 //! compound cells' per-window fingerprint evidence (`--windows`) as
 //! artifacts.
 
 use pio_bench::fault_matrix::{empty_plan_is_inert, per_window_report, render, run_matrix};
 use pio_bench::util::{
-    parse_out, parse_path_flag, print_stdout, scale_from_args, shards_from_args,
+    parse_out, parse_path_flag, print_stdout, reject_unknown_flags, scale_from_args,
 };
 
 fn main() {
+    reject_unknown_flags(&["--scale N", "--out PATH", "--windows PATH"]);
     let scale = scale_from_args(8);
-    pio_mpi::set_default_shards(shards_from_args());
     let args: Vec<String> = std::env::args().collect();
     let parsed = parse_out(&args).and_then(|o| Ok((o, parse_path_flag(&args, "--windows")?)));
     let (out, windows_out) = match parsed {
@@ -22,7 +21,7 @@ fn main() {
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!(
-                "usage: {} [--scale N] [--shards N] [--out PATH] [--windows PATH]",
+                "usage: {} [--scale N] [--out PATH] [--windows PATH]",
                 args.first().map_or("fault_matrix", |a| a)
             );
             std::process::exit(2);

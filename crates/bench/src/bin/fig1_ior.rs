@@ -11,48 +11,53 @@
 
 use pio_bench::fig1;
 use pio_bench::util::{
-    fault_or_schedule_from_args, print_rows, results_dir, scale_from_args, shards_from_args, Row,
+    fault_or_schedule_from_args, print_rows, print_stdout, reject_unknown_flags, results_dir,
+    scale_from_args, Row,
 };
 use pio_core::hist::Histogram;
 use pio_viz::ascii;
 use pio_viz::csv as vcsv;
 
 fn main() {
+    reject_unknown_flags(&["--scale N", "--fault <plan>", "--fault-schedule <spec>"]);
     let scale = scale_from_args(1);
-    pio_mpi::set_default_shards(shards_from_args());
     let fault = fault_or_schedule_from_args();
-    match &fault {
-        Some(_) => println!("# Figure 1 — IOR ensembles (scale 1/{scale}, faulted)"),
-        None => println!("# Figure 1 — IOR ensembles (scale 1/{scale})"),
-    }
+    let faulted = if fault.is_some() { ", faulted" } else { "" };
+    print_stdout(&format!(
+        "# Figure 1 — IOR ensembles (scale 1/{scale}{faulted})\n"
+    ));
     let r = fig1::run_with_fault(scale, 1, fault);
 
     // Panel (a): trace diagram.
-    println!("\n{}", ascii::trace_diagram(&r.trace, 24, 100));
+    print_stdout(&format!("\n{}\n", ascii::trace_diagram(&r.trace, 24, 100)));
 
     // Panel (b): aggregate write rate.
-    println!(
-        "{}",
+    print_stdout(&format!(
+        "{}\n",
         ascii::rate_curve_text(&r.rate_curve, 10, "aggregate write rate")
-    );
+    ));
 
     // Panel (c): completion-time histogram + modes.
     let hist = Histogram::from_samples(r.write_dist.samples(), 48);
-    println!(
-        "{}",
+    print_stdout(&format!(
+        "{}\n",
         ascii::histogram_text(&hist, 50, "write() completion times")
-    );
-    println!("detected modes:");
+    ));
+    print_stdout("detected modes:\n");
     for m in &r.modes {
-        println!("  {:.2} s  (mass {:.0}%)", m.location, m.mass * 100.0);
+        print_stdout(&format!(
+            "  {:.2} s  (mass {:.0}%)\n",
+            m.location,
+            m.mass * 100.0
+        ));
     }
     match &r.harmonics {
-        Some(h) => println!(
+        Some(h) => print_stdout(&format!(
             "harmonic structure: T = {:.1}s with orders {:?} — intra-node \
-             serialization fingerprint (paper: R, R/2, R/4)",
+             serialization fingerprint (paper: R, R/2, R/4)\n",
             h.fundamental, h.orders
-        ),
-        None => println!("no harmonic structure recognized"),
+        )),
+        None => print_stdout("no harmonic structure recognized\n"),
     }
 
     let scale_f = scale as f64;
@@ -83,14 +88,14 @@ fn main() {
         ),
     ];
     print_rows("Figure 1: paper vs measured", &rows);
-    println!(
+    print_stdout(&format!(
         "\nreproducibility: KS = {:.3} between the two file systems' \
          distributions ({} vs {} events) — 'almost identical' as the paper \
-         reports, while the traces differ event-by-event.",
+         reports, while the traces differ event-by-event.\n",
         r.ks_between_runs,
         r.write_dist.n(),
         r.write_dist2.n()
-    );
+    ));
 
     // CSV exports.
     let dir = results_dir();
@@ -107,5 +112,5 @@ fn main() {
         vcsv::histogram_csv(&hist2, w)
     })
     .expect("write fig1_write_hist_scratch2.csv");
-    println!("CSV series written to {}", dir.display());
+    print_stdout(&format!("CSV series written to {}\n", dir.display()));
 }

@@ -10,37 +10,38 @@
 
 use pio_bench::fig2;
 use pio_bench::util::{
-    fault_or_schedule_from_args, print_rows, results_dir, scale_from_args, shards_from_args, Row,
+    fault_or_schedule_from_args, print_rows, print_stdout, reject_unknown_flags, results_dir,
+    scale_from_args, Row,
 };
 use pio_core::hist::Histogram;
 use pio_viz::ascii;
 use pio_viz::csv as vcsv;
 
 fn main() {
+    reject_unknown_flags(&["--scale N", "--fault <plan>", "--fault-schedule <spec>"]);
     let scale = scale_from_args(1);
-    pio_mpi::set_default_shards(shards_from_args());
     let fault = fault_or_schedule_from_args();
-    match &fault {
-        Some(_) => println!("# Figure 2 — Law of Large Numbers (scale 1/{scale}, faulted)"),
-        None => println!("# Figure 2 — Law of Large Numbers (scale 1/{scale})"),
-    }
+    let faulted = if fault.is_some() { ", faulted" } else { "" };
+    print_stdout(&format!(
+        "# Figure 2 — Law of Large Numbers (scale 1/{scale}{faulted})\n"
+    ));
     let rows = fig2::run_with_fault(scale, 21, fault);
 
     for r in &rows {
         let hist = Histogram::from_samples(r.tk_dist.samples(), 32);
-        println!(
-            "\n{}",
+        print_stdout(&format!(
+            "\n{}\n",
             ascii::histogram_text(
                 &hist,
                 40,
                 &format!("t_k distribution, k = {} ({} MB calls)", r.k, r.xfer_mb)
             )
-        );
-        println!(
-            "  cv = {:.3}   (1/sqrt(k) prediction from k=1: {:.3})",
+        ));
+        print_stdout(&format!(
+            "  cv = {:.3}   (1/sqrt(k) prediction from k=1: {:.3})\n",
             r.cv_tk,
             rows[0].cv_tk / (r.k as f64).sqrt()
-        );
+        ));
     }
 
     let scale_f = scale as f64;
@@ -56,16 +57,19 @@ fn main() {
         })
         .collect();
     print_rows("Figure 2 / §III-A table: paper vs measured", &table);
-    println!(
-        "\nspeedup k=8 over k=1: measured {:.1}% (paper: {:.1}%)",
+    print_stdout(&format!(
+        "\nspeedup k=8 over k=1: measured {:.1}% (paper: {:.1}%)\n",
         (rows[3].speedup - 1.0) * 100.0,
         (13_486.0 / 11_610.0 - 1.0) * 100.0
-    );
+    ));
 
     let pred = fig2::predict_from_k1(&rows);
-    println!("\nconvolution prediction from the k=1 ensemble alone:");
+    print_stdout("\nconvolution prediction from the k=1 ensemble alone:\n");
     for (k, rate) in &pred {
-        println!("  k={k}: predicted {:.0} MB/s (x scale)", rate * scale_f);
+        print_stdout(&format!(
+            "  k={k}: predicted {:.0} MB/s (x scale)\n",
+            rate * scale_f
+        ));
     }
 
     let dir = results_dir();
@@ -84,5 +88,5 @@ fn main() {
         })
         .expect("write fig2 histogram csv");
     }
-    println!("CSV series written to {}", dir.display());
+    print_stdout(&format!("CSV series written to {}\n", dir.display()));
 }

@@ -6,53 +6,58 @@
 
 use pio_bench::fig4;
 use pio_bench::util::{
-    fault_or_schedule_from_args, print_rows, results_dir, scale_from_args, shards_from_args, Row,
+    fault_or_schedule_from_args, print_rows, print_stdout, reject_unknown_flags, results_dir,
+    scale_from_args, Row,
 };
 use pio_fs::FsConfig;
 use pio_viz::ascii;
 use pio_viz::csv as vcsv;
 
 fn main() {
+    reject_unknown_flags(&["--scale N", "--fault <plan>", "--fault-schedule <spec>"]);
     let scale = scale_from_args(1);
-    pio_mpi::set_default_shards(shards_from_args());
     let fault = fault_or_schedule_from_args();
-    match &fault {
-        Some(_) => {
-            println!("# Figure 4 — MADbench on Franklin vs Jaguar (scale 1/{scale}, faulted)")
-        }
-        None => println!("# Figure 4 — MADbench on Franklin vs Jaguar (scale 1/{scale})"),
-    }
+    let faulted = if fault.is_some() { ", faulted" } else { "" };
+    print_stdout(&format!(
+        "# Figure 4 — MADbench on Franklin vs Jaguar (scale 1/{scale}{faulted})\n"
+    ));
     let franklin = fig4::run_with_fault(FsConfig::franklin(), scale, 5, fault.clone());
     let jaguar = fig4::run_with_fault(FsConfig::jaguar(), scale, 5, fault);
 
     for r in [&franklin, &jaguar] {
-        println!("\n## {} — run time {:.0} s", r.platform, r.runtime_s);
-        println!("{}", ascii::trace_diagram(&r.trace, 16, 100));
-        println!(
-            "{}",
+        print_stdout(&format!(
+            "\n## {} — run time {:.0} s\n",
+            r.platform, r.runtime_s
+        ));
+        print_stdout(&format!("{}\n", ascii::trace_diagram(&r.trace, 16, 100)));
+        print_stdout(&format!(
+            "{}\n",
             ascii::rate_curve_text(&r.read_rate, 6, "aggregate read rate")
-        );
-        println!(
-            "{}",
+        ));
+        print_stdout(&format!(
+            "{}\n",
             ascii::rate_curve_text(&r.write_rate, 6, "aggregate write rate")
-        );
-        println!("log-log read histogram (center s, count):");
+        ));
+        print_stdout("log-log read histogram (center s, count):\n");
         for (c, n) in r.read_hist.series() {
-            println!("  {c:>10.3}  {n}");
+            print_stdout(&format!("  {c:>10.3}  {n}\n"));
         }
-        println!(
-            "read p50 {:.1}s  p99 {:.1}s  max {:.1}s   write p50 {:.1}s p99 {:.1}s",
+        print_stdout(&format!(
+            "read p50 {:.1}s  p99 {:.1}s  max {:.1}s   write p50 {:.1}s p99 {:.1}s\n",
             r.read_dist.median(),
             r.read_dist.quantile(0.99),
             r.read_dist.max(),
             r.write_dist.median(),
             r.write_dist.quantile(0.99)
-        );
+        ));
         match &r.shoulder {
-            Some(f) => println!("diagnosis: {f}"),
-            None => println!("diagnosis: reads look healthy"),
+            Some(f) => print_stdout(&format!("diagnosis: {f}\n")),
+            None => print_stdout("diagnosis: reads look healthy\n"),
         }
-        println!("degraded reads (bug path): {}", r.degraded_reads);
+        print_stdout(&format!(
+            "degraded reads (bug path): {}\n",
+            r.degraded_reads
+        ));
     }
 
     let rows = vec![
@@ -90,5 +95,5 @@ fn main() {
         })
         .expect("csv");
     }
-    println!("\nCSV series written to {}", dir.display());
+    print_stdout(&format!("\nCSV series written to {}\n", dir.display()));
 }

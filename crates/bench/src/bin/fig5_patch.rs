@@ -6,70 +6,74 @@
 //! Usage: `fig5_patch [--scale N]`.
 
 use pio_bench::fig5;
-use pio_bench::util::{print_rows, results_dir, scale_from_args, shards_from_args, Row};
+use pio_bench::util::{
+    print_rows, print_stdout, reject_unknown_flags, results_dir, scale_from_args, Row,
+};
 use pio_core::compare;
 use pio_viz::ascii;
 use pio_viz::csv as vcsv;
 
 fn main() {
+    reject_unknown_flags(&["--scale N"]);
     let scale = scale_from_args(1);
-    pio_mpi::set_default_shards(shards_from_args());
-    println!("# Figure 5 — the Lustre strided read-ahead bug (scale 1/{scale})");
+    print_stdout(&format!(
+        "# Figure 5 — the Lustre strided read-ahead bug (scale 1/{scale})\n"
+    ));
     let r = fig5::run(scale, 5);
 
     // Panel (a): per-read-index progress (quantiles of the CDFs).
-    println!("\n## (a) middle-phase reads by index (buggy run)");
-    println!(
-        "{:>6} {:>10} {:>10} {:>10} {:>10}",
+    print_stdout("\n## (a) middle-phase reads by index (buggy run)\n");
+    print_stdout(&format!(
+        "{:>6} {:>10} {:>10} {:>10} {:>10}\n",
         "read", "p50(s)", "p90(s)", "p99(s)", "max(s)"
-    );
+    ));
     for (m, d) in &r.phase_reads {
-        println!(
-            "{:>6} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
+        print_stdout(&format!(
+            "{:>6} {:>10.1} {:>10.1} {:>10.1} {:>10.1}\n",
             m,
             d.median(),
             d.quantile(0.9),
             d.quantile(0.99),
             d.max()
-        );
+        ));
     }
     match &r.deterioration {
-        Some(f) => println!("diagnosis: {f}"),
-        None => println!("diagnosis: no progressive deterioration flagged"),
+        Some(f) => print_stdout(&format!("diagnosis: {f}\n")),
+        None => print_stdout("diagnosis: no progressive deterioration flagged\n"),
     }
     let curves: Vec<(String, Vec<(f64, f64)>)> = r
         .phase_reads
         .iter()
         .map(|(m, d)| (format!("read {m}"), d.progress_curve()))
         .collect();
-    println!(
-        "\n{}",
+    print_stdout(&format!(
+        "\n{}\n",
         ascii::cdf_text(&curves, 90, "fraction of reads complete vs time")
-    );
+    ));
 
     // Panel (b): before/after read distributions.
-    println!("\n## (b) read ensemble before vs after the patch");
-    println!(
-        "before: p50 {:.1}s  p99 {:.1}s  max {:.1}s   ({} degraded reads)",
+    print_stdout("\n## (b) read ensemble before vs after the patch\n");
+    print_stdout(&format!(
+        "before: p50 {:.1}s  p99 {:.1}s  max {:.1}s   ({} degraded reads)\n",
         r.before.read_dist.median(),
         r.before.read_dist.quantile(0.99),
         r.before.read_dist.max(),
         r.before.degraded_reads
-    );
-    println!(
-        "after:  p50 {:.1}s  p99 {:.1}s  max {:.1}s   ({} degraded reads)",
+    ));
+    print_stdout(&format!(
+        "after:  p50 {:.1}s  p99 {:.1}s  max {:.1}s   ({} degraded reads)\n",
         r.after.read_dist.median(),
         r.after.read_dist.quantile(0.99),
         r.after.read_dist.max(),
         r.after.degraded_reads
-    );
+    ));
 
     // Per-class before/after comparison (the KS view of panel b).
-    println!("\n## per-class comparison (before vs after)");
-    println!(
-        "{}",
+    print_stdout("\n## per-class comparison (before vs after)\n");
+    print_stdout(&format!(
+        "{}\n",
         compare::render(&compare::compare(&r.before.trace, &r.after.trace))
-    );
+    ));
 
     // Panel (c): run times.
     let rows = vec![
@@ -94,5 +98,5 @@ fn main() {
         vcsv::log_histogram_csv(&r.after.read_hist, w)
     })
     .expect("csv");
-    println!("\nCSV series written to {}", dir.display());
+    print_stdout(&format!("\nCSV series written to {}\n", dir.display()));
 }

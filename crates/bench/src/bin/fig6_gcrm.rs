@@ -8,54 +8,58 @@
 
 use pio_bench::fig6;
 use pio_bench::util::{
-    fault_or_schedule_from_args, print_rows, results_dir, scale_from_args, shards_from_args, Row,
+    fault_or_schedule_from_args, print_rows, print_stdout, reject_unknown_flags, results_dir,
+    scale_from_args, Row,
 };
 use pio_core::loghist::LogHistogram;
 use pio_viz::ascii;
 use pio_viz::csv as vcsv;
 
 fn main() {
+    reject_unknown_flags(&["--scale N", "--fault <plan>", "--fault-schedule <spec>"]);
     let scale = scale_from_args(1);
-    pio_mpi::set_default_shards(shards_from_args());
     let fault = fault_or_schedule_from_args();
-    match &fault {
-        Some(_) => println!("# Figure 6 — GCRM optimization ladder (scale 1/{scale}, faulted)"),
-        None => println!("# Figure 6 — GCRM optimization ladder (scale 1/{scale})"),
-    }
+    let faulted = if fault.is_some() { ", faulted" } else { "" };
+    print_stdout(&format!(
+        "# Figure 6 — GCRM optimization ladder (scale 1/{scale}{faulted})\n"
+    ));
     let results = fig6::run_all_with_fault(scale, 11, fault);
     let dir = results_dir();
     let scale_f = scale as f64;
 
     for r in &results {
-        println!("\n## stage {}: {} — {:.0} s", r.stage, r.label, r.runtime_s);
-        println!("{}", ascii::trace_diagram(&r.trace, 12, 100));
-        println!(
-            "{}",
+        print_stdout(&format!(
+            "\n## stage {}: {} — {:.0} s\n",
+            r.stage, r.label, r.runtime_s
+        ));
+        print_stdout(&format!("{}\n", ascii::trace_diagram(&r.trace, 12, 100)));
+        print_stdout(&format!(
+            "{}\n",
             ascii::rate_curve_text(&r.write_rate, 6, "aggregate write rate")
-        );
-        println!(
-            "data records: {:.3} s/MB median ({:.2} MB/s per task); worst {:.3} s/MB",
+        ));
+        print_stdout(&format!(
+            "data records: {:.3} s/MB median ({:.2} MB/s per task); worst {:.3} s/MB\n",
             r.data_sec_per_mb.median(),
             1.0 / r.data_sec_per_mb.median().max(1e-12),
             r.data_sec_per_mb.quantile(0.99)
-        );
+        ));
         if let Some(meta) = &r.meta_sec_per_mb {
-            println!(
-                "metadata ops: {:.3} s/MB median over {} ops",
+            print_stdout(&format!(
+                "metadata ops: {:.3} s/MB median over {} ops\n",
                 meta.median(),
                 meta.n()
-            );
+            ));
         }
-        println!(
-            "lock conflicts {}  sync writes {}  peak write rate {:.0} MB/s (x scale: {:.0})",
+        print_stdout(&format!(
+            "lock conflicts {}  sync writes {}  peak write rate {:.0} MB/s (x scale: {:.0})\n",
             r.lock_conflicts,
             r.sync_writes,
             r.write_rate.peak(),
             r.write_rate.peak() * scale_f
-        );
+        ));
         match &r.serialized {
-            Some(f) => println!("diagnosis: {f}"),
-            None => println!("diagnosis: no rank-serialization flagged"),
+            Some(f) => print_stdout(&format!("diagnosis: {f}\n")),
+            None => print_stdout("diagnosis: no rank-serialization flagged\n"),
         }
 
         let data_hist = LogHistogram::from_samples(r.data_sec_per_mb.samples(), 60);
@@ -97,5 +101,5 @@ fn main() {
         "x",
     ));
     print_rows("Figure 6: paper vs measured", &rows);
-    println!("\nCSV series written to {}", dir.display());
+    print_stdout(&format!("\nCSV series written to {}\n", dir.display()));
 }

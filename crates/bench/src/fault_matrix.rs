@@ -611,28 +611,6 @@ pub fn run_once(
         .unwrap_or_else(|e| panic!("{label}: {e}"))
 }
 
-/// Like [`run_once`] but through the sharded parallel engine at an
-/// explicit shard count. Used by the attribution corpus to prove the
-/// shard count is invisible: reports and verdicts must be bit-identical
-/// for any `shards`.
-pub fn run_once_sharded(
-    job: &Job,
-    fs: &FsConfig,
-    seed: u64,
-    label: &str,
-    plan: Option<&FaultPlan>,
-    shards: u32,
-) -> RunReport {
-    let mut cfg = RunConfig::new(fs.clone(), seed, label);
-    if let Some(p) = plan {
-        cfg = cfg.with_fault(p.clone());
-    }
-    Runner::new(job, cfg)
-        .shards(shards)
-        .execute_one()
-        .unwrap_or_else(|e| panic!("{label}@{shards} shards: {e}"))
-}
-
 /// Run one cell at one seed: baseline + faulted + repeat.
 pub fn run_cell(s: &Scenario, seed: u64) -> CellOutcome {
     let label = format!("fault-{}", s.fault);

@@ -159,37 +159,6 @@ fn ior_sim() -> u64 {
     res.events
 }
 
-/// The large IOR scenario for the sharded-engine scaling metrics:
-/// 4096 ranks × 512 MB, one segment, write-only, shared file on the
-/// full (unscaled) Franklin config — big enough that node-shard work
-/// dominates the serial coordinator.
-fn ior_scale4096_config() -> IorConfig {
-    IorConfig {
-        tasks: 4096,
-        block_bytes: 512 << 20,
-        segments: 1,
-        repetitions: 1,
-        read_back: false,
-        file_per_process: false,
-    }
-}
-
-/// The 4096-rank IOR scenario on the sharded engine: events per second
-/// of real time at `shards` worker shards. The report is bit-identical
-/// for any shard count, so `ns_per_op` ratios between shard counts are
-/// pure wall-clock speedup.
-fn ior_sim_sharded(shards: u32) -> u64 {
-    let job = ior_scale4096_config().job();
-    let res = Runner::new(
-        &job,
-        RunConfig::new(FsConfig::franklin(), 1, "bench_summary"),
-    )
-    .shards(shards)
-    .execute_one()
-    .expect("sharded ior run");
-    res.events
-}
-
 /// One fault-matrix cell (slow-OST × read-heavy at 1/8 scale): the cost
 /// of a full baseline + faulted + reproducibility check.
 fn fault_matrix_cell() -> u64 {
@@ -466,19 +435,6 @@ pub fn run_filtered(reps: Option<u32>, only: &[String]) -> BenchSummary {
     // Whole-simulation throughput; ops = engine events.
     if want("sim/ior_scale64") {
         metrics.push(measure("sim/ior_scale64", "event", r(3), ior_sim));
-    }
-    // Sharded-engine scaling: same scenario, same (bit-identical)
-    // result, 1 vs 8 worker shards — the ns/op ratio is the
-    // parallel speedup.
-    if want("sim/ior_scale4096_shards1") {
-        metrics.push(measure("sim/ior_scale4096_shards1", "event", r(1), || {
-            ior_sim_sharded(1)
-        }));
-    }
-    if want("sim/ior_scale4096_shards8") {
-        metrics.push(measure("sim/ior_scale4096_shards8", "event", r(1), || {
-            ior_sim_sharded(8)
-        }));
     }
     if want("sim/fault_matrix_cell_scale8") {
         metrics.push(measure(

@@ -22,6 +22,46 @@ pub fn print_stdout(text: &str) {
     }
 }
 
+/// Exit 2 with the usage line unless every argument is one of `known`
+/// or the value that follows one. Each entry is a flag and its value as
+/// the usage line shows them (`"--scale N"`). Without this, a typo
+/// (`--scael 64`) or a retired flag silently runs the default
+/// experiment.
+pub fn reject_unknown_flags(known: &[&str]) {
+    let args: Vec<String> = std::env::args().collect();
+    if let Err(msg) = check_flags(args.get(1..).unwrap_or_default(), known) {
+        let usage: Vec<String> = known.iter().map(|k| format!("[{k}]")).collect();
+        eprintln!("error: {msg}");
+        eprintln!(
+            "usage: {} {}",
+            args.first().map_or("bench", |a| a),
+            usage.join(" ")
+        );
+        std::process::exit(2);
+    }
+}
+
+/// The testable core of [`reject_unknown_flags`]: `args` without the
+/// program name.
+fn check_flags(args: &[String], known: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if known
+            .iter()
+            .any(|k| k.split(' ').next() == Some(arg.as_str()))
+        {
+            // The flag owns the next argument, whatever it looks like;
+            // the flag's own parser judges it.
+            rest.next();
+        } else if arg.starts_with('-') {
+            return Err(format!("unknown flag {arg:?}"));
+        } else {
+            return Err(format!("unexpected argument {arg:?}"));
+        }
+    }
+    Ok(())
+}
+
 /// Parse `--scale N` from argv (default `default`). Scale divides task
 /// counts and transfer sizes so the full experiments can be smoke-run
 /// quickly; scale 1 is the paper's configuration.
@@ -58,53 +98,6 @@ pub fn parse_scale(args: &[String], default: u32) -> Result<u32, String> {
         }
     }
     Ok(scale)
-}
-
-/// Parse `--shards N` from argv; `None` when the flag is absent (the
-/// classic single-loop engine). `Some(n)` routes every run through the
-/// sharded parallel engine with `n` worker shards — bit-identical output
-/// for any `n`, only wall-clock changes.
-///
-/// Like [`scale_from_args`], a malformed value is an error (exit 2), as
-/// are 0 and absurd counts: silently running un-sharded would fake a
-/// speedup measurement.
-pub fn shards_from_args() -> Option<u32> {
-    let args: Vec<String> = std::env::args().collect();
-    match parse_shards(&args) {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: {} [--shards N]",
-                args.first().map_or("bench", |a| a)
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The testable core of [`shards_from_args`]: find `--shards N` in
-/// `args` (last occurrence wins).
-pub fn parse_shards(args: &[String]) -> Result<Option<u32>, String> {
-    let mut shards = None;
-    for (i, arg) in args.iter().enumerate() {
-        if arg == "--shards" {
-            let raw = args
-                .get(i + 1)
-                .ok_or_else(|| "--shards requires a value".to_string())?;
-            let v: u32 = raw.parse().map_err(|_| {
-                format!("invalid --shards value {raw:?}: expected a positive integer")
-            })?;
-            if v == 0 {
-                return Err("--shards must be at least 1".to_string());
-            }
-            if v > 1024 {
-                return Err(format!("--shards {v} is absurd; use at most 1024"));
-            }
-            shards = Some(v);
-        }
-    }
-    Ok(shards)
 }
 
 /// Parse `--fault <plan>` from argv; `None` when the flag is absent, so
@@ -438,6 +431,9 @@ pub struct Row {
     pub measured: f64,
     /// Unit for display.
     pub unit: &'static str,
+    /// The paper's claims the row must meet (empty: printed for
+    /// comparison only).
+    pub bounds: Vec<Bound>,
 }
 
 impl Row {
@@ -448,7 +444,14 @@ impl Row {
             paper,
             measured,
             unit,
+            bounds: Vec::new(),
         }
+    }
+
+    /// The same row, also held to `bound` (builder style).
+    pub fn bound(mut self, bound: Bound) -> Self {
+        self.bounds.push(bound);
+        self
     }
 
     /// measured / paper.
@@ -459,17 +462,72 @@ impl Row {
             self.measured / self.paper
         }
     }
+
+    /// The bounds this row breaks, in the order they were attached.
+    pub fn broken_bounds(&self) -> Vec<&Bound> {
+        self.bounds.iter().filter(|b| !b.holds(self)).collect()
+    }
 }
 
-/// Print rows as a fixed-width paper-vs-measured table.
+/// A claim of the paper that a [`Row`] must meet for the reproduction to
+/// hold. It is written next to the row in the source, from the paper,
+/// never from a previous run's value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Bound {
+    /// `lo <= measured / paper <= hi`: the rule for a row where the paper
+    /// gives only a number.
+    Ratio(f64, f64),
+    /// `measured >= x`.
+    AtLeast(f64),
+    /// `measured <= x`.
+    AtMost(f64),
+    /// `measured > x`.
+    Above(f64),
+    /// A shape claim the row's own number does not carry (a populated
+    /// band, an ordering across rows), decided where the row is built:
+    /// the claim as printed, and whether the run meets it.
+    Claim(String, bool),
+}
+
+impl Bound {
+    /// Whether `row` meets this bound (a NaN ratio never does).
+    pub fn holds(&self, row: &Row) -> bool {
+        match *self {
+            Bound::Ratio(lo, hi) => (lo..=hi).contains(&row.ratio()),
+            Bound::AtLeast(x) => row.measured >= x,
+            Bound::AtMost(x) => row.measured <= x,
+            Bound::Above(x) => row.measured > x,
+            Bound::Claim(_, holds) => holds,
+        }
+    }
+}
+
+impl std::fmt::Display for Bound {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Bound::Ratio(lo, hi) => write!(f, "{lo}–{hi}× paper"),
+            Bound::AtLeast(x) => write!(f, "≥ {x}"),
+            Bound::AtMost(x) => write!(f, "≤ {x}"),
+            Bound::Above(x) => write!(f, "> {x}"),
+            Bound::Claim(claim, _) => f.write_str(claim),
+        }
+    }
+}
+
+/// Print rows as a fixed-width paper-vs-measured table, with the rows'
+/// bounds as a last column when any row carries one.
 pub fn print_rows(title: &str, rows: &[Row]) {
-    println!("\n== {title} ==");
-    println!(
-        "{:<44} {:>12} {:>12} {:>8}",
-        "quantity", "paper", "measured", "ratio"
+    let bounded = rows.iter().any(|r| !r.bounds.is_empty());
+    let mut out = format!(
+        "\n== {title} ==\n{:<44} {:>12} {:>12} {:>8}{}\n",
+        "quantity",
+        "paper",
+        "measured",
+        "ratio",
+        if bounded { "  bound" } else { "" }
     );
     for r in rows {
-        println!(
+        out += &format!(
             "{:<44} {:>9.1} {:>2} {:>9.1} {:>2} {:>7.2}x",
             r.label,
             r.paper,
@@ -478,7 +536,13 @@ pub fn print_rows(title: &str, rows: &[Row]) {
             r.unit,
             r.ratio()
         );
+        if bounded {
+            let bounds: Vec<String> = r.bounds.iter().map(Bound::to_string).collect();
+            out += &format!("  {}", bounds.join("; "));
+        }
+        out.push('\n');
     }
+    print_stdout(&out);
 }
 
 #[cfg(test)]
@@ -514,25 +578,6 @@ mod tests {
         assert_eq!(rate_of(&t, CallKind::Read), 0.0);
         assert!(dist_of(&t, CallKind::Write).is_some());
         assert!(dist_of(&t, CallKind::Read).is_none());
-    }
-
-    #[test]
-    fn parse_shards_accepts_valid_and_rejects_malformed() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_shards(&args(&["bench"])), Ok(None));
-        assert_eq!(
-            parse_shards(&args(&["bench", "--shards", "8"])),
-            Ok(Some(8))
-        );
-        // Last occurrence wins.
-        assert_eq!(
-            parse_shards(&args(&["bench", "--shards", "2", "--shards", "4"])),
-            Ok(Some(4))
-        );
-        assert!(parse_shards(&args(&["bench", "--shards"])).is_err());
-        assert!(parse_shards(&args(&["bench", "--shards", "zero"])).is_err());
-        assert!(parse_shards(&args(&["bench", "--shards", "0"])).is_err());
-        assert!(parse_shards(&args(&["bench", "--shards", "4096"])).is_err());
     }
 
     #[test]
@@ -737,5 +782,38 @@ mod tests {
         let r = Row::new("runtime", 100.0, 50.0, "s");
         assert!((r.ratio() - 0.5).abs() < 1e-12);
         assert!(Row::new("x", 0.0, 1.0, "s").ratio().is_nan());
+    }
+
+    #[test]
+    fn bounds_pass_a_row_inside_and_name_what_a_row_outside_breaks() {
+        let jaguar = |measured| {
+            Row::new("fig4 Jaguar", 275.0, measured, "s")
+                .bound(Bound::Ratio(0.5, 2.0))
+                .bound(Bound::Claim("reads healthy".into(), true))
+        };
+        assert!(jaguar(240.9).broken_bounds().is_empty());
+        // 848 s is 3.08x the paper's 275 s; the claim beside it holds.
+        assert_eq!(jaguar(848.0).broken_bounds(), [&Bound::Ratio(0.5, 2.0)]);
+        // Strict where the paper's claim is; a NaN ratio never passes.
+        assert!(!Bound::Above(4.0).holds(&Row::new("x", 4.1, 4.0, "x")));
+        assert!(!Bound::Ratio(0.5, 2.0).holds(&Row::new("x", 0.0, 1.0, "")));
+    }
+
+    #[test]
+    fn check_flags_accepts_known_flags_and_rejects_the_rest() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let known = ["--scale N", "--out PATH"];
+        assert_eq!(
+            check_flags(&args(&["--scale", "16", "--out", "t"]), &known),
+            Ok(())
+        );
+        // A value-taking flag owns the next argument; its own parser
+        // judges a bad or missing value.
+        assert_eq!(check_flags(&args(&["--out", "--scale"]), &known), Ok(()));
+        assert_eq!(check_flags(&args(&["--scale"]), &known), Ok(()));
+        let err = check_flags(&args(&["--scale", "4", "--shards", "4"]), &known).unwrap_err();
+        assert_eq!(err, "unknown flag \"--shards\"");
+        let err = check_flags(&args(&["64"]), &known).unwrap_err();
+        assert_eq!(err, "unexpected argument \"64\"");
     }
 }

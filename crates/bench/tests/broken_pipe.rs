@@ -1,5 +1,5 @@
 //! A reader that closes the pipe early (`analyze t.jsonl | head -0`,
-//! `fault_matrix | head -1`) must not turn a correct run into a failure:
+//! `fig1_ior | head -1`) must not turn a correct run into a failure:
 //! the binaries stop printing, still write their files, and exit 0.
 
 use std::path::{Path, PathBuf};
@@ -7,11 +7,13 @@ use std::process::{Command, ExitStatus, Stdio};
 
 /// Run `bin` with stdout on a pipe whose read end is already dropped, so
 /// every write to it fails with a broken pipe however fast the child runs.
-fn run_with_closed_stdout(bin: &str, args: &[&str]) -> ExitStatus {
+/// CSV exports go to `results`.
+fn run_with_closed_stdout(bin: &str, args: &[&str], results: &Path) -> ExitStatus {
     let (reader, writer) = std::io::pipe().expect("create a pipe");
     drop(reader);
     Command::new(bin)
         .args(args)
+        .env("PIO_RESULTS", results)
         .stdout(writer)
         .stderr(Stdio::null())
         .status()
@@ -43,7 +45,7 @@ fn analyze_exits_cleanly_on_a_closed_stdout() {
     for extra in [&[][..], &["--stream"][..]] {
         let mut args = vec![path_arg(&trace)];
         args.extend_from_slice(extra);
-        let status = run_with_closed_stdout(env!("CARGO_BIN_EXE_analyze"), &args);
+        let status = run_with_closed_stdout(env!("CARGO_BIN_EXE_analyze"), &args, &dir);
         assert!(status.success(), "analyze {args:?} exited with {status}");
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -56,6 +58,7 @@ fn fault_matrix_exits_cleanly_on_a_closed_stdout_and_still_writes_out() {
     let status = run_with_closed_stdout(
         env!("CARGO_BIN_EXE_fault_matrix"),
         &["--scale", "16", "--out", path_arg(&out)],
+        &dir,
     );
     assert!(status.success(), "fault_matrix exited with {status}");
     let table = std::fs::read_to_string(&out).expect("--out written");
@@ -65,4 +68,25 @@ fn fault_matrix_exits_cleanly_on_a_closed_stdout_and_still_writes_out() {
         &table[table.len().saturating_sub(80)..]
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn figure_binaries_exit_cleanly_on_a_closed_stdout_and_still_write_their_csvs() {
+    let figures = [
+        (env!("CARGO_BIN_EXE_fig1_ior"), 3),
+        (env!("CARGO_BIN_EXE_fig2_lln"), 5),
+        (env!("CARGO_BIN_EXE_fig4_madbench"), 6),
+        (env!("CARGO_BIN_EXE_fig5_patch"), 10),
+        (env!("CARGO_BIN_EXE_fig6_gcrm"), 12),
+        (env!("CARGO_BIN_EXE_all_experiments"), 0),
+    ];
+    for (bin, csvs) in figures {
+        let name = Path::new(bin).file_name().unwrap().to_string_lossy();
+        let dir = temp_dir_for(&format!("{name}-epipe"));
+        let status = run_with_closed_stdout(bin, &["--scale", "64"], &dir);
+        assert!(status.success(), "{name} exited with {status}");
+        let written = std::fs::read_dir(&dir).expect("read results dir").count();
+        assert_eq!(written, csvs, "{name}: CSV exports under PIO_RESULTS");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

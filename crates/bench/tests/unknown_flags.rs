@@ -1,0 +1,23 @@
+//! A flag a driver does not know is an error, not a silent default run:
+//! a typo (`--scael 64`) or a flag the drivers no longer take
+//! (`--shards`) exits 2 and names the flag.
+
+use std::process::Command;
+
+#[test]
+fn retired_shards_flag_exits_2_and_names_the_flag() {
+    for bin in [
+        env!("CARGO_BIN_EXE_fig2_lln"),
+        env!("CARGO_BIN_EXE_fault_matrix"),
+    ] {
+        let out = Command::new(bin)
+            .args(["--shards", "4"])
+            .output()
+            .unwrap_or_else(|e| panic!("run {bin}: {e}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin}: {stderr}");
+        assert!(stderr.contains("--shards"), "{bin}: {stderr}");
+        assert!(stderr.contains("usage:"), "{bin}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bin} ran an experiment");
+    }
+}

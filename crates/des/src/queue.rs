@@ -1,25 +1,22 @@
 //! Deterministic event queue.
 //!
-//! Pop order is strictly ascending `(time, key, sequence)`: the `key` is
-//! an explicit component identifier (0 for unkeyed pushes), so
-//! simultaneous events at different components pop in a total order that
-//! is independent of insertion order — the property cross-shard
-//! determinism rests on. Events with equal `(time, key)` pop in insertion
-//! order, so results never depend on container internals.
+//! Pop order is strictly ascending `(time, sequence)`: events at equal
+//! times pop in insertion order, so simulation results never depend on
+//! container internals.
 //!
 //! Internally the queue is split into a **near-future front** — a short
-//! deque kept sorted by `(time, key, seq)` — and an **overflow** binary
-//! heap for everything at or beyond the front's `horizon`. The split
-//! targets the steady-state DES pattern: handlers schedule follow-ups a
-//! short span ahead of `now`, and those land in the front with a cheap
-//! ordered insert (usually an append) instead of a heap push + pop round
-//! trip. When the working set is small the heap is never touched at all.
+//! deque kept sorted by `(time, seq)` — and an **overflow** binary heap
+//! for everything at or beyond the front's `horizon`. The split targets
+//! the steady-state DES pattern: handlers schedule follow-ups a short
+//! span ahead of `now`, and those land in the front with a cheap ordered
+//! insert (usually an append) instead of a heap push + pop round trip.
+//! When the working set is small the heap is never touched at all.
 //!
 //! Invariant (checked by the property tests): every front entry orders
-//! strictly before every overflow entry under `(time, key, seq)`, the
-//! front is sorted, front `(time, key)` pairs are `<= horizon`, and
-//! overflow pairs are `>= horizon`. Pop therefore always takes the head
-//! of the front, refilling it from the heap when it drains.
+//! strictly before every overflow entry under `(time, seq)`, the front
+//! is sorted, front times are `<= horizon`, and overflow times are
+//! `>= horizon`. Pop therefore always takes the head of the front,
+//! refilling it from the heap when it drains.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -35,14 +32,13 @@ const FRONT_KEEP: usize = 64;
 
 struct Entry<E> {
     time: SimTime,
-    key: u64,
     seq: u64,
     event: E,
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.key == other.key && self.seq == other.seq
+        self.time == other.time && self.seq == other.seq
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -54,19 +50,18 @@ impl<E> PartialOrd for Entry<E> {
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        (other.time, other.key, other.seq).cmp(&(self.time, self.key, self.seq))
+        (other.time, other.seq).cmp(&(self.time, self.seq))
     }
 }
 
-/// A time-ordered queue of pending events with an explicit
-/// `(time, key, seq)` total order; `key` defaults to 0 via [`EventQueue::push`].
+/// A time-ordered queue of pending events with FIFO tie-breaking.
 pub struct EventQueue<E> {
-    /// Near-future entries, ascending `(time, key, seq)`; popped from the head.
+    /// Near-future entries, ascending `(time, seq)`; popped from the head.
     front: VecDeque<Entry<E>>,
     /// Entries at or beyond `horizon`.
     overflow: BinaryHeap<Entry<E>>,
-    /// Pushes strictly before this `(time, key)` point go to the front.
-    horizon: (SimTime, u64),
+    /// Pushes strictly before this instant go to the front.
+    horizon: SimTime,
     seq: u64,
 }
 
@@ -82,43 +77,30 @@ impl<E> EventQueue<E> {
         EventQueue {
             front: VecDeque::new(),
             overflow: BinaryHeap::new(),
-            horizon: (SimTime::MAX, u64::MAX),
+            horizon: SimTime::MAX,
             seq: 0,
         }
     }
 
-    /// Schedule `event` at `time` with key 0 (plain FIFO tie-breaking).
+    /// Schedule `event` at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
-        self.push_keyed(time, 0, event);
-    }
-
-    /// Schedule `event` at `time` under component `key`: simultaneous
-    /// events pop in ascending key order regardless of insertion order.
-    pub fn push_keyed(&mut self, time: SimTime, key: u64, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        let entry = Entry {
-            time,
-            key,
-            seq,
-            event,
-        };
-        if (time, key) >= self.horizon {
-            // `seq` is the largest so far, so among equal `(time, key)`
-            // this entry orders after everything already in the front.
+        let entry = Entry { time, seq, event };
+        if time >= self.horizon {
+            // `seq` is the largest so far, so among equal times this
+            // entry orders after everything already in the front.
             self.overflow.push(entry);
             return;
         }
         match self.front.back() {
             // Common case: later than (or tied with) the current back —
             // append. Ties keep insertion order because seq grows.
-            Some(back) if (back.time, back.key) <= (time, key) => self.front.push_back(entry),
+            Some(back) if back.time <= time => self.front.push_back(entry),
             None => self.front.push_back(entry),
             // Ordered middle insert; cost bounded by FRONT_MAX.
             Some(_) => {
-                let idx = self
-                    .front
-                    .partition_point(|e| (e.time, e.key) <= (time, key));
+                let idx = self.front.partition_point(|e| e.time <= time);
                 self.front.insert(idx, entry);
             }
         }
@@ -135,12 +117,12 @@ impl<E> EventQueue<E> {
     }
 
     /// Move the tail of an oversized front to the overflow heap and pull
-    /// the horizon down to the smallest spilled `(time, key)`.
+    /// the horizon down to the smallest spilled time.
     fn spill(&mut self) {
-        let mut spilled_min = (SimTime::MAX, u64::MAX);
+        let mut spilled_min = SimTime::MAX;
         while self.front.len() > FRONT_KEEP {
             let e = self.front.pop_back().expect("non-empty front");
-            spilled_min = (e.time, e.key); // monotonically non-increasing
+            spilled_min = e.time; // monotonically non-increasing
             self.overflow.push(e);
         }
         self.horizon = spilled_min;
@@ -155,10 +137,7 @@ impl<E> EventQueue<E> {
                 None => break,
             }
         }
-        self.horizon = self
-            .overflow
-            .peek()
-            .map_or((SimTime::MAX, u64::MAX), |e| (e.time, e.key));
+        self.horizon = self.overflow.peek().map_or(SimTime::MAX, |e| e.time);
     }
 
     /// Remove and return the earliest event.
@@ -237,59 +216,6 @@ mod tests {
             assert_eq!(q.pop().unwrap().1, i);
         }
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn simultaneous_keyed_events_pop_in_key_order_any_insertion_order() {
-        // The cross-shard determinism property: events at the same instant
-        // with distinct component keys must pop in the same total order no
-        // matter which order they were scheduled in.
-        let t = SimTime::from_secs(2);
-        let keys: Vec<u64> = vec![9, 3, 7, 0, 5, 1, 8, 2, 6, 4];
-        let mut orders: Vec<Vec<u64>> = Vec::new();
-        for rotation in 0..keys.len() {
-            let mut q = EventQueue::new();
-            q.push(SimTime::from_secs(1), u64::MAX); // earlier event first
-            for i in 0..keys.len() {
-                let k = keys[(i + rotation) % keys.len()];
-                q.push_keyed(t, k, k);
-            }
-            q.push_keyed(SimTime::from_secs(3), 0, u64::MAX - 1);
-            let mut order = Vec::new();
-            while let Some((_, e)) = q.pop() {
-                order.push(e);
-            }
-            orders.push(order);
-        }
-        for o in &orders {
-            assert_eq!(o[0], u64::MAX);
-            assert_eq!(o[o.len() - 1], u64::MAX - 1);
-            let mid: Vec<u64> = o[1..o.len() - 1].to_vec();
-            assert_eq!(mid, vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
-        }
-        assert!(orders.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn keyed_ties_pop_fifo_within_a_key_across_the_spill_boundary() {
-        // Equal (time, key) keeps insertion order even when the front
-        // spills mid-stream; lower keys still pop first.
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(5);
-        let n = 4 * FRONT_MAX;
-        for i in 0..n {
-            q.push_keyed(t, (i % 2) as u64, i);
-        }
-        let mut got = Vec::new();
-        while let Some((pt, e)) = q.pop() {
-            assert_eq!(pt, t);
-            got.push(e);
-        }
-        let want: Vec<usize> = (0..n)
-            .filter(|i| i % 2 == 0)
-            .chain((0..n).filter(|i| i % 2 == 1))
-            .collect();
-        assert_eq!(got, want);
     }
 
     #[test]
@@ -431,46 +357,6 @@ mod proptests {
                                 .map(|(i, _)| i)
                                 .unwrap();
                             let (t, _, id) = model.remove(min_idx);
-                            let (gt, gid) = got.expect("queue non-empty");
-                            prop_assert_eq!(gt, SimTime(t));
-                            prop_assert_eq!(gid, id);
-                        }
-                    }
-                }
-            }
-            prop_assert_eq!(q.len(), model.len());
-        }
-
-        /// Keyed pushes against the same reference model under the full
-        /// `(time, key, seq)` order, across arbitrary push/pop traffic.
-        #[test]
-        fn keyed_matches_reference_model(ops in proptest::collection::vec(
-            proptest::option::of((0u64..200, 0u64..8)),
-            1..400,
-        )) {
-            let mut q = EventQueue::new();
-            // Reference: (time, key, seq, id) popped by min scan.
-            let mut model: Vec<(u64, u64, u64, u64)> = Vec::new();
-            let mut next_id = 0u64;
-            for op in ops {
-                match op {
-                    Some((t, k)) => {
-                        model.push((t, k, next_id, next_id));
-                        q.push_keyed(SimTime(t), k, next_id);
-                        next_id += 1;
-                    }
-                    None => {
-                        let got = q.pop();
-                        if model.is_empty() {
-                            prop_assert!(got.is_none());
-                        } else {
-                            let min_idx = model
-                                .iter()
-                                .enumerate()
-                                .min_by_key(|(_, &(t, k, s, _))| (t, k, s))
-                                .map(|(i, _)| i)
-                                .unwrap();
-                            let (t, _, _, id) = model.remove(min_idx);
                             let (gt, gid) = got.expect("queue non-empty");
                             prop_assert_eq!(gt, SimTime(t));
                             prop_assert_eq!(gid, id);

@@ -42,18 +42,6 @@ impl SimRng {
         SimRng::new(splitmix64(master ^ splitmix64(stream_id)))
     }
 
-    /// An independent stream derived from `(master, component, lane)`.
-    ///
-    /// Two-level split for per-component RNG lanes (e.g. one lane per
-    /// simulated node): draws depend only on the identity pair, never on
-    /// how work is scheduled across shards, and the double mix keeps the
-    /// lane space disjoint from flat [`SimRng::stream`] ids.
-    pub fn keyed(master: u64, component: u64, lane: u64) -> Self {
-        SimRng::new(splitmix64(
-            splitmix64(master ^ splitmix64(component)) ^ splitmix64(!lane),
-        ))
-    }
-
     /// Uniform in `[0, 1)`.
     pub fn f64(&mut self) -> f64 {
         self.rng.random::<f64>()
@@ -165,23 +153,6 @@ mod tests {
         let mut b = SimRng::stream(42, 1);
         let same = (0..32).filter(|_| a.f64() == b.f64()).count();
         assert!(same < 4);
-    }
-
-    #[test]
-    fn keyed_lanes_are_stable_and_disjoint() {
-        // Same identity → same stream.
-        let mut a = SimRng::keyed(42, 7, 3);
-        let mut b = SimRng::keyed(42, 7, 3);
-        for _ in 0..32 {
-            assert_eq!(a.f64().to_bits(), b.f64().to_bits());
-        }
-        // Differing in either level diverges.
-        let mut base = SimRng::keyed(42, 7, 3);
-        for mut other in [SimRng::keyed(42, 8, 3), SimRng::keyed(42, 7, 4)] {
-            let same = (0..32).filter(|_| base.f64() == other.f64()).count();
-            assert!(same < 4);
-            base = SimRng::keyed(42, 7, 3);
-        }
     }
 
     #[test]

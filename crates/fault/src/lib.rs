@@ -365,18 +365,6 @@ impl FaultPlan {
     pub fn mpi_injector(&self, seed: u64) -> PlanInjector {
         PlanInjector::from_plan(self, SimRng::stream(seed, 0xFA02))
     }
-
-    /// Hooks on a caller-chosen `(component, lane)` RNG stream.
-    ///
-    /// The sharded simulator keys one injector per simulated node so the
-    /// stochastic hooks (drop/retry waits) draw from a lane tied to the
-    /// node's identity rather than to a global processing order — the
-    /// draws are then independent of how nodes are scheduled across
-    /// shards. Stateless hooks (slow-OST, fabric windows, MDS stalls) are
-    /// pure functions of time and never touch the lane.
-    pub fn keyed_injector(&self, seed: u64, component: u64, lane: u64) -> PlanInjector {
-        PlanInjector::from_plan(self, SimRng::keyed(seed, component, lane))
-    }
 }
 
 /// `SlowOst` entry, pre-matched to its hook.

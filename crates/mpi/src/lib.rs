@@ -15,16 +15,12 @@
 //! * [`runner`] — the [`Runner`] builder: job + platform + seeds →
 //!   one [`RunReport`] per run, buffered or streaming, serial or
 //!   parallel, with optional deterministic fault injection.
-//! * `shard` — the sharded parallel engine behind
-//!   [`Runner::shards`]: per-node conservative mini-DES shards plus a
-//!   serial server/coordinator plane, bit-identical at any shard count.
 
 pub mod fleet;
 pub mod program;
 pub mod runner;
-mod shard;
 pub mod world;
 
 pub use fleet::{run_fleet, FleetJob, FleetRun};
 pub use program::{FileSpec, Job, Op, Program, ProgramBuilder};
-pub use runner::{set_default_shards, MpiConfig, RunConfig, RunError, RunReport, Runner};
+pub use runner::{MpiConfig, RunConfig, RunError, RunReport, Runner};

@@ -135,28 +135,6 @@ impl RunReport {
     }
 }
 
-/// Process-wide default for [`Runner::shards`], as an engine selector
-/// for CLI drivers: 0 means "classic engine" (the default), anything
-/// else routes new runners through the sharded engine with that many
-/// workers. An explicit [`Runner::shards`] call still overrides.
-static DEFAULT_SHARDS: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
-
-/// Set the process-wide default shard count picked up by every
-/// subsequently built [`Runner`] (`None` restores the classic engine).
-/// Intended for CLI drivers wiring a `--shards N` flag; the sharded
-/// engine is bit-identical at any count, so this changes wall-clock
-/// only.
-pub fn set_default_shards(n: Option<u32>) {
-    DEFAULT_SHARDS.store(n.unwrap_or(0), std::sync::atomic::Ordering::Relaxed);
-}
-
-fn default_shards() -> Option<u32> {
-    match DEFAULT_SHARDS.load(std::sync::atomic::Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
 /// Builder for executing a job one or more times.
 ///
 /// * [`Runner::seeds`] — run once per seed (default: the config's seed).
@@ -171,7 +149,6 @@ pub struct Runner<'j, 's> {
     cfg: RunConfig,
     seeds: Vec<u64>,
     threads: usize,
-    shards: Option<u32>,
     sink: Option<&'s mut dyn RecordSink>,
 }
 
@@ -184,18 +161,8 @@ impl<'j, 's> Runner<'j, 's> {
             seeds: vec![cfg.seed],
             cfg,
             threads: 1,
-            shards: default_shards(),
             sink: None,
         }
-    }
-
-    /// Run each seed on the sharded parallel engine with `n` worker
-    /// shards (see the `shard` module). The result is bit-identical for
-    /// any `n`, including 1 — shards only change wall-clock time.
-    /// Values of 0 or over 1024 are rejected at [`Runner::execute`].
-    pub fn shards(mut self, n: u32) -> Self {
-        self.shards = Some(n);
-        self
     }
 
     /// Run once per seed — the paper's "ensemble of runs" construction.
@@ -240,32 +207,6 @@ impl<'j, 's> Runner<'j, 's> {
             return Err(RunError::Config(
                 "a sink receives exactly one run; use a single seed".into(),
             ));
-        }
-        if let Some(shards) = self.shards {
-            if shards == 0 {
-                return Err(RunError::Config("--shards must be at least 1".into()));
-            }
-            if shards > 1024 {
-                return Err(RunError::Config(format!(
-                    "--shards {shards} is absurd; use at most 1024"
-                )));
-            }
-            let reports: Result<Vec<RunReport>, RunError> = self
-                .seeds
-                .iter()
-                .map(|&seed| {
-                    let cfg = RunConfig {
-                        seed,
-                        ..self.cfg.clone()
-                    };
-                    crate::shard::run_sharded(self.job, &cfg, shards)
-                })
-                .collect();
-            let mut reports = reports?;
-            if let Some(sink) = self.sink.take() {
-                crate::shard::replay_into_sink(&mut reports[0], sink);
-            }
-            return Ok(reports);
         }
         if let Some(sink) = self.sink.take() {
             let cfg = RunConfig {

@@ -3,8 +3,8 @@
 //! *shared* detectors both post-mortem (batch `diagnose` over the
 //! buffered trace) and mid-run (the `StreamDiagnoser` fed
 //! record-by-record), with the clean baselines attribution-free on both
-//! paths. The engine knobs — shard count, trace format — must both be
-//! semantically invisible: same verdict, byte for byte.
+//! paths. The trace format must be semantically invisible: same
+//! verdict, byte for byte.
 
 use events_to_ensembles::fault::{FaultPlan, FaultSchedule};
 use events_to_ensembles::ingest::{
@@ -15,7 +15,7 @@ use events_to_ensembles::stats::diagnosis::{run_verdict, Verdict};
 use events_to_ensembles::trace::io::write_jsonl;
 use events_to_ensembles::trace::ptb2::write_ptb2;
 use events_to_ensembles::trace::{Record, RecordSink, Trace};
-use pio_bench::fault_matrix::{run_once, run_once_sharded, scenarios, verdict_of, Expect};
+use pio_bench::fault_matrix::{run_once, scenarios, verdict_of, Expect};
 
 const SCALE: u32 = 16;
 const SEEDS: [u64; 2] = [101, 202];
@@ -228,44 +228,6 @@ fn whole_run_schedules_are_byte_equal_to_unscheduled() {
             );
             assert_eq!(a.events, b.events, "{} ({name}): event count", sc.fault);
             assert_eq!(a.end, b.end, "{} ({name}): end time", sc.fault);
-        }
-    }
-}
-
-#[test]
-fn verdicts_are_bit_identical_across_shard_counts() {
-    // The parallel engine's contract: the shard count is a throughput
-    // knob, never a semantic one. Every corpus scenario — clean and
-    // faulted (including compound and time-scheduled plans), both seeds
-    // — must produce byte-for-byte the same trace, statistics, and
-    // diagnose() verdicts at 1, 2, and 8 shards.
-    for sc in scenarios(SCALE) {
-        for seed in SEEDS {
-            for (label, plan) in [
-                ("corpus-shards-clean", None),
-                ("corpus-shards-faulted", Some(sc.plan())),
-            ] {
-                let base = run_once_sharded(sc.job(), sc.fs(), seed, label, plan, 1);
-                let verdict = verdict_of(&base);
-                for shards in [2, 8] {
-                    let res = run_once_sharded(sc.job(), sc.fs(), seed, label, plan, shards);
-                    let ctx = format!("{} seed {seed} {label} @ {shards} shards", sc.fault);
-                    assert_eq!(
-                        base.trace().records,
-                        res.trace().records,
-                        "{ctx}: trace diverged"
-                    );
-                    assert_eq!(base.events, res.events, "{ctx}: event count diverged");
-                    assert_eq!(base.end, res.end, "{ctx}: end time diverged");
-                    assert_eq!(base.stats, res.stats, "{ctx}: fs stats diverged");
-                    assert_eq!(
-                        base.lock_stats, res.lock_stats,
-                        "{ctx}: lock stats diverged"
-                    );
-                    assert_eq!(base.util, res.util, "{ctx}: utilization diverged");
-                    assert_eq!(verdict, verdict_of(&res), "{ctx}: verdicts diverged");
-                }
-            }
         }
     }
 }
