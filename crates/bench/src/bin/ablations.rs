@@ -4,7 +4,7 @@
 //!
 //! Usage: `ablations [--scale N]` (default 16).
 
-use pio_bench::util::scale_from_args;
+use pio_bench::util::{print_stdout, reject_unknown_flags, scale_from_args};
 use pio_core::empirical::EmpiricalDist;
 use pio_core::modes::find_modes;
 use pio_fs::FsConfig;
@@ -14,11 +14,20 @@ use pio_trace::{CallKind, OnlineProfile};
 use pio_workloads::gcrm::{GcrmConfig, GcrmStage};
 use pio_workloads::{IorConfig, MadbenchConfig};
 
+/// `println!` through [`print_stdout`]: a closed stdout ends the
+/// printing, not the run.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        print_stdout(&format!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn run(job: &Job, cfg: RunConfig) -> RunReport {
     Runner::new(job, cfg).execute_one().unwrap()
 }
 
 fn main() {
+    reject_unknown_flags(&["--scale N"]);
     let scale = scale_from_args(16);
     discipline_ablation(scale);
     readahead_ablation(scale * 2);
@@ -30,10 +39,14 @@ fn main() {
 
 /// IOR shared-file vs file-per-process: the classic layout comparison.
 fn shared_vs_file_per_process(scale: u32) {
-    println!("\n== ablation: shared file vs file-per-process (IOR) ==");
-    println!(
+    outln!("\n== ablation: shared file vs file-per-process (IOR) ==");
+    outln!(
         "{:<26} {:>10} {:>11} {:>11} {:>10}",
-        "layout", "runtime(s)", "rate(MB/s)", "meta ops", "conflicts"
+        "layout",
+        "runtime(s)",
+        "rate(MB/s)",
+        "meta ops",
+        "conflicts"
     );
     for (label, fpp) in [
         ("shared file (paper)", false),
@@ -56,7 +69,7 @@ fn shared_vs_file_per_process(scale: u32) {
             .count()
             + res.trace().of_kind(CallKind::Open).count()
             + res.trace().of_kind(CallKind::Close).count();
-        println!(
+        outln!(
             "{label:<26} {:>10.0} {:>11.0} {:>11} {:>10}",
             res.wall_secs(),
             res.stats.bytes_written as f64 / 1e6 / res.wall_secs(),
@@ -64,17 +77,21 @@ fn shared_vs_file_per_process(scale: u32) {
             res.lock_stats.contended
         );
     }
-    println!("-> aligned exclusive offsets make the shared file conflict-free,");
-    println!("   so the layouts perform alike here; unaligned shared records");
-    println!("   (see the alignment ablation) are where the shared file loses.");
+    outln!("-> aligned exclusive offsets make the shared file conflict-free,");
+    outln!("   so the layouts perform alike here; unaligned shared records");
+    outln!("   (see the alignment ablation) are where the shared file loses.");
 }
 
 /// Which node service-discipline mix produces the harmonic modes?
 fn discipline_ablation(scale: u32) {
-    println!("\n== ablation: node service discipline (IOR, Figure 1c modes) ==");
-    println!(
+    outln!("\n== ablation: node service discipline (IOR, Figure 1c modes) ==");
+    outln!(
         "{:<28} {:>8} {:>8} {:>10} {:>26}",
-        "discipline weights [x,p,f]", "cv", "iqr(s)", "runtime(s)", "mode locations (s)"
+        "discipline weights [x,p,f]",
+        "cv",
+        "iqr(s)",
+        "runtime(s)",
+        "mode locations (s)"
     );
     let cfg = IorConfig {
         repetitions: 3,
@@ -96,7 +113,7 @@ fn discipline_ablation(scale: u32) {
         let d = EmpiricalDist::new(&drained);
         let modes = find_modes(&d, 512, 0.15);
         let locs: Vec<String> = modes.iter().map(|m| format!("{:.0}", m.location)).collect();
-        println!(
+        outln!(
             "{label:<28} {:>8.2} {:>8.1} {:>10.0} {:>26}",
             d.cv().unwrap_or(0.0),
             d.iqr(),
@@ -104,16 +121,19 @@ fn discipline_ablation(scale: u32) {
             locs.join(",")
         );
     }
-    println!("-> exclusive/paired service spreads completions over T/4..T (wide");
-    println!("   iqr, multiple modes); pure fair collapses them to one peak at T.");
+    outln!("-> exclusive/paired service spreads completions over T/4..T (wide");
+    outln!("   iqr, multiple modes); pure fair collapses them to one peak at T.");
 }
 
 /// Strided detection on/off × memory pressure: the MADbench bug matrix.
 fn readahead_ablation(scale: u32) {
-    println!("\n== ablation: read-ahead strided detection x memory pressure (MADbench) ==");
-    println!(
+    outln!("\n== ablation: read-ahead strided detection x memory pressure (MADbench) ==");
+    outln!(
         "{:<40} {:>10} {:>10} {:>12}",
-        "configuration", "runtime(s)", "degraded", "worst read(s)"
+        "configuration",
+        "runtime(s)",
+        "degraded",
+        "worst read(s)"
     );
     let cfg = MadbenchConfig::paper().scaled(scale);
     for (label, detect, cache_mult) in [
@@ -130,23 +150,26 @@ fn readahead_ablation(scale: u32) {
             .durations_of(CallKind::Read)
             .into_iter()
             .fold(0.0f64, f64::max);
-        println!(
+        outln!(
             "{label:<40} {:>10.0} {:>10} {:>12.1}",
             res.wall_secs(),
             res.stats.degraded_reads,
             worst
         );
     }
-    println!("-> the catastrophe needs BOTH the strided window bug AND");
-    println!("   memory pressure — exactly the paper's interaction.");
+    outln!("-> the catastrophe needs BOTH the strided window bug AND");
+    outln!("   memory pressure — exactly the paper's interaction.");
 }
 
 /// Alignment on/off at several stripe sizes: the lock-conflict cost.
 fn alignment_ablation(scale: u32) {
-    println!("\n== ablation: record alignment (GCRM, Figure 6 g-i) ==");
-    println!(
+    outln!("\n== ablation: record alignment (GCRM, Figure 6 g-i) ==");
+    outln!(
         "{:<34} {:>10} {:>11} {:>10}",
-        "configuration", "runtime(s)", "conflicts", "sync-wr"
+        "configuration",
+        "runtime(s)",
+        "conflicts",
+        "sync-wr"
     );
     for (label, stage) in [
         (
@@ -170,23 +193,25 @@ fn alignment_ablation(scale: u32) {
             &cfg.job(),
             RunConfig::new(FsConfig::franklin().scaled(scale), 11, "abl-align"),
         );
-        println!(
+        outln!(
             "{label:<34} {:>10.0} {:>11} {:>10}",
             res.wall_secs(),
             res.lock_stats.contended,
             res.stats.sync_writes
         );
     }
-    println!("-> alignment removes shared boundary stripes: no conflicts,");
-    println!("   no forced-synchronous writes, cached write-back returns.");
+    outln!("-> alignment removes shared boundary stripes: no conflicts,");
+    outln!("   no forced-synchronous writes, cached write-back returns.");
 }
 
 /// Aggregator-count sweep: how few writers saturate the I/O subsystem?
 fn aggregator_sweep(scale: u32) {
-    println!("\n== ablation: collective-buffering aggregator count (GCRM) ==");
-    println!(
+    outln!("\n== ablation: collective-buffering aggregator count (GCRM) ==");
+    outln!(
         "{:>12} {:>12} {:>14}",
-        "aggregators", "runtime(s)", "agg MB/s"
+        "aggregators",
+        "runtime(s)",
+        "agg MB/s"
     );
     let mut base = GcrmConfig::paper_baseline().scaled(scale);
     base.h5.meta_writes_per_rank = 0.0; // isolate the data path
@@ -203,20 +228,20 @@ fn aggregator_sweep(scale: u32) {
         };
         let res = run(&cfg.job(), RunConfig::new(platform.clone(), 13, "abl-agg"));
         let actual = cfg.aggregation().unwrap().aggregators;
-        println!(
+        outln!(
             "{:>12} {:>12.0} {:>14.0}",
             actual,
             res.wall_secs(),
             total_mb / res.wall_secs()
         );
     }
-    println!("-> the knee: a handful of writers already saturates the servers; the paper");
-    println!("   found 80 of 10,240 tasks enough on Franklin.");
+    outln!("-> the knee: a handful of writers already saturates the servers; the paper");
+    outln!("   found 80 of 10,240 tasks enough on Franklin.");
 }
 
 /// Trace mode vs online-profile mode: the future-work scalability claim.
 fn profile_vs_trace(scale: u32) {
-    println!("\n== ablation: full tracing vs online profiling (paper §VI) ==");
+    outln!("\n== ablation: full tracing vs online profiling (paper §VI) ==");
     let cfg = IorConfig {
         repetitions: 3,
         ..IorConfig::paper_fig1().scaled(scale)
@@ -230,21 +255,21 @@ fn profile_vs_trace(scale: u32) {
     let mut profile = OnlineProfile::default();
     profile.record_all(&res.trace().records);
     let profile_bytes = serde_json::to_vec(&profile).unwrap().len();
-    println!(
+    outln!(
         "full trace: {} records, {} KB serialized",
         res.trace().records.len(),
         buf.len() / 1024
     );
-    println!(
+    outln!(
         "online profile: fixed {} KB regardless of run length ({}x smaller)",
         profile_bytes / 1024,
         buf.len() / profile_bytes.max(1)
     );
     let d = EmpiricalDist::new(&res.trace().durations_of(CallKind::Write));
-    println!(
+    outln!(
         "write median: exact {:.2}s vs profile {:.2}s — the distribution,",
         d.median(),
         profile.quantile(CallKind::Write, 0.5).unwrap_or(0.0)
     );
-    println!("   which is all the ensemble method needs, survives the compression.");
+    outln!("   which is all the ensemble method needs, survives the compression.");
 }

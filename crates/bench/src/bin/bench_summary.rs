@@ -23,8 +23,17 @@
 //! so a single scheduler hiccup does not fail CI.
 
 use pio_bench::summary::{self, BenchSummary};
+use pio_bench::util::{print_stdout, reject_unknown_flags};
 
 fn main() {
+    reject_unknown_flags(&[
+        "--out PATH",
+        "--reps N",
+        "--only PREFIX",
+        "--baseline PATH",
+        "--gate METRIC",
+        "--tolerance PCT",
+    ]);
     let args: Vec<String> = std::env::args().collect();
     let mut out: Option<String> = None;
     let mut reps: Option<u32> = None;
@@ -67,9 +76,9 @@ fn main() {
     }
     let out = out.unwrap_or_else(|| "BENCH_summary.json".to_string());
 
-    println!("== bench_summary: fixed-scale hot-path scenarios ==");
+    print_stdout("== bench_summary: fixed-scale hot-path scenarios ==\n");
     let mut s = summary::run_filtered(reps, &only);
-    print!("{}", summary::render(&s));
+    print_stdout(&summary::render(&s));
 
     if let Some(path) = &baseline {
         let base: BenchSummary = match std::fs::read_to_string(path)
@@ -92,14 +101,14 @@ fn main() {
                 eprintln!("  {f}");
             }
             s = summary::run_filtered(reps, &only);
-            print!("{}", summary::render(&s));
+            print_stdout(&summary::render(&s));
             failures = summary::gate_regressions(&base, &s, &gates, tolerance);
         }
         if failures.is_empty() {
-            println!(
-                "gate ok: {} metric(s) within {tolerance}% of {path}",
+            print_stdout(&format!(
+                "gate ok: {} metric(s) within {tolerance}% of {path}\n",
                 gates.len()
-            );
+            ));
         } else {
             for f in &failures {
                 eprintln!("gate FAILED: {f}");
@@ -110,7 +119,7 @@ fn main() {
 
     let json = serde_json::to_string(&s).expect("serialize summary");
     std::fs::write(&out, &json).expect("write summary JSON");
-    println!("wrote {out}");
+    print_stdout(&format!("wrote {out}\n"));
 }
 
 /// A `--only` run measures a subset, so writing it to the default path

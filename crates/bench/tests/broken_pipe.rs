@@ -1,6 +1,7 @@
 //! A reader that closes the pipe early (`analyze t.jsonl | head -0`,
 //! `fig1_ior | head -1`) must not turn a correct run into a failure:
 //! the binaries stop printing, still write their files, and exit 0.
+//! Every `pio-bench` binary is covered.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitStatus, Stdio};
@@ -89,4 +90,48 @@ fn figure_binaries_exit_cleanly_on_a_closed_stdout_and_still_write_their_csvs() 
         assert_eq!(written, csvs, "{name}: CSV exports under PIO_RESULTS");
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+#[test]
+fn ablations_exits_cleanly_on_a_closed_stdout() {
+    let dir = temp_dir_for("ablations-epipe");
+    let status = run_with_closed_stdout(env!("CARGO_BIN_EXE_ablations"), &["--scale", "64"], &dir);
+    assert!(status.success(), "ablations exited with {status}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn bench_summary_exits_cleanly_on_a_closed_stdout_and_still_writes_out() {
+    let dir = temp_dir_for("bench-summary-epipe");
+    let out = dir.join("partial.json");
+    let status = run_with_closed_stdout(
+        env!("CARGO_BIN_EXE_bench_summary"),
+        &["--only", "des/", "--reps", "1", "--out", path_arg(&out)],
+        &dir,
+    );
+    assert!(status.success(), "bench_summary exited with {status}");
+    let json = std::fs::read_to_string(&out).expect("--out written");
+    assert!(
+        json.contains("des/event_queue_churn_100k"),
+        "unexpected --out: {json:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn trace_tools_exit_cleanly_on_a_closed_stdout() {
+    // Neither writes to stdout; a closed one must not matter.
+    let dir = temp_dir_for("trace-tools-epipe");
+    let trace = dir.join("t.jsonl");
+    let ptb2 = dir.join("t.ptb2");
+    let status = run_with_closed_stdout(env!("CARGO_BIN_EXE_mktrace"), &[path_arg(&trace)], &dir);
+    assert!(status.success(), "mktrace exited with {status}");
+    let status = run_with_closed_stdout(
+        env!("CARGO_BIN_EXE_trace_convert"),
+        &[path_arg(&trace), path_arg(&ptb2), "--verify"],
+        &dir,
+    );
+    assert!(status.success(), "trace_convert exited with {status}");
+    assert!(ptb2.exists(), "trace_convert wrote no output");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -21,3 +21,21 @@ fn retired_shards_flag_exits_2_and_names_the_flag() {
         assert!(out.stdout.is_empty(), "{bin} ran an experiment");
     }
 }
+
+#[test]
+fn flag_typos_in_ablations_and_bench_summary_exit_2_and_name_the_flag() {
+    for (bin, typo) in [
+        (env!("CARGO_BIN_EXE_ablations"), ["--scael", "4"]),
+        (env!("CARGO_BIN_EXE_bench_summary"), ["--rep", "5"]),
+    ] {
+        let out = Command::new(bin)
+            .args(typo)
+            .output()
+            .unwrap_or_else(|e| panic!("run {bin}: {e}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin}: {stderr}");
+        assert!(stderr.contains(typo[0]), "{bin}: {stderr}");
+        assert!(stderr.contains("usage:"), "{bin}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bin} ran");
+    }
+}

@@ -10,6 +10,8 @@
 
 use crate::NodeId;
 use pio_des::FxHashMap;
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// What a write into a stripe costs in lock terms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,14 +46,34 @@ pub struct LockStats {
     pub revoked: u64,
 }
 
+/// Locked stripes of one file: `start → (end, owner)` over disjoint
+/// half-open stripe ranges, adjacent ranges of one owner coalesced.
+type FileLocks = BTreeMap<u64, (u64, NodeId)>;
+
 /// Lock table for all shared files.
+///
+/// Ownership is kept per file as coalesced stripe intervals, not one
+/// entry per stripe: a writer's contiguous range is one interval however
+/// many stripes it spans, and a write costs a few ordered-map operations
+/// instead of one hash probe per stripe.
 #[derive(Debug, Default)]
 pub struct LockMap {
-    /// (file, stripe) → owning node.
-    owners: FxHashMap<(u32, u64), NodeId>,
+    files: FxHashMap<u32, FileLocks>,
     grants: u64,
     conflicts: u64,
     rmws: u64,
+}
+
+/// Split the interval straddling stripe `at` (if any) into two at `at`,
+/// so every interval either ends at or before `at` or starts at or
+/// after it.
+fn split_at(locks: &mut FileLocks, at: u64) {
+    if let Some((&start, &(end, owner))) = locks.range(..at).next_back() {
+        if end > at {
+            locks.insert(start, (at, owner));
+            locks.insert(at, (end, owner));
+        }
+    }
 }
 
 impl LockMap {
@@ -69,21 +91,92 @@ impl LockMap {
         node: NodeId,
         full_stripe: bool,
     ) -> LockOutcome {
-        match self.owners.insert((file, stripe), node) {
-            None => {
-                self.grants += 1;
-                LockOutcome::Granted
-            }
-            Some(owner) if owner == node => LockOutcome::Owned,
-            Some(_) => {
-                self.conflicts += 1;
-                let rmw = !full_stripe;
-                if rmw {
-                    self.rmws += 1;
-                }
-                LockOutcome::Conflict { rmw }
+        let mut outcome = LockOutcome::Owned;
+        let granted = self.write_range(
+            file,
+            stripe..stripe + 1,
+            node,
+            full_stripe,
+            full_stripe,
+            |_, rmw| outcome = LockOutcome::Conflict { rmw },
+        );
+        if granted > 0 {
+            LockOutcome::Granted
+        } else {
+            outcome
+        }
+    }
+
+    /// Record a write by `node` covering the contiguous `stripes` of
+    /// `file`, which `node` owns afterwards. Only the edge stripes of a
+    /// contiguous write can be partial: `first_full` and `last_full` say
+    /// whether the first and the last stripe are covered completely (a
+    /// one-stripe range is full only if both are set).
+    ///
+    /// Each stripe another node held is a conflict, passed to
+    /// `on_conflict(stripe, rmw)` in stripe order, with `rmw` set when
+    /// the stripe is partial. Returns the number of fresh grants (stripes
+    /// nobody held). The counters move exactly as one
+    /// [`LockMap::write_stripe`] call per stripe would move them.
+    pub fn write_range(
+        &mut self,
+        file: u32,
+        stripes: Range<u64>,
+        node: NodeId,
+        first_full: bool,
+        last_full: bool,
+        mut on_conflict: impl FnMut(u64, bool),
+    ) -> u64 {
+        let Range { start: lo, end: hi } = stripes;
+        if lo >= hi {
+            return 0;
+        }
+        let locks = self.files.entry(file).or_default();
+        // Common case: the node rewrites stripes it already owns.
+        if let Some((_, &(end, owner))) = locks.range(..=lo).next_back() {
+            if end >= hi && owner == node {
+                return 0;
             }
         }
+        split_at(locks, lo);
+        split_at(locks, hi);
+        let full = |s: u64| (s != lo || first_full) && (s != hi - 1 || last_full);
+        // Every interval starting in [lo, hi) now lies inside it: count
+        // the gaps between them as grants and foreign ones as conflicts,
+        // removing them as we go.
+        let mut granted = 0;
+        let mut at = lo;
+        while let Some((&start, &(end, owner))) = locks.range(lo..hi).next() {
+            granted += start - at;
+            if owner != node {
+                for s in start..end {
+                    let rmw = !full(s);
+                    self.conflicts += 1;
+                    self.rmws += u64::from(rmw);
+                    on_conflict(s, rmw);
+                }
+            }
+            locks.remove(&start);
+            at = end;
+        }
+        granted += hi - at;
+        self.grants += granted;
+        // Take ownership, merging with same-owner neighbours.
+        let mut start = lo;
+        let mut end = hi;
+        if let Some((&s, &(e, owner))) = locks.range(..lo).next_back() {
+            if e == lo && owner == node {
+                start = s;
+            }
+        }
+        if let Some(&(e, owner)) = locks.get(&hi) {
+            if owner == node {
+                locks.remove(&hi);
+                end = e;
+            }
+        }
+        locks.insert(start, (end, node));
+        granted
     }
 
     /// Snapshot of the aggregate counters.
@@ -112,12 +205,16 @@ impl LockMap {
 
     /// Drop all locks of a file (close/unlink).
     pub fn drop_file(&mut self, file: u32) {
-        self.owners.retain(|&(f, _), _| f != file);
+        self.files.remove(&file);
     }
 
     /// Stripes currently locked.
     pub fn held(&self) -> usize {
-        self.owners.len()
+        self.files
+            .values()
+            .flat_map(|locks| locks.iter())
+            .map(|(&start, &(end, _))| (end - start) as usize)
+            .sum()
     }
 }
 
@@ -216,5 +313,101 @@ mod tests {
             }
         }
         assert!(conflicts >= 7, "neighbour boundary stripes must conflict");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The per-stripe lock table the interval table replaced: one entry
+    /// per (file, stripe) ever written.
+    #[derive(Default)]
+    struct PerStripe {
+        owners: FxHashMap<(u32, u64), NodeId>,
+        grants: u64,
+        conflicts: u64,
+        rmws: u64,
+    }
+
+    impl PerStripe {
+        fn write_stripe(
+            &mut self,
+            file: u32,
+            stripe: u64,
+            node: NodeId,
+            full: bool,
+        ) -> LockOutcome {
+            match self.owners.insert((file, stripe), node) {
+                None => {
+                    self.grants += 1;
+                    LockOutcome::Granted
+                }
+                Some(owner) if owner == node => LockOutcome::Owned,
+                Some(_) => {
+                    self.conflicts += 1;
+                    let rmw = !full;
+                    if rmw {
+                        self.rmws += 1;
+                    }
+                    LockOutcome::Conflict { rmw }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random range writes (several files and nodes; overlapping,
+        /// adjacent and single-stripe ranges; full and partial edges)
+        /// mixed with `drop_file`: the interval table reports the same
+        /// conflicts, grants, counters and held stripes as one
+        /// per-stripe write per stripe.
+        #[test]
+        fn range_writes_match_per_stripe_table(
+            ops in proptest::collection::vec(
+                (0u32..12, 0u32..3, 0u64..40, 1u64..9, 0u32..4, 0u8..4),
+                1..60,
+            ),
+        ) {
+            let mut table = LockMap::new();
+            let mut oracle = PerStripe::default();
+            for (kind, file, first, n, node, edges) in ops {
+                if kind == 0 {
+                    table.drop_file(file);
+                    oracle.owners.retain(|&(f, _), _| f != file);
+                } else {
+                    let (first_full, last_full) = (edges & 1 == 0, edges & 2 == 0);
+                    let last = first + n - 1;
+                    let mut want = Vec::new();
+                    let mut want_grants = 0;
+                    for s in first..=last {
+                        let full = (s != first || first_full) && (s != last || last_full);
+                        match oracle.write_stripe(file, s, node, full) {
+                            LockOutcome::Conflict { rmw } => want.push((s, rmw)),
+                            LockOutcome::Granted => want_grants += 1,
+                            LockOutcome::Owned => {}
+                        }
+                    }
+                    let mut got = Vec::new();
+                    let grants = table.write_range(
+                        file,
+                        first..last + 1,
+                        node,
+                        first_full,
+                        last_full,
+                        |s, rmw| got.push((s, rmw)),
+                    );
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(grants, want_grants);
+                }
+                prop_assert_eq!(table.grants(), oracle.grants);
+                prop_assert_eq!(table.conflicts(), oracle.conflicts);
+                prop_assert_eq!(table.rmws(), oracle.rmws);
+                prop_assert_eq!(table.held(), oracle.owners.len());
+            }
+        }
     }
 }

@@ -26,15 +26,17 @@
 
 use crate::config::FsConfig;
 use crate::fault::FaultInjector;
-use crate::locks::{LockMap, LockOutcome, LockStats};
+use crate::locks::{LockMap, LockStats};
 use crate::node::Node;
 use crate::ost::Ost;
 use crate::readahead::{ReadMode, ReadaheadTracker};
 use crate::stripe::StripeLayout;
 use crate::{FileId, NodeId};
-use pio_des::{FxHashMap, FxHashSet, MultiServiceCenter, ServiceCenter, SimRng, SimSpan, SimTime};
+use pio_des::{FxHashSet, MultiServiceCenter, ServiceCenter, SimRng, SimSpan, SimTime};
 
-/// Identifier of an in-flight (or recently submitted) I/O.
+/// Identifier of an in-flight I/O: its slot in the simulator's I/O
+/// table. A slot is reused once its I/O has completed, so an id is only
+/// meaningful until the I/O's completion is delivered.
 pub type IoId = u64;
 
 /// What kind of call an I/O request is.
@@ -128,16 +130,41 @@ pub struct FsStats {
     pub flushes: u64,
 }
 
+/// The extras of one RPC beyond its geometry. RPC `i` of an I/O moves
+/// extent `i` of the I/O's range ([`StripeLayout::extent`]), so only
+/// these are stored, and only for an I/O that has one.
 #[derive(Debug, Clone, Copy)]
 struct Rpc {
-    offset: u64,
-    len: u32,
     /// Extra OST service (RMW, RAID partial-stripe penalty).
     ost_extra: SimSpan,
     /// Client-local extra latency (degraded page fetches).
     local_extra: SimSpan,
     /// Lock revocation required before this RPC (serialized via DLM).
     revoke: bool,
+}
+
+impl Rpc {
+    /// An RPC with no extras.
+    const PLAIN: Rpc = Rpc {
+        ost_extra: SimSpan::ZERO,
+        local_extra: SimSpan::ZERO,
+        revoke: false,
+    };
+}
+
+/// Plan entry of RPC `i` of an `n`-RPC I/O. The first call materializes
+/// the plan as `n` plain RPCs in a buffer recycled from `pool`.
+fn plan_entry<'a>(
+    pool: &mut Vec<Vec<Rpc>>,
+    plan: &'a mut Vec<Rpc>,
+    n: usize,
+    i: usize,
+) -> &'a mut Rpc {
+    if plan.is_empty() {
+        *plan = pool.pop().unwrap_or_default();
+        plan.resize(n, Rpc::PLAIN);
+    }
+    &mut plan[i]
 }
 
 #[derive(Debug)]
@@ -149,6 +176,10 @@ struct IoState {
     kind: IoKind,
     offset: u64,
     len: u64,
+    /// RPCs of a data I/O (one per stripe touched), set at grant.
+    n_rpcs: u32,
+    /// Per-RPC extras, indexed like the RPCs; empty while every RPC is
+    /// plain.
     rpcs: Vec<Rpc>,
     next_rpc: u32,
     inflight: u32,
@@ -198,8 +229,10 @@ pub struct FsSim {
     files: Vec<FileMeta>,
     readahead: ReadaheadTracker,
     locks: LockMap,
-    ios: FxHashMap<IoId, IoState>,
-    next_io: IoId,
+    /// I/O table: slot `io` holds I/O `io` while it is in flight.
+    ios: Vec<Option<IoState>>,
+    /// Empty slots of `ios`, reused before the table grows.
+    free_ios: Vec<IoId>,
     rng: SimRng,
     stats: FsStats,
     /// Per-node outstanding write RPCs (for flush quiescence).
@@ -220,10 +253,9 @@ pub struct FsSim {
     /// time-windowed plan costs one integer compare per touch point.
     fault_expiry: u64,
     /// Recycled RPC-plan buffers: retired I/Os return their `rpcs` Vec
-    /// here and `grant` reuses them, so steady state allocates no plans.
+    /// here and [`plan_entry`] reuses them, so steady state allocates no
+    /// plans.
     rpc_pool: Vec<Vec<Rpc>>,
-    /// Scratch buffer for stripe decomposition during `grant`.
-    extent_scratch: Vec<crate::stripe::Extent>,
 }
 
 /// Where a run's time went: per-resource busy time and contention
@@ -339,8 +371,8 @@ impl FsSim {
             files: Vec::new(),
             readahead: ReadaheadTracker::new(),
             locks: LockMap::new(),
-            ios: FxHashMap::default(),
-            next_io: 1,
+            ios: Vec::new(),
+            free_ios: Vec::new(),
             rng: SimRng::stream(seed, 0xF5),
             stats: FsStats::default(),
             node_wr_outstanding: vec![0; n_nodes as usize],
@@ -349,7 +381,6 @@ impl FsSim {
             fault: None,
             fault_expiry: u64::MAX,
             rpc_pool: Vec::new(),
-            extent_scratch: Vec::new(),
             cfg,
         }
     }
@@ -438,8 +469,6 @@ impl FsSim {
     /// Submit an I/O request at `now`. Completion is notified via
     /// [`FsNotify::Done`] in `out` (possibly after events run).
     pub fn submit(&mut self, now: SimTime, req: IoReq, out: &mut FsOut) -> IoId {
-        let io = self.next_io;
-        self.next_io += 1;
         debug_assert!((req.node as usize) < self.nodes.len(), "unknown node");
         debug_assert!(
             (req.file as usize) < self.files.len()
@@ -463,8 +492,9 @@ impl FsSim {
                     }
                 }
                 let done = self.mds.submit(now, demand);
-                self.ios.insert(io, self.meta_state(io, &req, now));
+                let io = self.insert_io(Self::meta_state(&req));
                 out.sched.push((done, FsEvent::MetaDone { io }));
+                io
             }
             IoKind::MetaWrite => {
                 self.stats.meta_ops += 1;
@@ -492,18 +522,20 @@ impl FsSim {
                     &self.cfg,
                     &mut self.rng,
                 );
-                self.ios.insert(io, self.meta_state(io, &req, now));
+                let io = self.insert_io(Self::meta_state(&req));
                 out.sched.push((done, FsEvent::MetaDone { io }));
+                io
             }
             IoKind::Flush => {
                 self.stats.flushes += 1;
                 let n = req.node as usize;
-                self.ios.insert(io, self.meta_state(io, &req, now));
+                let io = self.insert_io(Self::meta_state(&req));
                 if self.node_quiescent(req.node) {
                     out.sched.push((now, FsEvent::MetaDone { io }));
                 } else {
                     self.node_flush_waiters[n].push(io);
                 }
+                io
             }
             IoKind::Read | IoKind::Write => {
                 assert!(req.len > 0, "zero-length data I/O");
@@ -538,6 +570,7 @@ impl FsSim {
                     kind: req.kind,
                     offset: req.offset,
                     len: req.len,
+                    n_rpcs: 0,
                     rpcs: Vec::new(),
                     next_rpc: 0,
                     inflight: 0,
@@ -555,14 +588,14 @@ impl FsSim {
                     strided_severity: 0,
                     pressure_at_submit,
                 };
-                self.ios.insert(io, st);
+                let io = self.insert_io(st);
                 let granted = self.nodes[req.node as usize].acquire(io);
                 if granted {
                     self.grant(now, io, out);
                 }
+                io
             }
         }
-        io
     }
 
     /// Handle one of this model's events.
@@ -574,9 +607,9 @@ impl FsSim {
             }
             FsEvent::Accepted { io } => {
                 let (rank, node, all_done) = {
-                    let st = self.ios.get_mut(&io).expect("accepted io state");
+                    let st = self.state_mut(io);
                     st.returned = true;
-                    (st.rank, st.node, st.done_rpcs as usize == st.rpcs.len())
+                    (st.rank, st.node, st.done_rpcs == st.n_rpcs)
                 };
                 out.notify.push(FsNotify::Done { io, rank });
                 self.release_token(now, node, out);
@@ -590,17 +623,42 @@ impl FsSim {
 
     // ---- internal machinery -------------------------------------------
 
-    /// Remove a finished I/O, recycling its RPC-plan buffer for reuse by
-    /// a later `grant`.
+    /// Put a new I/O into a free slot of the table; the slot is its id.
+    fn insert_io(&mut self, st: IoState) -> IoId {
+        match self.free_ios.pop() {
+            Some(io) => {
+                self.ios[io as usize] = Some(st);
+                io
+            }
+            None => {
+                self.ios.push(Some(st));
+                (self.ios.len() - 1) as IoId
+            }
+        }
+    }
+
+    fn state(&self, io: IoId) -> &IoState {
+        self.ios[io as usize].as_ref().expect("live io state")
+    }
+
+    fn state_mut(&mut self, io: IoId) -> &mut IoState {
+        self.ios[io as usize].as_mut().expect("live io state")
+    }
+
+    /// Remove a finished I/O, freeing its slot and recycling its
+    /// RPC-plan buffer (if it had one) for a later plan.
     fn retire(&mut self, io: IoId) -> IoState {
-        let mut st = self.ios.remove(&io).expect("retire io state");
-        let mut rpcs = std::mem::take(&mut st.rpcs);
-        rpcs.clear();
-        self.rpc_pool.push(rpcs);
+        let mut st = self.ios[io as usize].take().expect("retire io state");
+        self.free_ios.push(io);
+        if st.rpcs.capacity() > 0 {
+            let mut rpcs = std::mem::take(&mut st.rpcs);
+            rpcs.clear();
+            self.rpc_pool.push(rpcs);
+        }
         st
     }
 
-    fn meta_state(&self, _io: IoId, req: &IoReq, _now: SimTime) -> IoState {
+    fn meta_state(req: &IoReq) -> IoState {
         IoState {
             rank: req.rank,
             node: req.node,
@@ -609,6 +667,7 @@ impl FsSim {
             kind: req.kind,
             offset: req.offset,
             len: req.len,
+            n_rpcs: 0,
             rpcs: Vec::new(),
             next_rpc: 0,
             inflight: 0,
@@ -635,11 +694,11 @@ impl FsSim {
             && self.nodes[n].blocked.is_empty()
     }
 
-    /// Token granted: build the RPC plan and start the pipeline.
+    /// Token granted: take the write's extent locks, price the RPCs that
+    /// carry extras, and start the pipeline.
     fn grant(&mut self, now: SimTime, io: IoId, out: &mut FsOut) {
-        // Build the plan first (immutable config reads + rng).
         let (kind, node_id, file, offset, len, read_mode, pressure) = {
-            let st = self.ios.get(&io).expect("grant io state");
+            let st = self.state(io);
             (
                 st.kind,
                 st.node,
@@ -654,90 +713,75 @@ impl FsSim {
         let shared = self.files[file as usize].shared;
         let window_default = self.nodes[node_id as usize].io_window(self.cfg.node_window);
 
-        let mut rpcs = self.rpc_pool.pop().unwrap_or_default();
-        debug_assert!(rpcs.is_empty());
+        // One RPC per stripe touched; RPC `i` moves extent `i`.
+        let n = layout.stripes_touched(offset, len) as usize;
+        let mut plan = Vec::new();
         let mut sync = false;
-        let degraded = false;
-        // Decompose into a recycled scratch buffer (taken out of `self`
-        // so the loop below can still borrow the lock table and RNG).
-        let mut extents = std::mem::take(&mut self.extent_scratch);
-        layout.extents_into(offset, len, &mut extents);
         match kind {
             IoKind::Write => {
+                // Only the edge extents of a contiguous range can be
+                // partial.
+                let first = layout.extent(offset, len, 0);
+                let last = layout.extent(offset, len, n as u64 - 1);
+                let first_full = first.is_full_stripe(self.cfg.stripe_bytes);
+                let last_full = last.is_full_stripe(self.cfg.stripe_bytes);
                 // A small shared-file write dominated by partial stripes
                 // cannot be buffered: the client must perform the
                 // lock-covered read-modify-write edges synchronously. Large
                 // writes amortize their two edges and stay cached.
-                let partials = extents
-                    .iter()
-                    .filter(|e| !e.is_full_stripe(self.cfg.stripe_bytes))
-                    .count();
-                if shared && partials * 4 > extents.len() {
+                let partials = usize::from(!first_full) + usize::from(n > 1 && !last_full);
+                if shared && partials * 4 > n {
                     sync = true;
                 }
-                for &ex in &extents {
-                    let full = ex.is_full_stripe(self.cfg.stripe_bytes);
-                    let mut ost_extra = SimSpan::ZERO;
-                    let mut revoke = false;
+                // Sub-stripe write: RAID read-modify-write penalty, drawn
+                // in extent order.
+                for (i, full) in [(0, first_full), (n - 1, last_full)].into_iter().take(n) {
                     if !full {
-                        // Sub-stripe write: RAID read-modify-write penalty.
-                        ost_extra += SimSpan::from_secs_f64(
-                            self.rng.lognormal(self.cfg.raid_partial_median, 0.3),
-                        );
+                        let penalty = self.rng.lognormal(self.cfg.raid_partial_median, 0.3);
+                        plan_entry(&mut self.rpc_pool, &mut plan, n, i).ost_extra +=
+                            SimSpan::from_secs_f64(penalty);
                     }
-                    if shared {
-                        match self.locks.write_stripe(file, ex.stripe, node_id, full) {
-                            LockOutcome::Conflict { rmw } => {
-                                revoke = true;
-                                sync = true;
-                                if rmw {
-                                    // Read the stripe back before writing.
-                                    ost_extra +=
-                                        SimSpan::for_bytes(self.cfg.stripe_bytes, self.cfg.ost_bw);
-                                }
+                }
+                if shared {
+                    let readback = SimSpan::for_bytes(self.cfg.stripe_bytes, self.cfg.ost_bw);
+                    let stripes = first.stripe..first.stripe + n as u64;
+                    self.locks.write_range(
+                        file,
+                        stripes,
+                        node_id,
+                        first_full,
+                        last_full,
+                        |stripe, rmw| {
+                            let i = (stripe - first.stripe) as usize;
+                            let rpc = plan_entry(&mut self.rpc_pool, &mut plan, n, i);
+                            rpc.revoke = true;
+                            sync = true;
+                            if rmw {
+                                // Read the stripe back before writing.
+                                rpc.ost_extra += readback;
                             }
-                            LockOutcome::Granted | LockOutcome::Owned => {}
-                        }
-                    }
-                    rpcs.push(Rpc {
-                        offset: ex.offset,
-                        len: ex.len as u32,
-                        ost_extra,
-                        local_extra: SimSpan::ZERO,
-                        revoke,
-                    });
+                        },
+                    );
                 }
                 self.stats.bytes_written += len;
                 if sync {
                     self.stats.sync_writes += 1;
                 }
             }
-            IoKind::Read => {
-                for &ex in &extents {
-                    rpcs.push(Rpc {
-                        offset: ex.offset,
-                        len: ex.len as u32,
-                        ost_extra: SimSpan::ZERO,
-                        local_extra: SimSpan::ZERO,
-                        revoke: false,
-                    });
-                }
-                self.stats.bytes_read += len;
-            }
+            IoKind::Read => self.stats.bytes_read += len,
             _ => unreachable!("grant is only for data I/O"),
         }
-        self.extent_scratch = extents;
 
         let severity = match read_mode {
             ReadMode::Strided { severity } if kind == IoKind::Read => severity,
             _ => 0,
         };
         {
-            let st = self.ios.get_mut(&io).expect("grant io state");
+            let st = self.state_mut(io);
             st.granted_at = now;
-            st.rpcs = rpcs;
+            st.n_rpcs = n as u32;
+            st.rpcs = plan;
             st.sync = sync;
-            st.degraded = degraded;
             st.strided_severity = severity;
             st.window = window_default;
         }
@@ -746,10 +790,7 @@ impl FsSim {
         // otherwise it may still degrade mid-flight (see `pump`) once
         // interleaved writes fill the cache.
         if severity > 0 {
-            let sticky = {
-                let st = self.ios.get(&io).expect("grant io state");
-                self.degraded_streams.contains(&st.stream)
-            };
+            let sticky = self.degraded_streams.contains(&self.state(io).stream);
             if pressure || sticky {
                 self.degrade_read(io);
             }
@@ -759,28 +800,23 @@ impl FsSim {
             if sync {
                 // Synchronous path: no cache acceptance; completion at the
                 // last RPC.
-                let st = self.ios.get_mut(&io).expect("io state");
+                let st = self.state_mut(io);
                 st.accepted = st.len;
             } else {
                 let cache = self.cfg.cache_bytes;
                 let free = self.nodes[node_id as usize].free_cache(cache);
-                let (accepted_all, len_taken) = {
-                    let st = self.ios.get_mut(&io).expect("io state");
-                    let take = free.min(st.len);
-                    st.accepted = take;
-                    (take == st.len, take)
-                };
-                self.nodes[node_id as usize].add_dirty(now, len_taken);
+                let take = free.min(len);
+                self.state_mut(io).accepted = take;
+                self.nodes[node_id as usize].add_dirty(now, take);
                 // Reserve the node's shared ingest engine for the memcpy
                 // regardless of cache state; the call cannot return before
                 // the copy-in finishes.
-                let ingest_done = self.nodes[node_id as usize].ingest.submit(
-                    now,
-                    SimSpan::for_bytes(self.ios[&io].len, self.cfg.ingest_bw),
-                );
-                self.ios.get_mut(&io).expect("io state").ingest_done = ingest_done;
-                if accepted_all {
-                    let st = &self.ios[&io];
+                let ingest_done = self.nodes[node_id as usize]
+                    .ingest
+                    .submit(now, SimSpan::for_bytes(len, self.cfg.ingest_bw));
+                let st = self.state_mut(io);
+                st.ingest_done = ingest_done;
+                if take == len {
                     let ret = stretch_accept(st.granted_at, ingest_done.max(now), st.stretch);
                     out.sched.push((ret, FsEvent::Accepted { io }));
                 } else {
@@ -796,7 +832,7 @@ impl FsSim {
     /// RPCs whose per-page cost scales with the window severity.
     fn degrade_read(&mut self, io: IoId) {
         let severity = {
-            let st = self.ios.get(&io).expect("degrade io state");
+            let st = self.state(io);
             if st.degraded || st.strided_severity == 0 {
                 return;
             }
@@ -807,13 +843,18 @@ impl FsSim {
             self.cfg.readahead.page_cost_sigma,
         );
         let page_bytes = self.cfg.readahead.page_bytes;
-        let st = self.ios.get_mut(&io).expect("degrade io state");
+        let st = self.ios[io as usize].as_mut().expect("degrade io state");
         st.degraded = true;
         st.window = 1;
-        let from = st.next_rpc as usize;
-        for rpc in &mut st.rpcs[from..] {
-            let pages = (rpc.len as u64).div_ceil(page_bytes);
-            rpc.local_extra = SimSpan::from_secs_f64(pages as f64 * page_cost);
+        let layout = self.files[st.file as usize].layout;
+        let n = st.n_rpcs as usize;
+        for i in st.next_rpc as usize..n {
+            let pages = layout
+                .extent(st.offset, st.len, i as u64)
+                .len
+                .div_ceil(page_bytes);
+            plan_entry(&mut self.rpc_pool, &mut st.rpcs, n, i).local_extra =
+                SimSpan::from_secs_f64(pages as f64 * page_cost);
         }
         self.degraded_streams.insert(st.stream);
         self.stats.degraded_reads += 1;
@@ -825,7 +866,7 @@ impl FsSim {
         // Mid-flight degradation: a strided read whose node has since come
         // under memory pressure collapses to page-sized fetches for its
         // remaining extent.
-        if let Some(st) = self.ios.get(&io) {
+        if let Some(st) = &self.ios[io as usize] {
             if st.kind == IoKind::Read && !st.degraded && st.strided_severity > 0 {
                 let node = st.node as usize;
                 if self.nodes[node].under_pressure(
@@ -837,10 +878,9 @@ impl FsSim {
                 }
             }
         }
-        // Split the borrow so each iteration pays a single map lookup:
-        // the I/O state stays mutably borrowed from `ios` while the
-        // service centers, RNG and counters are reached through their own
-        // disjoint fields.
+        // Split the borrow: the I/O state stays mutably borrowed from
+        // `ios` while the service centers, RNG and counters are reached
+        // through their own disjoint fields.
         let FsSim {
             ios,
             nodes,
@@ -857,28 +897,25 @@ impl FsSim {
             ..
         } = self;
         let fault_expiry = *fault_expiry;
-        loop {
-            let Some(st) = ios.get_mut(&io) else { return };
-            if st.inflight >= st.window || (st.next_rpc as usize) >= st.rpcs.len() {
-                return;
-            }
-            let idx = st.next_rpc as usize;
-            let rpc = st.rpcs[idx];
+        let Some(st) = ios[io as usize].as_mut() else {
+            return;
+        };
+        let layout = files[st.file as usize].layout;
+        let (node_id, stream, noise, is_write) =
+            (st.node, st.stream, st.noise, st.kind == IoKind::Write);
+        while st.inflight < st.window && st.next_rpc < st.n_rpcs {
+            let idx = st.next_rpc;
+            let ex = layout.extent(st.offset, st.len, u64::from(idx));
             // Buffered writes send only accepted bytes.
-            if st.kind == IoKind::Write
-                && !st.sync
-                && rpc.offset + rpc.len as u64 > st.offset + st.accepted
-            {
+            if is_write && !st.sync && ex.offset + ex.len > st.offset + st.accepted {
                 return;
             }
-            let (node_id, stream, noise, is_write) =
-                (st.node, st.stream, st.noise, st.kind == IoKind::Write);
-            let layout = files[st.file as usize].layout;
+            let rpc = st.rpcs.get(idx as usize).copied().unwrap_or(Rpc::PLAIN);
             st.next_rpc += 1;
             st.inflight += 1;
 
-            let bytes = rpc.len as u64;
-            let ost = layout.ost_of_stripe(layout.stripe_of(rpc.offset));
+            let bytes = ex.len;
+            let ost = ex.ost;
             // Fault hooks (inert when no injector is installed): extra
             // per-stage demand plus a client-side drop/retry delay before
             // the RPC is (re)transmitted.
@@ -923,34 +960,25 @@ impl FsSim {
             if is_write {
                 node_wr_outstanding[node_id as usize] += 1;
             }
-            out.sched.push((
-                done,
-                FsEvent::RpcDone {
-                    io,
-                    idx: idx as u32,
-                },
-            ));
+            out.sched.push((done, FsEvent::RpcDone { io, idx }));
         }
     }
 
     fn rpc_done(&mut self, now: SimTime, io: IoId, idx: u32, out: &mut FsOut) {
-        let (kind, node_id, rpc_len, sync, returned) = {
-            let st = self.ios.get_mut(&io).expect("rpc io state");
+        let (kind, node_id, sync, returned) = {
+            let st = self.state_mut(io);
             st.inflight -= 1;
             st.done_rpcs += 1;
-            (
-                st.kind,
-                st.node,
-                st.rpcs[idx as usize].len as u64,
-                st.sync,
-                st.returned,
-            )
+            (st.kind, st.node, st.sync, st.returned)
         };
 
         if kind == IoKind::Write {
             let n = node_id as usize;
             self.node_wr_outstanding[n] -= 1;
             if !sync {
+                let st = self.state(io);
+                let layout = self.files[st.file as usize].layout;
+                let rpc_len = layout.extent(st.offset, st.len, u64::from(idx)).len;
                 self.nodes[n].drain_dirty(now, rpc_len);
                 self.wake_blocked(now, node_id, out);
             }
@@ -960,11 +988,8 @@ impl FsSim {
         self.pump(now, io, out);
 
         let (all_done, rank) = {
-            let st = self.ios.get(&io).expect("rpc io state");
-            (
-                st.done_rpcs as usize == st.rpcs.len() && st.inflight == 0,
-                st.rank,
-            )
+            let st = self.state(io);
+            (st.done_rpcs == st.n_rpcs && st.inflight == 0, st.rank)
         };
         if all_done {
             match kind {
@@ -1012,7 +1037,7 @@ impl FsSim {
                 return;
             };
             let (take, fully, ret) = {
-                let st = self.ios.get_mut(&front).expect("blocked io state");
+                let st = self.state_mut(front);
                 let take = free.min(st.len - st.accepted);
                 st.accepted += take;
                 let ret = stretch_accept(st.granted_at, st.ingest_done.max(now), st.stretch);

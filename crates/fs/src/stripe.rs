@@ -72,15 +72,6 @@ impl StripeLayout {
     /// in file order. Empty ranges yield no extents.
     pub fn extents(&self, offset: u64, len: u64) -> Vec<Extent> {
         let mut out = Vec::new();
-        self.extents_into(offset, len, &mut out);
-        out
-    }
-
-    /// Like [`StripeLayout::extents`], but clears and fills a
-    /// caller-provided buffer — the hot path reuses one buffer per
-    /// simulator so steady-state grants allocate nothing.
-    pub fn extents_into(&self, offset: u64, len: u64, out: &mut Vec<Extent>) {
-        out.clear();
         let mut at = offset;
         let end = offset + len;
         while at < end {
@@ -94,6 +85,25 @@ impl StripeLayout {
                 len: piece,
             });
             at += piece;
+        }
+        out
+    }
+
+    /// Extent `i` of `[offset, offset+len)`, i.e. `extents(offset,
+    /// len)[i]`, computed without building the list: the simulator
+    /// derives RPC `i` of an I/O this way, so an I/O stores no
+    /// per-stripe plan. `i` must be below
+    /// [`StripeLayout::stripes_touched`].
+    pub fn extent(&self, offset: u64, len: u64, i: u64) -> Extent {
+        debug_assert!(i < self.stripes_touched(offset, len));
+        let stripe = offset / self.stripe_bytes + i;
+        let from = offset.max(stripe * self.stripe_bytes);
+        let to = (offset + len).min((stripe + 1) * self.stripe_bytes);
+        Extent {
+            stripe,
+            ost: self.ost_of_stripe(stripe),
+            offset: from,
+            len: to - from,
         }
     }
 
@@ -217,6 +227,28 @@ mod proptests {
             }
             prop_assert_eq!(at, offset + len);
             prop_assert_eq!(ex.len() as u64, l.stripes_touched(offset, len));
+        }
+
+        /// Every extent computed by index equals the decomposition's: same
+        /// stripe, offset, length, OST and full-stripe flag.
+        #[test]
+        fn extent_by_index_matches_extents(
+            stripe_bytes in 1u64..5_000_000,
+            n_osts in 1usize..16,
+            ost_off in 0usize..16,
+            offset in 0u64..100_000_000,
+            (whole, rest) in (0u64..40, 0u64..5_000_000),
+        ) {
+            // Any length up to ~40 stripes, so tiny stripes stay cheap.
+            let len = (whole * stripe_bytes + rest % stripe_bytes).max(1);
+            let l = StripeLayout::new(stripe_bytes, n_osts, ost_off);
+            let ex = l.extents(offset, len);
+            prop_assert_eq!(ex.len() as u64, l.stripes_touched(offset, len));
+            for (i, e) in ex.iter().enumerate() {
+                let got = l.extent(offset, len, i as u64);
+                prop_assert_eq!(got, *e);
+                prop_assert_eq!(got.is_full_stripe(stripe_bytes), e.is_full_stripe(stripe_bytes));
+            }
         }
 
         /// Aligning an offset never decreases it and lands on a boundary.

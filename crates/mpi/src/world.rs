@@ -214,15 +214,23 @@ impl<'s> MpiWorld<'s> {
         }
     }
 
-    fn drain_fsout(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
-        let sched_items: Vec<_> = self.fsout.sched.drain(..).collect();
-        let notify_items: Vec<_> = self.fsout.notify.drain(..).collect();
-        for (t, e) in sched_items {
+    /// Deliver the file system's output: schedule its events, then
+    /// complete the returned calls `fsout.notify[from..]` in order.
+    ///
+    /// A completion may submit the rank's next call, whose output is
+    /// drained by a nested call before this one moves on. The nested
+    /// call's notifications land behind the ones being walked here, so
+    /// it starts at the current length and truncates back to it when
+    /// done. One pair of buffers serves every depth without allocating.
+    fn drain_fsout(&mut self, from: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
+        for (t, e) in self.fsout.sched.drain(..) {
             sched.at(t, Ev::Fs(e));
         }
-        for FsNotify::Done { io: _, rank } in notify_items {
+        for i in from..self.fsout.notify.len() {
+            let FsNotify::Done { io: _, rank } = self.fsout.notify[i];
             self.complete_io(now, rank, sched);
         }
+        self.fsout.notify.truncate(from);
     }
 
     /// The rank's pending fs-bound call returned: record it and advance.
@@ -294,8 +302,9 @@ impl<'s> MpiWorld<'s> {
             bytes: len,
             open_file,
         });
+        let from = self.fsout.notify.len();
         self.fs.submit(now, req, &mut self.fsout);
-        self.drain_fsout(now, sched);
+        self.drain_fsout(from, now, sched);
     }
 
     /// Execute ops for `rank` starting at its pc until one blocks.
@@ -600,7 +609,7 @@ impl World for MpiWorld<'_> {
             }
             Ev::Fs(fse) => {
                 self.fs.handle(now, fse, &mut self.fsout);
-                self.drain_fsout(now, sched);
+                self.drain_fsout(0, now, sched);
             }
         }
     }
