@@ -31,6 +31,7 @@ use crate::diagnosis::Thresholds;
 use pio_des::hist::{BinTable, LogBins, LogHistogram};
 use pio_des::FxHashMap;
 use pio_trace::{CallKind, Record};
+use std::sync::OnceLock;
 
 /// Duration geometry shared by every tail profile: 1 µs to 1000 s.
 pub const TAIL_HIST_LO: f64 = 1e-6;
@@ -107,11 +108,13 @@ impl std::fmt::Display for FaultClass {
 /// The process-wide [`BinTable`] for the shared tail-profile geometry
 /// (`TAIL_HIST_LO..TAIL_HIST_HI` × `TAIL_HIST_BINS`) — every profile
 /// uses the same constants, so batch ingest paths classify against one
-/// table instead of calling `ln` per record. It is
-/// [`BinTable::shared`] of that geometry: look it up once per
-/// accumulator, not per block, since the memo takes a lock.
+/// table instead of calling `ln` per record, and the profile detectors
+/// read bin centers from it instead of calling `powf` per bin. It is
+/// [`BinTable::shared`] of that geometry, remembered after the first
+/// call so later lookups take no lock.
 pub fn tail_bin_table() -> &'static BinTable {
-    BinTable::shared(LogBins::new(TAIL_HIST_LO, TAIL_HIST_HI, TAIL_HIST_BINS))
+    static TABLE: OnceLock<&'static BinTable> = OnceLock::new();
+    TABLE.get_or_init(|| BinTable::shared(LogBins::new(TAIL_HIST_LO, TAIL_HIST_HI, TAIL_HIST_BINS)))
 }
 
 /// Per-rank slice of a [`TailProfile`].
@@ -364,14 +367,15 @@ impl TailProfile {
         if ranks_observed < 8 {
             return None;
         }
+        let centers = tail_bin_table().centers();
         // (rank, tail mass, total secs, total ops, tail events)
         let mut rows: Vec<(u32, f64, f64, u64, u64)> = self
             .rank_cells()
             .map(|(rank, cell)| {
                 let (mut mass, mut events) = (0.0, 0u64);
-                for (i, &c) in cell.counts.iter().enumerate() {
-                    if c > 0 && self.geom.center(i) > cut {
-                        mass += c as f64 * self.geom.center(i);
+                for (&c, &center) in cell.counts.iter().zip(centers) {
+                    if c > 0 && center > cut {
+                        mass += c as f64 * center;
                         events += c;
                     }
                 }
@@ -439,6 +443,7 @@ impl TailProfile {
     /// events on one residue) carries no differential signal and is
     /// skipped.
     pub fn target_correlated(&self, cut: f64, th: &Thresholds) -> Option<TargetTail> {
+        let centers = tail_bin_table().centers();
         for (mi, &m) in MODULI.iter().enumerate() {
             let mut tails = vec![0.0f64; m];
             let mut bulks = vec![0.0f64; m];
@@ -446,11 +451,10 @@ impl TailProfile {
             let mut ev = vec![0u64; m];
             for res in 0..m {
                 let counts = self.residue_row(mi, res);
-                for (i, &c) in counts.iter().enumerate() {
+                for (&c, &center) in counts.iter().zip(centers) {
                     if c == 0 {
                         continue;
                     }
-                    let center = self.geom.center(i);
                     let mass = c as f64 * center;
                     ev[res] += c;
                     if center > cut {
@@ -515,12 +519,17 @@ fn cv(xs: &[f64]) -> Option<f64> {
 /// fault puts the tail at discrete base + k·timeout levels, which show as
 /// two or more *narrow* occupied islands beyond the cut, separated by
 /// empty territory. One island (a uniform slowdown) or a broad smear
-/// (a continuum) both return `None`.
+/// (a continuum) both return `None`. Bin centers come from the
+/// geometry's [`BinTable::shared`] table, so `hist` must use a
+/// configured geometry, not one derived from data.
 pub fn quantized_tail_levels(hist: &LogHistogram, cut: f64, min_events: usize) -> Option<usize> {
     let counts = hist.counts();
-    let tail_total: u64 = (0..hist.bins())
-        .filter(|&i| hist.bin_center(i) > cut)
-        .map(|i| counts[i])
+    let centers = BinTable::shared(hist.geometry()).centers();
+    let tail_total: u64 = counts
+        .iter()
+        .zip(centers)
+        .filter(|&(_, &center)| center > cut)
+        .map(|(&c, _)| c)
         .sum();
     if (tail_total as usize) < min_events {
         return None;
@@ -529,8 +538,8 @@ pub fn quantized_tail_levels(hist: &LogHistogram, cut: f64, min_events: usize) -
     let sig = (tail_total / 64).max(2);
     let mut islands: Vec<usize> = Vec::new(); // island widths, in bins
     let mut run = 0usize;
-    for (i, &count) in counts.iter().enumerate().take(hist.bins()) {
-        let significant = hist.bin_center(i) > cut && count >= sig;
+    for (&count, &center) in counts.iter().zip(centers) {
+        let significant = center > cut && count >= sig;
         if significant {
             run += 1;
         } else if run > 0 {
@@ -947,13 +956,13 @@ impl WindowedProfile {
 
 /// Tail event count and duration mass beyond `cut` in a fine histogram.
 fn hist_tail(hist: &LogHistogram, cut: f64) -> (u64, f64) {
-    let counts = hist.counts();
+    let centers = BinTable::shared(hist.geometry()).centers();
     let mut events = 0u64;
     let mut mass = 0.0;
-    for (i, &c) in counts.iter().enumerate() {
-        if c > 0 && hist.bin_center(i) > cut {
+    for (&c, &center) in hist.counts().iter().zip(centers) {
+        if c > 0 && center > cut {
             events += c;
-            mass += c as f64 * hist.bin_center(i);
+            mass += c as f64 * center;
         }
     }
     (events, mass)

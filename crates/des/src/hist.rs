@@ -130,6 +130,9 @@ impl LogBins {
 /// table marks itself inexact and every lookup falls through to the
 /// reference implementation — so the kernel is bit-identical to
 /// [`LogBins::slot`] *by construction*, never by assumption.
+///
+/// The table also keeps every bin's center and edges, evaluated once
+/// with the [`LogBins::center`] / [`LogBins::edges`] expressions.
 #[derive(Debug, Clone)]
 pub struct BinTable {
     geom: LogBins,
@@ -144,6 +147,11 @@ pub struct BinTable {
     edges: Vec<f64>,
     /// Construction-time verification passed; lookups may use the table.
     exact: bool,
+    /// [`LogBins::center`] of every bin, computed once so detectors
+    /// scanning bins per rank or per residue call no `powf`.
+    centers: Vec<f64>,
+    /// [`LogBins::edges`] of every bin, computed once.
+    bin_edges: Vec<BinEdges>,
 }
 
 impl BinTable {
@@ -207,6 +215,8 @@ impl BinTable {
             starts,
             edges,
             exact,
+            centers: (0..geom.bins).map(|i| geom.center(i)).collect(),
+            bin_edges: (0..geom.bins).map(|i| geom.edges(i)).collect(),
         }
     }
 
@@ -217,7 +227,8 @@ impl BinTable {
     /// boundary verification (~170 µs for the 96-bin duration geometry
     /// on a 2-vCPU Xeon host), so two builds per job cost more than
     /// analysing a job of a thousand records. Per-job accumulators
-    /// therefore take their tables from here. Keyed by the geometry's
+    /// therefore take their tables from here, and detectors read bin
+    /// centers and edges from them. Keyed by the geometry's
     /// bits; a table lives for the rest of the process, so callers pass
     /// geometries from configuration, not from data (the code defaults
     /// use two).
@@ -238,6 +249,17 @@ impl BinTable {
     /// The geometry this table classifies for.
     pub fn geometry(&self) -> LogBins {
         self.geom
+    }
+
+    /// Every bin's geometric center, bit-identical to
+    /// [`LogBins::center`].
+    pub fn centers(&self) -> &[f64] {
+        &self.centers
+    }
+
+    /// Every bin's bounds, bit-identical to [`LogBins::edges`].
+    pub fn bin_edges(&self) -> &[BinEdges] {
+        &self.bin_edges
     }
 
     /// Did construction verify exact boundaries (i.e. lookups avoid
@@ -594,6 +616,30 @@ mod tests {
                         "index_clamped({v:e}) on {g:?}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn bin_table_geometry_is_the_reference_bit_for_bit() {
+        for g in [
+            // Duration geometry, tail-profile geometry, an odd one.
+            LogBins::new(1e-6, 1e3, 96),
+            LogBins::new(1e-6, 1e3, 48),
+            LogBins::new(0.05, 50.0, 24),
+        ] {
+            let t = BinTable::new(g);
+            assert_eq!(t.centers().len(), g.bins());
+            assert_eq!(t.bin_edges().len(), g.bins());
+            for i in 0..g.bins() {
+                let (e, want) = (t.bin_edges()[i], g.edges(i));
+                assert_eq!(
+                    t.centers()[i].to_bits(),
+                    g.center(i).to_bits(),
+                    "{g:?} bin {i}"
+                );
+                assert_eq!(e.left.to_bits(), want.left.to_bits(), "{g:?} bin {i}");
+                assert_eq!(e.right.to_bits(), want.right.to_bits(), "{g:?} bin {i}");
             }
         }
     }

@@ -19,7 +19,8 @@
 //! configured [`OverflowPolicy`], a top-k slowest-operation heap, and a
 //! per-OST usage ledger for the cross-job interference view. End of
 //! stream finalizes the diagnosis, evicts the tenant from the live
-//! table, and files an immutable [`JobReport`].
+//! table, and files an immutable [`JobReport`] behind an [`Arc`]: the
+//! worker files it once, and every later query shares that allocation.
 //!
 //! The machine-wide roll-up merges every per-job ensemble sketch
 //! ([`EnsembleSnapshot::merge`]) in job-id order — the canonical fold
@@ -316,7 +317,7 @@ enum Msg {
 }
 
 type LiveMap = Arc<Mutex<HashMap<JobId, TenantState>>>;
-type DoneMap = Arc<Mutex<BTreeMap<JobId, JobReport>>>;
+type DoneMap = Arc<Mutex<BTreeMap<JobId, Arc<JobReport>>>>;
 
 /// The multi-tenant fleet diagnosis service. See the [module
 /// docs](self) for the architecture.
@@ -355,10 +356,14 @@ impl FleetService {
                             let Some(st) = map.get_mut(&job) else {
                                 continue;
                             };
-                            match st
-                                .meter
-                                .admit(st.builder.approx_bytes(), records.len() as u64)
-                            {
+                            // An unlimited budget never reads the size,
+                            // so only a metered tenant pays for it.
+                            let resident = if st.meter.budget_bytes() > 0 {
+                                st.builder.approx_bytes()
+                            } else {
+                                0
+                            };
+                            match st.meter.admit(resident, records.len() as u64) {
                                 Admission::Admit => st.ingest_block(&records),
                                 // Shed keeps the tenant live (later
                                 // blocks are re-judged); Freeze is
@@ -379,9 +384,10 @@ impl FleetService {
                         } => {
                             let st = worker_map.lock().remove(&job);
                             if let Some(st) = st {
-                                worker_done
-                                    .lock()
-                                    .insert(job, st.into_report(job, transport_dropped));
+                                // Finalize before taking the lock that
+                                // every query takes.
+                                let report = Arc::new(st.into_report(job, transport_dropped));
+                                worker_done.lock().insert(job, report);
                             }
                         }
                     }
@@ -469,13 +475,14 @@ impl FleetService {
         self.completed.lock().keys().copied().collect()
     }
 
-    /// The finished report of a completed job.
-    pub fn report(&self, id: JobId) -> Option<JobReport> {
+    /// The finished report of a completed job: a shared handle to the
+    /// report the worker filed, not a copy.
+    pub fn report(&self, id: JobId) -> Option<Arc<JobReport>> {
         self.completed.lock().get(&id).cloned()
     }
 
-    /// Every completed report, in job-id order.
-    pub fn reports(&self) -> Vec<JobReport> {
+    /// Every completed report, in job-id order, as shared handles.
+    pub fn reports(&self) -> Vec<Arc<JobReport>> {
         self.completed.lock().values().cloned().collect()
     }
 
@@ -987,7 +994,7 @@ mod tests {
     #[test]
     fn per_job_state_is_identical_across_pool_sizes() {
         let jobs: Vec<Vec<Record>> = (0..6).map(|j| stream(400 + j * 50, 8)).collect();
-        let run = |workers: usize| -> Vec<JobReport> {
+        let run = |workers: usize| -> Vec<Arc<JobReport>> {
             let mut svc = FleetService::new(cfg(workers));
             let mut sinks: Vec<JobSink> = (0..jobs.len())
                 .map(|j| svc.register(&format!("job-{j}")))
@@ -1008,7 +1015,7 @@ mod tests {
         assert_eq!(one.len(), 6);
         assert_eq!(one, eight);
         // And so is the roll-up.
-        let roll = |reports: &[JobReport]| {
+        let roll = |reports: &[Arc<JobReport>]| {
             let mut acc = EnsembleSnapshot::empty(&SnapshotConfig::default());
             for r in reports {
                 acc.merge(&r.snapshot);
@@ -1016,6 +1023,30 @@ mod tests {
             acc
         };
         assert_eq!(roll(&one), roll(&eight));
+    }
+
+    #[test]
+    fn reports_are_shared_not_copied() {
+        let mut svc = FleetService::new(cfg(2));
+        let mut ids = Vec::new();
+        for j in 0..3 {
+            let mut sink = svc.register(&format!("job-{j}"));
+            for r in stream(200 + 50 * j, 8) {
+                sink.push(&r);
+            }
+            sink.finish();
+            ids.push(sink.id());
+        }
+        svc.shutdown();
+        let reports = svc.reports();
+        assert_eq!(reports.len(), ids.len());
+        for (&id, listed) in ids.iter().zip(&reports) {
+            let a = svc.report(id).expect("report filed");
+            let b = svc.report(id).expect("report filed");
+            assert!(Arc::ptr_eq(&a, &b), "job {id}: two queries, one allocation");
+            assert!(Arc::ptr_eq(&a, listed), "job {id}: reports() shares it too");
+        }
+        assert!(svc.report(99).is_none());
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use pio_fleetd::{FleetConfig, FleetService, JobReport};
 use pio_trace::{CallKind, Record, RecordSink};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_records() -> impl Strategy<Value = Vec<Record>> {
     let rec = (
@@ -30,7 +31,7 @@ fn arb_records() -> impl Strategy<Value = Vec<Record>> {
     proptest::collection::vec(rec, 0..700)
 }
 
-fn run_job(batch: usize, feed: impl Fn(&mut dyn RecordSink)) -> JobReport {
+fn run_job(batch: usize, feed: impl Fn(&mut dyn RecordSink)) -> Arc<JobReport> {
     let mut svc = FleetService::new(FleetConfig {
         workers: 2,
         batch,

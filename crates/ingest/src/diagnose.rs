@@ -339,7 +339,7 @@ impl StreamDiagnoser {
             return;
         }
         let mut raised = Vec::new();
-        let grid = density_grid(&w.hist);
+        let grid = density_grid(&w.hist, self.table);
         let modes = find_modes_on_grid(&grid, th.mode_height_frac);
         if let Some(f) = harmonic_verdict(kind, &modes, &th) {
             raised.push(f);
@@ -473,21 +473,25 @@ fn phase_sketch(
     &mut v.last_mut().expect("just pushed").1
 }
 
-/// A smoothed `(duration, density)` grid from a windowed histogram.
-fn density_grid(hist: &LogHistogram) -> Vec<(f64, f64)> {
+/// A smoothed `(duration, density)` grid for mode detection from a
+/// duration histogram (a diagnoser window, or a snapshot's merged call
+/// class). Bin centers and edges come from `table`, which must be the
+/// histogram geometry's [`BinTable`].
+pub(crate) fn density_grid(hist: &LogHistogram, table: &BinTable) -> Vec<(f64, f64)> {
+    debug_assert_eq!(table.geometry(), hist.geometry());
     let total = hist.in_range() as f64;
     if total == 0.0 {
         return Vec::new();
     }
-    let raw: Vec<(f64, f64)> = (0..hist.bins())
-        .map(|i| {
-            let e = hist.bin_edges(i);
-            (
-                hist.bin_center(i),
-                hist.counts()[i] as f64 / (total * (e.right - e.left)),
-            )
-        })
+    let raw: Vec<(f64, f64)> = hist
+        .counts()
+        .iter()
+        .zip(table.centers())
+        .zip(table.bin_edges())
+        .map(|((&c, &center), e)| (center, c as f64 / (total * (e.right - e.left))))
         .collect();
+    // Light 1-2-1 smoothing: mode finding should not trip over
+    // single-bin quantization noise.
     (0..raw.len())
         .map(|i| {
             let prev = if i > 0 { raw[i - 1].1 } else { raw[i].1 };

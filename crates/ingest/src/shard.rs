@@ -10,6 +10,7 @@
 //! differs from the batch one only in how the summary statistics were
 //! estimated (sketches vs exact order statistics).
 
+use crate::diagnose::density_grid;
 use crate::sketch::{HeavyHitters, OnlineMoments, QuantileSketch};
 use pio_core::attribution::{
     attribute_data_tail_windowed, attribute_meta_tail, tail_bin_table, Attribution,
@@ -114,6 +115,13 @@ pub struct ShardKey {
     pub group: u32,
     /// Barrier-phase index.
     pub phase: u32,
+}
+
+impl ShardKey {
+    /// The snapshot's shard order: kind, then group, then phase.
+    fn order(&self) -> (u8, u32, u32) {
+        (self.kind as u8, self.group, self.phase)
+    }
 }
 
 /// The mergeable statistics one shard accumulates.
@@ -447,50 +455,32 @@ impl SnapshotBuilder {
                 .sum::<usize>()
     }
 
-    /// The dense shard store as the keyed map [`EnsembleSnapshot`]
-    /// assembly expects.
-    fn shard_map(shards: Vec<(ShardKey, ShardStats)>) -> HashMap<ShardKey, ShardStats> {
-        shards.into_iter().collect()
-    }
-
-    /// The kind-indexed profile array as a keyed map.
-    fn profile_map(profiles: Vec<Option<TailProfile>>) -> HashMap<CallKind, TailProfile> {
-        profiles
-            .into_iter()
-            .enumerate()
-            .filter_map(|(k, p)| p.map(|p| (CallKind::ALL[k], p)))
-            .collect()
-    }
-
-    /// Snapshot the current state (cloning the shard store); `dropped` is
+    /// Snapshot the current state (cloning the builder); `dropped` is
     /// the caller's shed-record count for this stream.
     pub fn snapshot(&self, dropped: u64) -> EnsembleSnapshot {
-        EnsembleSnapshot::assemble(
-            vec![Self::shard_map(self.shards.clone())],
-            self.hitters.clone(),
-            self.meta_secs,
-            self.io_secs,
-            self.ranks,
-            self.ingested,
-            dropped,
-            vec![Self::profile_map(self.profiles.clone())],
-            self.small.clone(),
-        )
+        self.clone().into_snapshot(dropped)
     }
 
-    /// Consume the builder into its final snapshot without cloning.
-    pub fn into_snapshot(self, dropped: u64) -> EnsembleSnapshot {
-        EnsembleSnapshot::assemble(
-            vec![Self::shard_map(self.shards)],
-            self.hitters,
-            self.meta_secs,
-            self.io_secs,
-            self.ranks,
-            self.ingested,
+    /// Consume the builder into its final snapshot without cloning. A
+    /// builder holds one shard per key, so assembly is a sort of the
+    /// shard store by key plus the kind-indexed profiles in kind order.
+    pub fn into_snapshot(mut self, dropped: u64) -> EnsembleSnapshot {
+        self.shards.sort_unstable_by_key(|(k, _)| k.order());
+        EnsembleSnapshot {
+            shards: self.shards,
+            meta_hitters: self.hitters,
+            meta_secs: self.meta_secs,
+            io_secs: self.io_secs,
+            ranks: self.ranks,
+            ingested: self.ingested,
             dropped,
-            vec![Self::profile_map(self.profiles)],
-            self.small,
-        )
+            profiles: CallKind::ALL
+                .into_iter()
+                .zip(self.profiles)
+                .filter_map(|(k, p)| p.map(|p| (k, p)))
+                .collect(),
+            small: self.small,
+        }
     }
 }
 
@@ -558,7 +548,7 @@ impl EnsembleSnapshot {
             }
         }
         let mut shards: Vec<(ShardKey, ShardStats)> = merged.into_iter().collect();
-        shards.sort_by_key(|(k, _)| (k.kind as u8, k.group, k.phase));
+        shards.sort_by_key(|(k, _)| k.order());
         let mut merged_profiles: HashMap<CallKind, TailProfile> = HashMap::new();
         for map in profile_maps {
             for (k, p) in map {
@@ -617,43 +607,36 @@ impl EnsembleSnapshot {
     /// one [`SnapshotConfig`] geometry. `ranks` merges as a maximum:
     /// tenants each number their ranks from zero, so the roll-up's rank
     /// count is the widest job, not a sum.
+    ///
+    /// Both shard lists are sorted by key, so one walk merges every
+    /// shared key in place; keys only `other` has are appended and the
+    /// list re-sorted, so the accumulator is never rebuilt.
     pub fn merge(&mut self, other: &EnsembleSnapshot) {
-        let key = |k: &ShardKey| (k.kind as u8, k.group, k.phase);
-        let mut merged = Vec::with_capacity(self.shards.len().max(other.shards.len()));
-        let mut a = std::mem::take(&mut self.shards).into_iter().peekable();
-        let mut b = other.shards.iter().peekable();
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some((ka, _)), Some((kb, _))) => match key(ka).cmp(&key(kb)) {
-                    std::cmp::Ordering::Less => merged.push(a.next().expect("peeked")),
-                    std::cmp::Ordering::Greater => {
-                        let (k, s) = b.next().expect("peeked");
-                        merged.push((*k, s.clone()));
-                    }
-                    std::cmp::Ordering::Equal => {
-                        let (k, mut s) = a.next().expect("peeked");
-                        s.merge(&b.next().expect("peeked").1);
-                        merged.push((k, s));
-                    }
-                },
-                (Some(_), None) => merged.push(a.next().expect("peeked")),
-                (None, Some(_)) => {
-                    let (k, s) = b.next().expect("peeked");
-                    merged.push((*k, s.clone()));
+        let mut only_other = Vec::new();
+        let mut i = 0;
+        for (k, s) in &other.shards {
+            while i < self.shards.len() && self.shards[i].0.order() < k.order() {
+                i += 1;
+            }
+            match self.shards.get_mut(i) {
+                Some((mine, stats)) if mine == k => {
+                    stats.merge(s);
+                    i += 1;
                 }
-                (None, None) => break,
+                _ => only_other.push((*k, s.clone())),
             }
         }
-        self.shards = merged;
-        let mut profiles = std::mem::take(&mut self.profiles);
+        if !only_other.is_empty() {
+            self.shards.extend(only_other);
+            self.shards.sort_unstable_by_key(|(k, _)| k.order());
+        }
         for (k, p) in &other.profiles {
-            match profiles.iter_mut().find(|(pk, _)| pk == k) {
+            match self.profiles.iter_mut().find(|(pk, _)| pk == k) {
                 Some((_, mine)) => mine.merge(p),
-                None => profiles.push((*k, p.clone())),
+                None => self.profiles.push((*k, p.clone())),
             }
         }
-        profiles.sort_by_key(|(k, _)| *k as u8);
-        self.profiles = profiles;
+        self.profiles.sort_by_key(|(k, _)| *k as u8);
         self.meta_hitters.merge(&other.meta_hitters);
         self.small.merge(&other.small);
         self.meta_secs += other.meta_secs;
@@ -736,37 +719,6 @@ impl EnsembleSnapshot {
                 .sum::<usize>()
     }
 
-    /// A smoothed `(duration, density)` grid for mode detection, from the
-    /// merged histogram of one call class.
-    fn density_grid(hist: &LogHistogram) -> Vec<(f64, f64)> {
-        let total = hist.in_range() as f64;
-        if total == 0.0 {
-            return Vec::new();
-        }
-        let raw: Vec<(f64, f64)> = (0..hist.bins())
-            .map(|i| {
-                let e = hist.bin_edges(i);
-                (
-                    hist.bin_center(i),
-                    hist.counts()[i] as f64 / (total * (e.right - e.left)),
-                )
-            })
-            .collect();
-        // Light 1-2-1 smoothing: mode finding should not trip over
-        // single-bin quantization noise.
-        (0..raw.len())
-            .map(|i| {
-                let prev = if i > 0 { raw[i - 1].1 } else { raw[i].1 };
-                let next = if i + 1 < raw.len() {
-                    raw[i + 1].1
-                } else {
-                    raw[i].1
-                };
-                (raw[i].0, 0.25 * prev + 0.5 * raw[i].1 + 0.25 * next)
-            })
-            .collect()
-    }
-
     /// Run the incremental detectors over the snapshot — same verdict
     /// functions as the batch `pio_core::diagnosis::diagnose_with`, fed
     /// sketch estimates instead of exact order statistics.
@@ -779,7 +731,8 @@ impl EnsembleSnapshot {
             let n = stats.sketch.count() as usize;
             if n >= th.min_samples {
                 // Harmonic-mode ladder on the merged histogram density.
-                let grid = Self::density_grid(&stats.hist);
+                let table = BinTable::shared(stats.hist.geometry());
+                let grid = density_grid(&stats.hist, table);
                 let modes = find_modes_on_grid(&grid, th.mode_height_frac);
                 if let Some(f) = harmonic_verdict(kind, &modes, th) {
                     findings.push(f);
@@ -884,21 +837,32 @@ mod tests {
     }
 
     fn snapshot_of(records: &[Record], groups: u32) -> EnsembleSnapshot {
-        let th = Thresholds::default();
+        let cfg = SnapshotConfig {
+            rank_groups: groups,
+            hitter_capacity: 8,
+            ..SnapshotConfig::default()
+        };
+        assemble_reference(records, &cfg)
+    }
+
+    /// A snapshot accumulated per record into keyed maps under `cfg` and
+    /// put together by [`EnsembleSnapshot::assemble`] — the reference
+    /// the builder's sort-based assembly must equal.
+    fn assemble_reference(records: &[Record], cfg: &SnapshotConfig) -> EnsembleSnapshot {
         let mut map: HashMap<ShardKey, ShardStats> = HashMap::new();
-        let mut hitters = HeavyHitters::new(8);
+        let mut hitters = HeavyHitters::new(cfg.hitter_capacity);
         let mut profiles: HashMap<CallKind, TailProfile> = HashMap::new();
-        let mut small = SmallWriteAgg::new(8);
+        let mut small = SmallWriteAgg::new(cfg.hitter_capacity);
         let (mut meta_secs, mut io_secs) = (0.0, 0.0);
         let mut ranks = 0;
         for r in records {
             let key = ShardKey {
                 kind: r.call,
-                group: r.rank % groups,
+                group: r.rank % cfg.rank_groups,
                 phase: r.phase,
             };
             map.entry(key)
-                .or_insert_with(|| ShardStats::new(1e-6, 1e3, 96))
+                .or_insert_with(|| ShardStats::new(cfg.hist_lo, cfg.hist_hi, cfg.hist_bins))
                 .accumulate(r);
             if matches!(r.call, CallKind::MetaRead | CallKind::MetaWrite) {
                 hitters.add(r.rank, r.secs());
@@ -910,10 +874,10 @@ mod tests {
             if pio_core::attribution::TAIL_KINDS.contains(&r.call) {
                 profiles
                     .entry(r.call)
-                    .or_insert_with(|| TailProfile::new(th.stripe_bytes))
+                    .or_insert_with(|| TailProfile::new(cfg.stripe_bytes))
                     .add(r.rank, r.offset, r.secs());
             }
-            small.accumulate(r, th.small_write_bytes);
+            small.accumulate(r, cfg.small_write_bytes);
             ranks = ranks.max(r.rank + 1);
         }
         EnsembleSnapshot::assemble(
@@ -1096,6 +1060,12 @@ mod tests {
         // The cloning snapshot and the consuming one agree.
         let reference = build(&recs).snapshot(0);
         assert_eq!(snap, reference);
+        // Both equal the map-and-assemble reference under the builder's
+        // own configuration (8 rank groups, hitter capacity 16).
+        let cfg = SnapshotConfig::default();
+        assert_eq!((cfg.rank_groups, cfg.hitter_capacity), (8, 16));
+        assert!(snap.shards.len() > 1 && snap.profiles.len() > 1);
+        assert_eq!(snap, assemble_reference(&recs, &cfg));
     }
 
     /// The block path must produce a byte-identical snapshot for every
@@ -1232,7 +1202,107 @@ mod tests {
             }
         }
 
+        /// The rebuild-style merge the in-place [`EnsembleSnapshot::merge`]
+        /// replaced, kept as its oracle: every call walks both sorted
+        /// shard lists into a fresh `Vec`.
+        fn merge_rebuild(acc: &mut EnsembleSnapshot, other: &EnsembleSnapshot) {
+            let key = |k: &ShardKey| (k.kind as u8, k.group, k.phase);
+            let mut merged = Vec::with_capacity(acc.shards.len().max(other.shards.len()));
+            let mut a = std::mem::take(&mut acc.shards).into_iter().peekable();
+            let mut b = other.shards.iter().peekable();
+            loop {
+                match (a.peek(), b.peek()) {
+                    (Some((ka, _)), Some((kb, _))) => match key(ka).cmp(&key(kb)) {
+                        std::cmp::Ordering::Less => merged.push(a.next().expect("peeked")),
+                        std::cmp::Ordering::Greater => {
+                            let (k, s) = b.next().expect("peeked");
+                            merged.push((*k, s.clone()));
+                        }
+                        std::cmp::Ordering::Equal => {
+                            let (k, mut s) = a.next().expect("peeked");
+                            s.merge(&b.next().expect("peeked").1);
+                            merged.push((k, s));
+                        }
+                    },
+                    (Some(_), None) => merged.push(a.next().expect("peeked")),
+                    (None, Some(_)) => {
+                        let (k, s) = b.next().expect("peeked");
+                        merged.push((*k, s.clone()));
+                    }
+                    (None, None) => break,
+                }
+            }
+            acc.shards = merged;
+            let mut profiles = std::mem::take(&mut acc.profiles);
+            for (k, p) in &other.profiles {
+                match profiles.iter_mut().find(|(pk, _)| pk == k) {
+                    Some((_, mine)) => mine.merge(p),
+                    None => profiles.push((*k, p.clone())),
+                }
+            }
+            profiles.sort_by_key(|(k, _)| *k as u8);
+            acc.profiles = profiles;
+            acc.meta_hitters.merge(&other.meta_hitters);
+            acc.small.merge(&other.small);
+            acc.meta_secs += other.meta_secs;
+            acc.io_secs += other.io_secs;
+            acc.ranks = acc.ranks.max(other.ranks);
+            acc.ingested += other.ingested;
+            acc.dropped += other.dropped;
+        }
+
         proptest! {
+            /// The in-place merge equals the rebuild oracle bit for bit
+            /// (full `PartialEq`, f64 accumulators included) at every
+            /// step of a fold, in both fold directions. Snapshot `i`
+            /// streams its own records plus one anchor record per phase
+            /// residue, keeping only phases not `≡ -(start + i) (mod 3)`,
+            /// so consecutive snapshots always share keys (with
+            /// different records behind them) and each hold keys the
+            /// other lacks.
+            #[test]
+            fn in_place_merge_matches_rebuild_oracle(
+                seed in 0u64..1 << 32,
+                len in 20usize..300,
+                n in 2usize..7,
+                start in 0u32..3,
+            ) {
+                let snaps: Vec<EnsembleSnapshot> = (0..n as u32)
+                    .map(|i| {
+                        let shift = (start + i) % 3;
+                        let mut recs = job_records(seed + u64::from(i), len);
+                        for phase in 0..3 {
+                            let secs = 1e-3 * (phase + 1) as f64;
+                            recs.push(rec(phase, CallKind::Read, 1 << 18, secs, phase));
+                        }
+                        recs.retain(|r| (r.phase + shift) % 3 != 0);
+                        build(&recs).into_snapshot(u64::from(i))
+                    })
+                    .collect();
+                let keys = |s: &EnsembleSnapshot| -> std::collections::HashSet<ShardKey> {
+                    s.shards.iter().map(|(k, _)| *k).collect()
+                };
+                let (left, right) = (keys(&snaps[0]), keys(&snaps[1]));
+                prop_assert!(left.difference(&right).next().is_some());
+                prop_assert!(right.difference(&left).next().is_some());
+                prop_assert!(left.intersection(&right).next().is_some());
+
+                let empty = EnsembleSnapshot::empty(&SnapshotConfig::default());
+                for order in [snaps.clone(), snaps.iter().rev().cloned().collect()] {
+                    let (mut fast, mut oracle) = (empty.clone(), empty.clone());
+                    for s in &order {
+                        fast.merge(s);
+                        merge_rebuild(&mut oracle, s);
+                        prop_assert_eq!(&fast, &oracle);
+                    }
+                    // A small accumulator absorbing a large one.
+                    let (mut fast_small, mut oracle_small) = (order[0].clone(), order[0].clone());
+                    fast_small.merge(&fast);
+                    merge_rebuild(&mut oracle_small, &oracle);
+                    prop_assert_eq!(fast_small, oracle_small);
+                }
+            }
+
             /// Satellite: fleet roll-up merges of per-job snapshots are
             /// order-invariant — the canonical (job-id-sorted) fold is
             /// bit-identical no matter how the snapshots were supplied.

@@ -157,9 +157,11 @@ impl QuantileSketch {
             self.geom == other.geom,
             "merging quantile sketches with different bucket geometry"
         );
-        for i in 0..self.counts.len() {
-            self.counts[i] += other.counts[i];
-            self.sums[i] += other.sums[i];
+        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
+            *c += o;
+        }
+        for (s, o) in self.sums.iter_mut().zip(&other.sums) {
+            *s += o;
         }
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);

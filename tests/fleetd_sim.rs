@@ -24,6 +24,7 @@ use events_to_ensembles::stats::attribution::FaultClass;
 use events_to_ensembles::stats::diagnose;
 use events_to_ensembles::stats::diagnosis::{run_verdict, Verdict};
 use events_to_ensembles::trace::Trace;
+use std::sync::Arc;
 
 const JOBS: usize = 24;
 const FAULTED: usize = 10;
@@ -46,12 +47,16 @@ fn run_pool(
     spec: &[fleetd::SimJob],
     traces: &[Trace],
     pool: usize,
-) -> (Vec<JobReport>, EnsembleSnapshot, Vec<fleetd::OstContention>) {
+) -> (
+    Vec<Arc<JobReport>>,
+    EnsembleSnapshot,
+    Vec<fleetd::OstContention>,
+) {
     let mut svc = FleetService::new(fleet_config(pool, BUDGET));
     let ids = feed(&svc, spec, traces, 4);
     svc.shutdown();
     assert_eq!(svc.live_jobs(), 0, "all tenants evicted at end of stream");
-    let reports: Vec<JobReport> = ids
+    let reports: Vec<Arc<JobReport>> = ids
         .iter()
         .map(|&id| svc.report(id).expect("report filed"))
         .collect();
