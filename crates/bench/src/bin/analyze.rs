@@ -12,9 +12,9 @@
 //! ASCII trace diagram and CSV exports of the histograms.
 //!
 //! With `--stream`, the trace is never loaded into memory: records are
-//! decoded one block at a time into the online diagnoser and the
-//! ensemble-snapshot builder teed over the one stream (the pair a
-//! `pio-fleetd` tenant runs), and the report is rendered from the
+//! decoded one block at a time into the online diagnoser, which keeps
+//! its whole-run evidence in the ensemble snapshot it owns (as a
+//! `pio-fleetd` tenant does), and the report is rendered from that
 //! mergeable snapshot — constant memory regardless of trace size.
 //!
 //! A reader that closes stdout early (`analyze t.jsonl | head`) ends the
@@ -26,10 +26,10 @@ use pio_core::empirical::EmpiricalDist;
 use pio_core::loghist::LogHistogram;
 use pio_core::rates::write_rate_curve;
 use pio_core::report;
-use pio_ingest::{SnapshotBuilder, SnapshotConfig, StreamDiagnoser};
+use pio_ingest::StreamDiagnoser;
 use pio_trace::codec::codec_for;
 use pio_trace::phase::phase_summaries;
-use pio_trace::{io as trace_io, CallKind, Tee, TraceFormat};
+use pio_trace::{io as trace_io, CallKind, TraceFormat};
 use pio_viz::ascii;
 use pio_viz::csv as vcsv;
 use std::path::PathBuf;
@@ -138,25 +138,23 @@ fn main() {
 /// from the mergeable ensemble snapshot and the online diagnoser.
 fn stream_analyze(path: &str, forced_format: Option<TraceFormat>) {
     let mut diagnoser = StreamDiagnoser::with_defaults();
-    let mut builder = SnapshotBuilder::new(SnapshotConfig::default());
-    let (meta, n) = {
-        let mut tee = Tee(&mut diagnoser, &mut builder);
-        let p = std::path::Path::new(path);
-        let streamed = match forced_format {
-            // A forced format bypasses sniffing (e.g. a trace behind a
-            // pipe-unfriendly name); mismatches fail with a parse error.
-            Some(format) => std::fs::File::open(p)
-                .and_then(|f| codec_for(format).stream(&mut std::io::BufReader::new(f), &mut tee)),
-            None => pio_ingest::stream_file(p, &mut tee),
-        };
-        match streamed {
-            Ok(out) => out,
-            Err(e) => {
-                eprintln!("analyze: cannot stream {path}: {e}");
-                std::process::exit(1);
-            }
+    let p = std::path::Path::new(path);
+    let streamed = match forced_format {
+        // A forced format bypasses sniffing (e.g. a trace behind a
+        // pipe-unfriendly name); mismatches fail with a parse error.
+        Some(format) => std::fs::File::open(p).and_then(|f| {
+            codec_for(format).stream(&mut std::io::BufReader::new(f), &mut diagnoser)
+        }),
+        None => pio_ingest::stream_file(p, &mut diagnoser),
+    };
+    let (meta, n) = match streamed {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("analyze: cannot stream {path}: {e}");
+            std::process::exit(1);
         }
     };
+    let (findings, builder) = diagnoser.into_parts();
     let snap = builder.into_snapshot(0);
     print_stdout(&format!(
         "# {} [{}]: {} ranks, seed {}, {} records (streamed)\n\n",
@@ -170,5 +168,5 @@ fn stream_analyze(path: &str, forced_format: Option<TraceFormat>) {
         print_stdout("no data: the stream contained zero records — nothing to diagnose\n");
         return;
     }
-    print_stdout(&pio_viz::findings_text(diagnoser.findings()));
+    print_stdout(&pio_viz::findings_text(&findings));
 }

@@ -285,19 +285,18 @@ fn fleetd_ingest(trace: &Trace) -> u64 {
     total
 }
 
-/// The analytical pipeline of one fleet tenant — stream diagnoser,
-/// ensemble-snapshot sketch, per-OST usage ledger, top-k slow-op
-/// tracking — run serially over the same 8×50k record load as
+/// The analytical pipeline of one fleet tenant — stream diagnoser (with
+/// the ensemble-snapshot sketch it owns), per-OST usage ledger, top-k
+/// slow-op tracking — run serially over the same 8×50k record load as
 /// `fleetd/ingest_8x50k_pool4`, with no threads, channels, record
 /// clones, or map locks. Records flow in service-sized blocks (the
-/// fleet worker's batch of 256) through the columnar `push_block` /
-/// `accumulate_block` kernels, exactly as `TenantState::ingest_block`
-/// drives them. The delta between the two metrics is the service's
-/// transport cost; this one is the analysis floor a fleet worker must
-/// pay per admitted record.
+/// fleet worker's batch of 256) through the columnar `push_block`
+/// kernel, exactly as `TenantState::ingest_block` drives it. The delta
+/// between the two metrics is the service's transport cost; this one is
+/// the analysis floor a fleet worker must pay per admitted record.
 fn fleetd_pipeline_serial(trace: &Trace) -> u64 {
     use pio_fleetd::{OstLayout, OstUsage};
-    use pio_ingest::{SnapshotBuilder, StreamDiagnoser};
+    use pio_ingest::StreamDiagnoser;
     use pio_trace::RecordSink;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -308,13 +307,11 @@ fn fleetd_pipeline_serial(trace: &Trace) -> u64 {
     let mut total = 0u64;
     for _ in 0..JOBS {
         let mut diagnoser = StreamDiagnoser::new(pio_ingest::DiagnoserConfig::default());
-        let mut builder = SnapshotBuilder::new(pio_ingest::SnapshotConfig::default());
         let mut ost = OstUsage::new(48);
         // Positive-f64 bit patterns order like the floats themselves.
         let mut slow: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
         for chunk in trace.records.chunks(BATCH) {
             diagnoser.push_block(chunk);
-            builder.accumulate_block(chunk);
             for r in chunk {
                 if matches!(r.call, CallKind::Read | CallKind::Write) {
                     ost.add(layout.ost_of(r.offset), r.secs());
@@ -332,7 +329,7 @@ fn fleetd_pipeline_serial(trace: &Trace) -> u64 {
             }
         }
         diagnoser.finish();
-        black_box((diagnoser.findings().len(), builder, ost, slow));
+        black_box((diagnoser, ost, slow));
     }
     total
 }

@@ -7,10 +7,10 @@
 //! long-running service:
 //!
 //! * [`service`] — the [`FleetService`]: job registration, per-job
-//!   [`StreamDiagnoser`](pio_ingest::StreamDiagnoser) +
-//!   [`SnapshotBuilder`](pio_ingest::SnapshotBuilder) state sharded
-//!   over a bounded worker pool, per-tenant memory budgets under the
-//!   ingest [`OverflowPolicy`](pio_ingest::OverflowPolicy), eviction at
+//!   [`StreamDiagnoser`](pio_ingest::StreamDiagnoser) state (online
+//!   findings over the job's ensemble sketch) sharded over a bounded
+//!   worker pool, per-tenant memory budgets under the ingest
+//!   [`OverflowPolicy`](pio_ingest::OverflowPolicy), eviction at
 //!   end of stream, and the query surface (verdicts, snapshots, top-k
 //!   slowest operations, machine-wide roll-up).
 //! * [`interference`] — the cross-job view: per-job per-OST usage

@@ -13,8 +13,8 @@
 //! independent of the pool size: verdicts, snapshots, and roll-ups are
 //! bit-identical whether the service runs 1 worker or 8.
 //!
-//! Each tenant carries a [`StreamDiagnoser`] (online findings), a
-//! [`SnapshotBuilder`] (the mergeable ensemble sketch), a
+//! Each tenant carries a [`StreamDiagnoser`] (online findings, over the
+//! mergeable ensemble sketch it owns — one accumulator per stream), a
 //! [`TenantMeter`] enforcing the per-tenant resident budget under the
 //! configured [`OverflowPolicy`], a top-k slowest-operation heap, and a
 //! per-OST usage ledger for the cross-job interference view. End of
@@ -30,8 +30,8 @@
 use crate::interference::{contention, OstContention, OstLayout, OstUsage};
 use pio_core::diagnosis::{run_verdict, Verdict};
 use pio_ingest::{
-    Admission, DiagnoserConfig, EnsembleSnapshot, OverflowPolicy, SnapshotBuilder, SnapshotConfig,
-    StreamDiagnoser, TenantMeter, TimedFinding,
+    Admission, DiagnoserConfig, EnsembleSnapshot, OverflowPolicy, StreamDiagnoser, TenantMeter,
+    TimedFinding,
 };
 use pio_trace::{CallKind, Record, RecordSink};
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -61,9 +61,9 @@ pub struct FleetConfig {
     /// Per-tenant resident-sketch budget in bytes (0 = unlimited),
     /// enforced by a [`TenantMeter`] under `policy`.
     pub budget_bytes: usize,
-    /// Ensemble-sketch shape for every tenant.
-    pub snapshot: SnapshotConfig,
-    /// Online-diagnoser shape for every tenant.
+    /// Online-diagnoser shape for every tenant; its
+    /// [`snapshot_config`](DiagnoserConfig::snapshot_config) is the
+    /// shape of every tenant's ensemble sketch and of the roll-up.
     pub diagnoser: DiagnoserConfig,
     /// Slowest operations retained per job.
     pub top_k: usize,
@@ -84,7 +84,6 @@ impl Default for FleetConfig {
             batch: 256,
             policy: OverflowPolicy::Block,
             budget_bytes: 0,
-            snapshot: SnapshotConfig::default(),
             diagnoser: DiagnoserConfig::default(),
             top_k: 8,
             layout: OstLayout::new(1 << 20, 48, 0),
@@ -185,13 +184,14 @@ impl JobReport {
     }
 }
 
-/// Live per-tenant state, owned by exactly one worker.
+/// Live per-tenant state, owned by exactly one worker. The diagnoser
+/// holds the tenant's ensemble sketch too, so each record is classified
+/// once and updates one set of whole-run accumulators.
 struct TenantState {
     name: String,
     layout: OstLayout,
     meter: TenantMeter,
     diagnoser: StreamDiagnoser,
-    builder: SnapshotBuilder,
     slow: BinaryHeap<std::cmp::Reverse<HeapOp>>,
     top_k: usize,
     ost: OstUsage,
@@ -204,7 +204,6 @@ impl TenantState {
             layout,
             meter: TenantMeter::new(cfg.budget_bytes, cfg.policy),
             diagnoser: StreamDiagnoser::new(cfg.diagnoser.clone()),
-            builder: SnapshotBuilder::new(cfg.snapshot.clone()),
             slow: BinaryHeap::new(),
             top_k: cfg.top_k,
             ost: OstUsage::new(layout.n_osts),
@@ -217,7 +216,6 @@ impl TenantState {
     #[cfg_attr(not(test), allow(dead_code))]
     fn ingest(&mut self, r: &Record) {
         self.diagnoser.push(r);
-        self.builder.accumulate(r);
         if matches!(r.call, CallKind::Read | CallKind::Write) {
             self.ost.add(self.layout.ost_of(r.offset), r.secs());
         }
@@ -238,14 +236,13 @@ impl TenantState {
         }
     }
 
-    /// Block ingest: the diagnoser and snapshot builder take the whole
-    /// block through their batched hot paths; the OST meter and slow-op
-    /// heap stay per-record. Per-component state is identical to
-    /// per-record [`Self::ingest`] — components are independent, so
-    /// reordering *across* them is unobservable.
+    /// Block ingest: the diagnoser takes the whole block through its
+    /// batched hot path; the OST meter and slow-op heap stay per-record.
+    /// Per-component state is identical to per-record [`Self::ingest`] —
+    /// components are independent, so reordering *across* them is
+    /// unobservable.
     fn ingest_block(&mut self, records: &[Record]) {
         self.diagnoser.push_block(records);
-        self.builder.accumulate_block(records);
         for r in records {
             if matches!(r.call, CallKind::Read | CallKind::Write) {
                 self.ost.add(self.layout.ost_of(r.offset), r.secs());
@@ -280,11 +277,12 @@ impl TenantState {
         // `into_sorted_vec` on `Reverse` yields slowest-last; flip to
         // slowest-first for the query surface.
         top_slow.reverse();
+        let (findings, builder) = self.diagnoser.into_parts();
         JobReport {
             id,
             name: self.name,
-            findings: self.diagnoser.findings().to_vec(),
-            snapshot: self.builder.into_snapshot(shed),
+            findings,
+            snapshot: builder.into_snapshot(shed),
             ingested: self.meter.ingested(),
             shed,
             frozen: self.meter.frozen(),
@@ -359,7 +357,7 @@ impl FleetService {
                             // An unlimited budget never reads the size,
                             // so only a metered tenant pays for it.
                             let resident = if st.meter.budget_bytes() > 0 {
-                                st.builder.approx_bytes()
+                                st.diagnoser.builder().approx_bytes()
                             } else {
                                 0
                             };
@@ -518,7 +516,7 @@ impl FleetService {
         self.live[self.worker_of(id)]
             .lock()
             .get(&id)
-            .map(|st| st.builder.snapshot(st.meter.shed()))
+            .map(|st| st.diagnoser.builder().snapshot(st.meter.shed()))
     }
 
     /// A job's slowest operations so far, slowest first.
@@ -551,7 +549,7 @@ impl FleetService {
         for map in &self.live {
             let map = map.lock();
             for (&id, st) in map.iter() {
-                live.push((id, st.builder.snapshot(st.meter.shed())));
+                live.push((id, st.diagnoser.builder().snapshot(st.meter.shed())));
             }
         }
         let mut parts: Vec<(JobId, &EnsembleSnapshot)> = done
@@ -560,7 +558,7 @@ impl FleetService {
             .chain(live.iter().map(|(id, snap)| (*id, snap)))
             .collect();
         parts.sort_unstable_by_key(|(id, _)| *id);
-        let mut acc = EnsembleSnapshot::empty(&self.cfg.snapshot);
+        let mut acc = EnsembleSnapshot::empty(&self.cfg.diagnoser.snapshot_config());
         for (_, snap) in parts {
             acc.merge(snap);
         }
@@ -981,7 +979,7 @@ mod tests {
             }
             assert_eq!(svc.completed_jobs(), vec![1, 3, 5]);
             assert_eq!(svc.live_jobs(), 3);
-            let mut want = EnsembleSnapshot::empty(&svc.cfg.snapshot);
+            let mut want = EnsembleSnapshot::empty(&svc.cfg.diagnoser.snapshot_config());
             for &id in &ids {
                 want.merge(&svc.snapshot(id).expect("registered job"));
             }
@@ -1016,7 +1014,7 @@ mod tests {
         assert_eq!(one, eight);
         // And so is the roll-up.
         let roll = |reports: &[Arc<JobReport>]| {
-            let mut acc = EnsembleSnapshot::empty(&SnapshotConfig::default());
+            let mut acc = EnsembleSnapshot::empty(&pio_ingest::SnapshotConfig::default());
             for r in reports {
                 acc.merge(&r.snapshot);
             }

@@ -15,20 +15,26 @@
 //! * **Serialized metadata rank** keeps a weighted heavy-hitter sketch
 //!   by rank and re-tests at each barrier.
 //!
-//! Memory is O(window bins + active phases × bins + heavy-hitter k):
-//! constant in the number of records.
+//! The whole-run evidence — metadata heavy hitters, the small-write
+//! aggregate, time totals, rank and record counts, and the per-kind tail
+//! profiles — lives in the [`SnapshotBuilder`] the diagnoser owns, which
+//! is also the stream's ensemble snapshot: one accumulator per stream.
+//!
+//! Memory is O(window bins + active phases × bins + heavy-hitter k +
+//! snapshot shards × bins): constant in the number of records.
 
-use crate::sketch::{HeavyHitters, QuantileSketch};
+use crate::shard::{SnapshotBuilder, SnapshotConfig};
+use crate::sketch::QuantileSketch;
 use pio_core::attribution::{
     attribute_data_tail_windowed, attribute_meta_tail, tail_bin_table, Attribution,
-    DataTailEvidence, TailEvent, TailProfile, WindowedProfile,
+    DataTailEvidence, TailEvent, WindowedProfile,
 };
 use pio_core::diagnosis::{
-    deterioration_verdict, harmonic_verdict, metadata_shoulder_verdict, rank_tail_verdict,
-    serialized_meta_verdict, shoulder_verdict, Finding, Thresholds,
+    deterioration_verdict, harmonic_verdict, rank_tail_verdict, shoulder_verdict, Finding,
+    Thresholds,
 };
 use pio_core::modes::find_modes_on_grid;
-use pio_des::hist::{BinTable, LogBins, LogHistogram};
+use pio_des::hist::{BinTable, LogHistogram};
 use pio_trace::{CallKind, Record, RecordSink};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -51,6 +57,10 @@ pub struct DiagnoserConfig {
     /// Tumbling-window length in records, per watched call class.
     pub window: usize,
     /// Call classes watched for windowed distributional pathologies.
+    /// Attribution reads a watched class's whole-run tail profile from
+    /// the snapshot, which profiles exactly
+    /// [`TAIL_KINDS`](pio_core::attribution::TAIL_KINDS) — the default's
+    /// kinds, and the only value any caller uses.
     pub watch: Vec<CallKind>,
     /// Duration geometry: lower bound, seconds.
     pub hist_lo: f64,
@@ -81,6 +91,24 @@ impl Default for DiagnoserConfig {
     }
 }
 
+impl DiagnoserConfig {
+    /// The shape of the snapshot a diagnoser keeps its whole-run
+    /// evidence in: this geometry, hitter capacity, small-write cut and
+    /// stripe width, with the default rank groups. The default
+    /// configuration's is [`SnapshotConfig::default`].
+    pub fn snapshot_config(&self) -> SnapshotConfig {
+        SnapshotConfig {
+            hist_lo: self.hist_lo,
+            hist_hi: self.hist_hi,
+            hist_bins: self.hist_bins,
+            hitter_capacity: self.hitter_capacity,
+            small_write_bytes: self.thresholds.small_write_bytes,
+            stripe_bytes: self.thresholds.stripe_bytes,
+            ..SnapshotConfig::default()
+        }
+    }
+}
+
 /// A finding plus when the stream first produced it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimedFinding {
@@ -92,49 +120,15 @@ pub struct TimedFinding {
     pub phase: u32,
 }
 
-/// Windowed per-kind state for the distributional detectors.
-struct KindWindow {
-    hist: LogHistogram,
-    sketch: QuantileSketch,
-}
-
-impl KindWindow {
-    fn new(cfg: &DiagnoserConfig) -> Self {
-        KindWindow {
-            hist: LogHistogram::new(cfg.hist_lo, cfg.hist_hi, cfg.hist_bins),
-            sketch: QuantileSketch::new(cfg.hist_lo, cfg.hist_hi, cfg.hist_bins),
-        }
-    }
-
-    fn add(&mut self, secs: f64) {
-        self.hist.add_clamped(secs);
-        self.sketch.add(secs);
-    }
-
-    /// Pre-classified add: `bin` came from a [`BinTable`] over this
-    /// window's geometry. Bit-identical to [`Self::add`].
-    #[inline]
-    fn add_at(&mut self, secs: f64, bin: usize) {
-        self.hist.add_clamped_at(bin);
-        self.sketch.add_at(secs, bin);
-    }
-
-    fn count(&self) -> u64 {
-        self.sketch.count()
-    }
-}
-
-/// Cumulative per-kind tail state for attribution: unlike the tumbling
-/// windows, these never reset — a verdict needs the whole run's evidence.
+/// Cumulative per-kind attribution state beyond the snapshot's tail
+/// profile: unlike the tumbling windows, these never reset — a verdict
+/// needs the whole run's evidence.
 struct KindTail {
-    /// Cumulative duration sketch (supplies the provisional median).
+    /// Cumulative duration sketch (supplies the provisional median; its
+    /// counts are the fine histogram the quantized-level test reads).
     cum: QuantileSketch,
-    /// Cumulative fine-grained duration histogram (quantized-level test).
-    hist: LogHistogram,
-    /// Per-rank / per-stripe-residue decomposition.
-    profile: TailProfile,
-    /// Per-window slices of the same evidence — a fault that clears
-    /// mid-run is localized to the windows it was live in.
+    /// Per-window slices of the evidence — a fault that clears mid-run
+    /// is localized to the windows it was live in.
     windows: WindowedProfile,
     /// Bounded reservoir of the slowest events seen so far, keyed by
     /// `(secs bit pattern, start_ns, rank)` in a min-heap. The tail cut
@@ -150,8 +144,6 @@ impl KindTail {
     fn new(cfg: &DiagnoserConfig) -> Self {
         KindTail {
             cum: QuantileSketch::new(cfg.hist_lo, cfg.hist_hi, cfg.hist_bins),
-            hist: LogHistogram::new(cfg.hist_lo, cfg.hist_hi, cfg.hist_bins),
-            profile: TailProfile::new(cfg.thresholds.stripe_bytes),
             windows: WindowedProfile::new(
                 cfg.thresholds.attr_window_s,
                 cfg.thresholds.attr_max_windows,
@@ -159,6 +151,20 @@ impl KindTail {
                 cfg.hist_bins,
             ),
             slow: BinaryHeap::new(),
+        }
+    }
+
+    /// Offer one event to the slow-event reservoir. Once it is warm, a
+    /// single peek-compare rejects sub-threshold events without touching
+    /// the heap.
+    #[inline]
+    fn offer_slow(&mut self, r: &Record, secs: f64) {
+        let key = (secs.max(0.0).to_bits(), r.start_ns, r.rank);
+        if self.slow.len() < TAIL_STARTS_CAP {
+            self.slow.push(Reverse(key));
+        } else if self.slow.peek().is_some_and(|Reverse(min)| key > *min) {
+            self.slow.pop();
+            self.slow.push(Reverse(key));
         }
     }
 
@@ -176,52 +182,24 @@ impl KindTail {
     }
 }
 
-/// Cumulative small-write size-class tracker (metadata-storm detection).
-struct SmallWriteState {
-    ops: u64,
-    secs: f64,
-    write_secs: f64,
-    per_rank: HeavyHitters,
-    first_ns: u64,
-    last_ns: u64,
-}
-
-impl SmallWriteState {
-    fn new(hitter_capacity: usize) -> Self {
-        SmallWriteState {
-            ops: 0,
-            secs: 0.0,
-            write_secs: 0.0,
-            per_rank: HeavyHitters::new(hitter_capacity),
-            first_ns: u64::MAX,
-            last_ns: 0,
-        }
-    }
-}
-
 /// Streaming, constant-memory implementation of the paper's detectors.
 ///
 /// Per-kind state (windows, cumulative tails, per-phase sketches) is
-/// stored in `CallKind`-indexed arrays rather than hash maps, and the
-/// block ingestion path ([`RecordSink::push_block`]) classifies each
+/// stored in `CallKind`-indexed arrays rather than hash maps. The
+/// whole-run evidence is the owned [`SnapshotBuilder`]'s: each record
+/// goes through the builder's per-record step first, then through the
+/// diagnoser's windows, so a window that fills mid-block attributes from
+/// a profile holding exactly the records up to the one that filled it.
+/// The block ingestion path ([`RecordSink::push_block`]) classifies each
 /// duration once against a precomputed [`BinTable`] shared by every
 /// same-geometry accumulator (and, via [`BinTable::shared`], by every
-/// diagnoser and snapshot builder in the process). Both changes are
-/// representation-only: the record-at-a-time [`RecordSink::push`] path
-/// keeps the original log-domain arithmetic and stays the reference
-/// implementation.
+/// diagnoser in the process). That is representation-only: the
+/// record-at-a-time [`RecordSink::push`] path keeps the original
+/// log-domain arithmetic and stays the reference implementation.
 pub struct StreamDiagnoser {
     cfg: DiagnoserConfig,
-    /// Bit-exact bin classifier for the configured duration geometry.
-    pub(crate) table: &'static BinTable,
-    /// Classifier for the tail-profile geometry ([`tail_bin_table`]),
-    /// looked up once here so the block path takes no lock.
-    tail_table: &'static BinTable,
-    /// The configured geometry is the tail geometry at exactly double
-    /// resolution (same range, 2× bins), so a tail bin is the configured
-    /// bin halved: `floor(f·2n)/2 = floor(f·n)` exactly, range checks and
-    /// edge clamps included. Saves the second table lookup per record.
-    tail_nested: bool,
+    /// Whole-run evidence, and the stream's ensemble snapshot.
+    builder: SnapshotBuilder,
     /// The configured geometry's range equals the window slots' fine
     /// range (slot bins are `cfg.hist_bins` by construction), so the
     /// block path reuses the per-record cfg-geometry bin for the slot
@@ -229,59 +207,37 @@ pub struct StreamDiagnoser {
     slot_fine_direct: bool,
     /// `watch_mask[call as usize]` ⟺ `cfg.watch.contains(call)`.
     watch_mask: [bool; KINDS],
-    windows: Vec<Option<KindWindow>>,
+    windows: Vec<Option<QuantileSketch>>,
     phase_sketches: Vec<Vec<(u32, QuantileSketch)>>,
     phase_medians: Vec<Vec<(u32, f64)>>,
-    hitters: HeavyHitters,
     tails: Vec<Option<KindTail>>,
-    small: SmallWriteState,
-    meta_secs: f64,
-    io_secs: f64,
-    ranks: u32,
-    records: u64,
     current_phase: u32,
     findings: Vec<TimedFinding>,
     seen: HashSet<(u8, Option<CallKind>, Option<Attribution>)>,
-    /// Scratch buffer for grouped heavy-hitter runs (reused per block).
-    run_buf: Vec<f64>,
 }
 
 impl StreamDiagnoser {
     /// A diagnoser with the given configuration.
     pub fn new(cfg: DiagnoserConfig) -> Self {
-        let hitters = HeavyHitters::new(cfg.hitter_capacity);
-        let small = SmallWriteState::new(cfg.hitter_capacity);
-        let table = BinTable::shared(LogBins::new(cfg.hist_lo, cfg.hist_hi, cfg.hist_bins));
-        let tail_table = tail_bin_table();
+        let builder = SnapshotBuilder::new(cfg.snapshot_config());
         let mut watch_mask = [false; KINDS];
         for k in &cfg.watch {
             watch_mask[*k as usize] = true;
         }
-        let tg = tail_table.geometry();
-        let tail_nested =
-            cfg.hist_lo == tg.lo() && cfg.hist_hi == tg.hi() && cfg.hist_bins == 2 * tg.bins();
+        let tg = tail_bin_table().geometry();
         let slot_fine_direct = cfg.hist_lo == tg.lo() && cfg.hist_hi == tg.hi();
         StreamDiagnoser {
             cfg,
-            table,
-            tail_table,
-            tail_nested,
+            builder,
             slot_fine_direct,
             watch_mask,
             windows: (0..KINDS).map(|_| None).collect(),
             phase_sketches: (0..KINDS).map(|_| Vec::new()).collect(),
             phase_medians: (0..KINDS).map(|_| Vec::new()).collect(),
-            hitters,
             tails: (0..KINDS).map(|_| None).collect(),
-            small,
-            meta_secs: 0.0,
-            io_secs: 0.0,
-            ranks: 0,
-            records: 0,
             current_phase: 0,
             findings: Vec::new(),
             seen: HashSet::new(),
-            run_buf: Vec::new(),
         }
     }
 
@@ -297,7 +253,19 @@ impl StreamDiagnoser {
 
     /// Records ingested so far.
     pub fn records(&self) -> u64 {
-        self.records
+        self.builder.ingested()
+    }
+
+    /// The whole-run evidence so far, as the stream's snapshot builder
+    /// (its shape is [`DiagnoserConfig::snapshot_config`]).
+    pub fn builder(&self) -> &SnapshotBuilder {
+        &self.builder
+    }
+
+    /// Split a finished diagnoser into its findings and its snapshot
+    /// builder.
+    pub fn into_parts(self) -> (Vec<TimedFinding>, SnapshotBuilder) {
+        (self.findings, self.builder)
     }
 
     /// One dedup key per (finding variant, call class, attribution):
@@ -322,9 +290,21 @@ impl StreamDiagnoser {
         if self.seen.insert(Self::dedup_key(&f)) {
             self.findings.push(TimedFinding {
                 finding: f,
-                after_records: self.records,
+                after_records: self.builder.ingested(),
                 phase: self.current_phase,
             });
+        }
+    }
+
+    /// Evaluate and reset `kind`'s window once it holds `cfg.window`
+    /// records.
+    fn tumble(&mut self, kind: CallKind) {
+        if self.windows[kind as usize]
+            .as_ref()
+            .is_some_and(|w| w.count() as usize >= self.cfg.window)
+        {
+            self.evaluate_window(kind);
+            self.windows[kind as usize] = None;
         }
     }
 
@@ -339,13 +319,13 @@ impl StreamDiagnoser {
             return;
         }
         let mut raised = Vec::new();
-        let grid = density_grid(&w.hist, self.table);
+        let grid = density_grid(&w.to_histogram(), self.builder.table);
         let modes = find_modes_on_grid(&grid, th.mode_height_frac);
         if let Some(f) = harmonic_verdict(kind, &modes, &th) {
             raised.push(f);
         }
-        if let (Some(median), Some(p99)) = (w.sketch.quantile(0.5), w.sketch.quantile(0.99)) {
-            let tail = w.sketch.fraction_above(th.tail_cut(median));
+        if let (Some(median), Some(p99)) = (w.quantile(0.5), w.quantile(0.99)) {
+            let tail = w.fraction_above(th.tail_cut(median));
             let attribution = self.attribute(kind);
             if let Some(f) = shoulder_verdict(kind, n, median, p99, tail, attribution, &th) {
                 raised.push(f);
@@ -358,19 +338,22 @@ impl StreamDiagnoser {
     }
 
     /// Attribute `kind`'s tail from the cumulative (whole-run-so-far)
-    /// state — whole-run profile, per-window slices, and the rank-tagged
-    /// slow-event reservoir; `None` until the evidence supports anything.
+    /// state — the snapshot's profile, per-window slices, and the
+    /// rank-tagged slow-event reservoir; `None` until the evidence
+    /// supports anything.
     fn attribute(&self, kind: CallKind) -> Option<Attribution> {
         let kt = self.tails[kind as usize].as_ref()?;
+        let profile = self.builder.profile(kind)?;
         let th = &self.cfg.thresholds;
         if matches!(kind, CallKind::MetaRead | CallKind::MetaWrite) {
-            return Some(Attribution::single(attribute_meta_tail(&kt.profile, th)));
+            return Some(Attribution::single(attribute_meta_tail(profile, th)));
         }
         let median = kt.cum.quantile(0.5)?;
         let events = kt.tail_events(th.tail_cut(median));
+        let hist = kt.cum.to_histogram();
         let ev = DataTailEvidence {
-            profile: &kt.profile,
-            hist: &kt.hist,
+            profile,
+            hist: &hist,
             windows: Some(&kt.windows),
             events: Some(&events),
         };
@@ -388,7 +371,10 @@ impl StreamDiagnoser {
             if matches!(kind, CallKind::MetaRead | CallKind::MetaWrite) {
                 continue;
             }
-            let Some(kt) = self.tails[kind as usize].as_ref() else {
+            let (Some(kt), Some(profile)) = (
+                self.tails[kind as usize].as_ref(),
+                self.builder.profile(kind),
+            ) else {
                 continue;
             };
             if (kt.cum.count() as usize) < th.min_samples {
@@ -397,55 +383,11 @@ impl StreamDiagnoser {
             let Some(median) = kt.cum.quantile(0.5) else {
                 continue;
             };
-            if let Some(f) = rank_tail_verdict(kind, &kt.profile, th.tail_cut(median), &th) {
+            if let Some(f) = rank_tail_verdict(kind, profile, th.tail_cut(median), &th) {
                 raised.push(f);
             }
         }
         for f in raised {
-            self.raise(f);
-        }
-    }
-
-    /// Re-test the small-write metadata-storm detector over cumulative
-    /// size-class state.
-    fn evaluate_small(&mut self) {
-        let f = {
-            let th = &self.cfg.thresholds;
-            let top = self.small.per_rank.top().first().map(|h| (h.key, h.weight));
-            let span = if self.small.last_ns > self.small.first_ns {
-                (self.small.last_ns - self.small.first_ns) as f64 / 1e9
-            } else {
-                0.0
-            };
-            metadata_shoulder_verdict(
-                self.small.ops,
-                self.small.secs,
-                self.small.write_secs,
-                top,
-                span,
-                th,
-            )
-        };
-        if let Some(f) = f {
-            self.raise(f);
-        }
-    }
-
-    /// Re-test the serialized-metadata detector over cumulative state.
-    fn evaluate_serialized(&mut self) {
-        let per_rank: Vec<(u32, f64, usize)> = self
-            .hitters
-            .top()
-            .into_iter()
-            .map(|h| (h.key, h.weight, h.ops as usize))
-            .collect();
-        if let Some(f) = serialized_meta_verdict(
-            &per_rank,
-            self.meta_secs,
-            self.ranks,
-            self.io_secs,
-            &self.cfg.thresholds,
-        ) {
             self.raise(f);
         }
     }
@@ -507,171 +449,68 @@ pub(crate) fn density_grid(hist: &LogHistogram, table: &BinTable) -> Vec<(f64, f
 
 impl RecordSink for StreamDiagnoser {
     fn push(&mut self, r: &Record) {
-        self.records += 1;
-        self.ranks = self.ranks.max(r.rank + 1);
+        self.builder.accumulate(r);
         self.current_phase = self.current_phase.max(r.phase);
-        let secs = r.secs();
         let k = r.call as usize;
-        if matches!(r.call, CallKind::MetaRead | CallKind::MetaWrite) {
-            self.hitters.add(r.rank, secs);
-            self.meta_secs += secs;
-        }
-        if r.call.is_io() {
-            self.io_secs += secs;
-        }
-        // Size-class split for the metadata-storm detector.
-        if matches!(r.call, CallKind::Write | CallKind::MetaWrite) {
-            self.small.write_secs += secs;
-            if r.bytes > 0 && r.bytes < self.cfg.thresholds.small_write_bytes {
-                self.small.ops += 1;
-                self.small.secs += secs;
-                self.small.per_rank.add(r.rank, secs);
-                self.small.first_ns = self.small.first_ns.min(r.start_ns);
-                self.small.last_ns = self.small.last_ns.max(r.end_ns);
-            }
-        }
         if !self.watch_mask[k] {
             return;
         }
-        let (lo, hi, bins) = (self.cfg.hist_lo, self.cfg.hist_hi, self.cfg.hist_bins);
+        let secs = r.secs();
+        let cfg = &self.cfg;
         // Cumulative attribution state. No tail cut is applied here —
         // the slow-event reservoir and the profile both have the cut
         // applied at diagnosis time, so the evidence stays insensitive
         // to the provisional medians seen mid-stream.
-        let cfg = &self.cfg;
         let kt = self.tails[k].get_or_insert_with(|| KindTail::new(cfg));
         kt.cum.add(secs);
-        kt.hist.add_clamped(secs);
-        kt.profile.add(r.rank, r.offset, secs);
         kt.windows.add(r.rank, r.offset, r.start_ns, secs);
-        let key = (secs.max(0.0).to_bits(), r.start_ns, r.rank);
-        if kt.slow.len() < TAIL_STARTS_CAP {
-            kt.slow.push(Reverse(key));
-        } else if kt.slow.peek().is_some_and(|Reverse(min)| key > *min) {
-            kt.slow.pop();
-            kt.slow.push(Reverse(key));
-        }
+        kt.offer_slow(r, secs);
+        let (lo, hi, bins) = (cfg.hist_lo, cfg.hist_hi, cfg.hist_bins);
         self.windows[k]
-            .get_or_insert_with(|| KindWindow::new(cfg))
+            .get_or_insert_with(|| QuantileSketch::new(lo, hi, bins))
             .add(secs);
         phase_sketch(&mut self.phase_sketches[k], r.phase, lo, hi, bins).add(secs);
-        if self.windows[k]
-            .as_ref()
-            .is_some_and(|w| w.count() as usize >= self.cfg.window)
-        {
-            self.evaluate_window(r.call);
-            self.windows[k] = None;
-        }
+        self.tumble(r.call);
     }
 
     /// The block hot path: bit-identical to per-record [`Self::push`]
-    /// for any partitioning of the stream, but with one [`BinTable`]
-    /// classification per watched record feeding every cfg-geometry
-    /// accumulator (window histogram + sketch, cumulative histogram +
-    /// sketch, phase sketch) and one [`tail_bin_table`] classification
-    /// feeding the attribution profile — no `ln` per record — plus
-    /// heavy-hitter updates grouped by key run before hashing.
+    /// for any partitioning of the stream. The snapshot builder's
+    /// metadata heavy hitters take the block in one grouped pass; then
+    /// each record gets one [`BinTable`] classification, which feeds the
+    /// builder's per-record step and every cfg-geometry accumulator here
+    /// (window, cumulative and phase sketches), and the tail-geometry bin
+    /// the builder returns feeds the window slices — no `ln` per record.
     fn push_block(&mut self, block: &[Record]) {
-        // Pass 1 — meta heavy hitters, grouped by rank run over the
-        // metadata subsequence. The sketch sees the same per-key weight
-        // sequence as per-record pushes, and nothing reads it mid-block
-        // (it is only evaluated at phase boundaries), so hoisting it out
-        // of the main pass is unobservable.
-        let mut run = std::mem::take(&mut self.run_buf);
-        let mut i = 0;
-        while i < block.len() {
-            let r = &block[i];
-            i += 1;
-            if !matches!(r.call, CallKind::MetaRead | CallKind::MetaWrite) {
-                continue;
-            }
-            run.clear();
-            run.push(r.secs());
-            let key = r.rank;
-            while i < block.len() {
-                let n = &block[i];
-                if matches!(n.call, CallKind::MetaRead | CallKind::MetaWrite) {
-                    if n.rank != key {
-                        break;
-                    }
-                    run.push(n.secs());
-                }
-                i += 1;
-            }
-            self.hitters.add_run(key, &run);
-        }
-        self.run_buf = run;
-
-        // Pass 2 — everything else, in record order. `records` and
-        // `current_phase` advance per record so a window that fills
-        // mid-block raises its finding with the exact same
-        // `after_records` / `phase` stamp as the per-record path.
+        self.builder.add_meta_runs(block);
+        // The builder's record count and `current_phase` advance per
+        // record so a window that fills mid-block raises its finding with
+        // the exact same `after_records` / `phase` stamp as the
+        // per-record path.
         for r in block {
-            self.records += 1;
-            self.ranks = self.ranks.max(r.rank + 1);
-            self.current_phase = self.current_phase.max(r.phase);
             let secs = r.secs();
+            let bin = self.builder.table.index_clamped(secs);
+            let tail_bin = self.builder.accumulate_binned(r, secs, bin);
+            self.current_phase = self.current_phase.max(r.phase);
             let k = r.call as usize;
-            if matches!(r.call, CallKind::MetaRead | CallKind::MetaWrite) {
-                self.meta_secs += secs;
-            }
-            if r.call.is_io() {
-                self.io_secs += secs;
-            }
-            if matches!(r.call, CallKind::Write | CallKind::MetaWrite) {
-                self.small.write_secs += secs;
-                if r.bytes > 0 && r.bytes < self.cfg.thresholds.small_write_bytes {
-                    self.small.ops += 1;
-                    self.small.secs += secs;
-                    self.small.per_rank.add(r.rank, secs);
-                    self.small.first_ns = self.small.first_ns.min(r.start_ns);
-                    self.small.last_ns = self.small.last_ns.max(r.end_ns);
-                }
-            }
             if !self.watch_mask[k] {
                 continue;
             }
-            let (lo, hi, bins) = (self.cfg.hist_lo, self.cfg.hist_hi, self.cfg.hist_bins);
-            let bin = self.table.index_clamped(secs);
-            // `add_binned` debug-asserts this equals the tail-geometry
-            // classification, so the halving shortcut is checked against
-            // the reference on every debug-build test run.
-            let tail_bin = if self.tail_nested {
-                bin >> 1
-            } else {
-                self.tail_table.index_clamped(secs)
-            };
             let cfg = &self.cfg;
             let kt = self.tails[k].get_or_insert_with(|| KindTail::new(cfg));
             kt.cum.add_at(secs, bin);
-            kt.hist.add_clamped_at(bin);
-            kt.profile.add_binned(r.rank, r.offset, secs, tail_bin);
             if self.slot_fine_direct {
                 kt.windows
                     .add_binned(r.rank, r.offset, r.start_ns, secs, tail_bin, bin);
             } else {
                 kt.windows.add(r.rank, r.offset, r.start_ns, secs);
             }
-            // Reservoir fast path: once warm, a single peek-compare
-            // rejects sub-threshold events without touching the heap.
-            let key = (secs.max(0.0).to_bits(), r.start_ns, r.rank);
-            if kt.slow.len() < TAIL_STARTS_CAP {
-                kt.slow.push(Reverse(key));
-            } else if kt.slow.peek().is_some_and(|Reverse(min)| key > *min) {
-                kt.slow.pop();
-                kt.slow.push(Reverse(key));
-            }
+            kt.offer_slow(r, secs);
+            let (lo, hi, bins) = (cfg.hist_lo, cfg.hist_hi, cfg.hist_bins);
             self.windows[k]
-                .get_or_insert_with(|| KindWindow::new(cfg))
+                .get_or_insert_with(|| QuantileSketch::new(lo, hi, bins))
                 .add_at(secs, bin);
             phase_sketch(&mut self.phase_sketches[k], r.phase, lo, hi, bins).add_at(secs, bin);
-            if self.windows[k]
-                .as_ref()
-                .is_some_and(|w| w.count() as usize >= self.cfg.window)
-            {
-                self.evaluate_window(r.call);
-                self.windows[k] = None;
-            }
+            self.tumble(r.call);
         }
     }
 
@@ -708,9 +547,13 @@ impl RecordSink for StreamDiagnoser {
                 self.raise(f);
             }
         }
-        self.evaluate_serialized();
+        if let Some(f) = self.builder.serialized_verdict(&self.cfg.thresholds) {
+            self.raise(f);
+        }
         self.evaluate_rank_tails();
-        self.evaluate_small();
+        if let Some(f) = self.builder.small().verdict(&self.cfg.thresholds) {
+            self.raise(f);
+        }
     }
 
     fn finish(&mut self) {
@@ -746,8 +589,8 @@ mod tests {
         let a = StreamDiagnoser::with_defaults();
         let b = StreamDiagnoser::with_defaults();
         let s = crate::SnapshotBuilder::new(crate::SnapshotConfig::default());
-        assert!(std::ptr::eq(a.table, b.table));
-        assert!(std::ptr::eq(a.table, s.table));
+        assert!(std::ptr::eq(a.builder.table, b.builder.table));
+        assert!(std::ptr::eq(a.builder.table, s.table));
     }
 
     #[test]

@@ -20,14 +20,17 @@
 //! * [`diagnose`] — the [`diagnose::StreamDiagnoser`]:
 //!   incremental versions of the `pio-core` detectors over tumbling
 //!   windows and barrier boundaries, raising the paper's findings
-//!   mid-run through the same verdict functions as the batch path.
+//!   mid-run through the same verdict functions as the batch path. It
+//!   owns the stream's snapshot builder and reads its whole-run
+//!   evidence from it, so one diagnoser is the whole analysis of a
+//!   stream.
 //! * [`reader`] — incremental trace reading through the `TraceCodec`
 //!   registry (JSONL via the hand-rolled fast parser, binary ptb2 via
 //!   the block reader, format sniffed from the file): diagnose an
 //!   on-disk trace in constant memory via any
-//!   [`RecordSink`](pio_trace::RecordSink) — typically
-//!   `Tee(StreamDiagnoser, SnapshotBuilder)`, the same pair a
-//!   `pio-fleetd` tenant runs.
+//!   [`RecordSink`](pio_trace::RecordSink) — typically a
+//!   `StreamDiagnoser`, as `analyze --stream` and every `pio-fleetd`
+//!   tenant run.
 //! * [`tenant`] — multi-stream accounting: a per-job
 //!   [`tenant::TenantMeter`] enforcing a resident-memory budget under
 //!   an [`OverflowPolicy`], for fleet-style services that ingest many

@@ -104,6 +104,63 @@ impl SmallWriteAgg {
     pub fn top(&self) -> Option<(u32, f64)> {
         self.per_rank.top().first().map(|h| (h.key, h.weight))
     }
+
+    /// The metadata-storm verdict over this aggregate.
+    pub(crate) fn verdict(&self, th: &Thresholds) -> Option<Finding> {
+        metadata_shoulder_verdict(
+            self.ops,
+            self.secs,
+            self.write_secs,
+            self.top(),
+            self.span_secs(),
+            th,
+        )
+    }
+}
+
+/// The serialized-metadata-rank verdict from whole-run metadata heavy
+/// hitters and time totals.
+fn serialized_verdict(
+    hitters: &HeavyHitters,
+    meta_secs: f64,
+    ranks: u32,
+    io_secs: f64,
+    th: &Thresholds,
+) -> Option<Finding> {
+    let per_rank: Vec<(u32, f64, usize)> = hitters
+        .top()
+        .into_iter()
+        .map(|h| (h.key, h.weight, h.ops as usize))
+        .collect();
+    serialized_meta_verdict(&per_rank, meta_secs, ranks, io_secs, th)
+}
+
+/// Rough resident size in bytes of a snapshot's components — the tenant
+/// budget's currency. Bounded by shards × bins, tracked hitters, and
+/// profiled ranks and moduli, never by the record count.
+fn approx_bytes<'a>(
+    shards: &[(ShardKey, ShardStats)],
+    hitters: &HeavyHitters,
+    profiles: impl Iterator<Item = &'a TailProfile>,
+) -> usize {
+    let bins = pio_core::attribution::TAIL_HIST_BINS;
+    shards
+        .iter()
+        .map(|(_, s)| {
+            std::mem::size_of::<(ShardKey, ShardStats)>()
+                + s.hist.bins() * std::mem::size_of::<u64>()
+                + s.sketch.geometry().bins()
+                    * (std::mem::size_of::<u64>() + std::mem::size_of::<f64>())
+        })
+        .sum::<usize>()
+        + hitters.tracked() * std::mem::size_of::<(u32, f64, u64)>()
+        + profiles
+            .map(|p| {
+                // Per-rank cells plus the fixed residue tables.
+                p.ranks_observed() * (bins + 2) * std::mem::size_of::<u64>()
+                    + MODULI.iter().sum::<usize>() * bins * std::mem::size_of::<u64>()
+            })
+            .sum::<usize>()
 }
 
 /// Which accumulator a record lands in.
@@ -230,10 +287,11 @@ impl Default for SnapshotConfig {
 }
 
 /// The sequential snapshot accumulator: one record stream in, an
-/// [`EnsembleSnapshot`] out, in `O(shards × bins)` memory. It is a
-/// [`RecordSink`], so it tees beside a stream diagnoser over one decode
-/// (`analyze --stream`); a fleet tenant owns one per job. Builders over
-/// the same [`SnapshotConfig`] merge freely through
+/// [`EnsembleSnapshot`] out, in `O(shards × bins)` memory. Every
+/// [`StreamDiagnoser`](crate::StreamDiagnoser) owns one and reads its
+/// whole-run evidence from it, so `analyze --stream` and a fleet tenant
+/// keep one accumulator per stream; as a [`RecordSink`] it also stands
+/// alone. Builders over the same [`SnapshotConfig`] merge freely through
 /// [`EnsembleSnapshot::merge`].
 #[derive(Debug, Clone)]
 pub struct SnapshotBuilder {
@@ -353,15 +411,24 @@ impl SnapshotBuilder {
     /// The block hot path: bit-identical to per-record
     /// [`Self::accumulate`] for any partitioning of the stream. One
     /// [`BinTable`] classification per record serves the shard histogram
-    /// and quantile sketch, one [`tail_bin_table`] classification serves
-    /// the attribution profile (no `ln` per record), and heavy-hitter
-    /// updates are grouped by key run before hashing. The hitter sketch
-    /// is only *read* between block calls, so hoisting it into its own
-    /// pass is unobservable.
+    /// and quantile sketch, and (halved, or through [`tail_bin_table`])
+    /// the attribution profile — no `ln` per record — and heavy-hitter
+    /// updates are grouped by key run before hashing.
     pub fn accumulate_block(&mut self, block: &[Record]) {
-        // Pass 1 — meta heavy hitters, grouped by rank run over the
-        // metadata subsequence (same per-key weight sequence as
-        // per-record adds).
+        self.add_meta_runs(block);
+        for r in block {
+            let secs = r.secs();
+            let bin = self.table.index_clamped(secs);
+            self.accumulate_binned(r, secs, bin);
+        }
+    }
+
+    /// The block path's first pass: metadata heavy hitters, grouped by
+    /// rank run over the block's metadata subsequence. The sketch sees
+    /// the same per-key weight sequence as per-record adds, and it is
+    /// only *read* between blocks (at phase boundaries and snapshots),
+    /// so hoisting it ahead of the record loop is unobservable.
+    pub(crate) fn add_meta_runs(&mut self, block: &[Record]) {
         let mut run = std::mem::take(&mut self.run_buf);
         let mut i = 0;
         while i < block.len() {
@@ -386,37 +453,57 @@ impl SnapshotBuilder {
             self.hitters.add_run(key, &run);
         }
         self.run_buf = run;
+    }
 
-        // Pass 2 — everything else, in record order.
-        for r in block {
-            let secs = r.secs();
-            let group = r.rank % self.cfg.rank_groups.max(1);
-            let pos = self.shard_pos(r.call, group, r.phase);
-            let bin = self.table.index_clamped(secs);
-            self.shards[pos].1.accumulate_binned(r, secs, bin);
-            if matches!(r.call, CallKind::MetaRead | CallKind::MetaWrite) {
-                self.meta_secs += secs;
-            }
-            if r.call.is_io() {
-                self.io_secs += secs;
-            }
-            if TAIL_KINDS.contains(&r.call) {
-                let stripe = self.cfg.stripe_bytes;
-                // `add_binned` debug-asserts the halving shortcut equals
-                // the tail-geometry classification.
-                let tail_bin = if self.tail_nested {
-                    bin >> 1
-                } else {
-                    self.tail_table.index_clamped(secs)
-                };
-                self.profiles[r.call as usize]
-                    .get_or_insert_with(|| TailProfile::new(stripe))
-                    .add_binned(r.rank, r.offset, secs, tail_bin);
-            }
-            self.small.accumulate(r, self.cfg.small_write_bytes);
-            self.ranks = self.ranks.max(r.rank + 1);
-            self.ingested += 1;
+    /// The block path's per-record step — every component except the
+    /// metadata heavy hitters ([`Self::add_meta_runs`]) — for a record
+    /// whose duration `secs` falls in `bin` of the configured geometry.
+    /// Returns the record's bin in the tail-profile geometry, so a
+    /// caller classifies each record once.
+    #[inline]
+    pub(crate) fn accumulate_binned(&mut self, r: &Record, secs: f64, bin: usize) -> usize {
+        let group = r.rank % self.cfg.rank_groups.max(1);
+        let pos = self.shard_pos(r.call, group, r.phase);
+        self.shards[pos].1.accumulate_binned(r, secs, bin);
+        if matches!(r.call, CallKind::MetaRead | CallKind::MetaWrite) {
+            self.meta_secs += secs;
         }
+        if r.call.is_io() {
+            self.io_secs += secs;
+        }
+        // `add_binned` debug-asserts that the halving shortcut equals
+        // the tail-geometry classification.
+        let tail_bin = if self.tail_nested {
+            bin >> 1
+        } else {
+            self.tail_table.index_clamped(secs)
+        };
+        if TAIL_KINDS.contains(&r.call) {
+            let stripe = self.cfg.stripe_bytes;
+            self.profiles[r.call as usize]
+                .get_or_insert_with(|| TailProfile::new(stripe))
+                .add_binned(r.rank, r.offset, secs, tail_bin);
+        }
+        self.small.accumulate(r, self.cfg.small_write_bytes);
+        self.ranks = self.ranks.max(r.rank + 1);
+        self.ingested += 1;
+        tail_bin
+    }
+
+    /// The whole-run tail profile of one call class (profiled classes
+    /// are [`TAIL_KINDS`]), once a record of it has arrived.
+    pub(crate) fn profile(&self, kind: CallKind) -> Option<&TailProfile> {
+        self.profiles[kind as usize].as_ref()
+    }
+
+    /// The serialized-metadata-rank verdict over everything so far.
+    pub(crate) fn serialized_verdict(&self, th: &Thresholds) -> Option<Finding> {
+        serialized_verdict(&self.hitters, self.meta_secs, self.ranks, self.io_secs, th)
+    }
+
+    /// The small-write size-class aggregate so far.
+    pub(crate) fn small(&self) -> &SmallWriteAgg {
+        &self.small
     }
 
     /// Records accumulated so far.
@@ -429,30 +516,12 @@ impl SnapshotBuilder {
         &self.cfg
     }
 
-    /// Rough resident size in bytes — the budget-enforcement currency.
-    /// `O(shards)` to compute; bounded by shards × bins, never by the
-    /// record count (see the bounded-memory tests).
+    /// Rough resident size in bytes — the budget-enforcement currency,
+    /// equal to the size of the snapshot it would produce. `O(shards)`
+    /// to compute; bounded by shards × bins, never by the record count
+    /// (see the bounded-memory tests).
     pub fn approx_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|(_, s)| {
-                std::mem::size_of::<(ShardKey, ShardStats)>()
-                    + s.hist.bins() * std::mem::size_of::<u64>()
-                    + s.sketch.geometry().bins()
-                        * (std::mem::size_of::<u64>() + std::mem::size_of::<f64>())
-            })
-            .sum::<usize>()
-            + self.hitters.top().len() * std::mem::size_of::<(u32, f64, u64)>()
-            + self
-                .profiles
-                .iter()
-                .flatten()
-                .map(|p| {
-                    let bins = pio_core::attribution::TAIL_HIST_BINS;
-                    p.ranks_observed() * (bins + 2) * std::mem::size_of::<u64>()
-                        + MODULI.iter().sum::<usize>() * bins * std::mem::size_of::<u64>()
-                })
-                .sum::<usize>()
+        approx_bytes(&self.shards, &self.hitters, self.profiles.iter().flatten())
     }
 
     /// Snapshot the current state (cloning the builder); `dropped` is
@@ -696,27 +765,11 @@ impl EnsembleSnapshot {
     /// Rough resident size of the snapshot in bytes — the bounded-memory
     /// invariant is `O(shards × bins)`, independent of record count.
     pub fn approx_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|(_, s)| {
-                std::mem::size_of::<(ShardKey, ShardStats)>()
-                    + s.hist.bins() * std::mem::size_of::<u64>()
-                    + s.sketch.geometry().bins()
-                        * (std::mem::size_of::<u64>() + std::mem::size_of::<f64>())
-            })
-            .sum::<usize>()
-            + self.meta_hitters.top().len() * std::mem::size_of::<(u32, f64, u64)>()
-            + self
-                .profiles
-                .iter()
-                .map(|(_, p)| {
-                    // Per-rank cells plus the fixed residue tables — both
-                    // bounded by ranks/moduli, never by record count.
-                    let bins = pio_core::attribution::TAIL_HIST_BINS;
-                    p.ranks_observed() * (bins + 2) * std::mem::size_of::<u64>()
-                        + MODULI.iter().sum::<usize>() * bins * std::mem::size_of::<u64>()
-                })
-                .sum::<usize>()
+        approx_bytes(
+            &self.shards,
+            &self.meta_hitters,
+            self.profiles.iter().map(|(_, p)| p),
+        )
     }
 
     /// Run the incremental detectors over the snapshot — same verdict
@@ -793,28 +846,15 @@ impl EnsembleSnapshot {
             }
         }
         // Serialized metadata rank from the heavy-hitter sketch.
-        let per_rank: Vec<(u32, f64, usize)> = self
-            .meta_hitters
-            .top()
-            .into_iter()
-            .map(|h| (h.key, h.weight, h.ops as usize))
-            .collect();
-        if let Some(f) =
-            serialized_meta_verdict(&per_rank, self.meta_secs, self.ranks, self.io_secs, th)
-        {
-            findings.push(f);
-        }
-        // Small-write metadata storm from the size-class aggregate.
-        if let Some(f) = metadata_shoulder_verdict(
-            self.small.ops,
-            self.small.secs,
-            self.small.write_secs,
-            self.small.top(),
-            self.small.span_secs(),
+        findings.extend(serialized_verdict(
+            &self.meta_hitters,
+            self.meta_secs,
+            self.ranks,
+            self.io_secs,
             th,
-        ) {
-            findings.push(f);
-        }
+        ));
+        // Small-write metadata storm from the size-class aggregate.
+        findings.extend(self.small.verdict(th));
         findings
     }
 }
@@ -1066,6 +1106,35 @@ mod tests {
         assert_eq!((cfg.rank_groups, cfg.hitter_capacity), (8, 16));
         assert!(snap.shards.len() > 1 && snap.profiles.len() > 1);
         assert_eq!(snap, assemble_reference(&recs, &cfg));
+    }
+
+    /// One size formula: a builder reports the size of the snapshot it
+    /// would produce, on a stream with several shards and tail profiles
+    /// and more metadata ranks than the hitter capacity.
+    #[test]
+    fn builder_and_snapshot_approx_bytes_agree() {
+        let recs: Vec<Record> = (0..960u32)
+            .map(|i| {
+                rec(
+                    i % 64,
+                    CallKind::ALL[(i % 12) as usize],
+                    (i as u64 % 3) << 12,
+                    1e-3 * (1 + i % 53) as f64,
+                    i / 240,
+                )
+            })
+            .collect();
+        let b = build(&recs);
+        let snap = b.snapshot(0);
+        assert!(snap.shards.len() > 1 && snap.profiles.len() > 1);
+        let meta_ranks: std::collections::HashSet<u32> = recs
+            .iter()
+            .filter(|r| matches!(r.call, CallKind::MetaRead | CallKind::MetaWrite))
+            .map(|r| r.rank)
+            .collect();
+        assert!(meta_ranks.len() > b.config().hitter_capacity);
+        assert_eq!(snap.meta_hitters.tracked(), b.config().hitter_capacity);
+        assert_eq!(b.approx_bytes(), snap.approx_bytes());
     }
 
     /// The block path must produce a byte-identical snapshot for every

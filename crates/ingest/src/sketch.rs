@@ -10,13 +10,15 @@
 //!   a [`LogBins`] geometry; each keeps a count *and* a sum so quantiles
 //!   are reported at the mean of the in-bucket samples rather than the
 //!   geometric bin center, which tightens the estimate considerably for
-//!   the concentrated unimodal distributions healthy I/O produces.
+//!   the concentrated unimodal distributions healthy I/O produces. Its
+//!   counts are the clamped [`LogHistogram`] of the samples, which the
+//!   stream diagnoser's histogram-based detectors read.
 //! * [`HeavyHitters`] — weighted Space-Saving top-k over ranks, used to
 //!   spot one rank monopolizing metadata time without a per-rank table.
 //! * [`OnlineMoments`] (re-exported) — mergeable mean/variance/skew/
 //!   kurtosis accumulator from `pio-des`.
 
-use pio_des::hist::{BinTable, LogBins};
+use pio_des::hist::{BinTable, LogBins, LogHistogram};
 pub use pio_des::stats::OnlineMoments;
 use std::collections::HashMap;
 
@@ -57,6 +59,14 @@ impl QuantileSketch {
     /// The bucket geometry.
     pub fn geometry(&self) -> LogBins {
         self.geom
+    }
+
+    /// The bucket counts as a [`LogHistogram`] over the sketch's
+    /// geometry: the histogram `add_clamped` builds from the same
+    /// samples. Built on demand, so a sketch keeps one count array: its
+    /// size is part of the tenant budget's currency (`approx_bytes`).
+    pub(crate) fn to_histogram(&self) -> LogHistogram {
+        LogHistogram::from_parts(self.geom.lo(), self.geom.hi(), self.counts.clone(), 0, 0)
     }
 
     /// Record one sample.
@@ -219,20 +229,7 @@ impl HeavyHitters {
             e.1 += ops;
             return;
         }
-        if self.entries.len() < self.capacity {
-            self.entries.insert(key, (weight, ops));
-            return;
-        }
-        // Space-Saving eviction: the new key absorbs the smallest entry's
-        // counters, bounding the underestimate of any true heavy hitter.
-        let &evict = self
-            .entries
-            .iter()
-            .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
-            .map(|(k, _)| k)
-            .expect("capacity > 0");
-        let (w0, n0) = self.entries.remove(&evict).expect("present");
-        self.entries.insert(key, (w0 + weight, n0 + ops));
+        self.insert_new(key, weight, ops);
     }
 
     /// Record a run of single-op weights that all belong to `key` — one
@@ -250,32 +247,46 @@ impl HeavyHitters {
         }
         self.total_ops += weights.len() as u64;
         let e = match self.entries.get_mut(&key) {
-            Some(e) => e,
+            Some(e) => {
+                e.0 += first;
+                e.1 += 1;
+                e
+            }
             None => {
-                if self.entries.len() < self.capacity {
-                    self.entries.insert(key, (first, 1));
-                } else {
-                    let &evict = self
-                        .entries
-                        .iter()
-                        .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
-                        .map(|(k, _)| k)
-                        .expect("capacity > 0");
-                    let (w0, n0) = self.entries.remove(&evict).expect("present");
-                    self.entries.insert(key, (w0 + first, n0 + 1));
-                }
-                let e = self.entries.get_mut(&key).expect("just inserted");
-                for &w in rest {
-                    e.0 += w;
-                    e.1 += 1;
-                }
-                return;
+                self.insert_new(key, first, 1);
+                self.entries.get_mut(&key).expect("just inserted")
             }
         };
-        for &w in weights {
+        for &w in rest {
             e.0 += w;
             e.1 += 1;
         }
+    }
+
+    /// Start tracking `key` with `weight` over `ops`. A full sketch
+    /// first evicts its [`lightest`](Self::lightest) key, whose counters
+    /// the newcomer absorbs (Space-Saving), bounding the underestimate
+    /// of any true heavy hitter.
+    fn insert_new(&mut self, key: u32, weight: f64, ops: u64) {
+        if self.entries.len() < self.capacity {
+            self.entries.insert(key, (weight, ops));
+            return;
+        }
+        let (evict, w0, n0) = self.lightest();
+        self.entries.remove(&evict);
+        self.entries.insert(key, (w0 + weight, n0 + ops));
+    }
+
+    /// The eviction victim: the lightest tracked key, ties going to the
+    /// highest key — the entry [`Self::top`] lists last. The choice
+    /// never depends on hash order, so equal streams keep equal keys.
+    fn lightest(&self) -> (u32, f64, u64) {
+        let (&key, &(weight, ops)) = self
+            .entries
+            .iter()
+            .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0).then(b.0.cmp(a.0)))
+            .expect("capacity > 0");
+        (key, weight, ops)
     }
 
     /// Total weight seen (exact).
@@ -286,6 +297,12 @@ impl HeavyHitters {
     /// Total operations seen (exact).
     pub fn total_ops(&self) -> u64 {
         self.total_ops
+    }
+
+    /// Number of keys tracked (at most the capacity) — [`Self::top`]'s
+    /// length, without sorting.
+    pub(crate) fn tracked(&self) -> usize {
+        self.entries.len()
     }
 
     /// Tracked keys, heaviest first.
@@ -305,27 +322,14 @@ impl HeavyHitters {
     pub fn merge(&mut self, other: &HeavyHitters) {
         self.total_weight += other.total_weight;
         self.total_ops += other.total_ops;
-        let mut incoming = other.top();
-        // Insert heaviest first so the keys that matter survive eviction.
-        incoming.sort_by(|a, b| b.weight.total_cmp(&a.weight));
-        for h in incoming {
+        // Heaviest first, so the keys that matter survive eviction; a
+        // full receiver admits a key only if it outweighs its lightest.
+        for h in other.top() {
             if let Some(e) = self.entries.get_mut(&h.key) {
                 e.0 += h.weight;
                 e.1 += h.ops;
-            } else if self.entries.len() < self.capacity {
-                self.entries.insert(h.key, (h.weight, h.ops));
-            } else {
-                let &evict = self
-                    .entries
-                    .iter()
-                    .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
-                    .map(|(k, _)| k)
-                    .expect("capacity > 0");
-                let (w0, n0) = self.entries[&evict];
-                if h.weight > w0 {
-                    self.entries.remove(&evict);
-                    self.entries.insert(h.key, (w0 + h.weight, n0 + h.ops));
-                }
+            } else if self.entries.len() < self.capacity || h.weight > self.lightest().1 {
+                self.insert_new(h.key, h.weight, h.ops);
             }
         }
     }
@@ -419,6 +423,22 @@ mod tests {
         assert_eq!(top[0].key, 7);
         assert!(top[0].weight / hh.total_weight() > 0.6);
         assert_eq!(hh.total_ops(), 100);
+    }
+
+    /// Eviction picks its victim by weight, then key, never by hash
+    /// order: 64 fresh capacity-2 sketches fed three equal weights all
+    /// evict key 2, the tied key `top()` lists last.
+    #[test]
+    fn tied_eviction_is_deterministic() {
+        for _ in 0..64 {
+            let mut hh = HeavyHitters::new(2);
+            for key in [1, 2, 3] {
+                hh.add(key, 1.0);
+            }
+            let mut kept: Vec<u32> = hh.top().iter().map(|h| h.key).collect();
+            kept.sort_unstable();
+            assert_eq!(kept, vec![1, 3]);
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use std::io::Cursor;
 
 use pio_ingest::{DiagnoserConfig, SnapshotBuilder, SnapshotConfig, StreamDiagnoser};
-use pio_trace::{codec_for, CallKind, Record, RecordSink, Tee, Trace, TraceFormat, TraceMeta};
+use pio_trace::{codec_for, CallKind, Record, RecordSink, Trace, TraceFormat, TraceMeta};
 use proptest::prelude::*;
 
 /// Arbitrary records across every call kind, with durations spanning the
@@ -65,7 +65,9 @@ proptest! {
 
     /// `StreamDiagnoser::push_block` over any partition is observationally
     /// identical to per-record `push`: same findings (bit-identical
-    /// severities), same record count, under mid-stream phase ends.
+    /// severities), same record count, same owned snapshot, under
+    /// mid-stream phase ends — and that snapshot is the one a standalone
+    /// builder of the same shape makes of the stream.
     #[test]
     fn diagnoser_block_path_matches_record_path(
         records in arb_records(),
@@ -89,6 +91,13 @@ proptest! {
 
         prop_assert_eq!(block.findings(), reference.findings());
         prop_assert_eq!(block.records(), reference.records());
+        let snapshot = reference.builder().snapshot(0);
+        prop_assert_eq!(&block.builder().snapshot(0), &snapshot);
+        let mut alone = SnapshotBuilder::new(DiagnoserConfig::default().snapshot_config());
+        for r in &records {
+            alone.accumulate(r);
+        }
+        prop_assert_eq!(alone.into_snapshot(0), snapshot);
     }
 
     /// `SnapshotBuilder::accumulate_block` over any partition yields a
@@ -111,17 +120,6 @@ proptest! {
 
         prop_assert_eq!(block.into_snapshot(0), reference.into_snapshot(0));
     }
-}
-
-/// The full analysis sink `analyze --stream` and a fleet tenant run —
-/// diagnoser and snapshot builder teed over one stream, both through
-/// their `RecordSink` impls, whose block path is the production one;
-/// [`PerRecord`] wraps it to force the trait-default record-at-a-time
-/// loop for the reference side.
-type Analysis = Tee<StreamDiagnoser, SnapshotBuilder>;
-
-fn analysis() -> Analysis {
-    Tee(diagnoser(), SnapshotBuilder::new(SnapshotConfig::default()))
 }
 
 /// Forwards everything per record; never exposes a block, so the inner
@@ -147,7 +145,11 @@ proptest! {
     /// Streaming the same encoded trace through every codec produces
     /// identical analysis whether the codec's blocks flow into the
     /// batched kernels or are unrolled record by record — and the
-    /// verdicts agree across both encodings.
+    /// verdicts agree across both encodings. The sink is the one
+    /// `analyze --stream` and a fleet tenant run: a diagnoser, which
+    /// owns the stream's snapshot builder; [`PerRecord`] wraps it to
+    /// force the trait-default record-at-a-time loop for the reference
+    /// side.
     #[test]
     fn codec_streams_are_block_record_equivalent(records in arb_records()) {
         let mut trace = Trace::new(TraceMeta {
@@ -166,25 +168,25 @@ proptest! {
             let mut bytes = Vec::new();
             codec.write(&trace, &mut bytes).expect("encode");
 
-            let mut batched = analysis();
+            let mut batched = diagnoser();
             let (_, n) = codec
                 .stream(&mut Cursor::new(&bytes), &mut batched)
                 .expect("stream batched");
             prop_assert_eq!(n as usize, records.len());
 
-            let mut unrolled = PerRecord(analysis());
+            let mut unrolled = PerRecord(diagnoser());
             codec
                 .stream(&mut Cursor::new(&bytes), &mut unrolled)
                 .expect("stream unrolled");
 
             prop_assert_eq!(
-                batched.0.findings(),
-                unrolled.0.0.findings(),
+                batched.findings(),
+                unrolled.0.findings(),
                 "findings diverge under {}",
                 codec.name()
             );
-            let a = batched.1.into_snapshot(0);
-            let b = unrolled.0.1.into_snapshot(0);
+            let a = batched.builder().snapshot(0);
+            let b = unrolled.0.builder().snapshot(0);
             prop_assert_eq!(&a, &b, "snapshot diverges under {}", codec.name());
             snapshots.push(a);
         }

@@ -229,23 +229,17 @@ fn diagnoser_and_snapshot_parity_across_formats_and_transport() {
         })
         .collect();
 
-    // One diagnoser + snapshot builder, teed over one stream, per
+    // One diagnoser, which owns the stream's snapshot builder, per
     // on-disk format via the sniffing entry point (the `analyze
     // --stream` transport) — verdicts and snapshots must be
     // bit-identical, and match the builder fed straight from memory.
     let run = |path: &std::path::Path| {
         let mut diagnoser = StreamDiagnoser::new(DiagnoserConfig::default());
-        let mut builder = SnapshotBuilder::new(SnapshotConfig::default());
-        let (meta, n) = {
-            let mut tee = events_to_ensembles::trace::Tee(&mut diagnoser, &mut builder);
-            stream_file(path, &mut tee).unwrap()
-        };
+        let (meta, n) = stream_file(path, &mut diagnoser).unwrap();
         assert_eq!(meta, t.meta, "{path:?}");
         assert_eq!(n as usize, t.records.len(), "{path:?}");
-        (
-            builder.into_snapshot(0),
-            format!("{:?}", diagnoser.findings()),
-        )
+        let (findings, builder) = diagnoser.into_parts();
+        (builder.into_snapshot(0), format!("{findings:?}"))
     };
     let (snap_ref, findings_ref) = run(&paths[0]);
     for p in &paths[1..] {
