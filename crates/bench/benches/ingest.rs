@@ -1,14 +1,10 @@
 //! Criterion benchmarks for streaming ingest: streaming vs batch
-//! analysis throughput, trace parse throughput, and snapshot merge
-//! scaling with shard count.
+//! analysis throughput and trace parse throughput.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use pio_core::diagnosis::{diagnose_with, Thresholds};
-use pio_ingest::shard::{EnsembleSnapshot, ShardKey, ShardStats, SmallWriteAgg};
-use pio_ingest::sketch::HeavyHitters;
 use pio_ingest::{DiagnoserConfig, StreamDiagnoser};
 use pio_trace::{CallKind, Record, RecordSink, Trace, TraceMeta};
-use std::collections::HashMap;
 use std::hint::black_box;
 
 /// A deterministic MADbench-shaped record stream: phased reads/writes
@@ -71,28 +67,6 @@ fn bench_streaming_vs_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Pre-build `shards` worker maps, each covering the same key space, for
-/// the snapshot-merge scaling measurement.
-fn shard_maps(shards: usize) -> Vec<HashMap<ShardKey, ShardStats>> {
-    let recs = records(4096);
-    (0..shards)
-        .map(|w| {
-            let mut map: HashMap<ShardKey, ShardStats> = HashMap::new();
-            for r in recs.iter().skip(w).step_by(shards) {
-                let key = ShardKey {
-                    kind: r.call,
-                    group: r.rank % 8,
-                    phase: r.phase,
-                };
-                map.entry(key)
-                    .or_insert_with(|| ShardStats::new(1e-6, 1e3, 96))
-                    .accumulate(r);
-            }
-            map
-        })
-        .collect()
-}
-
 /// Parse throughput of the trace readers over the same records: the
 /// serde_json-per-line baseline, the hand-rolled JSONL fast path, and
 /// the binary ptb2 block reader.
@@ -144,38 +118,5 @@ fn bench_parse_formats(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_merge_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ingest/snapshot_merge");
-    for shards in [1usize, 2, 4, 8, 16] {
-        let maps = shard_maps(shards);
-        group.bench_function(&format!("{shards}_shards"), |b| {
-            b.iter_batched(
-                || maps.clone(),
-                |maps| {
-                    let shards = maps.len();
-                    black_box(EnsembleSnapshot::assemble(
-                        maps,
-                        HeavyHitters::new(16),
-                        0.0,
-                        0.0,
-                        64,
-                        4096,
-                        0,
-                        vec![HashMap::new(); shards],
-                        SmallWriteAgg::new(16),
-                    ))
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_streaming_vs_batch,
-    bench_parse_formats,
-    bench_merge_scaling
-);
+criterion_group!(benches, bench_streaming_vs_batch, bench_parse_formats);
 criterion_main!(benches);

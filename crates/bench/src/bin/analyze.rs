@@ -135,7 +135,8 @@ fn main() {
 }
 
 /// The `--stream` path: one block in memory at a time, report rendered
-/// from the mergeable ensemble snapshot and the online diagnoser.
+/// from the mergeable ensemble snapshot and the online diagnoser, whose
+/// findings end with the run's one verdict.
 fn stream_analyze(path: &str, forced_format: Option<TraceFormat>) {
     let mut diagnoser = StreamDiagnoser::with_defaults();
     let p = std::path::Path::new(path);

@@ -19,10 +19,13 @@
 //!   tail events into regularly spaced bursts in wall-clock time.
 //!
 //! Everything operates on [`TailProfile`], a mergeable order-independent
-//! accumulator shared by the batch detectors (`diagnosis`), the online
-//! `StreamDiagnoser`, and the sharded snapshot path in `pio-ingest` —
-//! one source of truth for what "rank-correlated" means, estimated from
-//! the same statistic everywhere. The tail cut itself
+//! accumulator shared by the batch detectors (`diagnosis`) and the
+//! online `StreamDiagnoser` in `pio-ingest` (whose ensemble snapshot
+//! keeps the whole-run profiles) — one source of truth for what
+//! "rank-correlated" means, estimated from the same statistic
+//! everywhere. Both paths hand the data-tail chain the same evidence:
+//! the profile, a fine histogram, per-window slices and the tail
+//! events' arrival times. The tail cut itself
 //! ([`Thresholds::tail_cut`]) is applied at *diagnosis* time, never at
 //! accumulation time, so profiles stay insensitive to record order and
 //! to the provisional medians a streaming consumer sees.
@@ -666,23 +669,21 @@ pub fn sync_front_share(starts: &[f64]) -> f64 {
     covered as f64 / starts.len() as f64
 }
 
-/// Attribute a data-class (read/write) tail. Checks run from the most
-/// to the least specific evidence: rank concentration (straggler node),
-/// stripe-residue concentration (slow OST), periodic bursts (flaky
-/// fabric — only when arrival times are available, so snapshot-only
-/// consumers skip it), then quantized levels (drop + retry). `None`
+/// Attribute a data-class (read/write) tail from its profile, its fine
+/// histogram, and the tail events' start times in seconds. Checks run
+/// from the most to the least specific evidence: rank concentration
+/// (straggler node), stripe-residue concentration (slow OST), periodic
+/// bursts (flaky fabric), then quantized levels (drop + retry). `None`
 /// falls back to the paper's middleware-pathology reading.
 ///
-/// When arrival times are available a tail dominated by synchronized
+/// A tail that is not rank-correlated and is dominated by synchronized
 /// fronts ([`sync_front_share`] ≥ 1/2) attributes to nothing: barrier
 /// drains land on block-aligned stripes and quantized service levels,
-/// mimicking both a hot residue and a retry ladder. Snapshot-only
-/// consumers (no arrival times) cannot apply the veto and stay
-/// conservative about residue evidence on their own thresholds.
+/// mimicking both a hot residue and a retry ladder.
 pub fn attribute_data_tail(
     profile: &TailProfile,
     hist: &LogHistogram,
-    tail_starts: Option<&[f64]>,
+    tail_starts: &[f64],
     median: f64,
     th: &Thresholds,
 ) -> Option<FaultClass> {
@@ -693,18 +694,14 @@ pub fn attribute_data_tail(
     if profile.rank_correlated(cut, th).is_some() {
         return Some(FaultClass::StragglerNode);
     }
-    if let Some(starts) = tail_starts {
-        if sync_front_share(starts) >= FRONT_SHARE_VETO {
-            return None;
-        }
+    if sync_front_share(tail_starts) >= FRONT_SHARE_VETO {
+        return None;
     }
     if profile.target_correlated(cut, th).is_some() {
         return Some(FaultClass::SlowOst);
     }
-    if let Some(starts) = tail_starts {
-        if periodic_bursts(starts, th).is_some() {
-            return Some(FaultClass::FlakyFabric);
-        }
+    if periodic_bursts(tail_starts, th).is_some() {
+        return Some(FaultClass::FlakyFabric);
     }
     if quantized_tail_levels(hist, cut, th.tail_min_events).is_some() {
         return Some(FaultClass::DropRetry);
@@ -969,18 +966,15 @@ fn hist_tail(hist: &LogHistogram, cut: f64) -> (u64, f64) {
 }
 
 /// Everything the windowed attribution sees for one data call class.
-/// `windows` and `events` are optional so snapshot-only consumers (no
-/// arrival times, no windowed state) degrade to the global chain.
 pub struct DataTailEvidence<'a> {
     /// Whole-run rank/residue decomposition.
     pub profile: &'a TailProfile,
     /// Whole-run fine duration histogram.
     pub hist: &'a LogHistogram,
-    /// Per-window evidence, when the consumer keeps it.
-    pub windows: Option<&'a WindowedProfile>,
-    /// Tail events (`secs > cut`), rank-tagged, when arrival times are
-    /// available. Order does not matter.
-    pub events: Option<&'a [TailEvent]>,
+    /// Per-window evidence.
+    pub windows: &'a WindowedProfile,
+    /// Tail events (`secs > cut`), rank-tagged. Order does not matter.
+    pub events: &'a [TailEvent],
 }
 
 /// Which positional test carries a class's fingerprint inside a single
@@ -1016,7 +1010,7 @@ fn window_supports(class: FaultClass, slot: &WindowSlot, cut: f64, th: &Threshol
 /// ambiguous between.
 fn cofiring_classes(
     ev: &DataTailEvidence<'_>,
-    starts: Option<&[f64]>,
+    starts: &[f64],
     cut: f64,
     th: &Thresholds,
     known: &[FaultClass],
@@ -1037,7 +1031,7 @@ fn cofiring_classes(
     );
     consider(
         FaultClass::FlakyFabric,
-        starts.is_some_and(|s| periodic_bursts(s, th).is_some()),
+        periodic_bursts(starts, th).is_some(),
     );
     consider(
         FaultClass::DropRetry,
@@ -1079,124 +1073,112 @@ pub fn attribute_data_tail_windowed(
         return None;
     }
     let cut = th.tail_cut(median);
-    let starts: Option<Vec<f64>> = ev.events.map(|es| es.iter().map(|e| e.start_s()).collect());
-    let primary = attribute_data_tail(ev.profile, ev.hist, starts.as_deref(), median, th);
+    let starts: Vec<f64> = ev.events.iter().map(|e| e.start_s()).collect();
+    let primary = attribute_data_tail(ev.profile, ev.hist, &starts, median, th);
 
     let mut confident: Vec<FaultClass> = primary.into_iter().collect();
     let mut unresolved: Vec<FaultClass> = Vec::new();
 
     // --- time residual ---
-    if let Some(windows) = ev.windows {
-        let (_, total_mass) = hist_tail(ev.hist, cut);
-        struct Active<'s> {
-            idx: usize,
-            slot: &'s WindowSlot,
-            events: u64,
-            mass: f64,
-        }
-        let active: Vec<Active<'_>> = windows
-            .populated()
-            .filter_map(|(idx, slot)| {
-                let (events, mass) = hist_tail(&slot.hist, cut);
-                ((events as usize) >= th.tail_min_events).then_some(Active {
-                    idx,
-                    slot,
-                    events,
-                    mass,
-                })
+    let (_, total_mass) = hist_tail(ev.hist, cut);
+    struct Active<'s> {
+        idx: usize,
+        slot: &'s WindowSlot,
+        events: u64,
+        mass: f64,
+    }
+    let active: Vec<Active<'_>> = ev
+        .windows
+        .populated()
+        .filter_map(|(idx, slot)| {
+            let (events, mass) = hist_tail(&slot.hist, cut);
+            ((events as usize) >= th.tail_min_events).then_some(Active {
+                idx,
+                slot,
+                events,
+                mass,
             })
+        })
+        .collect();
+
+    // Pool a window subset and run the full chain over it.
+    let pooled_verdict = |group: &[&Active<'_>]| -> Option<FaultClass> {
+        let mut profile = group[0].slot.profile.clone();
+        let mut hist = group[0].slot.hist.clone();
+        for a in &group[1..] {
+            profile.merge(&a.slot.profile);
+            hist.merge(&a.slot.hist);
+        }
+        let idxs: Vec<usize> = group.iter().map(|a| a.idx).collect();
+        let pooled_starts: Vec<f64> = ev
+            .events
+            .iter()
+            .filter(|e| idxs.contains(&ev.windows.index(e.start_ns)))
+            .map(|e| e.start_s())
             .collect();
+        attribute_data_tail(&profile, &hist, &pooled_starts, median, th)
+    };
+    let substantial = |events: u64, mass: f64| {
+        (events as usize) >= th.tail_min_events && mass >= th.compound_share * total_mass
+    };
 
-        // Pool a window subset and run the full chain over it.
-        let pooled_verdict = |group: &[&Active<'_>]| -> Option<FaultClass> {
-            let mut profile = group[0].slot.profile.clone();
-            let mut hist = group[0].slot.hist.clone();
-            for a in &group[1..] {
-                profile.merge(&a.slot.profile);
-                hist.merge(&a.slot.hist);
-            }
-            let idxs: Vec<usize> = group.iter().map(|a| a.idx).collect();
-            let pooled_starts: Option<Vec<f64>> = ev.events.map(|es| {
-                es.iter()
-                    .filter(|e| idxs.contains(&windows.index(e.start_ns)))
-                    .map(|e| e.start_s())
-                    .collect()
-            });
-            attribute_data_tail(&profile, &hist, pooled_starts.as_deref(), median, th)
-        };
-        let substantial = |events: u64, mass: f64| {
-            (events as usize) >= th.tail_min_events && mass >= th.compound_share * total_mass
-        };
-
-        match primary {
-            Some(p) => {
-                let residue: Vec<&Active<'_>> = active
-                    .iter()
-                    .filter(|a| !window_supports(p, a.slot, cut, th))
-                    .collect();
-                let ev_n: u64 = residue.iter().map(|a| a.events).sum();
-                let mass: f64 = residue.iter().map(|a| a.mass).sum();
-                if !residue.is_empty() && substantial(ev_n, mass) {
-                    match pooled_verdict(&residue) {
-                        Some(c) if c != p => confident.push(c),
-                        Some(_) => {}
-                        None => unresolved.extend(cofiring_classes(
-                            ev,
-                            starts.as_deref(),
-                            cut,
-                            th,
-                            &confident,
-                        )),
-                    }
+    match primary {
+        Some(p) => {
+            let residue: Vec<&Active<'_>> = active
+                .iter()
+                .filter(|a| !window_supports(p, a.slot, cut, th))
+                .collect();
+            let ev_n: u64 = residue.iter().map(|a| a.events).sum();
+            let mass: f64 = residue.iter().map(|a| a.mass).sum();
+            if !residue.is_empty() && substantial(ev_n, mass) {
+                match pooled_verdict(&residue) {
+                    Some(c) if c != p => confident.push(c),
+                    Some(_) => {}
+                    None => unresolved.extend(cofiring_classes(ev, &starts, cut, th, &confident)),
                 }
             }
-            None => {
-                // No global verdict: per-window classification votes,
-                // then each class group is confirmed on its own pool.
-                let mut groups: Vec<(FaultClass, Vec<&Active<'_>>)> = Vec::new();
-                let mut leftover: Vec<&Active<'_>> = Vec::new();
-                for a in &active {
-                    let class = if a.slot.profile.rank_correlated(cut, th).is_some() {
-                        Some(FaultClass::StragglerNode)
-                    } else if a.slot.profile.target_correlated(cut, th).is_some() {
-                        Some(FaultClass::SlowOst)
-                    } else if quantized_tail_levels(&a.slot.hist, cut, th.tail_min_events).is_some()
-                    {
-                        Some(FaultClass::DropRetry)
-                    } else {
-                        None
-                    };
-                    match class {
-                        Some(c) => match groups.iter_mut().find(|(g, _)| *g == c) {
-                            Some((_, v)) => v.push(a),
-                            None => groups.push((c, vec![a])),
-                        },
-                        None => leftover.push(a),
+        }
+        None => {
+            // No global verdict: per-window classification votes,
+            // then each class group is confirmed on its own pool.
+            let mut groups: Vec<(FaultClass, Vec<&Active<'_>>)> = Vec::new();
+            let mut leftover: Vec<&Active<'_>> = Vec::new();
+            for a in &active {
+                let class = if a.slot.profile.rank_correlated(cut, th).is_some() {
+                    Some(FaultClass::StragglerNode)
+                } else if a.slot.profile.target_correlated(cut, th).is_some() {
+                    Some(FaultClass::SlowOst)
+                } else if quantized_tail_levels(&a.slot.hist, cut, th.tail_min_events).is_some() {
+                    Some(FaultClass::DropRetry)
+                } else {
+                    None
+                };
+                match class {
+                    Some(c) => match groups.iter_mut().find(|(g, _)| *g == c) {
+                        Some((_, v)) => v.push(a),
+                        None => groups.push((c, vec![a])),
+                    },
+                    None => leftover.push(a),
+                }
+            }
+            for (_, group) in &groups {
+                let ev_n: u64 = group.iter().map(|a| a.events).sum();
+                let mass: f64 = group.iter().map(|a| a.mass).sum();
+                if substantial(ev_n, mass) {
+                    if let Some(c) = pooled_verdict(group) {
+                        confident.push(c);
                     }
                 }
-                for (_, group) in &groups {
-                    let ev_n: u64 = group.iter().map(|a| a.events).sum();
-                    let mass: f64 = group.iter().map(|a| a.mass).sum();
-                    if substantial(ev_n, mass) {
-                        if let Some(c) = pooled_verdict(group) {
-                            confident.push(c);
-                        }
+            }
+            let ev_n: u64 = leftover.iter().map(|a| a.events).sum();
+            let mass: f64 = leftover.iter().map(|a| a.mass).sum();
+            if !leftover.is_empty() && substantial(ev_n, mass) {
+                match pooled_verdict(&leftover) {
+                    Some(c) => confident.push(c),
+                    None if !confident.is_empty() => {
+                        unresolved.extend(cofiring_classes(ev, &starts, cut, th, &confident))
                     }
-                }
-                let ev_n: u64 = leftover.iter().map(|a| a.events).sum();
-                let mass: f64 = leftover.iter().map(|a| a.mass).sum();
-                if !leftover.is_empty() && substantial(ev_n, mass) {
-                    match pooled_verdict(&leftover) {
-                        Some(c) => confident.push(c),
-                        None if !confident.is_empty() => unresolved.extend(cofiring_classes(
-                            ev,
-                            starts.as_deref(),
-                            cut,
-                            th,
-                            &confident,
-                        )),
-                        None => {}
-                    }
+                    None => {}
                 }
             }
         }
@@ -1204,12 +1186,13 @@ pub fn attribute_data_tail_windowed(
 
     // --- rank residual ---
     if primary == Some(FaultClass::StragglerNode) {
-        if let (Some(rt), Some(events)) = (ev.profile.rank_correlated(cut, th), ev.events) {
-            let residual: Vec<&TailEvent> = events
+        if let Some(rt) = ev.profile.rank_correlated(cut, th) {
+            let residual: Vec<&TailEvent> = ev
+                .events
                 .iter()
                 .filter(|e| e.secs > cut && !rt.ranks.contains(&e.rank))
                 .collect();
-            let tail_total = events.iter().filter(|e| e.secs > cut).count();
+            let tail_total = ev.events.iter().filter(|e| e.secs > cut).count();
             if residual.len() >= th.tail_min_events
                 && (residual.len() as f64) >= th.compound_share * tail_total as f64
             {
@@ -1223,7 +1206,7 @@ pub fn attribute_data_tail_windowed(
                 } else if quantized_tail_levels(&rh, cut, th.tail_min_events).is_some() {
                     confident.push(FaultClass::DropRetry);
                 } else {
-                    unresolved.extend(cofiring_classes(ev, starts.as_deref(), cut, th, &confident));
+                    unresolved.extend(cofiring_classes(ev, &starts, cut, th, &confident));
                 }
             }
         }
@@ -1541,8 +1524,8 @@ mod tests {
             &DataTailEvidence {
                 profile: &profile,
                 hist: &hist,
-                windows: Some(&windows),
-                events: Some(&events),
+                windows: &windows,
+                events: &events,
             },
             0.02,
             &th(),
@@ -1588,8 +1571,8 @@ mod tests {
             &DataTailEvidence {
                 profile: &profile,
                 hist: &hist,
-                windows: Some(&windows),
-                events: Some(&events),
+                windows: &windows,
+                events: &events,
             },
             0.02,
             &th(),

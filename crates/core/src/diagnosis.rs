@@ -516,8 +516,8 @@ fn attribute_shoulder(class: &ClassEvidence, median: f64, th: &Thresholds) -> Op
     let ev = DataTailEvidence {
         profile,
         hist: &hist,
-        windows: Some(&windows),
-        events: Some(&events),
+        windows: &windows,
+        events: &events,
     };
     attribute_data_tail_windowed(&ev, median, th)
 }

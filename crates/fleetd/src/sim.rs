@@ -2,14 +2,15 @@
 //! configurable fraction under fault plans — streamed through a
 //! [`FleetService`].
 //!
-//! The job mix deliberately mirrors the fault × workload matrix cells
-//! (`pio-bench`'s `fault_matrix`) that the attribution-corpus test
-//! certifies: every faulted tenant here is a workload/plan pair whose
-//! batch and streaming verdicts are golden at the corpus seeds, and
-//! every clean tenant is one of those cells' baselines. A fleet run is
-//! therefore checkable end to end — faulted jobs must be attributed to
-//! their injected class, clean jobs must stay clean — without this
-//! crate re-deriving any thresholds.
+//! The job mix is the fault × workload matrix's (`pio-bench`'s
+//! `fault_matrix`, whose cells the attribution-corpus test certifies):
+//! tenants build their jobs with the cells' own builders in
+//! [`pio_workloads::matrix`], every faulted tenant is a workload/plan
+//! pair whose batch and streaming verdicts are golden at the corpus
+//! seeds, and every clean tenant is one of those cells' baselines. A
+//! fleet run is therefore checkable end to end — faulted jobs must be
+//! attributed to their injected class, clean jobs must stay clean —
+//! without this crate re-deriving any thresholds.
 //!
 //! Replay order is the corpus's arrival order: each simulated trace is
 //! sorted by `(start_ns, rank)` before it is streamed, so per-job fleet
@@ -20,14 +21,13 @@ use crate::interference::OstLayout;
 use crate::service::{FleetConfig, FleetService, JobId, JobSink};
 use pio_core::attribution::FaultClass;
 use pio_core::diagnosis::Verdict;
-use pio_des::SimSpan;
 use pio_fault::{Fault, FaultPlan};
 use pio_fs::FsConfig;
 use pio_ingest::DiagnoserConfig;
-use pio_mpi::program::{FileSpec, Job, Op, Program};
+use pio_mpi::program::Job;
 use pio_mpi::{run_fleet, FleetJob, RunConfig};
 use pio_trace::{Record, RecordSink, Trace, TraceMeta};
-use pio_workloads::IorConfig;
+use pio_workloads::matrix::{meta_heavy, paced_reads, read_heavy};
 use std::sync::Mutex;
 
 /// Seeds the attribution corpus certifies; the fleet cycles through
@@ -80,87 +80,6 @@ impl SimJob {
     /// The OST layout this tenant's offsets map through.
     pub fn layout(&self) -> OstLayout {
         OstLayout::new(self.fs.stripe_bytes, self.fs.n_osts, 0)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Workload builders. These mirror the fault-matrix cells exactly (same
-// geometry, same pacing constants) so that fleet verdicts inherit the
-// corpus's golden validation; see crates/bench/src/fault_matrix.rs.
-// ---------------------------------------------------------------------
-
-const MB: u64 = 1 << 20;
-
-fn read_heavy(tasks: u32, repetitions: u32) -> Job {
-    IorConfig {
-        tasks,
-        block_bytes: 8 << 20,
-        segments: 8,
-        repetitions,
-        read_back: true,
-        file_per_process: false,
-    }
-    .job()
-}
-
-fn paced_reads(tasks: u32, reads_per_rank: u32, gap_s: f64) -> Job {
-    let programs = (0..tasks)
-        .map(|t| {
-            let mut ops = vec![
-                Op::Open { file: 0 },
-                Op::Barrier,
-                Op::Compute {
-                    span: SimSpan::from_secs_f64(t as f64 * gap_s * 0.37),
-                },
-            ];
-            for i in 0..reads_per_rank {
-                let jitter = 0.7 + 0.6 * ((t * 31 + i * 17) % 16) as f64 / 16.0;
-                ops.push(Op::Compute {
-                    span: SimSpan::from_secs_f64(gap_s * jitter),
-                });
-                ops.push(Op::ReadAt {
-                    file: 0,
-                    offset: (t as u64 * reads_per_rank as u64 + i as u64) * MB,
-                    bytes: MB,
-                });
-            }
-            ops.push(Op::Close { file: 0 });
-            Program { ops }
-        })
-        .collect();
-    Job {
-        programs,
-        files: vec![FileSpec { shared: true }],
-    }
-}
-
-fn meta_heavy(tasks: u32, ops_per_rank: u32) -> Job {
-    let programs = (0..tasks)
-        .map(|t| {
-            let mut ops = vec![
-                Op::Open { file: 0 },
-                Op::Barrier,
-                Op::Compute {
-                    span: SimSpan::from_secs_f64(t as f64 * 0.007),
-                },
-            ];
-            for i in 0..ops_per_rank {
-                ops.push(Op::Compute {
-                    span: SimSpan::from_secs_f64(0.2),
-                });
-                ops.push(Op::MetaRead {
-                    file: 0,
-                    offset: (t as u64 * ops_per_rank as u64 + i as u64) * 4096,
-                    bytes: 4096,
-                });
-            }
-            ops.push(Op::Close { file: 0 });
-            Program { ops }
-        })
-        .collect();
-    Job {
-        programs,
-        files: vec![FileSpec { shared: true }],
     }
 }
 

@@ -354,8 +354,8 @@ impl StreamDiagnoser {
         let ev = DataTailEvidence {
             profile,
             hist: &hist,
-            windows: Some(&kt.windows),
-            events: Some(&events),
+            windows: &kt.windows,
+            events: &events,
         };
         attribute_data_tail_windowed(&ev, median, th)
     }
@@ -416,10 +416,9 @@ fn phase_sketch(
 }
 
 /// A smoothed `(duration, density)` grid for mode detection from a
-/// duration histogram (a diagnoser window, or a snapshot's merged call
-/// class). Bin centers and edges come from `table`, which must be the
-/// histogram geometry's [`BinTable`].
-pub(crate) fn density_grid(hist: &LogHistogram, table: &BinTable) -> Vec<(f64, f64)> {
+/// diagnoser window's duration histogram. Bin centers and edges come
+/// from `table`, which must be the histogram geometry's [`BinTable`].
+fn density_grid(hist: &LogHistogram, table: &BinTable) -> Vec<(f64, f64)> {
     debug_assert_eq!(table.geometry(), hist.geometry());
     let total = hist.in_range() as f64;
     if total == 0.0 {

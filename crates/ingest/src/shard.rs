@@ -2,29 +2,23 @@
 //!
 //! A shard is keyed by `(call kind, rank group, barrier phase)` and holds
 //! only mergeable sketches, so a snapshot's memory is O(shards × bins)
-//! regardless of how many events stream through. A
+//! regardless of how many events stream through. An
 //! [`EnsembleSnapshot`] is the order-independent merge of every shard,
-//! plus the global scalars and heavy-hitter sketch the serialized-rank
-//! detector needs; it re-runs the paper's detectors through the shared
-//! verdict functions in `pio_core::diagnosis`, so a snapshot diagnosis
-//! differs from the batch one only in how the summary statistics were
-//! estimated (sketches vs exact order statistics).
+//! plus the global scalars, metadata heavy hitters and per-kind tail
+//! profiles: an ensemble, not a diagnosis. A run's verdict comes from the
+//! [`StreamDiagnoser`](crate::StreamDiagnoser) that owns the stream's
+//! [`SnapshotBuilder`] and reads its whole-run evidence from it.
+//! Snapshots of many jobs merge into the fleet roll-up, which carries
+//! no verdict of its own: its rank cells pool the ranks of every tenant.
 
-use crate::diagnose::density_grid;
 use crate::sketch::{HeavyHitters, OnlineMoments, QuantileSketch};
-use pio_core::attribution::{
-    attribute_data_tail_windowed, attribute_meta_tail, tail_bin_table, Attribution,
-    DataTailEvidence, TailProfile, MODULI, TAIL_KINDS,
-};
+use pio_core::attribution::{tail_bin_table, TailProfile, MODULI, TAIL_KINDS};
 use pio_core::diagnosis::{
-    deterioration_verdict, harmonic_verdict, metadata_shoulder_verdict, rank_tail_verdict,
-    serialized_meta_verdict, shoulder_verdict, Finding, Thresholds,
+    metadata_shoulder_verdict, serialized_meta_verdict, Finding, Thresholds,
 };
-use pio_core::modes::find_modes_on_grid;
 use pio_des::hist::{BinTable, LogBins, LogHistogram};
 use pio_des::FxHashMap;
 use pio_trace::{CallKind, Record, RecordSink};
-use std::collections::HashMap;
 
 /// Number of call classes (shard slots are direct-indexed by
 /// `call as usize`).
@@ -116,23 +110,6 @@ impl SmallWriteAgg {
             th,
         )
     }
-}
-
-/// The serialized-metadata-rank verdict from whole-run metadata heavy
-/// hitters and time totals.
-fn serialized_verdict(
-    hitters: &HeavyHitters,
-    meta_secs: f64,
-    ranks: u32,
-    io_secs: f64,
-    th: &Thresholds,
-) -> Option<Finding> {
-    let per_rank: Vec<(u32, f64, usize)> = hitters
-        .top()
-        .into_iter()
-        .map(|h| (h.key, h.weight, h.ops as usize))
-        .collect();
-    serialized_meta_verdict(&per_rank, meta_secs, ranks, io_secs, th)
 }
 
 /// Rough resident size in bytes of a snapshot's components — the tenant
@@ -496,9 +473,16 @@ impl SnapshotBuilder {
         self.profiles[kind as usize].as_ref()
     }
 
-    /// The serialized-metadata-rank verdict over everything so far.
+    /// The serialized-metadata-rank verdict over everything so far, from
+    /// the whole-run metadata heavy hitters and time totals.
     pub(crate) fn serialized_verdict(&self, th: &Thresholds) -> Option<Finding> {
-        serialized_verdict(&self.hitters, self.meta_secs, self.ranks, self.io_secs, th)
+        let per_rank: Vec<(u32, f64, usize)> = self
+            .hitters
+            .top()
+            .into_iter()
+            .map(|h| (h.key, h.weight, h.ops as usize))
+            .collect();
+        serialized_meta_verdict(&per_rank, self.meta_secs, self.ranks, self.io_secs, th)
     }
 
     /// The small-write size-class aggregate so far.
@@ -591,73 +575,20 @@ pub struct EnsembleSnapshot {
 }
 
 impl EnsembleSnapshot {
-    /// Assemble a snapshot from unordered shard maps (deduplicates keys by
-    /// merging) plus the global scalars.
-    #[allow(clippy::too_many_arguments)]
-    pub fn assemble(
-        maps: Vec<HashMap<ShardKey, ShardStats>>,
-        meta_hitters: HeavyHitters,
-        meta_secs: f64,
-        io_secs: f64,
-        ranks: u32,
-        ingested: u64,
-        dropped: u64,
-        profile_maps: Vec<HashMap<CallKind, TailProfile>>,
-        small: SmallWriteAgg,
-    ) -> Self {
-        let mut merged: HashMap<ShardKey, ShardStats> = HashMap::new();
-        for map in maps {
-            for (k, s) in map {
-                match merged.entry(k) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(&s),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(s);
-                    }
-                }
-            }
-        }
-        let mut shards: Vec<(ShardKey, ShardStats)> = merged.into_iter().collect();
-        shards.sort_by_key(|(k, _)| k.order());
-        let mut merged_profiles: HashMap<CallKind, TailProfile> = HashMap::new();
-        for map in profile_maps {
-            for (k, p) in map {
-                match merged_profiles.entry(k) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(&p),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(p);
-                    }
-                }
-            }
-        }
-        let mut profiles: Vec<(CallKind, TailProfile)> = merged_profiles.into_iter().collect();
-        profiles.sort_by_key(|(k, _)| *k as u8);
-        EnsembleSnapshot {
-            shards,
-            meta_hitters,
-            meta_secs,
-            io_secs,
-            ranks,
-            ingested,
-            dropped,
-            profiles,
-            small,
-        }
-    }
-
     /// An empty snapshot over `cfg`'s capacities — the identity of
     /// [`EnsembleSnapshot::merge`].
     pub fn empty(cfg: &SnapshotConfig) -> Self {
-        EnsembleSnapshot::assemble(
-            Vec::new(),
-            HeavyHitters::new(cfg.hitter_capacity),
-            0.0,
-            0.0,
-            0,
-            0,
-            0,
-            Vec::new(),
-            SmallWriteAgg::new(cfg.hitter_capacity),
-        )
+        EnsembleSnapshot {
+            shards: Vec::new(),
+            meta_hitters: HeavyHitters::new(cfg.hitter_capacity),
+            meta_secs: 0.0,
+            io_secs: 0.0,
+            ranks: 0,
+            ingested: 0,
+            dropped: 0,
+            profiles: Vec::new(),
+            small: SmallWriteAgg::new(cfg.hitter_capacity),
+        }
     }
 
     /// No records were ingested (a zero-record stream; dropped records
@@ -715,14 +646,6 @@ impl EnsembleSnapshot {
         self.dropped += other.dropped;
     }
 
-    /// The tail profile of one call class, if any records were profiled.
-    pub fn profile_of(&self, kind: CallKind) -> Option<&TailProfile> {
-        self.profiles
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, p)| p)
-    }
-
     /// Merge every shard of one call class, across groups and phases.
     pub fn kind_stats(&self, kind: CallKind) -> Option<ShardStats> {
         let mut acc: Option<ShardStats> = None;
@@ -738,30 +661,6 @@ impl EnsembleSnapshot {
         acc
     }
 
-    /// Per-phase duration medians of one call class (phases with fewer
-    /// than `min_n` samples are skipped), in phase order.
-    pub fn phase_medians(&self, kind: CallKind, min_n: usize) -> Vec<(u32, f64)> {
-        let mut per_phase: HashMap<u32, QuantileSketch> = HashMap::new();
-        for (k, s) in &self.shards {
-            if k.kind != kind {
-                continue;
-            }
-            match per_phase.entry(k.phase) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(&s.sketch),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(s.sketch.clone());
-                }
-            }
-        }
-        let mut out: Vec<(u32, f64)> = per_phase
-            .into_iter()
-            .filter(|(_, s)| s.count() as usize >= min_n)
-            .filter_map(|(p, s)| s.quantile(0.5).map(|m| (p, m)))
-            .collect();
-        out.sort_by_key(|&(p, _)| p);
-        out
-    }
-
     /// Rough resident size of the snapshot in bytes — the bounded-memory
     /// invariant is `O(shards × bins)`, independent of record count.
     pub fn approx_bytes(&self) -> usize {
@@ -771,97 +670,12 @@ impl EnsembleSnapshot {
             self.profiles.iter().map(|(_, p)| p),
         )
     }
-
-    /// Run the incremental detectors over the snapshot — same verdict
-    /// functions as the batch `pio_core::diagnosis::diagnose_with`, fed
-    /// sketch estimates instead of exact order statistics.
-    pub fn diagnose(&self, th: &Thresholds) -> Vec<Finding> {
-        let mut findings = Vec::new();
-        for kind in [CallKind::Write, CallKind::Read] {
-            let Some(stats) = self.kind_stats(kind) else {
-                continue;
-            };
-            let n = stats.sketch.count() as usize;
-            if n >= th.min_samples {
-                // Harmonic-mode ladder on the merged histogram density.
-                let table = BinTable::shared(stats.hist.geometry());
-                let grid = density_grid(&stats.hist, table);
-                let modes = find_modes_on_grid(&grid, th.mode_height_frac);
-                if let Some(f) = harmonic_verdict(kind, &modes, th) {
-                    findings.push(f);
-                }
-                // Right shoulder from sketch quantiles, attributed from
-                // the tail profile. Arrival times are not retained in the
-                // snapshot, so the periodicity (flaky-fabric) test is
-                // only available on the `StreamDiagnoser` side.
-                if let (Some(median), Some(p99)) =
-                    (stats.sketch.quantile(0.5), stats.sketch.quantile(0.99))
-                {
-                    let tail = stats.sketch.fraction_above(th.tail_cut(median));
-                    let attribution = self.profile_of(kind).and_then(|p| {
-                        let ev = DataTailEvidence {
-                            profile: p,
-                            hist: &stats.hist,
-                            windows: None,
-                            events: None,
-                        };
-                        attribute_data_tail_windowed(&ev, median, th)
-                    });
-                    if let Some(f) = shoulder_verdict(kind, n, median, p99, tail, attribution, th) {
-                        findings.push(f);
-                    }
-                    if let Some(p) = self.profile_of(kind) {
-                        if let Some(f) = rank_tail_verdict(kind, p, th.tail_cut(median), th) {
-                            findings.push(f);
-                        }
-                    }
-                }
-            }
-            // Progressive per-phase deterioration.
-            let medians = self.phase_medians(kind, th.min_samples.min(8));
-            if let Some(f) = deterioration_verdict(kind, &medians, th) {
-                findings.push(f);
-            }
-        }
-        // Metadata call classes: a shoulder here is a stalling metadata
-        // server or a serialized client, split by rank concentration.
-        for kind in [CallKind::MetaRead, CallKind::MetaWrite] {
-            let Some(stats) = self.kind_stats(kind) else {
-                continue;
-            };
-            let n = stats.sketch.count() as usize;
-            if n < th.min_samples {
-                continue;
-            }
-            if let (Some(median), Some(p99)) =
-                (stats.sketch.quantile(0.5), stats.sketch.quantile(0.99))
-            {
-                let tail = stats.sketch.fraction_above(th.tail_cut(median));
-                let attribution = self
-                    .profile_of(kind)
-                    .map(|p| Attribution::single(attribute_meta_tail(p, th)));
-                if let Some(f) = shoulder_verdict(kind, n, median, p99, tail, attribution, th) {
-                    findings.push(f);
-                }
-            }
-        }
-        // Serialized metadata rank from the heavy-hitter sketch.
-        findings.extend(serialized_verdict(
-            &self.meta_hitters,
-            self.meta_secs,
-            self.ranks,
-            self.io_secs,
-            th,
-        ));
-        // Small-write metadata storm from the size-class aggregate.
-        findings.extend(self.small.verdict(th));
-        findings
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn rec(rank: u32, call: CallKind, bytes: u64, dur: f64, phase: u32) -> Record {
         Record {
@@ -885,9 +699,9 @@ mod tests {
         assemble_reference(records, &cfg)
     }
 
-    /// A snapshot accumulated per record into keyed maps under `cfg` and
-    /// put together by [`EnsembleSnapshot::assemble`] — the reference
-    /// the builder's sort-based assembly must equal.
+    /// A snapshot accumulated per record into keyed maps under `cfg`,
+    /// then sorted by key — the reference the builder's slot-indexed
+    /// accumulation and sort-based assembly must equal.
     fn assemble_reference(records: &[Record], cfg: &SnapshotConfig) -> EnsembleSnapshot {
         let mut map: HashMap<ShardKey, ShardStats> = HashMap::new();
         let mut hitters = HeavyHitters::new(cfg.hitter_capacity);
@@ -920,17 +734,21 @@ mod tests {
             small.accumulate(r, cfg.small_write_bytes);
             ranks = ranks.max(r.rank + 1);
         }
-        EnsembleSnapshot::assemble(
-            vec![map],
-            hitters,
+        let mut shards: Vec<(ShardKey, ShardStats)> = map.into_iter().collect();
+        shards.sort_by_key(|(k, _)| k.order());
+        let mut profiles: Vec<(CallKind, TailProfile)> = profiles.into_iter().collect();
+        profiles.sort_by_key(|(k, _)| *k as u8);
+        EnsembleSnapshot {
+            shards,
+            meta_hitters: hitters,
             meta_secs,
             io_secs,
             ranks,
-            records.len() as u64,
-            0,
-            vec![profiles],
+            ingested: records.len() as u64,
+            dropped: 0,
+            profiles,
             small,
-        )
+        }
     }
 
     #[test]
@@ -956,109 +774,6 @@ mod tests {
         assert_eq!(a.bytes, whole.bytes);
         assert!((a.secs - whole.secs).abs() < 1e-9);
         assert!((a.moments.mean().unwrap() - whole.moments.mean().unwrap()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn snapshot_flags_right_shoulder() {
-        let mut recs = Vec::new();
-        for i in 0..120u32 {
-            recs.push(rec(
-                i % 16,
-                CallKind::Read,
-                1 << 20,
-                10.0 + (i % 5) as f64 * 0.1,
-                0,
-            ));
-        }
-        for (i, d) in [(0u32, 90.0), (1, 200.0), (2, 450.0), (3, 120.0)] {
-            recs.push(rec(i, CallKind::Read, 1 << 20, d, 0));
-        }
-        let snap = snapshot_of(&recs, 4);
-        let findings = snap.diagnose(&Thresholds::default());
-        assert!(
-            findings.iter().any(|f| matches!(
-                f,
-                Finding::RightShoulder {
-                    kind: CallKind::Read,
-                    ..
-                }
-            )),
-            "{findings:?}"
-        );
-    }
-
-    #[test]
-    fn healthy_snapshot_is_clean() {
-        let recs: Vec<Record> = (0..256u32)
-            .map(|i| {
-                rec(
-                    i % 32,
-                    CallKind::Write,
-                    1 << 20,
-                    5.0 + (i % 7) as f64 * 0.05,
-                    i / 64,
-                )
-            })
-            .collect();
-        let snap = snapshot_of(&recs, 8);
-        let findings = snap.diagnose(&Thresholds::default());
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn snapshot_flags_deterioration_across_phases() {
-        let mut recs = Vec::new();
-        for (p, m) in [10.0, 10.0, 13.0, 21.0, 36.0, 60.0].iter().enumerate() {
-            for i in 0..48u32 {
-                recs.push(rec(
-                    i % 16,
-                    CallKind::Read,
-                    1 << 20,
-                    m + (i % 3) as f64 * 0.1,
-                    p as u32,
-                ));
-            }
-        }
-        let snap = snapshot_of(&recs, 4);
-        let findings = snap.diagnose(&Thresholds::default());
-        assert!(
-            findings.iter().any(|f| matches!(
-                f,
-                Finding::ProgressiveDeterioration {
-                    kind: CallKind::Read,
-                    ..
-                }
-            )),
-            "{findings:?}"
-        );
-    }
-
-    #[test]
-    fn snapshot_flags_serialized_metadata_rank() {
-        let mut recs = Vec::new();
-        for i in 0..500 {
-            recs.push(rec(0, CallKind::MetaWrite, 2048, 0.3, (i / 250) as u32));
-        }
-        for i in 0..256u32 {
-            recs.push(rec(i, CallKind::Write, 1 << 20, 1.0, 0));
-        }
-        let snap = snapshot_of(&recs, 8);
-        let findings = snap.diagnose(&Thresholds::default());
-        match findings
-            .iter()
-            .find(|f| matches!(f, Finding::SerializedRank { .. }))
-        {
-            Some(Finding::SerializedRank {
-                rank,
-                share,
-                metadata,
-            }) => {
-                assert_eq!(*rank, 0);
-                assert!(*share > 0.9);
-                assert!(*metadata);
-            }
-            other => panic!("expected serialized rank, got {other:?} in {findings:?}"),
-        }
     }
 
     fn build(records: &[Record]) -> SnapshotBuilder {
@@ -1100,8 +815,8 @@ mod tests {
         // The cloning snapshot and the consuming one agree.
         let reference = build(&recs).snapshot(0);
         assert_eq!(snap, reference);
-        // Both equal the map-and-assemble reference under the builder's
-        // own configuration (8 rank groups, hitter capacity 16).
+        // Both equal the map-and-sort reference under the builder's own
+        // configuration (8 rank groups, hitter capacity 16).
         let cfg = SnapshotConfig::default();
         assert_eq!((cfg.rank_groups, cfg.hitter_capacity), (8, 16));
         assert!(snap.shards.len() > 1 && snap.profiles.len() > 1);

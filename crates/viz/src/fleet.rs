@@ -34,7 +34,9 @@ pub struct OstContentionRow {
 /// Render the fleet roll-up panel: the merged machine-wide ensemble
 /// snapshot, one row per tenant (records, sheds, verdict, slowest op),
 /// and the interference view naming jobs that contend on the same OST.
-/// `width` is the histogram bar width of the embedded snapshot panel.
+/// Verdicts are per job: the roll-up pools the ranks of every tenant, so
+/// it is shown as an ensemble only. `width` is the histogram bar width
+/// of the embedded snapshot panel.
 pub fn fleet_panel(
     machine: &EnsembleSnapshot,
     jobs: &[FleetJobRow],
@@ -133,6 +135,60 @@ mod tests {
         assert!(text.contains("clean"));
         assert!(
             text.contains("OST   1 contended by: job-00-slow-ost (7.9x), job-05-slow-ost (8.2x)")
+        );
+    }
+
+    /// The roll-up of a straggler tenant's snapshot shows the ensemble
+    /// and no findings or verdict; the job row keeps the tenant's own
+    /// verdict.
+    #[test]
+    fn rollup_has_no_verdict_and_job_rows_keep_theirs() {
+        use pio_core::diagnosis::run_verdict;
+        use pio_ingest::StreamDiagnoser;
+        use pio_trace::{CallKind, Record, RecordSink};
+        // Two ranks slow on every read: a rank-correlated tail the
+        // stream attributes to a straggler node.
+        let mut d = StreamDiagnoser::with_defaults();
+        for i in 0..640u32 {
+            let rank = i % 16;
+            let dur = if rank < 2 { 1.0 } else { 0.01 };
+            d.push(&Record {
+                rank,
+                call: CallKind::Read,
+                fd: 3,
+                offset: 0,
+                bytes: 1 << 20,
+                start_ns: 0,
+                end_ns: (dur * 1e9) as u64,
+                phase: 0,
+            });
+        }
+        d.finish();
+        let (findings, builder) = d.into_parts();
+        let inner: Vec<_> = findings.into_iter().map(|t| t.finding).collect();
+        let row = FleetJobRow {
+            name: "job-00-straggler".into(),
+            records: 640,
+            shed: 0,
+            frozen: false,
+            verdict: Some(run_verdict(&inner).label()),
+            slowest_s: 1.0,
+        };
+        let mut machine = EnsembleSnapshot::empty(&SnapshotConfig::default());
+        machine.merge(&builder.into_snapshot(0));
+        let text = fleet_panel(&machine, &[row], &[], 30);
+        let (rollup, jobs) = text.split_once("\n## jobs\n").expect("jobs section");
+        assert!(rollup.contains("640 records"), "{rollup}");
+        assert!(
+            !rollup
+                .lines()
+                .any(|l| l.starts_with("## findings") || l.starts_with("verdict:")),
+            "{rollup}"
+        );
+        assert!(
+            jobs.lines()
+                .any(|l| l.starts_with("job-00-straggler") && l.ends_with("  straggler-node")),
+            "{jobs}"
         );
     }
 

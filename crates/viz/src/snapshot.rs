@@ -1,7 +1,9 @@
 //! Rendering for streaming-ingest snapshots: the monitoring view of a
-//! run in flight, from `O(shards × bins)` state instead of a full trace.
+//! run in flight, from `O(shards × bins)` state instead of a full trace,
+//! and the online diagnoser's findings, which end with the run's one
+//! verdict.
 
-use pio_core::diagnosis::{run_verdict, Finding, Thresholds, Verdict};
+use pio_core::diagnosis::{run_verdict, Finding, Verdict};
 use pio_ingest::diagnose::TimedFinding;
 use pio_ingest::shard::EnsembleSnapshot;
 use pio_trace::CallKind;
@@ -9,14 +11,16 @@ use std::fmt::Write as _;
 
 /// Render an ensemble snapshot: the ingest totals, a per-call-class
 /// summary table (sketch quantiles), and a duration histogram per data
-/// call class. `width` is the histogram bar width.
+/// call class. `width` is the histogram bar width. The panel shows the
+/// ensemble only; a run's verdict is the online diagnoser's
+/// ([`findings_text`]), and a fleet roll-up pools many runs.
 pub fn snapshot_panel(snap: &EnsembleSnapshot, width: usize) -> String {
     assert!(width > 0);
     if snap.is_empty() {
         // A zero-record stream is a clean outcome, not an error: say so
-        // instead of rendering an all-zero table the detectors never saw.
+        // instead of rendering an all-zero table.
         return format!(
-            "# ensemble snapshot: no data ({} records dropped)\nverdict: no data — nothing to diagnose\n",
+            "# ensemble snapshot: no data ({} records dropped)\n",
             snap.dropped
         );
     }
@@ -83,17 +87,6 @@ pub fn snapshot_panel(snap: &EnsembleSnapshot, width: usize) -> String {
             );
         }
     }
-    let findings = snap.diagnose(&Thresholds::default());
-    if !findings.is_empty() {
-        let _ = writeln!(out, "\n## findings");
-        for f in &findings {
-            let _ = writeln!(out, "- {f}");
-        }
-        let verdict = run_verdict(&findings);
-        if verdict != Verdict::Clean {
-            let _ = writeln!(out, "verdict: {}", verdict.label());
-        }
-    }
     out
 }
 
@@ -158,14 +151,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_record_snapshot_renders_a_no_data_verdict() {
+    fn zero_record_snapshot_renders_a_no_data_header() {
         let snap = pio_ingest::shard::EnsembleSnapshot::empty(
             &pio_ingest::shard::SnapshotConfig::default(),
         );
         let text = snapshot_panel(&snap, 30);
         assert!(text.contains("no data"), "{text}");
-        assert!(text.contains("nothing to diagnose"), "{text}");
-        // No table header, no spurious findings.
+        // No table header.
         assert!(!text.contains("p99"), "{text}");
     }
 

@@ -12,6 +12,9 @@
 //!   and aggregated metadata (Figure 6).
 //! * [`presets`] — the paper's exact experiment parameterizations plus
 //!   scaled-down variants for tests.
+//! * [`matrix`] — the fault × workload matrix's small probe jobs
+//!   (read-heavy IOR, paced reads, metadata streams), shared by the
+//!   fault matrix and the simulated fleet.
 //! * [`checkpoint`] — the generic periodic-checkpoint pattern §III
 //!   motivates with (not measured in the paper; provided as the natural
 //!   fourth workload for the ensemble tooling).
@@ -20,6 +23,7 @@ pub mod checkpoint;
 pub mod gcrm;
 pub mod ior;
 pub mod madbench;
+pub mod matrix;
 pub mod presets;
 
 pub use checkpoint::CheckpointConfig;

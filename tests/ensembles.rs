@@ -3,11 +3,11 @@
 //! prediction machinery tracks measurements — and the attribution
 //! verdicts built on top are deterministic across trace encodings.
 
+use events_to_ensembles::fleetd::sim::CORPUS_WINDOW;
 use events_to_ensembles::fs::FsConfig;
-use events_to_ensembles::ingest::{stream_file, SnapshotBuilder, SnapshotConfig};
+use events_to_ensembles::ingest::{stream_file, DiagnoserConfig, StreamDiagnoser};
 use events_to_ensembles::mpi::{RunConfig, Runner};
 use events_to_ensembles::stats::attribution::FaultClass;
-use events_to_ensembles::stats::diagnosis::{Finding, Thresholds};
 use events_to_ensembles::stats::empirical::EmpiricalDist;
 use events_to_ensembles::stats::ensemble::Ensemble;
 use events_to_ensembles::stats::lln;
@@ -114,11 +114,11 @@ fn lln_prediction_tracks_measurement_direction() {
     assert!(pred[1].1 >= pred[0].1, "{pred:?}");
 }
 
-/// Attribution verdicts are a function of the trace alone: the snapshot
-/// builder, fed from either on-disk encoding, reaches bit-identical
-/// findings — and the straggler run is actually named. (Verdicts across
-/// ingest threads are the fleet service's contract, pinned at pools
-/// {1, 2, 8} in `tests/fleetd_sim.rs`.)
+/// Attribution verdicts are a function of the trace alone: the stream
+/// diagnoser, fed from either on-disk encoding, reaches bit-identical
+/// findings with the same stamps — and the straggler run is actually
+/// named. (Verdicts across ingest threads are the fleet service's
+/// contract, pinned at pools {1, 2, 8} in `tests/fleetd_sim.rs`.)
 #[test]
 fn attribution_verdicts_identical_across_threads_and_formats() {
     let sc = pio_bench::fault_matrix::scenarios(16)
@@ -140,13 +140,16 @@ fn attribution_verdicts_identical_across_threads_and_formats() {
 
     let mut verdicts: Vec<(String, String)> = Vec::new();
     for (path, _) in &paths {
-        let mut builder = SnapshotBuilder::new(SnapshotConfig::default());
-        stream_file(path, &mut builder).unwrap();
-        let findings = builder.into_snapshot(0).diagnose(&Thresholds::default());
+        let mut diagnoser = StreamDiagnoser::new(DiagnoserConfig {
+            window: CORPUS_WINDOW,
+            ..DiagnoserConfig::default()
+        });
+        stream_file(path, &mut diagnoser).unwrap();
+        let findings = diagnoser.findings();
         assert!(
             findings
                 .iter()
-                .filter_map(Finding::attribution)
+                .filter_map(|t| t.finding.attribution())
                 .any(|a| a.implicates(FaultClass::StragglerNode)),
             "{path:?}: {findings:?}"
         );
