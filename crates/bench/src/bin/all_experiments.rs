@@ -181,10 +181,7 @@ fn main() {
             outside.join("\n")
         );
     }
-    print_stdout(&format!(
-        "\ntotal sweep time: {:.1}s real\n",
-        t0.elapsed().as_secs_f64()
-    ));
+    eprintln!("total sweep time: {:.1}s real", t0.elapsed().as_secs_f64());
     if checked && !outside.is_empty() {
         std::process::exit(1);
     }

@@ -920,7 +920,7 @@ impl WindowedProfile {
     /// [`Self::add`] with both duration bins pre-classified (`bin` for
     /// the coarse profile geometry, `fine` for the fine histogram) —
     /// the block ingest path computes them once per record and fans
-    /// them out.
+    /// them out. Both are debug-asserted against [`LogBins`].
     #[inline]
     pub fn add_binned(
         &mut self,
@@ -934,6 +934,7 @@ impl WindowedProfile {
         let i = self.index(start_ns);
         let slot = self.slot_mut(i);
         slot.profile.add_binned(rank, offset, secs, bin);
+        debug_assert_eq!(fine, slot.hist.geometry().index_clamped(secs));
         slot.hist.add_clamped_at(fine);
     }
 

@@ -385,19 +385,6 @@ impl LogHistogram {
         self.counts[i] += 1;
     }
 
-    /// Record one pre-classified sample. Equivalent to [`Self::add`]
-    /// when `slot` came from this histogram's geometry (a [`BinTable`]
-    /// built for [`Self::geometry`]); the batch ingest path classifies
-    /// once and fans the slot out to several collectors.
-    #[inline]
-    pub fn add_slot(&mut self, slot: BinSlot) {
-        match slot {
-            BinSlot::Under => self.underflow += 1,
-            BinSlot::In(i) => self.counts[i] += 1,
-            BinSlot::Over => self.overflow += 1,
-        }
-    }
-
     /// Record one sample already clamped to bin `i`. Equivalent to
     /// [`Self::add_clamped`] when `i` came from this histogram's
     /// geometry ([`BinTable::index_clamped`]).
@@ -689,33 +676,6 @@ mod tests {
         for v in [0.0, lo, f64::from_bits(lo.to_bits() + 1), hi, 2.0] {
             assert_eq!(t.slot(v), g.slot(v));
         }
-    }
-
-    #[test]
-    fn add_slot_matches_add() {
-        let g = LogBins::new(1e-6, 1e3, 96);
-        let t = BinTable::new(g);
-        let mut a = LogHistogram::new(1e-6, 1e3, 96);
-        let mut b = a.clone();
-        let mut c = a.clone();
-        let mut d = a.clone();
-        let mut state = 7u64;
-        for i in 0..10_000 {
-            let v = match i % 7 {
-                0 => -1.0,
-                1 => 0.0,
-                2 => 5e4,
-                _ => f64::from_bits(
-                    g.lo().to_bits() + splitmix(&mut state) % (g.hi().to_bits() - g.lo().to_bits()),
-                ),
-            };
-            a.add(v);
-            b.add_slot(t.slot(v));
-            c.add_clamped(v);
-            d.add_clamped_at(t.index_clamped(v));
-        }
-        assert_eq!(a, b);
-        assert_eq!(c, d);
     }
 
     #[test]

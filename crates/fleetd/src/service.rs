@@ -210,37 +210,10 @@ impl TenantState {
         }
     }
 
-    /// Record-at-a-time reference path. Production traffic flows through
-    /// [`Self::ingest_block`]; this stays as the oracle the parity tests
-    /// (and the proptests in `tests/`) hold the block path against.
-    #[cfg_attr(not(test), allow(dead_code))]
-    fn ingest(&mut self, r: &Record) {
-        self.diagnoser.push(r);
-        if matches!(r.call, CallKind::Read | CallKind::Write) {
-            self.ost.add(self.layout.ost_of(r.offset), r.secs());
-        }
-        let op = SlowOp {
-            secs: r.secs(),
-            rank: r.rank,
-            call: r.call,
-            start_ns: r.start_ns,
-            bytes: r.bytes,
-        };
-        if self.slow.len() < self.top_k {
-            self.slow.push(std::cmp::Reverse(HeapOp(op)));
-        } else if let Some(min) = self.slow.peek() {
-            if HeapOp(op.clone()) > min.0 {
-                self.slow.pop();
-                self.slow.push(std::cmp::Reverse(HeapOp(op)));
-            }
-        }
-    }
-
     /// Block ingest: the diagnoser takes the whole block through its
-    /// batched hot path; the OST meter and slow-op heap stay per-record.
-    /// Per-component state is identical to per-record [`Self::ingest`] —
-    /// components are independent, so reordering *across* them is
-    /// unobservable.
+    /// batched path; the OST meter and slow-op heap stay per-record.
+    /// Components are independent, so the state is identical for any
+    /// block partition of the stream.
     fn ingest_block(&mut self, records: &[Record]) {
         self.diagnoser.push_block(records);
         for r in records {
@@ -268,15 +241,13 @@ impl TenantState {
     fn into_report(mut self, id: JobId, transport_dropped: u64) -> JobReport {
         self.diagnoser.finish();
         let shed = self.meter.shed() + transport_dropped;
-        let mut top_slow: Vec<SlowOp> = self
+        // Ascending in `Reverse` order is slowest first.
+        let top_slow: Vec<SlowOp> = self
             .slow
             .into_sorted_vec()
             .into_iter()
             .map(|r| r.0 .0)
             .collect();
-        // `into_sorted_vec` on `Reverse` yields slowest-last; flip to
-        // slowest-first for the query surface.
-        top_slow.reverse();
         let (findings, builder) = self.diagnoser.into_parts();
         JobReport {
             id,
@@ -650,23 +621,16 @@ impl JobSink {
 }
 
 impl RecordSink for JobSink {
-    fn push(&mut self, r: &Record) {
-        self.pending.push(r.clone());
-        if self.pending.len() >= self.batch {
-            self.flush_block();
-        }
-    }
-
     /// Fill-to-batch chunking: the pending buffer tops up to the batch
-    /// size and ships, repeatedly — byte-identical block boundaries to
-    /// pushing the records one at a time, so worker-side admission
-    /// metering sees the same block sequence whatever the upstream
-    /// decoder's block size was.
+    /// size and ships, repeatedly — the same shipped blocks for any
+    /// partition of the stream, so worker-side admission metering sees
+    /// the same block sequence whatever the upstream decoder's block
+    /// size was.
     fn push_block(&mut self, block: &[Record]) {
         let mut run = block;
         while !run.is_empty() {
             // Invariant: pending is always below the batch size here
-            // (push/flush keep it that way), so room >= 1.
+            // (every full buffer ships at once), so room >= 1.
             let room = self.batch - self.pending.len();
             let take = room.min(run.len());
             self.pending.extend_from_slice(&run[..take]);
@@ -772,17 +736,18 @@ mod tests {
             records.push(r);
         }
 
+        // Blocks of one are the reference.
         let layout = OstLayout::new(1 << 20, 6, 0);
         let fcfg = FleetConfig::default();
         let mut reference = TenantState::new("job".into(), layout, &fcfg);
         for r in &records {
-            reference.ingest(r);
+            reference.ingest_block(std::slice::from_ref(r));
         }
         reference.diagnoser.phase_end(0);
         reference.diagnoser.phase_end(1);
         let want = reference.into_report(1, 0);
 
-        for chunk in [1usize, 5, 64, 257, 1800] {
+        for chunk in [5usize, 64, 257, 1800] {
             let mut st = TenantState::new("job".into(), layout, &fcfg);
             for block in records.chunks(chunk) {
                 st.ingest_block(block);
@@ -817,6 +782,31 @@ mod tests {
         let max = records.iter().map(Record::secs).fold(0.0f64, f64::max);
         assert_eq!(report.top_slow[0].secs, max);
         assert!(report.top_slow.windows(2).all(|w| w[0].secs >= w[1].secs));
+    }
+
+    #[test]
+    fn top_slow_keeps_the_k_slowest_slowest_first() {
+        // Distinct durations in shuffled order (17 is coprime to 40), so
+        // both the retained set and its order are checked.
+        let records: Vec<Record> = (0..40u64)
+            .map(|i| {
+                let dur_ns = ((i * 17) % 40 + 1) * 1_000_000;
+                rec(i as u32 % 4, CallKind::Read, 0, i * 1_000_000, dur_ns)
+            })
+            .collect();
+        let mut svc = FleetService::new(cfg(1));
+        let mut sink = svc.register("distinct");
+        let id = sink.id();
+        sink.push_block(&records);
+        sink.finish();
+        drop(sink);
+        svc.shutdown();
+        let mut want: Vec<f64> = records.iter().map(Record::secs).collect();
+        want.sort_by(|a, b| b.total_cmp(a));
+        want.truncate(svc.cfg.top_k);
+        let report = svc.report(id).expect("report filed");
+        let got: Vec<f64> = report.top_slow.iter().map(|op| op.secs).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -272,9 +272,7 @@ pub fn feed(
                     .expect("feeder slot")
                     .take()
                     .expect("each tenant fed exactly once");
-                for r in records {
-                    sink.push(r);
-                }
+                sink.push_block(records);
                 sink.finish();
             });
         }

@@ -1,9 +1,9 @@
 //! Property tests for fleetd's block transport: whatever block sizes a
 //! decoder hands `JobSink::push_block` — including the final partial
 //! block that straddles job EOS — the filed `JobReport` must be
-//! identical to the record-at-a-time reference. This is what makes the
-//! service's diagnosis a pure function of the record stream, not of the
-//! upstream codec's framing.
+//! identical to the same stream pushed in blocks of one. This is what
+//! makes the service's diagnosis a pure function of the record stream,
+//! not of the upstream codec's framing.
 
 use pio_fleetd::{FleetConfig, FleetService, JobReport};
 use pio_trace::{CallKind, Record, RecordSink};
@@ -50,7 +50,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Block sizes prime to the sink batch (and streams whose tail never
-    /// fills a batch) still file the exact per-record report: EOS flushes
+    /// fills a batch) still file the blocks-of-one report: EOS flushes
     /// the straddling remainder, and the worker-side block boundaries
     /// are identical either way.
     #[test]

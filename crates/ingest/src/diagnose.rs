@@ -20,6 +20,11 @@
 //! profiles — lives in the [`SnapshotBuilder`] the diagnoser owns, which
 //! is also the stream's ensemble snapshot: one accumulator per stream.
 //!
+//! Records come in through one path, [`RecordSink::push_block`] (a
+//! single [`RecordSink::push`] is a block of one): the findings, their
+//! stamps and the owned snapshot are bit-identical for any block
+//! partition of the stream.
+//!
 //! Memory is O(window bins + active phases × bins + heavy-hitter k +
 //! snapshot shards × bins): constant in the number of records.
 
@@ -190,12 +195,15 @@ impl KindTail {
 /// goes through the builder's per-record step first, then through the
 /// diagnoser's windows, so a window that fills mid-block attributes from
 /// a profile holding exactly the records up to the one that filled it.
-/// The block ingestion path ([`RecordSink::push_block`]) classifies each
+/// Records come in through [`RecordSink::push_block`] alone (a single
+/// [`RecordSink::push`] is a block of one), which classifies each
 /// duration once against a precomputed [`BinTable`] shared by every
 /// same-geometry accumulator (and, via [`BinTable::shared`], by every
-/// diagnoser in the process). That is representation-only: the
-/// record-at-a-time [`RecordSink::push`] path keeps the original
-/// log-domain arithmetic and stays the reference implementation.
+/// diagnoser in the process). The log-domain arithmetic of [`LogBins`]
+/// stays only as the oracle: every table lookup and every bin fanned out
+/// to a sketch, profile or window slot is debug-asserted against it.
+///
+/// [`LogBins`]: pio_des::hist::LogBins
 pub struct StreamDiagnoser {
     cfg: DiagnoserConfig,
     /// Whole-run evidence, and the stream's ensemble snapshot.
@@ -447,44 +455,19 @@ fn density_grid(hist: &LogHistogram, table: &BinTable) -> Vec<(f64, f64)> {
 }
 
 impl RecordSink for StreamDiagnoser {
-    fn push(&mut self, r: &Record) {
-        self.builder.accumulate(r);
-        self.current_phase = self.current_phase.max(r.phase);
-        let k = r.call as usize;
-        if !self.watch_mask[k] {
-            return;
-        }
-        let secs = r.secs();
-        let cfg = &self.cfg;
-        // Cumulative attribution state. No tail cut is applied here —
-        // the slow-event reservoir and the profile both have the cut
-        // applied at diagnosis time, so the evidence stays insensitive
-        // to the provisional medians seen mid-stream.
-        let kt = self.tails[k].get_or_insert_with(|| KindTail::new(cfg));
-        kt.cum.add(secs);
-        kt.windows.add(r.rank, r.offset, r.start_ns, secs);
-        kt.offer_slow(r, secs);
-        let (lo, hi, bins) = (cfg.hist_lo, cfg.hist_hi, cfg.hist_bins);
-        self.windows[k]
-            .get_or_insert_with(|| QuantileSketch::new(lo, hi, bins))
-            .add(secs);
-        phase_sketch(&mut self.phase_sketches[k], r.phase, lo, hi, bins).add(secs);
-        self.tumble(r.call);
-    }
-
-    /// The block hot path: bit-identical to per-record [`Self::push`]
-    /// for any partitioning of the stream. The snapshot builder's
-    /// metadata heavy hitters take the block in one grouped pass; then
-    /// each record gets one [`BinTable`] classification, which feeds the
-    /// builder's per-record step and every cfg-geometry accumulator here
-    /// (window, cumulative and phase sketches), and the tail-geometry bin
-    /// the builder returns feeds the window slices — no `ln` per record.
+    /// The ingest path, bit-identical for any partition of the stream.
+    /// The snapshot builder's metadata heavy hitters take the block in
+    /// one grouped pass; then each record gets one [`BinTable`]
+    /// classification, which feeds the builder's per-record step and
+    /// every cfg-geometry accumulator here (window, cumulative and phase
+    /// sketches), and the tail-geometry bin the builder returns feeds
+    /// the window slices — no `ln` per record.
     fn push_block(&mut self, block: &[Record]) {
         self.builder.add_meta_runs(block);
         // The builder's record count and `current_phase` advance per
-        // record so a window that fills mid-block raises its finding with
-        // the exact same `after_records` / `phase` stamp as the
-        // per-record path.
+        // record so a window that fills mid-block raises its finding
+        // with the `after_records` / `phase` stamp of the record that
+        // filled it, whatever the block boundaries.
         for r in block {
             let secs = r.secs();
             let bin = self.builder.table.index_clamped(secs);
@@ -495,6 +478,10 @@ impl RecordSink for StreamDiagnoser {
                 continue;
             }
             let cfg = &self.cfg;
+            // Cumulative attribution state. No tail cut is applied here
+            // — the slow-event reservoir and the profile both have the
+            // cut applied at diagnosis time, so the evidence stays
+            // insensitive to the provisional medians seen mid-stream.
             let kt = self.tails[k].get_or_insert_with(|| KindTail::new(cfg));
             kt.cum.add_at(secs, bin);
             if self.slot_fine_direct {
@@ -821,6 +808,7 @@ mod tests {
     /// The block path must raise byte-identical findings at identical
     /// stamps for every partitioning of the same stream — pathological
     /// streams included, so windows fill and verdicts fire mid-block.
+    /// Blocks of one (`push`) are the reference.
     #[test]
     fn push_block_matches_push_for_any_partition() {
         let mk = || {
@@ -869,7 +857,7 @@ mod tests {
         }
         reference.finish();
         assert!(!reference.findings().is_empty());
-        for block in [1usize, 2, 7, 64, 333, stream.len()] {
+        for block in [2usize, 7, 64, 333, stream.len()] {
             let mut d = mk();
             for c in stream.chunks(block) {
                 d.push_block(c);

@@ -105,8 +105,8 @@ mod tests {
     }
 
     impl RecordSink for EventLog {
-        fn push(&mut self, _r: &Record) {
-            self.pushes += 1;
+        fn push_block(&mut self, block: &[Record]) {
+            self.pushes += block.len() as u64;
         }
         fn phase_end(&mut self, phase: u32) {
             self.phase_ends.push(phase);

@@ -10,6 +10,12 @@
 //! [`SnapshotBuilder`] and reads its whole-run evidence from it.
 //! Snapshots of many jobs merge into the fleet roll-up, which carries
 //! no verdict of its own: its rank cells pool the ranks of every tenant.
+//!
+//! A builder takes records through one path,
+//! [`SnapshotBuilder::accumulate_block`] (its [`RecordSink::push_block`]):
+//! one table classification per record, bit-identical for any block
+//! partition. The log-domain [`ShardStats::accumulate`] stays as the
+//! reference that classification is tested against.
 
 use crate::sketch::{HeavyHitters, OnlineMoments, QuantileSketch};
 use pio_core::attribution::{tail_bin_table, TailProfile, MODULI, TAIL_KINDS};
@@ -188,21 +194,17 @@ impl ShardStats {
         }
     }
 
-    /// Accumulate one record's duration and size.
+    /// Accumulate one record, its duration classified by the
+    /// geometry's log-domain arithmetic ([`LogBins::index_clamped`]).
     pub fn accumulate(&mut self, r: &Record) {
         let secs = r.secs();
-        self.hist.add_clamped(secs);
-        self.sketch.add(secs);
-        self.moments.record(secs);
-        self.ops += 1;
-        self.bytes += r.bytes;
-        self.secs += secs;
+        self.accumulate_binned(r, secs, self.hist.geometry().index_clamped(secs));
     }
 
     /// Accumulate one record whose duration bin is already classified
     /// (`bin` from a [`BinTable`] over this shard's geometry): one table
-    /// lookup serves the histogram and the sketch. Bit-identical to
-    /// [`Self::accumulate`].
+    /// lookup serves the histogram and the sketch, which debug-asserts
+    /// the bin against [`LogBins`].
     #[inline]
     pub fn accumulate_binned(&mut self, r: &Record, secs: f64, bin: usize) {
         self.hist.add_clamped_at(bin);
@@ -361,36 +363,12 @@ impl SnapshotBuilder {
         pos as usize
     }
 
-    /// Accumulate one record into every snapshot component.
-    pub fn accumulate(&mut self, r: &Record) {
-        let group = r.rank % self.cfg.rank_groups.max(1);
-        let pos = self.shard_pos(r.call, group, r.phase);
-        self.shards[pos].1.accumulate(r);
-        let secs = r.secs();
-        if matches!(r.call, CallKind::MetaRead | CallKind::MetaWrite) {
-            self.hitters.add(r.rank, secs);
-            self.meta_secs += secs;
-        }
-        if r.call.is_io() {
-            self.io_secs += secs;
-        }
-        if TAIL_KINDS.contains(&r.call) {
-            let stripe = self.cfg.stripe_bytes;
-            self.profiles[r.call as usize]
-                .get_or_insert_with(|| TailProfile::new(stripe))
-                .add(r.rank, r.offset, secs);
-        }
-        self.small.accumulate(r, self.cfg.small_write_bytes);
-        self.ranks = self.ranks.max(r.rank + 1);
-        self.ingested += 1;
-    }
-
-    /// The block hot path: bit-identical to per-record
-    /// [`Self::accumulate`] for any partitioning of the stream. One
-    /// [`BinTable`] classification per record serves the shard histogram
-    /// and quantile sketch, and (halved, or through [`tail_bin_table`])
-    /// the attribution profile — no `ln` per record — and heavy-hitter
-    /// updates are grouped by key run before hashing.
+    /// Accumulate a block of records into every snapshot component —
+    /// the builder's one ingest path, bit-identical for any partition of
+    /// the stream. One [`BinTable`] classification per record serves the
+    /// shard histogram and quantile sketch, and (halved, or through
+    /// [`tail_bin_table`]) the attribution profile — no `ln` per record
+    /// — and heavy-hitter updates are grouped by key run before hashing.
     pub fn accumulate_block(&mut self, block: &[Record]) {
         self.add_meta_runs(block);
         for r in block {
@@ -537,15 +515,10 @@ impl SnapshotBuilder {
     }
 }
 
-/// A builder consumes a record stream directly: `push` is
-/// [`SnapshotBuilder::accumulate`] and `push_block` is
+/// A builder consumes a record stream directly: `push_block` is
 /// [`SnapshotBuilder::accumulate_block`]. Phase marks and end of stream
 /// carry nothing a snapshot keeps (phases are read off the records).
 impl RecordSink for SnapshotBuilder {
-    fn push(&mut self, r: &Record) {
-        self.accumulate(r);
-    }
-
     fn push_block(&mut self, block: &[Record]) {
         self.accumulate_block(block);
     }
@@ -776,10 +749,11 @@ mod tests {
         assert!((a.moments.mean().unwrap() - whole.moments.mean().unwrap()).abs() < 1e-12);
     }
 
+    /// A default-shape builder fed `records` in blocks of one.
     fn build(records: &[Record]) -> SnapshotBuilder {
         let mut b = SnapshotBuilder::new(SnapshotConfig::default());
         for r in records {
-            b.accumulate(r);
+            b.push(r);
         }
         b
     }
@@ -854,9 +828,10 @@ mod tests {
 
     /// The block path must produce a byte-identical snapshot for every
     /// partitioning of the same stream — including interleaved phases
-    /// (late arrivals) and metadata runs.
+    /// (late arrivals) and metadata runs. Blocks of one are the
+    /// reference, and they equal the map-and-sort reference.
     #[test]
-    fn accumulate_block_matches_per_record_accumulate() {
+    fn accumulate_block_matches_blocks_of_one() {
         let recs: Vec<Record> = (0..1200u32)
             .map(|i| {
                 let x = (i as u64)
@@ -876,7 +851,11 @@ mod tests {
             })
             .collect();
         let reference = build(&recs).into_snapshot(0);
-        for block in [1usize, 3, 17, 256, recs.len()] {
+        assert_eq!(
+            reference,
+            assemble_reference(&recs, &SnapshotConfig::default())
+        );
+        for block in [3usize, 17, 256, recs.len()] {
             let mut b = SnapshotBuilder::new(SnapshotConfig::default());
             for c in recs.chunks(block) {
                 b.accumulate_block(c);
@@ -884,11 +863,11 @@ mod tests {
             assert_eq!(b.ingested(), reference.ingested);
             assert_eq!(b.into_snapshot(0), reference, "block size {block} diverged");
         }
-        // Mixed per-record and block accumulation also agrees.
+        // Mixed single-record and block accumulation also agrees.
         let mut mixed = SnapshotBuilder::new(SnapshotConfig::default());
         let (head, tail) = recs.split_at(311);
         for r in head {
-            mixed.accumulate(r);
+            mixed.push(r);
         }
         mixed.accumulate_block(tail);
         assert_eq!(mixed.into_snapshot(0), reference);

@@ -1,7 +1,9 @@
-//! Property tests pinning the columnar analysis plane to the
-//! record-at-a-time reference: for any record stream, any block
-//! partition, and any on-disk codec, the batched path must produce a
-//! bit-identical `EnsembleSnapshot` and identical findings. These are
+//! Property tests pinning the analysis plane's one ingest path,
+//! `RecordSink::push_block`, to its partition contract: for any record
+//! stream, any block partition, and any on-disk codec, the state must
+//! equal that of the same stream fed in blocks of one — a bit-identical
+//! `EnsembleSnapshot` and identical findings. With the debug assertions
+//! that check every bin classification against `LogBins`, these are
 //! the equivalence proofs that let the hot path change representation
 //! without changing a single verdict.
 
@@ -64,7 +66,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `StreamDiagnoser::push_block` over any partition is observationally
-    /// identical to per-record `push`: same findings (bit-identical
+    /// identical to blocks of one (`push`): same findings (bit-identical
     /// severities), same record count, same owned snapshot, under
     /// mid-stream phase ends — and that snapshot is the one a standalone
     /// builder of the same shape makes of the stream.
@@ -95,14 +97,14 @@ proptest! {
         prop_assert_eq!(&block.builder().snapshot(0), &snapshot);
         let mut alone = SnapshotBuilder::new(DiagnoserConfig::default().snapshot_config());
         for r in &records {
-            alone.accumulate(r);
+            alone.push(r);
         }
         prop_assert_eq!(alone.into_snapshot(0), snapshot);
     }
 
     /// `SnapshotBuilder::accumulate_block` over any partition yields a
     /// bit-identical `EnsembleSnapshot` (PartialEq on f64 state) to
-    /// per-record `accumulate`.
+    /// blocks of one.
     #[test]
     fn builder_block_path_matches_record_path(
         records in arb_records(),
@@ -110,7 +112,7 @@ proptest! {
     ) {
         let mut reference = SnapshotBuilder::new(SnapshotConfig::default());
         for r in &records {
-            reference.accumulate(r);
+            reference.push(r);
         }
 
         let mut block = SnapshotBuilder::new(SnapshotConfig::default());
@@ -122,14 +124,15 @@ proptest! {
     }
 }
 
-/// Forwards everything per record; never exposes a block, so the inner
-/// sink only ever sees the reference path regardless of what the codec
-/// delivers.
+/// Forwards every block as blocks of one, so the inner sink only ever
+/// sees the reference partition regardless of what the codec delivers.
 struct PerRecord<S>(S);
 
 impl<S: RecordSink> RecordSink for PerRecord<S> {
-    fn push(&mut self, r: &Record) {
-        self.0.push(r);
+    fn push_block(&mut self, block: &[Record]) {
+        for r in block {
+            self.0.push(r);
+        }
     }
     fn phase_end(&mut self, phase: u32) {
         self.0.phase_end(phase);
@@ -144,12 +147,11 @@ proptest! {
 
     /// Streaming the same encoded trace through every codec produces
     /// identical analysis whether the codec's blocks flow into the
-    /// batched kernels or are unrolled record by record — and the
+    /// batched kernels whole or unrolled into blocks of one — and the
     /// verdicts agree across both encodings. The sink is the one
     /// `analyze --stream` and a fleet tenant run: a diagnoser, which
     /// owns the stream's snapshot builder; [`PerRecord`] wraps it to
-    /// force the trait-default record-at-a-time loop for the reference
-    /// side.
+    /// unroll the codec's blocks for the reference side.
     #[test]
     fn codec_streams_are_block_record_equivalent(records in arb_records()) {
         let mut trace = Trace::new(TraceMeta {

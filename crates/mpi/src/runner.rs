@@ -1,7 +1,10 @@
 //! Job execution: a [`Runner`] builder drives one or many seeded
-//! simulations of a job — buffered or streaming, serial or one thread
-//! per run, with or without an injected fault plan — and returns one
-//! [`RunReport`] per seed.
+//! simulations of a job — serial or one thread per run, with or without
+//! an injected fault plan — and returns one [`RunReport`] per seed.
+//!
+//! Every run captures through one [`RecordSink`]: the caller's, when it
+//! streams ([`Runner::sink`]), or else a [`Trace`] that the report
+//! carries, sorted by start time.
 //!
 //! ```no_run
 //! # use pio_mpi::{Runner, RunConfig, Job};
@@ -208,13 +211,6 @@ impl<'j, 's> Runner<'j, 's> {
                 "a sink receives exactly one run; use a single seed".into(),
             ));
         }
-        if let Some(sink) = self.sink.take() {
-            let cfg = RunConfig {
-                seed: self.seeds[0],
-                ..self.cfg.clone()
-            };
-            return Ok(vec![run_single_streaming(self.job, &cfg, sink)?]);
-        }
         if self.threads > 1 && self.seeds.len() > 1 {
             return execute_parallel(self.job, &self.cfg, &self.seeds, self.threads);
         }
@@ -225,7 +221,7 @@ impl<'j, 's> Runner<'j, 's> {
                     seed,
                     ..self.cfg.clone()
                 };
-                run_single(self.job, &cfg)
+                run_single(self.job, &cfg, self.sink.as_deref_mut())
             })
             .collect()
     }
@@ -242,14 +238,14 @@ impl<'j, 's> Runner<'j, 's> {
     }
 }
 
-/// Build the simulator for one run and execute it to completion.
-fn build_and_run<'s>(
+/// One seeded run of an already validated job. Records stream into
+/// `sink`, and the report carries no trace; without a sink they stream
+/// into a [`Trace`], which the report carries sorted by start time.
+fn run_single(
     job: &Job,
     cfg: &RunConfig,
-    sink: Option<&'s mut dyn RecordSink>,
-    store_records: bool,
-) -> Result<(Simulator<MpiWorld<'s>>, SimTime), RunError> {
-    job.validate().map_err(RunError::InvalidJob)?;
+    sink: Option<&mut (dyn RecordSink + '_)>,
+) -> Result<RunReport, RunError> {
     let ranks = job.ranks();
     let nodes = ranks.div_ceil(cfg.fs.tasks_per_node).max(1);
     let mut fs = FsSim::new(cfg.fs.clone(), nodes, cfg.seed);
@@ -268,14 +264,13 @@ fn build_and_run<'s>(
         ranks,
         seed: cfg.seed,
     };
-    let mut world = MpiWorld::new(job.clone(), fs, cfg.mpi.clone(), cfg.seed, meta);
+    let buffered = sink.is_none();
+    let mut trace = Trace::new(meta.clone());
+    let sink = sink.unwrap_or(&mut trace);
+    let mut world = MpiWorld::new(job.clone(), fs, cfg.mpi.clone(), cfg.seed, &mut *sink);
     if let Some(plan) = plan {
         world.set_fault(Box::new(plan.mpi_injector(cfg.seed)));
     }
-    if let Some(sink) = sink {
-        world.set_sink(sink);
-    }
-    world.set_store_records(store_records);
     let initial = world.initial_events();
     let mut sim = Simulator::new(world);
     for (t, e) in initial {
@@ -285,42 +280,8 @@ fn build_and_run<'s>(
     if sim.world.finished_ranks() != ranks {
         return Err(RunError::Deadlock(sim.world.stuck_ranks()));
     }
-    Ok((sim, end))
-}
-
-/// One buffered run.
-fn run_single(job: &Job, cfg: &RunConfig) -> Result<RunReport, RunError> {
-    let (mut sim, end) = build_and_run(job, cfg, None, true)?;
-    let mut trace = std::mem::take(&mut sim.world.trace);
-    trace.sort_by_start();
-    debug_assert_eq!(trace.validate(), Ok(()));
-    Ok(RunReport {
-        seed: cfg.seed,
-        meta: trace.meta.clone(),
-        stats: sim.world.fs.stats().clone(),
-        lock_stats: sim.world.fs.lock_stats(),
-        util: sim.world.fs.utilization(end),
-        trace: Some(trace),
-        events: sim.processed(),
-        end,
-    })
-}
-
-/// One streaming run: records go to `sink`, the report carries no trace.
-fn run_single_streaming(
-    job: &Job,
-    cfg: &RunConfig,
-    sink: &mut dyn RecordSink,
-) -> Result<RunReport, RunError> {
-    let meta = TraceMeta {
-        experiment: cfg.experiment.clone(),
-        platform: cfg.fs.name.clone(),
-        ranks: job.ranks(),
-        seed: cfg.seed,
-    };
-    let (sim, end) = build_and_run(job, cfg, Some(&mut *sink), false)?;
     let final_phase = sim.world.phase();
-    let report = RunReport {
+    let mut report = RunReport {
         seed: cfg.seed,
         meta,
         trace: None,
@@ -335,6 +296,11 @@ fn run_single_streaming(
     // implicitly closed phase.
     sink.phase_end(final_phase);
     sink.finish();
+    if buffered {
+        trace.sort_by_start();
+        debug_assert_eq!(trace.validate(), Ok(()));
+        report.trace = Some(trace);
+    }
     Ok(report)
 }
 
@@ -378,6 +344,7 @@ fn execute_parallel(
                                         seed,
                                         ..cfg.clone()
                                     },
+                                    None,
                                 ),
                             ));
                         }
@@ -629,8 +596,8 @@ mod tests {
             finished: bool,
         }
         impl pio_trace::RecordSink for Log {
-            fn push(&mut self, _r: &pio_trace::Record) {
-                self.pushes += 1;
+            fn push_block(&mut self, block: &[pio_trace::Record]) {
+                self.pushes += block.len() as u64;
             }
             fn phase_end(&mut self, phase: u32) {
                 self.phase_ends.push(phase);

@@ -1,12 +1,18 @@
 //! The execution world: ranks stepping through their programs in virtual
 //! time, barriers, point-to-point messages, and IPM-I/O trace capture.
+//!
+//! Capture has one destination, the [`RecordSink`] the world is built
+//! with: each record is pushed as its call completes, and
+//! [`RecordSink::phase_end`] fires at every barrier release. A buffered
+//! run passes a [`pio_trace::Trace`]; a streaming run passes its
+//! consumer.
 
 use crate::program::{Job, Op};
 use pio_des::{FxHashMap, Scheduler, SimRng, SimSpan, SimTime, World};
 use pio_fs::fault::FaultInjector;
 use pio_fs::sim::FsOut;
 use pio_fs::{FsEvent, FsNotify, FsSim, IoKind, IoReq};
-use pio_trace::{CallKind, FdTable, Record, RecordSink, Trace, TraceMeta};
+use pio_trace::{CallKind, FdTable, Record, RecordSink};
 use std::collections::VecDeque;
 
 /// MPI message-layer cost model (the fabric's message path is far faster
@@ -73,20 +79,13 @@ struct Channel {
 
 /// The simulation world for one job run.
 ///
-/// The lifetime `'s` is the borrow of an optional streaming
-/// [`RecordSink`]; worlds without one (the buffering path) are
-/// `MpiWorld<'static>`.
+/// The lifetime `'s` is the borrow of the capture [`RecordSink`].
 pub struct MpiWorld<'s> {
     /// The file-system model (public for post-run inspection).
     pub fs: FsSim,
-    /// The captured trace (public for post-run extraction).
-    pub trace: Trace,
-    /// Streaming capture path: records are pushed here as calls complete,
-    /// and `phase_end` fires at every barrier release.
-    sink: Option<&'s mut dyn RecordSink>,
-    /// Whether records are also buffered into `trace` (disabled for
-    /// constant-memory streaming runs).
-    store_records: bool,
+    /// Where records go, in completion order, as calls complete;
+    /// `phase_end` fires here at every barrier release.
+    sink: &'s mut dyn RecordSink,
     job: Job,
     ranks: Vec<RankState>,
     phase: u32,
@@ -108,9 +107,16 @@ pub struct MpiWorld<'s> {
 }
 
 impl<'s> MpiWorld<'s> {
-    /// Build the world; `fs` must already have the job's files registered
-    /// (in order, so job file index == fs file id).
-    pub fn new(job: Job, fs: FsSim, mpi: MpiConfig, seed: u64, meta: TraceMeta) -> Self {
+    /// Build the world capturing into `sink`; `fs` must already have the
+    /// job's files registered (in order, so job file index == fs file
+    /// id).
+    pub fn new(
+        job: Job,
+        fs: FsSim,
+        mpi: MpiConfig,
+        seed: u64,
+        sink: &'s mut dyn RecordSink,
+    ) -> Self {
         let n = job.ranks() as usize;
         let tasks_per_node = fs.config().tasks_per_node;
         let ranks = (0..n)
@@ -125,9 +131,7 @@ impl<'s> MpiWorld<'s> {
             .collect();
         MpiWorld {
             fs,
-            trace: Trace::new(meta),
-            sink: None,
-            store_records: true,
+            sink,
             barrier_arrivals: vec![None; n],
             job,
             ranks,
@@ -150,19 +154,6 @@ impl<'s> MpiWorld<'s> {
     pub fn set_fault(&mut self, fault: Box<dyn FaultInjector>) {
         self.fault_expiry = fault.expiry().nanos();
         self.fault = Some(fault);
-    }
-
-    /// Attach a streaming sink: every record is pushed as the call
-    /// completes (completion order, not start order), and
-    /// [`RecordSink::phase_end`] fires at each barrier release.
-    pub fn set_sink(&mut self, sink: &'s mut dyn RecordSink) {
-        self.sink = Some(sink);
-    }
-
-    /// Enable/disable buffering records into [`MpiWorld::trace`]
-    /// (disable for constant-memory streaming runs).
-    pub fn set_store_records(&mut self, store: bool) {
-        self.store_records = store;
     }
 
     /// The current barrier-phase index.
@@ -196,7 +187,7 @@ impl<'s> MpiWorld<'s> {
         start: SimTime,
         end: SimTime,
     ) {
-        let rec = Record {
+        self.sink.push(&Record {
             rank,
             call,
             fd,
@@ -205,13 +196,7 @@ impl<'s> MpiWorld<'s> {
             start_ns: start.nanos(),
             end_ns: end.nanos(),
             phase: self.phase,
-        };
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.push(&rec);
-        }
-        if self.store_records {
-            self.trace.push(rec);
-        }
+        });
     }
 
     /// Deliver the file system's output: schedule its events, then
@@ -570,9 +555,7 @@ impl<'s> MpiWorld<'s> {
         self.arrived = 0;
         let ended = self.phase;
         self.phase += 1;
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.phase_end(ended);
-        }
+        self.sink.phase_end(ended);
         self.fs.new_phase();
         for rank in 0..n {
             let jitter = SimSpan::from_secs_f64(self.rng.f64() * self.mpi.barrier_jitter);

@@ -42,24 +42,12 @@ impl PhaseTracker {
         }
     }
 
-    /// Observe one record *before* pushing it, firing `phase_end` for
-    /// every phase the stream has just completed.
-    pub fn on_record(&mut self, rec: &Record, sink: &mut dyn RecordSink) {
-        if self.saw_record && rec.phase > self.phase {
-            for p in self.phase..rec.phase {
-                sink.phase_end(p);
-            }
-        }
-        self.phase = self.phase.max(rec.phase);
-        self.saw_record = true;
-    }
-
     /// Observe a decoded block and push it: runs of records that share
     /// the current phase flow to the sink via
-    /// [`RecordSink::push_block`], with `phase_end` fired at exactly
-    /// the positions the per-record loop would fire it. The sink sees
-    /// the same event sequence as `on_record` + `push` per record; only
-    /// the granularity of delivery changes.
+    /// [`RecordSink::push_block`]. Before the first record of a higher
+    /// phase, `phase_end` fires for every phase the stream has just
+    /// completed, so the sink sees the same event sequence whatever the
+    /// block boundaries; only the granularity of delivery changes.
     pub fn on_block(&mut self, block: &[Record], sink: &mut dyn RecordSink) {
         let mut start = 0;
         for (i, rec) in block.iter().enumerate() {
@@ -345,8 +333,8 @@ mod tests {
             finished: bool,
         }
         impl RecordSink for Log {
-            fn push(&mut self, r: &Record) {
-                self.records.push(r.clone());
+            fn push_block(&mut self, block: &[Record]) {
+                self.records.extend_from_slice(block);
             }
             fn phase_end(&mut self, phase: u32) {
                 self.phase_ends.push(phase);
@@ -374,14 +362,16 @@ mod tests {
     }
 
     #[test]
-    fn on_block_fires_the_same_event_sequence_as_on_record() {
+    fn on_block_fires_the_same_event_sequence_for_any_block_size() {
         #[derive(Default, PartialEq, Debug)]
         struct Log {
             events: Vec<(Option<Record>, Option<u32>)>,
         }
         impl RecordSink for Log {
-            fn push(&mut self, r: &Record) {
-                self.events.push((Some(r.clone()), None));
+            fn push_block(&mut self, block: &[Record]) {
+                for r in block {
+                    self.events.push((Some(r.clone()), None));
+                }
             }
             fn phase_end(&mut self, phase: u32) {
                 self.events.push((None, Some(phase)));
@@ -406,13 +396,23 @@ mod tests {
             .enumerate()
             .map(|(i, &p)| mk(p, i as u64))
             .collect();
+        // The reference, record by record: before a record of a higher
+        // phase than any seen, end every phase it skips past; a stale
+        // lower phase ends nothing. The last phase ends at end of stream.
         let mut per_record = Log::default();
-        let mut tracker = PhaseTracker::new();
+        let mut phase: Option<u32> = None;
         for r in &records {
-            tracker.on_record(r, &mut per_record);
-            per_record.push(r);
+            if let Some(p) = phase.filter(|&p| r.phase > p) {
+                for ended in p..r.phase {
+                    per_record.events.push((None, Some(ended)));
+                }
+            }
+            phase = Some(phase.map_or(r.phase, |p| p.max(r.phase)));
+            per_record.events.push((Some(r.clone()), None));
         }
-        tracker.finish(&mut per_record);
+        if let Some(p) = phase {
+            per_record.events.push((None, Some(p)));
+        }
         for block_size in [1, 2, 3, 5, 13, 64] {
             let mut blocked = Log::default();
             let mut tracker = PhaseTracker::new();

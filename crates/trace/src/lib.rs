@@ -48,5 +48,5 @@ pub use io::TraceFormat;
 pub use profile::OnlineProfile;
 pub use ptb2::{Ptb2BlockReader, Ptb2Writer};
 pub use record::{CallKind, Record};
-pub use sink::{Demux, NullSink, RecordSink, Tee};
+pub use sink::{NullSink, RecordSink, Tee};
 pub use trace::{Trace, TraceMeta};

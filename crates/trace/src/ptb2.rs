@@ -698,14 +698,16 @@ impl<W: Write> Ptb2Writer<W> {
 }
 
 impl<W: Write> RecordSink for Ptb2Writer<W> {
-    fn push(&mut self, r: &Record) {
-        if self.error.is_none() {
-            let res = self.push_record(r);
-            self.stash(res);
-        } else {
-            // Still count, so a later error report is not misread as a
-            // short trace.
-            self.total += 1;
+    fn push_block(&mut self, block: &[Record]) {
+        for r in block {
+            if self.error.is_none() {
+                let res = self.push_record(r);
+                self.stash(res);
+            } else {
+                // Still count, so a later error report is not misread as
+                // a short trace.
+                self.total += 1;
+            }
         }
     }
 

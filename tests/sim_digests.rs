@@ -62,8 +62,8 @@ impl Fnv {
 struct DigestSink(Fnv);
 
 impl RecordSink for DigestSink {
-    fn push(&mut self, r: &Record) {
-        let Record {
+    fn push_block(&mut self, block: &[Record]) {
+        for Record {
             rank,
             call,
             fd,
@@ -72,16 +72,18 @@ impl RecordSink for DigestSink {
             start_ns,
             end_ns,
             phase,
-        } = r;
-        let h = &mut self.0;
-        h.u64(u64::from(*rank));
-        h.bytes(format!("{call:?}").as_bytes());
-        h.u64(*fd as u64);
-        h.u64(*offset);
-        h.u64(*bytes);
-        h.u64(*start_ns);
-        h.u64(*end_ns);
-        h.u64(u64::from(*phase));
+        } in block
+        {
+            let h = &mut self.0;
+            h.u64(u64::from(*rank));
+            h.bytes(format!("{call:?}").as_bytes());
+            h.u64(*fd as u64);
+            h.u64(*offset);
+            h.u64(*bytes);
+            h.u64(*start_ns);
+            h.u64(*end_ns);
+            h.u64(u64::from(*phase));
+        }
     }
 
     fn phase_end(&mut self, phase: u32) {

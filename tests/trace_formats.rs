@@ -157,8 +157,8 @@ struct Collector {
 }
 
 impl RecordSink for Collector {
-    fn push(&mut self, r: &Record) {
-        self.records.push(r.clone());
+    fn push_block(&mut self, block: &[Record]) {
+        self.records.extend_from_slice(block);
     }
     fn phase_end(&mut self, p: u32) {
         self.phase_ends.push(p);
