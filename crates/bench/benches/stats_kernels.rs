@@ -7,9 +7,9 @@ use pio_core::empirical::EmpiricalDist;
 use pio_core::hist::Histogram;
 use pio_core::kde::Kde;
 use pio_core::lln::GridPdf;
-use pio_core::loghist::LogHistogram;
 use pio_core::modes::find_modes;
 use pio_core::order_stats;
+use pio_des::hist::LogHistogram;
 use pio_des::maxmin::{maxmin_rates, Flow};
 use std::hint::black_box;
 

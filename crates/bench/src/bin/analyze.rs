@@ -23,9 +23,9 @@
 
 use pio_bench::util::{format_from_args, print_stdout};
 use pio_core::empirical::EmpiricalDist;
-use pio_core::loghist::LogHistogram;
 use pio_core::rates::write_rate_curve;
 use pio_core::report;
+use pio_des::hist::LogHistogram;
 use pio_ingest::StreamDiagnoser;
 use pio_trace::codec::codec_for;
 use pio_trace::phase::phase_summaries;

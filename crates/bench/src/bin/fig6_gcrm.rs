@@ -11,7 +11,7 @@ use pio_bench::util::{
     fault_or_schedule_from_args, print_rows, print_stdout, reject_unknown_flags, results_dir,
     scale_from_args, Row,
 };
-use pio_core::loghist::LogHistogram;
+use pio_des::hist::LogHistogram;
 use pio_viz::ascii;
 use pio_viz::csv as vcsv;
 

@@ -6,8 +6,8 @@
 use crate::util::dist_of;
 use pio_core::diagnosis::{detect_right_shoulder, Finding, Thresholds};
 use pio_core::empirical::EmpiricalDist;
-use pio_core::loghist::LogHistogram;
 use pio_core::rates::{read_rate_curve, write_rate_curve, RateCurve};
+use pio_des::hist::LogHistogram;
 use pio_fs::FsConfig;
 use pio_trace::{CallKind, Trace};
 use pio_workloads::presets::fig4_madbench;

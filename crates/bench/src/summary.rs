@@ -258,27 +258,23 @@ fn schedule_overhead_metric(reps: u32, tolerance_pct: f64) -> Metric {
 /// service with unlimited budget; ops = records the service admitted
 /// across all tenants, verified against the machine roll-up.
 fn fleetd_ingest(trace: &Trace) -> u64 {
-    use pio_fleetd::{FleetConfig, FleetService};
+    use pio_fleetd::{FleetConfig, FleetService, JobSink};
     use pio_trace::RecordSink;
     const JOBS: usize = 8;
     let mut svc = FleetService::new(FleetConfig {
         workers: 4,
         ..FleetConfig::default()
     });
-    crossbeam::thread::scope(|scope| {
-        for j in 0..JOBS {
-            let mut sink = svc.register(&format!("bench-{j}"));
-            let records = &trace.records;
-            scope.spawn(move |_| {
-                // Decoder-sized blocks, as the streaming codecs deliver them.
-                for chunk in records.chunks(512) {
-                    sink.push_block(chunk);
-                }
-                sink.finish();
-            });
+    let sinks: Vec<JobSink> = (0..JOBS)
+        .map(|j| svc.register(&format!("bench-{j}")))
+        .collect();
+    pio_des::par::map_claimed(sinks, JOBS, |mut sink| {
+        // Decoder-sized blocks, as the streaming codecs deliver them.
+        for chunk in trace.records.chunks(512) {
+            sink.push_block(chunk);
         }
-    })
-    .expect("fleetd bench scope");
+        sink.finish();
+    });
     svc.shutdown();
     let total = svc.rollup().ingested;
     assert_eq!(total, (JOBS * trace.records.len()) as u64);

@@ -6,6 +6,7 @@
 //! signal or noise. Deterministic (seeded), dependency-free resampling.
 
 use crate::empirical::EmpiricalDist;
+use pio_des::par::map_claimed;
 
 /// A two-sided confidence interval for a statistic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -141,26 +142,13 @@ pub fn bootstrap_ci_with_workers<F: Fn(&EmpiricalDist) -> f64 + Sync>(
     let samples = dist.samples();
 
     let workers = workers.clamp(1, resamples);
-    let mut stats = if workers == 1 {
-        resample_range(samples, &stat, 0, resamples, seed)
-    } else {
-        let per = resamples.div_ceil(workers);
-        let stat = &stat;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let lo = (w * per).min(resamples);
-                    let hi = ((w + 1) * per).min(resamples);
-                    scope.spawn(move || resample_range(samples, stat, lo, hi, seed))
-                })
-                .collect();
-            let mut all = Vec::with_capacity(resamples);
-            for h in handles {
-                all.extend(h.join().expect("bootstrap worker"));
-            }
-            all
-        })
-    };
+    let per = resamples.div_ceil(workers);
+    let chunks = map_claimed(0..workers, workers, |w| {
+        let lo = (w * per).min(resamples);
+        let hi = ((w + 1) * per).min(resamples);
+        resample_range(samples, &stat, lo, hi, seed)
+    });
+    let mut stats = chunks.concat();
     stats.sort_by(f64::total_cmp);
     let alpha = (1.0 - level) / 2.0;
     let lo_idx = ((alpha * resamples as f64) as usize).min(resamples - 1);

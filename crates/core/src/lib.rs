@@ -6,8 +6,9 @@
 //! modes … are reproducible". This crate implements that methodology over
 //! IPM-I/O traces:
 //!
-//! * [`hist`] / [`loghist`] — linear and log-log completion-time
-//!   histograms (the paper's Figures 1(c), 4(c,f), 6(c,f,i,l)).
+//! * [`hist`] — linear completion-time histograms (the paper's
+//!   Figure 1(c)); the log-log ones (Figures 4(c,f), 6(c,f,i,l)) are
+//!   [`pio_des::hist::LogHistogram`], shared with capture and ingest.
 //! * [`empirical`] — empirical distributions: ECDF, quantiles, moments.
 //! * [`kde`] — Gaussian kernel density estimation for smooth mode finding.
 //! * [`modes`] — peak detection and harmonic-structure recognition
@@ -44,7 +45,6 @@ pub mod ensemble;
 pub mod hist;
 pub mod kde;
 pub mod lln;
-pub mod loghist;
 pub mod modes;
 pub mod order_stats;
 pub mod rates;
@@ -55,5 +55,4 @@ pub use diagnosis::{diagnose, Finding};
 pub use empirical::EmpiricalDist;
 pub use ensemble::Ensemble;
 pub use hist::Histogram;
-pub use loghist::LogHistogram;
 pub use modes::Mode;

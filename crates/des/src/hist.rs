@@ -1,5 +1,7 @@
 //! Mergeable log-spaced histograms — the single binning implementation
-//! shared by the analysis layer (`pio-core::loghist`), the capture layer
+//! shared by the analysis layer (`pio-core`, the paper's log-log plots of
+//! Figures 4(c,f) and 6(c,f,i,l), where "the different modes, especially
+//! the slowest modes, stand out"), the capture layer
 //! (`pio-trace::profile`), and the streaming-ingest sketches
 //! (`pio-ingest`).
 //!
@@ -688,5 +690,97 @@ mod tests {
         assert!(q50 > 2.5 && q50 < 10.0, "{q50}");
         assert!(h.quantile(1.0).unwrap() >= q50);
         assert!(LogHistogram::new(0.1, 1.0, 4).quantile(0.5).is_none());
+    }
+
+    #[test]
+    fn spans_decades() {
+        let mut h = LogHistogram::new(0.001, 1000.0, 60);
+        for v in [0.002, 0.02, 0.2, 2.0, 20.0, 200.0] {
+            h.add(v);
+        }
+        assert_eq!(h.in_range(), 6);
+        // Each sample in its own bin (decade apart, 10 bins per decade).
+        assert_eq!(h.series().len(), 6);
+    }
+
+    #[test]
+    fn nonpositive_goes_to_underflow() {
+        let mut h = LogHistogram::new(0.1, 10.0, 4);
+        h.add(0.0);
+        h.add(-5.0);
+        h.add(1.0);
+        assert_eq!(h.total(), 3);
+        assert_eq!(h.in_range(), 1);
+    }
+
+    #[test]
+    fn from_samples_covers_everything_positive() {
+        let samples: Vec<f64> = (1..=500).map(|i| i as f64 * 0.01).collect();
+        let h = LogHistogram::from_samples(&samples, 40);
+        assert_eq!(h.in_range(), 500);
+    }
+
+    #[test]
+    fn bin_center_round_trips() {
+        let h = LogHistogram::new(0.01, 100.0, 32);
+        for i in 0..32 {
+            let c = h.bin_center(i);
+            let e = h.bin_edges(i);
+            assert!(e.contains(c), "bin {i}: {} {c} {}", e.left, e.right);
+        }
+    }
+
+    #[test]
+    fn tail_fraction_measures_the_shoulder() {
+        let mut h = LogHistogram::new(0.1, 1000.0, 40);
+        // 90 fast events at ~1, 10 slow at ~100.
+        for _ in 0..90 {
+            h.add(1.0);
+        }
+        for _ in 0..10 {
+            h.add(100.0);
+        }
+        let tail = h.tail_fraction(10.0);
+        assert!((tail - 0.1).abs() < 0.02, "{tail}");
+        assert!(h.tail_fraction(0.05) > 0.99);
+        assert_eq!(h.tail_fraction(2000.0), 0.0);
+    }
+
+    #[test]
+    fn series_skips_empty_bins() {
+        let mut h = LogHistogram::new(0.1, 10.0, 20);
+        h.add(1.0);
+        assert_eq!(h.series().len(), 1);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Mass conservation across decades.
+        #[test]
+        fn mass_conserved(samples in proptest::collection::vec(1e-6f64..1e6, 1..300)) {
+            let h = LogHistogram::from_samples(&samples, 64);
+            prop_assert_eq!(h.total() as usize, samples.len());
+            prop_assert_eq!(h.in_range() as usize, samples.len());
+        }
+
+        /// Bins are monotone in value.
+        #[test]
+        fn binning_monotone(a in 1e-3f64..1e3, b in 1e-3f64..1e3) {
+            let g = LogBins::new(1e-4, 1e4, 48);
+            let bin = |v: f64| match g.slot(v) {
+                BinSlot::In(i) => i,
+                _ => unreachable!("in-range by construction"),
+            };
+            if a <= b {
+                prop_assert!(bin(a) <= bin(b));
+            } else {
+                prop_assert!(bin(a) >= bin(b));
+            }
+        }
     }
 }

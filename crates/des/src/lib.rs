@@ -6,7 +6,8 @@
 //! (log-normal service overheads, Pareto outliers), FIFO service centers
 //! that model shared hardware resources by eager completion-time
 //! computation, and a max–min fair bandwidth solver used for fluid-flow
-//! rate assignment and for fairness ablations.
+//! rate assignment and for fairness ablations. [`par::map_claimed`] is
+//! the one parallel fan-out every ensemble and fleet path runs through.
 //!
 //! Everything here is deterministic: the same seed produces the same
 //! simulation, which is what lets the ensemble analysis treat the seed as
@@ -17,6 +18,7 @@ pub mod engine;
 pub mod hash;
 pub mod hist;
 pub mod maxmin;
+pub mod par;
 pub mod queue;
 pub mod rng;
 pub mod server;

@@ -9,51 +9,62 @@
 //! streams every job into a [`pio_fleetd::FleetService`] with a
 //! `P`-worker pool and a per-tenant memory budget, then prints the
 //! fleet panel: machine-wide roll-up, per-job verdict table, and the
-//! cross-job interference view. Exits nonzero if any faulted job is
-//! misattributed or any clean job is flagged.
+//! cross-job interference view. Exits 1 if any faulted job is
+//! misattributed or any clean job is flagged; exits 2 with the usage
+//! line on an unknown flag, a flag without its value, a malformed value,
+//! or a zero `--pool` or `--threads`.
 
 use pio_fleetd::{fleet_config, fleet_spec, FleetService, SimConfig};
 use pio_viz::{fleet_panel, FleetJobRow, OstContentionRow};
 use std::io::{ErrorKind, Write};
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+const USAGE: &str = "usage: pio-fleetd [--jobs N] [--faulted M] [--pool P] [--scale S] \
+                     [--budget BYTES] [--threads T] [--out FILE]";
+
+/// Exit 2 with the usage line: a typo (`--pol 4`) or a missing value
+/// must never run the default fleet.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("pio-fleetd: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }
 
-fn parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    match flag(args, name) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("pio-fleetd: bad value for {name}: {v}");
-            std::process::exit(2);
-        }),
-    }
+/// Parse the value that follows `flag`; the flag owns the next
+/// argument, whatever it looks like.
+fn value<T: std::str::FromStr>(flag: &str, raw: Option<&String>) -> T {
+    let raw = raw.unwrap_or_else(|| usage_error(&format!("{flag} requires a value")));
+    raw.parse()
+        .unwrap_or_else(|_| usage_error(&format!("bad value for {flag}: {raw}")))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: pio-fleetd [--jobs N] [--faulted M] [--pool P] [--scale S] \
-             [--budget BYTES] [--threads T] [--out FILE]"
-        );
+        eprintln!("{USAGE}");
         return;
     }
-    let cfg = SimConfig {
-        jobs: parse(&args, "--jobs", 8),
-        faulted: parse(&args, "--faulted", 2),
-        scale: parse(&args, "--scale", 16),
-    };
-    let pool: usize = parse(&args, "--pool", 4);
-    let budget: usize = parse(&args, "--budget", 1 << 20);
-    let threads: usize = parse(&args, "--threads", 4);
-    let out: Option<String> = flag(&args, "--out");
+    let mut cfg = SimConfig::default();
+    let (mut pool, mut budget, mut threads) = (4usize, 1usize << 20, 4usize);
+    let mut out: Option<String> = None;
+    let mut rest = args.iter();
+    while let Some(flag) = rest.next() {
+        match flag.as_str() {
+            "--jobs" => cfg.jobs = value(flag, rest.next()),
+            "--faulted" => cfg.faulted = value(flag, rest.next()),
+            "--scale" => cfg.scale = value(flag, rest.next()),
+            "--pool" => pool = value(flag, rest.next()),
+            "--budget" => budget = value(flag, rest.next()),
+            "--threads" => threads = value(flag, rest.next()),
+            "--out" => out = Some(value(flag, rest.next())),
+            other if other.starts_with('-') => usage_error(&format!("unknown flag {other:?}")),
+            other => usage_error(&format!("unexpected argument {other:?}")),
+        }
+    }
+    if pool == 0 || threads == 0 {
+        usage_error("--pool and --threads must be at least 1");
+    }
     if cfg.faulted > cfg.jobs {
-        eprintln!("pio-fleetd: --faulted cannot exceed --jobs");
-        std::process::exit(2);
+        usage_error("--faulted cannot exceed --jobs");
     }
 
     eprintln!(

@@ -5,45 +5,15 @@
 //! answers the machine operator's next question — *is the slow resource
 //! shared?* Every job accumulates per-OST operation counts and service
 //! time from its data calls (offsets map to object storage targets
-//! through the job's stripe layout, exactly like the simulator's
-//! placement), and the fleet view intersects the per-job outliers: an
+//! through the job's stripe layout, the simulator's own placement),
+//! and the fleet view intersects the per-job outliers: an
 //! OST flagged slow by two or more tenants is a contended target, and
 //! the view names the jobs, LASSi-style.
 
-/// How a job's file offsets map onto object storage targets.
-///
-/// Mirrors the simulator's placement: stripes are `stripe_bytes` wide
-/// and assigned round-robin over `n_osts` targets starting at the
-/// file's `ost_offset`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OstLayout {
-    /// Stripe width in bytes.
-    pub stripe_bytes: u64,
-    /// Number of object storage targets in the pool.
-    pub n_osts: usize,
-    /// Round-robin start target of the (shared) file.
-    pub ost_offset: usize,
-}
-
-impl OstLayout {
-    /// A layout over `n_osts` targets with `stripe_bytes` stripes.
-    ///
-    /// Panics if either dimension is zero.
-    pub fn new(stripe_bytes: u64, n_osts: usize, ost_offset: usize) -> Self {
-        assert!(stripe_bytes > 0, "stripe_bytes must be positive");
-        assert!(n_osts > 0, "n_osts must be positive");
-        OstLayout {
-            stripe_bytes,
-            n_osts,
-            ost_offset: ost_offset % n_osts,
-        }
-    }
-
-    /// The target serving a byte offset.
-    pub fn ost_of(&self, offset: u64) -> usize {
-        ((offset / self.stripe_bytes) as usize + self.ost_offset) % self.n_osts
-    }
-}
+/// How a job's file offsets map onto object storage targets: the
+/// simulator's own [`StripeLayout`](pio_fs::StripeLayout), so the
+/// ledger places every data call where the simulator served it.
+pub use pio_fs::StripeLayout as OstLayout;
 
 /// Per-OST usage one job accumulated from its data calls.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,19 +118,6 @@ pub fn contention(per_job: &[(String, &OstUsage)], min_ops: u64, ratio: f64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn layout_maps_offsets_round_robin() {
-        let l = OstLayout::new(1 << 20, 3, 0);
-        assert_eq!(l.ost_of(0), 0);
-        assert_eq!(l.ost_of((1 << 20) - 1), 0);
-        assert_eq!(l.ost_of(1 << 20), 1);
-        assert_eq!(l.ost_of(2 << 20), 2);
-        assert_eq!(l.ost_of(3 << 20), 0);
-        let shifted = OstLayout::new(1 << 20, 3, 2);
-        assert_eq!(shifted.ost_of(0), 2);
-        assert_eq!(shifted.ost_of(1 << 20), 0);
-    }
 
     #[test]
     fn flagged_names_the_slow_target_only() {

@@ -9,16 +9,21 @@
 //! * [`service`] — the [`FleetService`]: job registration, per-job
 //!   [`StreamDiagnoser`](pio_ingest::StreamDiagnoser) state (online
 //!   findings over the job's ensemble sketch) sharded over a bounded
-//!   worker pool, per-tenant memory budgets under the ingest
-//!   [`OverflowPolicy`](pio_ingest::OverflowPolicy), eviction at
-//!   end of stream, and the query surface (verdicts, snapshots, top-k
-//!   slowest operations, machine-wide roll-up).
+//!   worker pool behind lossless, blocking channels, per-tenant memory
+//!   budgets (a [`TenantMeter`](pio_ingest::TenantMeter) freezes a
+//!   tenant over its budget), eviction at end of stream, and the query
+//!   surface (verdicts, snapshots, top-k slowest operations,
+//!   machine-wide roll-up).
 //! * [`interference`] — the cross-job view: per-job per-OST usage
-//!   ledgers intersected into "jobs A and B are both slow on OST k".
+//!   ledgers, placed through the simulator's own
+//!   [`StripeLayout`](pio_fs::StripeLayout) (re-exported as
+//!   [`OstLayout`]), intersected into "jobs A and B are both slow on
+//!   OST k".
 //! * [`sim`] — the simulated fleet driver: dozens of concurrent
 //!   [`pio_mpi`] jobs (mixed workloads, a configurable fraction
-//!   faulted) streamed through the service, used by the `pio-fleetd`
-//!   binary, the benchmarks, and the integration tests.
+//!   faulted), simulated and fed through the service over
+//!   [`pio_des::par::map_claimed`], used by the `pio-fleetd` binary,
+//!   the benchmarks, and the integration tests.
 //!
 //! Determinism is load-bearing: jobs are sharded onto workers by id,
 //! each job's stream is processed in order by one owner, and the

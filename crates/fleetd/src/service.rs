@@ -15,9 +15,9 @@
 //!
 //! Each tenant carries a [`StreamDiagnoser`] (online findings, over the
 //! mergeable ensemble sketch it owns — one accumulator per stream), a
-//! [`TenantMeter`] enforcing the per-tenant resident budget under the
-//! configured [`OverflowPolicy`], a top-k slowest-operation heap, and a
-//! per-OST usage ledger for the cross-job interference view. End of
+//! [`TenantMeter`] enforcing the per-tenant resident budget (a tenant
+//! over it is frozen), a top-k slowest-operation heap, and a per-OST
+//! usage ledger for the cross-job interference view. End of
 //! stream finalizes the diagnosis, evicts the tenant from the live
 //! table, and files an immutable [`JobReport`] behind an [`Arc`]: the
 //! worker files it once, and every later query shares that allocation.
@@ -30,8 +30,7 @@
 use crate::interference::{contention, OstContention, OstLayout, OstUsage};
 use pio_core::diagnosis::{run_verdict, Verdict};
 use pio_ingest::{
-    Admission, DiagnoserConfig, EnsembleSnapshot, OverflowPolicy, StreamDiagnoser, TenantMeter,
-    TimedFinding,
+    Admission, DiagnoserConfig, EnsembleSnapshot, StreamDiagnoser, TenantMeter, TimedFinding,
 };
 use pio_trace::{CallKind, Record, RecordSink};
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -39,56 +38,52 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{self, Sender, TrySendError};
+use crossbeam::channel::{self, Sender};
 use parking_lot::Mutex;
 
 /// Fleet-wide job identifier, assigned at registration.
 pub type JobId = u64;
+
+/// Bounded channel capacity (messages) per worker. A full channel
+/// blocks the producer: transport is lossless.
+const CAPACITY: usize = 64;
+
+/// Slowest operations retained per job.
+const TOP_K: usize = 8;
+
+/// Interference view: minimum calls on a target before judging it.
+const MIN_OST_OPS: u64 = 32;
+
+/// Interference view: per-target mean vs. pool-rest mean multiple at
+/// which a target counts as slow for a job.
+const CONTENTION_RATIO: f64 = 2.0;
 
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Worker-pool size; jobs are sharded by `id % workers`.
     pub workers: usize,
-    /// Bounded channel capacity (messages) per worker.
-    pub capacity: usize,
     /// Records per block in a [`JobSink`] before it ships.
     pub batch: usize,
-    /// What a full worker channel does to a record block:
-    /// [`OverflowPolicy::Block`] applies producer backpressure,
-    /// [`OverflowPolicy::DropAndCount`] sheds the block and counts it.
-    pub policy: OverflowPolicy,
     /// Per-tenant resident-sketch budget in bytes (0 = unlimited),
-    /// enforced by a [`TenantMeter`] under `policy`.
+    /// enforced by a [`TenantMeter`]: a tenant over it is frozen.
     pub budget_bytes: usize,
     /// Online-diagnoser shape for every tenant; its
     /// [`snapshot_config`](DiagnoserConfig::snapshot_config) is the
     /// shape of every tenant's ensemble sketch and of the roll-up.
     pub diagnoser: DiagnoserConfig,
-    /// Slowest operations retained per job.
-    pub top_k: usize,
     /// Default OST layout for tenants registered without one.
     pub layout: OstLayout,
-    /// Interference view: minimum calls on a target before judging it.
-    pub min_ost_ops: u64,
-    /// Interference view: per-target mean vs. pool-rest mean multiple
-    /// at which a target counts as slow for a job.
-    pub contention_ratio: f64,
 }
 
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             workers: 4,
-            capacity: 64,
             batch: 256,
-            policy: OverflowPolicy::Block,
             budget_bytes: 0,
             diagnoser: DiagnoserConfig::default(),
-            top_k: 8,
             layout: OstLayout::new(1 << 20, 48, 0),
-            min_ost_ops: 32,
-            contention_ratio: 2.0,
         }
     }
 }
@@ -155,10 +150,11 @@ pub struct JobReport {
     pub snapshot: EnsembleSnapshot,
     /// Records admitted into the sketches.
     pub ingested: u64,
-    /// Records shed (budget) plus blocks dropped in transport.
+    /// Records shed (budget) plus records a stopped worker never
+    /// received.
     pub shed: u64,
-    /// The tenant went over budget under [`OverflowPolicy::Block`] and
-    /// was frozen (diagnosis covers the admitted prefix).
+    /// The tenant went over budget and was frozen (diagnosis covers the
+    /// admitted prefix).
     pub frozen: bool,
     /// Slowest operations, slowest first.
     pub top_slow: Vec<SlowOp>,
@@ -193,7 +189,6 @@ struct TenantState {
     meter: TenantMeter,
     diagnoser: StreamDiagnoser,
     slow: BinaryHeap<std::cmp::Reverse<HeapOp>>,
-    top_k: usize,
     ost: OstUsage,
 }
 
@@ -202,10 +197,9 @@ impl TenantState {
         TenantState {
             name,
             layout,
-            meter: TenantMeter::new(cfg.budget_bytes, cfg.policy),
+            meter: TenantMeter::new(cfg.budget_bytes),
             diagnoser: StreamDiagnoser::new(cfg.diagnoser.clone()),
             slow: BinaryHeap::new(),
-            top_k: cfg.top_k,
             ost: OstUsage::new(layout.n_osts),
         }
     }
@@ -227,7 +221,7 @@ impl TenantState {
                 start_ns: r.start_ns,
                 bytes: r.bytes,
             };
-            if self.slow.len() < self.top_k {
+            if self.slow.len() < TOP_K {
                 self.slow.push(std::cmp::Reverse(HeapOp(op)));
             } else if let Some(min) = self.slow.peek() {
                 if HeapOp(op.clone()) > min.0 {
@@ -308,7 +302,7 @@ impl FleetService {
         let mut live = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let (tx, rx) = channel::bounded::<Msg>(cfg.capacity.max(1));
+            let (tx, rx) = channel::bounded::<Msg>(CAPACITY);
             let map: LiveMap = Arc::new(Mutex::new(HashMap::new()));
             let worker_cfg = cfg.clone();
             let worker_map = Arc::clone(&map);
@@ -332,12 +326,10 @@ impl FleetService {
                             } else {
                                 0
                             };
-                            match st.meter.admit(resident, records.len() as u64) {
-                                Admission::Admit => st.ingest_block(&records),
-                                // Shed keeps the tenant live (later
-                                // blocks are re-judged); Freeze is
-                                // sticky — the meter stays frozen.
-                                Admission::Shed | Admission::Freeze => {}
+                            // Freeze is sticky: the meter stays frozen
+                            // and counts every later block as shed.
+                            if st.meter.admit(resident, records.len() as u64) == Admission::Admit {
+                                st.ingest_block(&records);
                             }
                         }
                         Msg::PhaseEnd { job, phase } => {
@@ -401,7 +393,6 @@ impl FleetService {
             job: id,
             sender,
             batch: self.cfg.batch.max(1),
-            policy: self.cfg.policy,
             pending: Vec::with_capacity(self.cfg.batch.max(1)),
             dropped: 0,
             eos: false,
@@ -543,7 +534,7 @@ impl FleetService {
         let done = self.completed.lock();
         let per_job: Vec<(String, &OstUsage)> =
             done.values().map(|r| (r.name.clone(), &r.ost)).collect();
-        contention(&per_job, self.cfg.min_ost_ops, self.cfg.contention_ratio)
+        contention(&per_job, MIN_OST_OPS, CONTENTION_RATIO)
     }
 
     /// Stop accepting registrations, drain every queued message, and
@@ -566,16 +557,13 @@ impl Drop for FleetService {
 /// The producer half of one registered job: a [`RecordSink`] that
 /// batches records into blocks and ships them to the owning worker.
 ///
-/// Blocks respect the service [`OverflowPolicy`]; control messages
-/// (phase ends, end-of-stream) always block — losing a record block
-/// under pressure degrades statistics, losing end-of-stream would leak
-/// the tenant. Dropping the sink sends end-of-stream if
-/// [`RecordSink::finish`] has not already.
+/// Every send blocks while the worker's channel is full, so the
+/// producer is throttled rather than losing records. Dropping the sink
+/// sends end-of-stream if [`RecordSink::finish`] has not already.
 pub struct JobSink {
     job: JobId,
     sender: Sender<Msg>,
     batch: usize,
-    policy: OverflowPolicy,
     pending: Vec<Record>,
     dropped: u64,
     eos: bool,
@@ -587,8 +575,8 @@ impl JobSink {
         self.job
     }
 
-    /// Records dropped in transport so far (always 0 under
-    /// [`OverflowPolicy::Block`]).
+    /// Records a stopped worker never received (0 while the service
+    /// runs).
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -603,19 +591,8 @@ impl JobSink {
             job: self.job,
             records,
         };
-        match self.policy {
-            OverflowPolicy::Block => {
-                if self.sender.send(msg).is_err() {
-                    self.dropped += n;
-                }
-            }
-            OverflowPolicy::DropAndCount => {
-                if let Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) =
-                    self.sender.try_send(msg)
-                {
-                    self.dropped += n;
-                }
-            }
+        if self.sender.send(msg).is_err() {
+            self.dropped += n;
         }
     }
 }
@@ -777,7 +754,7 @@ mod tests {
         assert_eq!(report.shed, 0);
         assert!(!report.frozen);
         assert_eq!(report.snapshot.ingested, 600);
-        assert_eq!(report.top_slow.len(), svc.cfg.top_k);
+        assert_eq!(report.top_slow.len(), TOP_K);
         // Slowest-first and genuinely the max.
         let max = records.iter().map(Record::secs).fold(0.0f64, f64::max);
         assert_eq!(report.top_slow[0].secs, max);
@@ -803,7 +780,7 @@ mod tests {
         svc.shutdown();
         let mut want: Vec<f64> = records.iter().map(Record::secs).collect();
         want.sort_by(|a, b| b.total_cmp(a));
-        want.truncate(svc.cfg.top_k);
+        want.truncate(TOP_K);
         let report = svc.report(id).expect("report filed");
         let got: Vec<f64> = report.top_slow.iter().map(|op| op.secs).collect();
         assert_eq!(got, want);
@@ -879,7 +856,7 @@ mod tests {
         drop(sink);
         svc.shutdown();
         let report = svc.report(id).expect("report filed");
-        assert!(report.frozen, "Block policy over budget must freeze");
+        assert!(report.frozen, "a tenant over budget must freeze");
         // First block admitted (resident was 0 at the check), the rest shed.
         assert_eq!(report.ingested, 64);
         assert_eq!(report.shed, 640 - 64);

@@ -21,14 +21,14 @@ use crate::interference::OstLayout;
 use crate::service::{FleetConfig, FleetService, JobId, JobSink};
 use pio_core::attribution::FaultClass;
 use pio_core::diagnosis::Verdict;
+use pio_des::par::map_claimed;
 use pio_fault::{Fault, FaultPlan};
 use pio_fs::FsConfig;
 use pio_ingest::DiagnoserConfig;
 use pio_mpi::program::Job;
-use pio_mpi::{run_fleet, FleetJob, RunConfig};
-use pio_trace::{Record, RecordSink, Trace, TraceMeta};
+use pio_mpi::{RunConfig, Runner};
+use pio_trace::{RecordSink, Trace, TraceMeta};
 use pio_workloads::matrix::{meta_heavy, paced_reads, read_heavy};
-use std::sync::Mutex;
 
 /// Seeds the attribution corpus certifies; the fleet cycles through
 /// them so every tenant's verdict is backed by a golden cell.
@@ -200,45 +200,34 @@ pub fn fleet_config(pool: usize, budget_bytes: usize) -> FleetConfig {
 
 /// Simulate every tenant concurrently over `threads` OS threads and
 /// return each job's trace in corpus arrival order (records sorted by
-/// `(start_ns, rank)`), indexed like `spec`.
+/// `(start_ns, rank)`), indexed like `spec`. Each tenant is one
+/// streaming [`Runner`] run into its own [`Trace`]; tenants fan out over
+/// [`map_claimed`], so the traces are bit-identical for any `threads`.
 pub fn simulate(spec: &[SimJob], threads: usize) -> Vec<Trace> {
-    let jobs: Vec<(FleetJob, Trace)> = spec
-        .iter()
-        .map(|s| {
-            let mut cfg = RunConfig::new(s.fs.clone(), s.seed, s.name.clone());
-            if let Some(p) = &s.plan {
-                cfg = cfg.with_fault(p.clone());
-            }
-            let sink = Trace::new(TraceMeta {
-                experiment: s.name.clone(),
-                platform: s.fs.name.clone(),
-                ranks: s.job.ranks(),
-                seed: s.seed,
-            });
-            (
-                FleetJob {
-                    name: s.name.clone(),
-                    job: s.job.clone(),
-                    cfg,
-                },
-                sink,
-            )
-        })
-        .collect();
-    run_fleet(jobs, threads)
-        .into_iter()
-        .map(|(run, mut trace)| {
-            run.report.expect("simulated fleet job runs to completion");
-            trace.records.sort_by_key(|r| (r.start_ns, r.rank));
-            trace
-        })
-        .collect()
+    map_claimed(spec, threads, |s| {
+        let mut cfg = RunConfig::new(s.fs.clone(), s.seed, s.name.clone());
+        if let Some(p) = &s.plan {
+            cfg = cfg.with_fault(p.clone());
+        }
+        let mut trace = Trace::new(TraceMeta {
+            experiment: s.name.clone(),
+            platform: s.fs.name.clone(),
+            ranks: s.job.ranks(),
+            seed: s.seed,
+        });
+        Runner::new(&s.job, cfg)
+            .sink(&mut trace)
+            .execute_one()
+            .expect("simulated fleet job runs to completion");
+        trace.records.sort_by_key(|r| (r.start_ns, r.rank));
+        trace
+    })
 }
 
 /// Register every tenant and stream its records into the service over
-/// `threads` concurrent feeder threads (whole jobs are claimed
-/// work-stealing style, so each job's stream stays in order). Returns
-/// the assigned job ids, indexed like `spec`.
+/// `threads` concurrent feeders (whole jobs are claimed through
+/// [`map_claimed`], so each job's stream stays in order). Returns the
+/// assigned job ids, indexed like `spec`.
 pub fn feed(
     service: &FleetService,
     spec: &[SimJob],
@@ -252,32 +241,14 @@ pub fn feed(
         .map(|s| service.register_with_layout(&s.name, s.layout()))
         .collect();
     let ids: Vec<JobId> = sinks.iter().map(JobSink::id).collect();
-    type FeedSlot<'a> = Mutex<Option<(JobSink, &'a [Record])>>;
-    let slots: Vec<FeedSlot> = sinks
-        .into_iter()
-        .zip(traces)
-        .map(|(sink, trace)| Mutex::new(Some((sink, trace.records.as_slice()))))
-        .collect();
-    let workers = threads.clamp(1, slots.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= slots.len() {
-                    break;
-                }
-                let (mut sink, records) = slots[i]
-                    .lock()
-                    .expect("feeder slot")
-                    .take()
-                    .expect("each tenant fed exactly once");
-                sink.push_block(records);
-                sink.finish();
-            });
-        }
-    })
-    .expect("feeder scope");
+    map_claimed(
+        sinks.into_iter().zip(traces),
+        threads,
+        |(mut sink, trace)| {
+            sink.push_block(&trace.records);
+            sink.finish();
+        },
+    );
     ids
 }
 
@@ -351,6 +322,24 @@ mod tests {
         // collision pair.
         assert!(a[0].name.ends_with("slow-ost"));
         assert!(a[5].name.ends_with("slow-ost"));
+    }
+
+    #[test]
+    fn simulated_traces_are_identical_for_any_thread_count() {
+        let spec = fleet_spec(&SimConfig {
+            jobs: 5,
+            faulted: 2,
+            scale: 16,
+        });
+        let serial = simulate(&spec, 1);
+        let parallel = simulate(&spec, 4);
+        assert_eq!(serial.len(), spec.len());
+        for ((a, b), s) in serial.iter().zip(&parallel).zip(&spec) {
+            assert_eq!(a.meta, b.meta, "{}", s.name);
+            assert_eq!(a.meta.experiment, s.name);
+            assert!(!a.records.is_empty(), "{}", s.name);
+            assert_eq!(a.records, b.records, "{}", s.name);
+        }
     }
 
     #[test]

@@ -68,6 +68,13 @@ impl StripeLayout {
         offset / self.stripe_bytes
     }
 
+    /// OST serving a byte offset — how a trace record's offset maps to
+    /// the target the simulator placed it on.
+    #[inline]
+    pub fn ost_of(&self, offset: u64) -> usize {
+        self.ost_of_stripe(self.stripe_of(offset))
+    }
+
     /// Decompose `[offset, offset+len)` into stripe-contained extents,
     /// in file order. Empty ranges yield no extents.
     pub fn extents(&self, offset: u64, len: u64) -> Vec<Extent> {
@@ -168,6 +175,19 @@ mod tests {
         assert_eq!(l.ost_of_stripe(1), 0);
         assert_eq!(l.ost_of_stripe(2), 1);
         assert_eq!(l.ost_of_stripe(3), 2);
+    }
+
+    #[test]
+    fn ost_of_maps_offsets_round_robin() {
+        let l = StripeLayout::new(MB, 3, 0);
+        assert_eq!(l.ost_of(0), 0);
+        assert_eq!(l.ost_of(MB - 1), 0);
+        assert_eq!(l.ost_of(MB), 1);
+        assert_eq!(l.ost_of(2 * MB), 2);
+        assert_eq!(l.ost_of(3 * MB), 0);
+        let shifted = StripeLayout::new(MB, 3, 2);
+        assert_eq!(shifted.ost_of(0), 2);
+        assert_eq!(shifted.ost_of(MB), 0);
     }
 
     #[test]

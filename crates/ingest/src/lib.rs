@@ -32,9 +32,10 @@
 //!   `StreamDiagnoser`, as `analyze --stream` and every `pio-fleetd`
 //!   tenant run.
 //! * [`tenant`] — multi-stream accounting: a per-job
-//!   [`tenant::TenantMeter`] enforcing a resident-memory budget under
-//!   an [`OverflowPolicy`], for fleet-style services that ingest many
-//!   jobs at once (`pio-fleetd`, the concurrent ingest path).
+//!   [`tenant::TenantMeter`] enforcing a resident-memory budget (a
+//!   tenant over it is frozen, and its later records counted as shed),
+//!   for fleet-style services that ingest many jobs at once
+//!   (`pio-fleetd`).
 
 pub mod diagnose;
 pub mod reader;
@@ -46,4 +47,4 @@ pub use diagnose::{DiagnoserConfig, StreamDiagnoser, TimedFinding};
 pub use reader::{stream_file, stream_jsonl, stream_ptb2};
 pub use shard::{EnsembleSnapshot, ShardKey, ShardStats, SnapshotBuilder, SnapshotConfig};
 pub use sketch::{HeavyHitters, OnlineMoments, QuantileSketch};
-pub use tenant::{Admission, OverflowPolicy, TenantMeter};
+pub use tenant::{Admission, TenantMeter};

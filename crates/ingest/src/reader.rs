@@ -1,7 +1,8 @@
 //! Incremental trace reading: one record (JSONL) or one block (ptb2) in
 //! memory at a time.
 //!
-//! All streaming goes through the [`TraceCodec`] registry in
+//! All streaming goes through the
+//! [`TraceCodec`](pio_trace::codec::TraceCodec) registry in
 //! `pio_trace::codec`: each codec decodes incrementally into a
 //! [`RecordSink`] without ever materializing a
 //! [`Trace`](pio_trace::Trace), so a multi-gigabyte trace can be
@@ -15,11 +16,10 @@
 //! `p` is complete and the sink's [`phase_end`](RecordSink::phase_end)
 //! fires for it (see `pio_trace::codec::PhaseTracker`).
 
-use pio_trace::codec::{codec_for, sniff_codec, TraceCodec};
+use pio_trace::codec::codec_for;
 use pio_trace::io::TraceFormat;
 use pio_trace::{RecordSink, TraceMeta};
 use std::io::{BufRead, BufReader, Read};
-use std::path::Path;
 
 /// Stream a JSONL trace into `sink`. Returns the trace metadata and the
 /// number of records streamed. Calls `sink.finish()` at end of stream.
@@ -45,24 +45,9 @@ pub fn stream_file<S: RecordSink>(
     path: &std::path::Path,
     sink: &mut S,
 ) -> std::io::Result<(TraceMeta, u64)> {
-    let codec = sniff_path(path)?;
+    let codec = codec_for(TraceFormat::sniff(path)?);
     let f = std::fs::File::open(path)?;
     codec.stream(&mut BufReader::new(f), sink)
-}
-
-/// Sniff a file's codec from its leading bytes.
-fn sniff_path(path: &Path) -> std::io::Result<&'static dyn TraceCodec> {
-    let mut head = [0u8; 8];
-    let mut f = std::fs::File::open(path)?;
-    let mut n = 0;
-    while n < head.len() {
-        let got = f.read(&mut head[n..])?;
-        if got == 0 {
-            break;
-        }
-        n += got;
-    }
-    sniff_codec(&head[..n])
 }
 
 #[cfg(test)]

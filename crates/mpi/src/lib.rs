@@ -13,14 +13,15 @@
 //! * [`world`] — the discrete-event world: rank scheduling, barrier
 //!   bookkeeping, send/recv matching, fd tables, trace recording.
 //! * [`runner`] — the [`Runner`] builder: job + platform + seeds →
-//!   one [`RunReport`] per run, buffered or streaming, serial or
-//!   parallel, with optional deterministic fault injection.
+//!   one [`RunReport`] per run, buffered or streaming, with optional
+//!   deterministic fault injection. Several seeds fan out over
+//!   [`pio_des::par::map_claimed`], the workspace's one parallel map; a
+//!   fleet of different jobs (`pio-fleetd`'s simulated tenants) runs
+//!   one streaming [`Runner`] per job through the same map.
 
-pub mod fleet;
 pub mod program;
 pub mod runner;
 pub mod world;
 
-pub use fleet::{run_fleet, FleetJob, FleetRun};
 pub use program::{FileSpec, Job, Op, Program, ProgramBuilder};
 pub use runner::{MpiConfig, RunConfig, RunError, RunReport, Runner};

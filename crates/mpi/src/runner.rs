@@ -1,6 +1,7 @@
 //! Job execution: a [`Runner`] builder drives one or many seeded
-//! simulations of a job — serial or one thread per run, with or without
-//! an injected fault plan — and returns one [`RunReport`] per seed.
+//! simulations of a job — serial or fanned out over threads, with or
+//! without an injected fault plan — and returns one [`RunReport`] per
+//! seed.
 //!
 //! Every run captures through one [`RecordSink`]: the caller's, when it
 //! streams ([`Runner::sink`]), or else a [`Trace`] that the report
@@ -19,6 +20,7 @@
 
 use crate::program::Job;
 use crate::world::MpiWorld;
+use pio_des::par::map_claimed;
 use pio_des::{SimTime, Simulator};
 use pio_fault::FaultPlan;
 use pio_fs::sim::UtilizationReport;
@@ -200,30 +202,31 @@ impl<'j, 's> Runner<'j, 's> {
     }
 
     /// Execute all configured runs, returning one report per seed, in
-    /// seed order.
-    pub fn execute(mut self) -> Result<Vec<RunReport>, RunError> {
+    /// seed order. Seeds fan out over [`pio_des::par::map_claimed`], so
+    /// the reports are bit-identical for any thread count.
+    pub fn execute(self) -> Result<Vec<RunReport>, RunError> {
         self.job.validate().map_err(RunError::InvalidJob)?;
         if self.seeds.is_empty() {
             return Err(RunError::Config("no seeds to run".into()));
         }
-        if self.sink.is_some() && self.seeds.len() > 1 {
-            return Err(RunError::Config(
-                "a sink receives exactly one run; use a single seed".into(),
-            ));
+        let (job, base) = (self.job, &self.cfg);
+        let cfg = |seed| RunConfig {
+            seed,
+            ..base.clone()
+        };
+        if let Some(sink) = self.sink {
+            let &[seed] = self.seeds.as_slice() else {
+                return Err(RunError::Config(
+                    "a sink receives exactly one run; use a single seed".into(),
+                ));
+            };
+            return run_single(job, &cfg(seed), Some(sink)).map(|r| vec![r]);
         }
-        if self.threads > 1 && self.seeds.len() > 1 {
-            return execute_parallel(self.job, &self.cfg, &self.seeds, self.threads);
-        }
-        self.seeds
-            .iter()
-            .map(|&seed| {
-                let cfg = RunConfig {
-                    seed,
-                    ..self.cfg.clone()
-                };
-                run_single(self.job, &cfg, self.sink.as_deref_mut())
-            })
-            .collect()
+        map_claimed(&self.seeds, self.threads, |&seed| {
+            run_single(job, &cfg(seed), None)
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Execute a single-seed configuration and unwrap its one report.
@@ -302,74 +305,6 @@ fn run_single(
         report.trace = Some(trace);
     }
     Ok(report)
-}
-
-/// Multi-seed execution over up to `threads` OS threads (runs are
-/// independent simulations, so the ensemble parallelizes perfectly).
-/// Reports come back in seed order regardless of completion order.
-///
-/// Work distribution is a **work-stealing loop**: workers claim the next
-/// unstarted seed from a shared atomic counter, so a slow run (a faulted
-/// straggler cell, a larger scale) never idles the other threads the way
-/// static chunking does. Determinism is untouched — which thread runs a
-/// seed has no effect on that run (each simulation owns all its state
-/// and RNG streams), and reports are placed by seed index, so the result
-/// is bit-identical for any thread count and any interleaving.
-fn execute_parallel(
-    job: &Job,
-    base: &RunConfig,
-    seeds: &[u64],
-    threads: usize,
-) -> Result<Vec<RunReport>, RunError> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let workers = threads.min(seeds.len()).max(1);
-    let next = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, Result<RunReport, RunError>)>> =
-        crossbeam::thread::scope(|scope| {
-            let next = &next;
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cfg = base.clone();
-                    scope.spawn(move |_| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&seed) = seeds.get(i) else { break };
-                            local.push((
-                                i,
-                                run_single(
-                                    job,
-                                    &RunConfig {
-                                        seed,
-                                        ..cfg.clone()
-                                    },
-                                    None,
-                                ),
-                            ));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("run thread"))
-                .collect()
-        })
-        .expect("ensemble scope");
-
-    // Place by claimed index: seed order, independent of completion order.
-    let mut slots: Vec<Option<Result<RunReport, RunError>>> =
-        (0..seeds.len()).map(|_| None).collect();
-    for (i, report) in per_worker.into_iter().flatten() {
-        debug_assert!(slots[i].is_none(), "seed {i} claimed twice");
-        slots[i] = Some(report);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every seed claimed exactly once"))
-        .collect()
 }
 
 #[cfg(test)]

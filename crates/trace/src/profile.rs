@@ -309,4 +309,25 @@ mod tests {
         assert_eq!(back.histogram(CallKind::Read), p.histogram(CallKind::Read));
         assert_eq!(back.max_secs(CallKind::Read), 7.0);
     }
+
+    #[test]
+    fn log_histogram_serde_layout_is_preserved() {
+        let mut h = LogHistogram::new(0.1, 10.0, 4);
+        h.add(1.0);
+        h.add(-1.0);
+        h.add(100.0);
+        let json = serde_json::to_string(&h).unwrap();
+        // Field layout is part of the on-disk profile format.
+        for key in [
+            "\"lo\"",
+            "\"hi\"",
+            "\"counts\"",
+            "\"underflow\"",
+            "\"overflow\"",
+        ] {
+            assert!(json.contains(key), "{json}");
+        }
+        let back: LogHistogram = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, h);
+    }
 }

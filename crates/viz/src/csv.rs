@@ -2,8 +2,8 @@
 //! curves — the machine-readable counterpart of the ASCII panels.
 
 use pio_core::hist::Histogram;
-use pio_core::loghist::LogHistogram;
 use pio_core::rates::RateCurve;
+use pio_des::hist::LogHistogram;
 use std::io::Write;
 
 /// Write a rate curve as `t_s,mb_per_s` rows.

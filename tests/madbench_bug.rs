@@ -2,11 +2,11 @@
 //! on Franklin, the ensemble detectors find it, and the patch removes it
 //! (paper §IV, Figures 4–5).
 
+use events_to_ensembles::des::hist::LogHistogram;
 use events_to_ensembles::fs::FsConfig;
 use events_to_ensembles::mpi::{RunConfig, RunReport, Runner};
 use events_to_ensembles::stats::diagnosis::{diagnose, Finding};
 use events_to_ensembles::stats::empirical::EmpiricalDist;
-use events_to_ensembles::stats::loghist::LogHistogram;
 use events_to_ensembles::trace::CallKind;
 use events_to_ensembles::workloads::MadbenchConfig;
 
