@@ -9,10 +9,12 @@
 //! streams every job into a [`pio_fleetd::FleetService`] with a
 //! `P`-worker pool and a per-tenant memory budget, then prints the
 //! fleet panel: machine-wide roll-up, per-job verdict table, and the
-//! cross-job interference view. Exits 1 if any faulted job is
-//! misattributed or any clean job is flagged; exits 2 with the usage
-//! line on an unknown flag, a flag without its value, a malformed value,
-//! or a zero `--pool` or `--threads`.
+//! cross-job interference view. A job frozen over its budget is named
+//! and not judged, since its verdict covers only the records admitted
+//! before the freeze. Exits 1 if any judged faulted job is misattributed
+//! or any judged clean job is flagged; exits 2 with the usage line on an
+//! unknown flag, a flag without its value, a malformed value, a zero
+//! `--pool` or `--threads`, or `--scale 0`.
 
 use pio_fleetd::{fleet_config, fleet_spec, FleetService, SimConfig};
 use pio_viz::{fleet_panel, FleetJobRow, OstContentionRow};
@@ -62,6 +64,9 @@ fn main() {
     }
     if pool == 0 || threads == 0 {
         usage_error("--pool and --threads must be at least 1");
+    }
+    if cfg.scale == 0 {
+        usage_error("--scale must be at least 1");
     }
     if cfg.faulted > cfg.jobs {
         usage_error("--faulted cannot exceed --jobs");
@@ -123,24 +128,39 @@ fn main() {
         eprintln!("pio-fleetd: roll-up written to {path}");
     }
 
+    let frozen: Vec<&str> = checks
+        .iter()
+        .filter(|c| c.frozen)
+        .map(|c| c.name.as_str())
+        .collect();
+    if !frozen.is_empty() {
+        eprintln!(
+            "pio-fleetd: {}/{} jobs frozen over budget, not judged: {}",
+            frozen.len(),
+            checks.len(),
+            frozen.join(", ")
+        );
+    }
+    // Frozen tenants are `ok`: only judged ones can fail the run.
+    let judged = checks.len() - frozen.len();
     let mut failed = 0;
-    for c in &checks {
-        if !c.ok {
-            failed += 1;
-            eprintln!(
-                "pio-fleetd: MISATTRIBUTED {}: expected {:?}, fleet said {:?} ({} records, {} shed)",
-                c.name, c.expected, c.verdict, c.records, c.shed
-            );
-        }
+    for c in checks.iter().filter(|c| !c.ok) {
+        failed += 1;
+        eprintln!(
+            "pio-fleetd: MISATTRIBUTED {}: expected {:?}, fleet said {:?} ({} records, {} shed)",
+            c.name, c.expected, c.verdict, c.records, c.shed
+        );
     }
     if failed > 0 {
-        eprintln!("pio-fleetd: {failed}/{} jobs misattributed", checks.len());
+        eprintln!("pio-fleetd: {failed}/{judged} jobs misattributed");
         std::process::exit(1);
     }
+    let faulted = checks
+        .iter()
+        .filter(|c| !c.frozen && c.expected.is_some())
+        .count();
     eprintln!(
-        "pio-fleetd: all {} jobs attributed correctly ({} faulted, {} clean)",
-        checks.len(),
-        cfg.faulted,
-        cfg.jobs - cfg.faulted
+        "pio-fleetd: all {judged} jobs attributed correctly ({faulted} faulted, {} clean)",
+        judged - faulted
     );
 }

@@ -265,27 +265,34 @@ pub struct FleetCheck {
     pub records: u64,
     /// Records shed (budget or transport).
     pub shed: u64,
-    /// Verdict matches expectation.
+    /// The tenant went over budget and was frozen, so its verdict covers
+    /// only the records admitted before the freeze: it is not judged.
+    pub frozen: bool,
+    /// Verdict matches expectation (always true for a frozen tenant).
     pub ok: bool,
 }
 
-/// Compare every tenant's fleet verdict against its expectation.
+/// Compare every tenant's fleet verdict against its expectation,
+/// leaving frozen tenants unjudged.
 pub fn check(service: &FleetService, spec: &[SimJob], ids: &[JobId]) -> Vec<FleetCheck> {
     spec.iter()
         .zip(ids)
         .map(|(s, &id)| {
             let report = service.report(id);
             let verdict = report.as_ref().map_or(Verdict::Clean, |r| r.verdict());
-            let ok = match s.expected {
-                None => verdict == Verdict::Clean,
-                Some(c) => verdict == Verdict::Single(c),
-            };
+            let frozen = report.as_ref().is_some_and(|r| r.frozen);
+            let ok = frozen
+                || match s.expected {
+                    None => verdict == Verdict::Clean,
+                    Some(c) => verdict == Verdict::Single(c),
+                };
             FleetCheck {
                 name: s.name.clone(),
                 expected: s.expected,
                 records: report.as_ref().map_or(0, |r| r.ingested),
                 shed: report.as_ref().map_or(0, |r| r.shed),
                 verdict,
+                frozen,
                 ok,
             }
         })

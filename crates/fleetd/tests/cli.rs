@@ -1,6 +1,7 @@
 //! `pio-fleetd` rejects what it cannot honour: an unknown flag, a flag
-//! without its value, and a zero-sized worker pool or feeder set each
-//! exit 2 with the usage line before any job is simulated.
+//! without its value, a zero-sized worker pool or feeder set, and a zero
+//! scale each exit 2 with the usage line before any job is simulated. A
+//! tenant frozen over its budget is named and left unjudged.
 
 use std::process::Command;
 
@@ -57,4 +58,31 @@ fn zero_pool_or_threads_is_a_usage_error() {
 #[test]
 fn malformed_value_is_a_usage_error() {
     assert_usage_error(&["--pool", "zero"], "bad value for --pool: zero");
+}
+
+#[test]
+fn zero_scale_is_a_usage_error() {
+    assert_usage_error(
+        &["--jobs", "1", "--faulted", "0", "--scale", "0"],
+        "--scale must be at least 1",
+    );
+}
+
+#[test]
+fn frozen_tenants_are_named_and_not_judged() {
+    // A 1-byte budget freezes every tenant after its first block, so no
+    // verdict covers a whole run: the fleet names them and exits 0.
+    let (code, stderr) = run(&["--jobs", "8", "--faulted", "2", "--budget", "1"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(
+        stderr.contains(
+            "8/8 jobs frozen over budget, not judged: job-00-slow-ost, job-01-flaky-fabric"
+        ),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("MISATTRIBUTED"), "{stderr}");
+    assert!(
+        stderr.contains("all 0 jobs attributed correctly (0 faulted, 0 clean)"),
+        "{stderr}"
+    );
 }

@@ -36,15 +36,18 @@ impl Ost {
 
     /// Submit an RPC of `bytes` from `stream` arriving at `at`.
     ///
-    /// `noise` is the per-call slow-path multiplier applied to the
-    /// overhead terms (not to the streaming term — bandwidth does not get
-    /// "unlucky", queues and seeks do). `extra` is additional service
-    /// demand (e.g. read-modify-write of a partial stripe).
+    /// `streaming` is the RPC's `bytes / ost_bw` term, computed by the
+    /// caller (the file system keeps the full-stripe value). `noise` is
+    /// the per-call slow-path multiplier applied to the overhead terms
+    /// (not to the streaming term — bandwidth does not get "unlucky",
+    /// queues and seeks do). `extra` is additional service demand (e.g.
+    /// read-modify-write of a partial stripe).
     #[allow(clippy::too_many_arguments)]
     pub fn submit(
         &mut self,
         at: SimTime,
         bytes: u64,
+        streaming: SimSpan,
         stream: u64,
         is_read: bool,
         noise: f64,
@@ -52,7 +55,6 @@ impl Ost {
         cfg: &FsConfig,
         rng: &mut SimRng,
     ) -> SimTime {
-        let streaming = SimSpan::for_bytes(bytes, cfg.ost_bw);
         let mut overhead = rng.lognormal(cfg.ost_overhead_median, cfg.ost_overhead_sigma);
         if self.last_stream != Some(stream) {
             if self.last_stream.is_some() {
@@ -132,6 +134,7 @@ mod tests {
         let t1 = ost.submit(
             SimTime::ZERO,
             100_000_000,
+            SimSpan::for_bytes(100_000_000, c.ost_bw),
             1,
             false,
             1.0,
@@ -152,6 +155,7 @@ mod tests {
         ost.submit(
             SimTime::ZERO,
             1000,
+            SimSpan::for_bytes(1000, c.ost_bw),
             5,
             false,
             1.0,
@@ -163,6 +167,7 @@ mod tests {
         ost.submit(
             SimTime::ZERO,
             1000,
+            SimSpan::for_bytes(1000, c.ost_bw),
             5,
             false,
             1.0,
@@ -174,6 +179,7 @@ mod tests {
         ost.submit(
             SimTime::ZERO,
             1000,
+            SimSpan::for_bytes(1000, c.ost_bw),
             6,
             false,
             1.0,
@@ -196,6 +202,7 @@ mod tests {
             interleaved.submit(
                 SimTime::ZERO,
                 1000,
+                SimSpan::for_bytes(1000, c.ost_bw),
                 i % 2,
                 false,
                 1.0,
@@ -208,6 +215,7 @@ mod tests {
             batched.submit(
                 SimTime::ZERO,
                 1000,
+                SimSpan::for_bytes(1000, c.ost_bw),
                 i / 10,
                 false,
                 1.0,
@@ -231,6 +239,7 @@ mod tests {
         let a = ost_quiet.submit(
             SimTime::ZERO,
             1000,
+            SimSpan::for_bytes(1000, c.ost_bw),
             1,
             false,
             1.0,
@@ -241,6 +250,7 @@ mod tests {
         let b = ost_noisy.submit(
             SimTime::ZERO,
             1000,
+            SimSpan::for_bytes(1000, c.ost_bw),
             1,
             false,
             5.0,
@@ -263,6 +273,7 @@ mod tests {
         let a = x.submit(
             SimTime::ZERO,
             1000,
+            SimSpan::for_bytes(1000, c.ost_bw),
             1,
             false,
             1.0,
@@ -273,6 +284,7 @@ mod tests {
         let b = y.submit(
             SimTime::ZERO,
             1000,
+            SimSpan::for_bytes(1000, c.ost_bw),
             1,
             false,
             1.0,
@@ -292,6 +304,7 @@ mod tests {
             ost.submit(
                 SimTime::ZERO,
                 100,
+                SimSpan::for_bytes(100, c.ost_bw),
                 1,
                 false,
                 1.0,

@@ -218,9 +218,32 @@ struct FileMeta {
     shared: bool,
 }
 
+/// An RPC's streaming service spans at the client NIC, the fabric and
+/// its OST.
+#[derive(Clone, Copy)]
+struct StageSpans {
+    nic: SimSpan,
+    fabric: SimSpan,
+    ost: SimSpan,
+}
+
+impl StageSpans {
+    fn for_bytes(bytes: u64, cfg: &FsConfig) -> Self {
+        StageSpans {
+            nic: SimSpan::for_bytes(bytes, cfg.nic_bw),
+            fabric: SimSpan::for_bytes(bytes, cfg.fabric_bw),
+            ost: SimSpan::for_bytes(bytes, cfg.ost_bw),
+        }
+    }
+}
+
 /// The file-system simulator.
 pub struct FsSim {
     cfg: FsConfig,
+    /// [`StageSpans`] of a full-stripe RPC, computed once: every RPC of a
+    /// stripe-aligned write or read (all of Fig. 1's) moves exactly
+    /// `stripe_bytes`.
+    stripe_spans: StageSpans,
     fabric: ServiceCenter,
     dlm: ServiceCenter,
     mds: MultiServiceCenter,
@@ -363,6 +386,7 @@ impl FsSim {
             .collect();
         let mds = MultiServiceCenter::new(cfg.mds_threads);
         FsSim {
+            stripe_spans: StageSpans::for_bytes(cfg.stripe_bytes, &cfg),
             fabric: ServiceCenter::new(),
             dlm: ServiceCenter::new(),
             mds,
@@ -515,6 +539,7 @@ impl FsSim {
                 let done = self.osts[ost].submit(
                     t1,
                     req.len,
+                    SimSpan::for_bytes(req.len, self.cfg.ost_bw),
                     req.stream,
                     false,
                     1.0,
@@ -743,7 +768,7 @@ impl FsSim {
                     }
                 }
                 if shared {
-                    let readback = SimSpan::for_bytes(self.cfg.stripe_bytes, self.cfg.ost_bw);
+                    let readback = self.stripe_spans.ost;
                     let stripes = first.stripe..first.stripe + n as u64;
                     self.locks.write_range(
                         file,
@@ -890,6 +915,7 @@ impl FsSim {
             osts,
             rng,
             cfg,
+            stripe_spans,
             fault,
             fault_expiry,
             stats,
@@ -916,15 +942,20 @@ impl FsSim {
 
             let bytes = ex.len;
             let ost = ex.ost;
+            let spans = if bytes == cfg.stripe_bytes {
+                *stripe_spans
+            } else {
+                StageSpans::for_bytes(bytes, cfg)
+            };
             // Fault hooks (inert when no injector is installed): extra
             // per-stage demand plus a client-side drop/retry delay before
             // the RPC is (re)transmitted.
             let (drop_delay, nic_x, fab_x, ost_x) = match fault.as_deref_mut() {
                 Some(f) if now.nanos() < fault_expiry => (
                     f.rpc_drop_delay(now),
-                    f.nic_extra(now, node_id, SimSpan::for_bytes(bytes, cfg.nic_bw)),
-                    f.fabric_extra(now, SimSpan::for_bytes(bytes, cfg.fabric_bw)),
-                    f.ost_extra(now, ost, SimSpan::for_bytes(bytes, cfg.ost_bw), !is_write),
+                    f.nic_extra(now, node_id, spans.nic),
+                    f.fabric_extra(now, spans.fabric),
+                    f.ost_extra(now, ost, spans.ost, !is_write),
                 ),
                 _ => (SimSpan::ZERO, SimSpan::ZERO, SimSpan::ZERO, SimSpan::ZERO),
             };
@@ -936,13 +967,12 @@ impl FsSim {
             } else {
                 now
             };
-            let t_nic = nodes[node_id as usize]
-                .nic
-                .submit(start, SimSpan::for_bytes(bytes, cfg.nic_bw));
-            let t_fab = fabric.submit(t_nic, SimSpan::for_bytes(bytes, cfg.fabric_bw) + fab_x);
+            let t_nic = nodes[node_id as usize].nic.submit(start, spans.nic);
+            let t_fab = fabric.submit(t_nic, spans.fabric + fab_x);
             let t_ost = osts[ost].submit(
                 t_fab,
                 bytes,
+                spans.ost,
                 stream,
                 !is_write,
                 noise,

@@ -18,7 +18,9 @@
 //! a shared file (full-stripe conflicts beside partial ones), MADbench on
 //! buggy Franklin (degraded reads at grant and sticky ones), a strided
 //! reader whose node fills with dirty pages mid-read (a degrade
-//! mid-flight), and two faulted fault-matrix cells.
+//! mid-flight), and two faulted fault-matrix cells. One more case runs
+//! the paper's Fig. 1 at full scale, pinned by the build before the
+//! radix event queue; it runs only in release builds.
 //!
 //! A change that alters the model on purpose updates the digests here
 //! and says why in CHANGES.md. A failing case prints the digest it got.
@@ -186,6 +188,19 @@ fn ior_shared_file() {
     let (d, r) = digest(&exp.job, exp.run);
     assert!(r.lock_stats.acquired > 0);
     check("ior_shared_file", d, 0x6884_9f3d_b603_2965);
+}
+
+/// The paper's Fig. 1 at full scale (1,024 tasks, five repetitions,
+/// 2.64 M events, 18,656 pending at the peak): the only case whose
+/// event queue fills the upper radix levels (the others peak at 681
+/// pending events or fewer).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "full scale: runs in the release CI step")]
+fn ior_shared_file_full_scale() {
+    let exp = fig1_ior(7, false, 1);
+    let (d, r) = digest(&exp.job, exp.run);
+    assert!(r.lock_stats.acquired > 0);
+    check("ior_shared_file_full_scale", d, 0x86bb_bef8_d2e8_659f);
 }
 
 #[test]
