@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pio_core::diagnosis::{diagnose_with, Thresholds};
 use pio_ingest::{DiagnoserConfig, StreamDiagnoser};
-use pio_trace::{CallKind, Record, RecordSink, Trace, TraceMeta};
+use pio_trace::{CallKind, Record, RecordSink, Trace, TraceFormat, TraceMeta};
 use std::hint::black_box;
 
 /// A deterministic MADbench-shaped record stream: phased reads/writes
@@ -102,7 +102,8 @@ fn bench_parse_formats(c: &mut Criterion) {
     group.bench_function("jsonl_fast", |b| {
         b.iter(|| {
             let mut sink = pio_trace::NullSink;
-            pio_ingest::stream_jsonl(std::io::Cursor::new(black_box(&jsonl[..])), &mut sink)
+            TraceFormat::Jsonl
+                .stream(black_box(&jsonl[..]), &mut sink)
                 .unwrap()
                 .1
         })
@@ -110,7 +111,8 @@ fn bench_parse_formats(c: &mut Criterion) {
     group.bench_function("ptb2", |b| {
         b.iter(|| {
             let mut sink = pio_trace::NullSink;
-            pio_ingest::stream_ptb2(std::io::Cursor::new(black_box(&ptb2[..])), &mut sink)
+            TraceFormat::Ptb2
+                .stream(black_box(&ptb2[..]), &mut sink)
                 .unwrap()
                 .1
         })

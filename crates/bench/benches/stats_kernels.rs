@@ -10,7 +10,6 @@ use pio_core::lln::GridPdf;
 use pio_core::modes::find_modes;
 use pio_core::order_stats;
 use pio_des::hist::LogHistogram;
-use pio_des::maxmin::{maxmin_rates, Flow};
 use std::hint::black_box;
 
 fn samples(n: usize) -> Vec<f64> {
@@ -99,24 +98,12 @@ fn bench_convolution(c: &mut Criterion) {
     });
 }
 
-fn bench_maxmin(c: &mut Criterion) {
-    // 64 links, 512 flows crossing 3 links each.
-    let caps: Vec<f64> = (0..64).map(|i| 10.0 + (i % 7) as f64).collect();
-    let flows: Vec<Flow> = (0..512)
-        .map(|i| Flow::over(vec![i % 64, (i * 7) % 64, (i * 13) % 64]))
-        .collect();
-    c.bench_function("maxmin/512flows_64links", |b| {
-        b.iter(|| maxmin_rates(black_box(&caps), black_box(&flows)))
-    });
-}
-
 criterion_group!(
     benches,
     bench_histograms,
     bench_empirical,
     bench_distances,
     bench_modes_and_order_stats,
-    bench_convolution,
-    bench_maxmin
+    bench_convolution
 );
 criterion_main!(benches);

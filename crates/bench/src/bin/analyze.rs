@@ -2,10 +2,14 @@
 //! trace (JSONL or binary ptb2, as written by `pio_trace::io` or any
 //! conforming producer) to get the paper's full ensemble treatment
 //! without re-running anything. The input format is sniffed from the
-//! file's bytes via the `TraceCodec` registry; `--format jsonl|ptb2`
-//! forces it.
+//! file's bytes (`pio_trace::io::load` / `stream_file`);
+//! `--format jsonl|ptb2` forces it (`TraceFormat::read` / `stream`).
 //!
 //! Usage: `analyze <trace> [--stream] [--format jsonl|ptb2] [--diagram] [--csv DIR]`
+//!
+//! A flag it does not know (`--strem`), a second positional, or `--csv`
+//! without a directory exits 2 with the usage line before the trace is
+//! read.
 //!
 //! Prints the IPM summary, per-call-class ensemble statistics and modes,
 //! per-phase breakdown, and the bottleneck diagnosis; optionally the
@@ -21,45 +25,47 @@
 //! printing, not the run: CSV exports are still written and the exit
 //! status is 0.
 
-use pio_bench::util::{format_from_args, print_stdout};
+use pio_bench::util::{
+    format_from_args, parse_path_flag, print_stdout, reject_unknown_flags, usage_error,
+};
 use pio_core::empirical::EmpiricalDist;
 use pio_core::rates::write_rate_curve;
 use pio_core::report;
 use pio_des::hist::LogHistogram;
 use pio_ingest::StreamDiagnoser;
-use pio_trace::codec::codec_for;
 use pio_trace::phase::phase_summaries;
 use pio_trace::{io as trace_io, CallKind, TraceFormat};
 use pio_viz::ascii;
 use pio_viz::csv as vcsv;
-use std::path::PathBuf;
+use std::io::BufReader;
+
+const USAGE: [&str; 5] = [
+    "<trace>",
+    "--stream",
+    "--format jsonl|ptb2",
+    "--diagram",
+    "--csv DIR",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
-        eprintln!(
-            "usage: analyze <trace> [--stream] [--format jsonl|ptb2] [--diagram] [--csv DIR]"
-        );
-        std::process::exit(2);
+    let Some(path) = reject_unknown_flags(&USAGE).into_iter().next() else {
+        usage_error(&USAGE, "missing <trace>");
     };
-    // Exits with status 2 on a malformed --format before any I/O.
+    let path = path.as_str();
+    // Exit with status 2 on a malformed --format or --csv before any I/O.
     let forced_format = format_from_args();
+    let csv_dir = parse_path_flag(&args, "--csv").unwrap_or_else(|msg| usage_error(&USAGE, &msg));
     if args.iter().any(|a| a == "--stream") {
         stream_analyze(path, forced_format);
         return;
     }
     let want_diagram = args.iter().any(|a| a == "--diagram");
-    let csv_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
 
     let loaded = match forced_format {
         // A forced format bypasses sniffing (e.g. a trace behind a
         // pipe-unfriendly name); mismatches fail with a parse error.
-        Some(format) => std::fs::File::open(path)
-            .and_then(|f| codec_for(format).read(&mut std::io::BufReader::new(f))),
+        Some(format) => std::fs::File::open(path).and_then(|f| format.read(BufReader::new(f))),
         None => trace_io::load(std::path::Path::new(path)),
     };
     let trace = match loaded {
@@ -143,10 +149,10 @@ fn stream_analyze(path: &str, forced_format: Option<TraceFormat>) {
     let streamed = match forced_format {
         // A forced format bypasses sniffing (e.g. a trace behind a
         // pipe-unfriendly name); mismatches fail with a parse error.
-        Some(format) => std::fs::File::open(p).and_then(|f| {
-            codec_for(format).stream(&mut std::io::BufReader::new(f), &mut diagnoser)
-        }),
-        None => pio_ingest::stream_file(p, &mut diagnoser),
+        Some(format) => {
+            std::fs::File::open(p).and_then(|f| format.stream(BufReader::new(f), &mut diagnoser))
+        }
+        None => trace_io::stream_file(p, &mut diagnoser),
     };
     let (meta, n) = match streamed {
         Ok(out) => out,

@@ -1,16 +1,20 @@
 //! Generate a sample trace file for `analyze` (also doubles as the
 //! save-path smoke test): a scaled IOR run saved as JSONL or, with
 //! `--format ptb2` (or a `.ptb2` output extension), the binary format.
-use pio_bench::util::format_from_args;
+//!
+//! Usage: `mktrace [<out>] [--format jsonl|ptb2]` (default
+//! `results/sample_trace.jsonl`). A flag it does not know (`--formt`)
+//! exits 2 with the usage line before anything is simulated or written.
+use pio_bench::util::{format_from_args, reject_unknown_flags};
 use pio_fs::FsConfig;
 use pio_mpi::{RunConfig, Runner};
 use pio_trace::TraceFormat;
 use pio_workloads::IorConfig;
 
 fn main() {
-    let path = std::env::args()
-        .nth(1)
-        .filter(|a| !a.starts_with("--"))
+    let path = reject_unknown_flags(&["[<out>]", "--format jsonl|ptb2"])
+        .into_iter()
+        .next()
         .unwrap_or_else(|| "results/sample_trace.jsonl".into());
     let format = format_from_args().unwrap_or_else(|| {
         TraceFormat::from_extension(std::path::Path::new(&path)).unwrap_or(TraceFormat::Jsonl)

@@ -6,33 +6,23 @@
 //! comes from `--format`, or failing that from the output extension
 //! (`.ptb2` → ptb2, anything else → JSONL). With `--verify`, the written
 //! file is read back and checked record-for-record against the input —
-//! a full round-trip proof, not just a clean exit.
+//! a full round-trip proof, not just a clean exit. A flag it does not
+//! know (`--verfy`) or a third positional exits 2 with the usage line
+//! before anything is read or written.
 
-use pio_bench::util::format_from_args;
+use pio_bench::util::{format_from_args, reject_unknown_flags, usage_error};
 use pio_trace::io as trace_io;
 use pio_trace::TraceFormat;
 use std::path::Path;
 
+const USAGE: [&str; 4] = ["<in>", "<out>", "--format jsonl|ptb2", "--verify"];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    // Positional args: everything that is neither a flag nor the value
-    // of --format.
-    let mut positional: Vec<&str> = Vec::new();
-    let mut skip = false;
-    for a in args.iter().skip(1) {
-        if skip {
-            skip = false;
-        } else if a == "--format" {
-            skip = true;
-        } else if !a.starts_with("--") {
-            positional.push(a.as_str());
-        }
-    }
-    let [input, output] = positional[..] else {
-        eprintln!("usage: trace_convert <in> <out> [--format jsonl|ptb2] [--verify]");
-        std::process::exit(2);
+    let positional = reject_unknown_flags(&USAGE);
+    let [input, output] = &positional[..] else {
+        usage_error(&USAGE, "expected <in> and <out>");
     };
-    let verify = args.iter().any(|a| a == "--verify");
+    let verify = std::env::args().any(|a| a == "--verify");
     let in_path = Path::new(input);
     let out_path = Path::new(output);
 

@@ -17,7 +17,7 @@
 //! streaming diagnoser print — rather than re-deriving its own
 //! thresholds, so a matrix pass certifies the production detectors.
 
-use pio_core::attribution::{quantized_tail_levels, FaultClass, WindowedProfile};
+use pio_core::attribution::{quantized_tail_levels, FaultClass, WindowedProfile, FINE_HIST_BINS};
 use pio_core::diagnosis::{detect_progressive_deterioration, run_verdict, Thresholds, Verdict};
 use pio_core::EmpiricalDist;
 use pio_core::{diagnose, Finding};
@@ -583,7 +583,7 @@ pub fn per_window_report(scale: u32, seeds: &[u64]) -> String {
                     th.attr_window_s,
                     th.attr_max_windows,
                     th.stripe_bytes,
-                    96,
+                    FINE_HIST_BINS,
                 );
                 for r in &recs {
                     windows.add(r.rank, r.offset, r.start_ns, r.secs());

@@ -20,7 +20,7 @@ use pio_core::kde::Kde;
 use pio_des::{EventQueue, SimTime};
 use pio_fs::FsConfig;
 use pio_mpi::{RunConfig, Runner};
-use pio_trace::{CallKind, NullSink, Record, Trace, TraceMeta};
+use pio_trace::{CallKind, NullSink, Record, Trace, TraceFormat, TraceMeta};
 use pio_workloads::IorConfig;
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
@@ -269,7 +269,7 @@ fn fleetd_ingest(trace: &Trace) -> u64 {
         .map(|j| svc.register(&format!("bench-{j}")))
         .collect();
     pio_des::par::map_claimed(sinks, JOBS, |mut sink| {
-        // Decoder-sized blocks, as the streaming codecs deliver them.
+        // Decoder-sized blocks, as `TraceFormat::stream` delivers them.
         for chunk in trace.records.chunks(512) {
             sink.push_block(chunk);
         }
@@ -505,6 +505,7 @@ pub fn run_filtered(reps: Option<u32>, only: &[String]) -> BenchSummary {
     // `QuantileSketch::add_block` with a prebuilt bin table — the
     // per-sample floor of the batched binning (no log2, no dispatch).
     if want("ingest/sketch_block_1m") {
+        use pio_core::attribution::{FINE_HIST_BINS, TAIL_HIST_HI, TAIL_HIST_LO};
         use pio_des::hist::{BinTable, LogBins};
         use pio_ingest::QuantileSketch;
         let durs: Vec<f64> = (0..1_000_000)
@@ -516,9 +517,9 @@ pub fn run_filtered(reps: Option<u32>, only: &[String]) -> BenchSummary {
                 }
             })
             .collect();
-        let table = BinTable::new(LogBins::new(1e-6, 1e3, 96));
+        let table = BinTable::new(LogBins::new(TAIL_HIST_LO, TAIL_HIST_HI, FINE_HIST_BINS));
         metrics.push(measure("ingest/sketch_block_1m", "sample", r(3), || {
-            let mut s = QuantileSketch::new(1e-6, 1e3, 96);
+            let mut s = QuantileSketch::new(TAIL_HIST_LO, TAIL_HIST_HI, FINE_HIST_BINS);
             s.add_block(&durs, &table);
             black_box(s.count());
             durs.len() as u64
@@ -571,9 +572,9 @@ pub fn run_filtered(reps: Option<u32>, only: &[String]) -> BenchSummary {
         if want("ingest/parse_jsonl_1m") {
             metrics.push(measure("ingest/parse_jsonl_1m", "record", r(2), || {
                 let mut sink = NullSink;
-                let (meta, n) =
-                    pio_ingest::stream_jsonl(std::io::Cursor::new(&jsonl_bytes[..]), &mut sink)
-                        .expect("jsonl stream");
+                let (meta, n) = TraceFormat::Jsonl
+                    .stream(&jsonl_bytes[..], &mut sink)
+                    .expect("jsonl stream");
                 black_box(meta);
                 n
             }));
@@ -581,9 +582,9 @@ pub fn run_filtered(reps: Option<u32>, only: &[String]) -> BenchSummary {
         if want("ingest/parse_ptb2_1m") {
             metrics.push(measure("ingest/parse_ptb2_1m", "record", r(2), || {
                 let mut sink = NullSink;
-                let (meta, n) =
-                    pio_ingest::stream_ptb2(std::io::Cursor::new(&ptb2_bytes[..]), &mut sink)
-                        .expect("ptb2 stream");
+                let (meta, n) = TraceFormat::Ptb2
+                    .stream(&ptb2_bytes[..], &mut sink)
+                    .expect("ptb2 stream");
                 black_box(meta);
                 n
             }));

@@ -22,44 +22,64 @@ pub fn print_stdout(text: &str) {
     }
 }
 
-/// Exit 2 with the usage line unless every argument is one of `known`
-/// or the value that follows one. Each entry is a flag and its value as
-/// the usage line shows them (`"--scale N"`). Without this, a typo
-/// (`--scael 64`) or a retired flag silently runs the default
-/// experiment.
-pub fn reject_unknown_flags(known: &[&str]) {
+/// Exit 2 with the usage line unless every argument is one of `known`,
+/// the value that follows one, or a positional `known` declares. Each
+/// entry is written as the usage line shows it: a flag and its value
+/// (`"--scale N"`), a switch that takes no value (`"--stream"`), or a
+/// positional (`"<trace>"`, anything not starting with `-`). Without
+/// this, a typo (`--scael 64`, `--strem`) or a retired flag silently
+/// runs the default. Returns the positional arguments in order; fewer
+/// than declared is the caller's to judge (see [`usage_error`]).
+pub fn reject_unknown_flags(known: &[&str]) -> Vec<String> {
     let args: Vec<String> = std::env::args().collect();
-    if let Err(msg) = check_flags(args.get(1..).unwrap_or_default(), known) {
-        let usage: Vec<String> = known.iter().map(|k| format!("[{k}]")).collect();
-        eprintln!("error: {msg}");
-        eprintln!(
-            "usage: {} {}",
-            args.first().map_or("bench", |a| a),
-            usage.join(" ")
-        );
-        std::process::exit(2);
-    }
+    check_flags(args.get(1..).unwrap_or_default(), known)
+        .unwrap_or_else(|msg| usage_error(known, &msg))
+}
+
+/// Exit 2 with `msg` and the usage line built from `known` (flags and
+/// switches bracketed, positionals as declared).
+pub fn usage_error(known: &[&str], msg: &str) -> ! {
+    let program = std::env::args().next().unwrap_or_else(|| "bench".into());
+    let usage: Vec<String> = known
+        .iter()
+        .map(|k| {
+            if k.starts_with('-') {
+                format!("[{k}]")
+            } else {
+                k.to_string()
+            }
+        })
+        .collect();
+    eprintln!("error: {msg}");
+    eprintln!("usage: {program} {}", usage.join(" "));
+    std::process::exit(2);
 }
 
 /// The testable core of [`reject_unknown_flags`]: `args` without the
-/// program name.
-fn check_flags(args: &[String], known: &[&str]) -> Result<(), String> {
+/// program name; returns the positionals.
+fn check_flags(args: &[String], known: &[&str]) -> Result<Vec<String>, String> {
+    let slots = known.iter().filter(|k| !k.starts_with('-')).count();
+    let mut positionals = Vec::new();
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
-        if known
+        if let Some(flag) = known
             .iter()
-            .any(|k| k.split(' ').next() == Some(arg.as_str()))
+            .find(|k| k.starts_with('-') && k.split(' ').next() == Some(arg.as_str()))
         {
-            // The flag owns the next argument, whatever it looks like;
-            // the flag's own parser judges it.
-            rest.next();
+            if flag.contains(' ') {
+                // The flag owns the next argument, whatever it looks
+                // like; the flag's own parser judges it.
+                rest.next();
+            }
         } else if arg.starts_with('-') {
             return Err(format!("unknown flag {arg:?}"));
+        } else if positionals.len() < slots {
+            positionals.push(arg.clone());
         } else {
             return Err(format!("unexpected argument {arg:?}"));
         }
     }
-    Ok(())
+    Ok(positionals)
 }
 
 /// Parse `--scale N` from argv (default `default`). Scale divides task
@@ -805,15 +825,38 @@ mod tests {
         let known = ["--scale N", "--out PATH"];
         assert_eq!(
             check_flags(&args(&["--scale", "16", "--out", "t"]), &known),
-            Ok(())
+            Ok(vec![])
         );
         // A value-taking flag owns the next argument; its own parser
         // judges a bad or missing value.
-        assert_eq!(check_flags(&args(&["--out", "--scale"]), &known), Ok(()));
-        assert_eq!(check_flags(&args(&["--scale"]), &known), Ok(()));
+        assert_eq!(
+            check_flags(&args(&["--out", "--scale"]), &known),
+            Ok(vec![])
+        );
+        assert_eq!(check_flags(&args(&["--scale"]), &known), Ok(vec![]));
         let err = check_flags(&args(&["--scale", "4", "--shards", "4"]), &known).unwrap_err();
         assert_eq!(err, "unknown flag \"--shards\"");
         let err = check_flags(&args(&["64"]), &known).unwrap_err();
         assert_eq!(err, "unexpected argument \"64\"");
+    }
+
+    #[test]
+    fn check_flags_switches_take_no_value_and_positionals_fill_their_slots() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let known = ["<in>", "<out>", "--format F", "--verify"];
+        // A switch does not swallow the positional after it.
+        assert_eq!(
+            check_flags(&args(&["--verify", "a", "--format", "ptb2", "b"]), &known),
+            Ok(args(&["a", "b"]))
+        );
+        // Fewer positionals than declared is the caller's to judge.
+        assert_eq!(check_flags(&args(&["a"]), &known), Ok(args(&["a"])));
+        let err = check_flags(&args(&["a", "b", "c"]), &known).unwrap_err();
+        assert_eq!(err, "unexpected argument \"c\"");
+        let err = check_flags(&args(&["a", "b", "--verfy"]), &known).unwrap_err();
+        assert_eq!(err, "unknown flag \"--verfy\"");
+        // A positional's declared name is not a flag.
+        let err = check_flags(&args(&["--in"]), &known).unwrap_err();
+        assert_eq!(err, "unknown flag \"--in\"");
     }
 }

@@ -43,6 +43,13 @@ pub const TAIL_HIST_HI: f64 = 1e3;
 /// Per-rank histogram resolution (each bin spans a ~1.54× factor —
 /// coarse, but the tail/bulk split only needs one cut).
 pub const TAIL_HIST_BINS: usize = 48;
+/// The fine duration geometry's resolution over the same span: each bin
+/// a ~1.24× factor, so a median/p99 ratio is resolved well inside the 4×
+/// shoulder threshold. Every fine duration histogram, sketch and
+/// windowed profile uses it — batch and stream alike, which their
+/// parity needs — and exactly two fine bins nest in each tail bin, which
+/// lets the snapshot builder halve a fine bin into its tail bin.
+pub const FINE_HIST_BINS: usize = 2 * TAIL_HIST_BINS;
 
 /// Stripe-residue moduli the storage-target decomposition folds onto.
 /// Any OST pool whose size shares a factor with one of these shows a
@@ -1198,7 +1205,7 @@ pub fn attribute_data_tail_windowed(
                 && (residual.len() as f64) >= th.compound_share * tail_total as f64
             {
                 let rs: Vec<f64> = residual.iter().map(|e| e.start_s()).collect();
-                let mut rh = LogHistogram::new(TAIL_HIST_LO, TAIL_HIST_HI, 2 * TAIL_HIST_BINS);
+                let mut rh = LogHistogram::new(TAIL_HIST_LO, TAIL_HIST_HI, FINE_HIST_BINS);
                 for e in &residual {
                     rh.add_clamped(e.secs);
                 }
@@ -1345,7 +1352,7 @@ mod tests {
 
     #[test]
     fn quantized_levels_need_separated_narrow_islands() {
-        let mut hist = LogHistogram::new(TAIL_HIST_LO, TAIL_HIST_HI, 96);
+        let mut hist = LogHistogram::new(TAIL_HIST_LO, TAIL_HIST_HI, FINE_HIST_BINS);
         for _ in 0..500 {
             hist.add_clamped(0.02);
         }
@@ -1359,7 +1366,7 @@ mod tests {
         assert_eq!(quantized_tail_levels(&hist, 0.04, 16), Some(2));
 
         // One uniform slow cluster: not quantized.
-        let mut one = LogHistogram::new(TAIL_HIST_LO, TAIL_HIST_HI, 96);
+        let mut one = LogHistogram::new(TAIL_HIST_LO, TAIL_HIST_HI, FINE_HIST_BINS);
         for _ in 0..500 {
             one.add_clamped(0.02);
         }
@@ -1369,7 +1376,7 @@ mod tests {
         assert_eq!(quantized_tail_levels(&one, 0.04, 16), None);
 
         // A broad continuum: not quantized.
-        let mut smear = LogHistogram::new(TAIL_HIST_LO, TAIL_HIST_HI, 96);
+        let mut smear = LogHistogram::new(TAIL_HIST_LO, TAIL_HIST_HI, FINE_HIST_BINS);
         for _ in 0..500 {
             smear.add_clamped(0.02);
         }
@@ -1449,7 +1456,7 @@ mod tests {
 
     #[test]
     fn window_index_uses_integer_ns_division() {
-        let w = WindowedProfile::new(2.0, 16, 1 << 20, 96);
+        let w = WindowedProfile::new(2.0, 16, 1 << 20, FINE_HIST_BINS);
         assert_eq!(w.index(0), 0);
         assert_eq!(w.index(1_999_999_999), 0);
         assert_eq!(w.index(2_000_000_000), 1); // boundary lands right
@@ -1461,7 +1468,7 @@ mod tests {
 
     #[test]
     fn windowed_profile_separates_episodes() {
-        let mut w = WindowedProfile::new(1.0, 8, 1 << 20, 96);
+        let mut w = WindowedProfile::new(1.0, 8, 1 << 20, FINE_HIST_BINS);
         // Window 0: fast ops; window 3: slow ops.
         for i in 0..32u64 {
             w.add(i as u32 % 8, i << 20, i * 10_000_000, 0.01);
@@ -1480,8 +1487,8 @@ mod tests {
     /// late window where it arrives in periodic bursts (flaky fabric).
     fn two_episode_evidence() -> (TailProfile, LogHistogram, WindowedProfile, Vec<TailEvent>) {
         let mut profile = TailProfile::new(1 << 20);
-        let mut hist = LogHistogram::new(TAIL_HIST_LO, TAIL_HIST_HI, 96);
-        let mut windows = WindowedProfile::new(2.0, 16, 1 << 20, 96);
+        let mut hist = LogHistogram::new(TAIL_HIST_LO, TAIL_HIST_HI, FINE_HIST_BINS);
+        let mut windows = WindowedProfile::new(2.0, 16, 1 << 20, FINE_HIST_BINS);
         let mut events = Vec::new();
         let mut feed = |rank: u32, offset: u64, start_ns: u64, secs: f64| {
             profile.add(rank, offset, secs);
@@ -1545,8 +1552,8 @@ mod tests {
         // Same generator, episode A only: windowing must not invent a
         // second class.
         let mut profile = TailProfile::new(1 << 20);
-        let mut hist = LogHistogram::new(TAIL_HIST_LO, TAIL_HIST_HI, 96);
-        let mut windows = WindowedProfile::new(2.0, 16, 1 << 20, 96);
+        let mut hist = LogHistogram::new(TAIL_HIST_LO, TAIL_HIST_HI, FINE_HIST_BINS);
+        let mut windows = WindowedProfile::new(2.0, 16, 1 << 20, FINE_HIST_BINS);
         let mut events = Vec::new();
         for rank in 0..16u32 {
             for i in 0..60u64 {
@@ -1705,7 +1712,7 @@ mod proptests {
                 all.push((rank, block << 20, num as f64 / 64.0, start));
             }
             let build = |order: &[usize]| {
-                let mut w = WindowedProfile::new(2.0, 16, 1 << 20, 96);
+                let mut w = WindowedProfile::new(2.0, 16, 1 << 20, FINE_HIST_BINS);
                 for &i in order {
                     let (rank, offset, secs, start_ns) = all[i];
                     w.add(rank, offset, start_ns, secs);

@@ -17,7 +17,7 @@
 
 use crate::attribution::{
     attribute_data_tail_windowed, attribute_meta_tail, Attribution, DataTailEvidence, FaultClass,
-    TailEvent, TailProfile, WindowedProfile, TAIL_HIST_HI, TAIL_HIST_LO,
+    TailEvent, TailProfile, WindowedProfile, FINE_HIST_BINS, TAIL_HIST_HI, TAIL_HIST_LO,
 };
 use crate::empirical::EmpiricalDist;
 use crate::modes::{find_modes, harmonic_structure, Mode};
@@ -497,9 +497,13 @@ fn attribute_shoulder(class: &ClassEvidence, median: f64, th: &Thresholds) -> Op
     // The windowed evidence needs the tail cut, so it is a second pass
     // over the class, taken only when a shoulder fires.
     let cut = th.tail_cut(median);
-    let mut hist = LogHistogram::new(TAIL_HIST_LO, TAIL_HIST_HI, 96);
-    let mut windows =
-        WindowedProfile::new(th.attr_window_s, th.attr_max_windows, th.stripe_bytes, 96);
+    let mut hist = LogHistogram::new(TAIL_HIST_LO, TAIL_HIST_HI, FINE_HIST_BINS);
+    let mut windows = WindowedProfile::new(
+        th.attr_window_s,
+        th.attr_max_windows,
+        th.stripe_bytes,
+        FINE_HIST_BINS,
+    );
     let mut events = Vec::new();
     for r in &class.records {
         let secs = r.secs();

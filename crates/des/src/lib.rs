@@ -3,11 +3,11 @@
 //! The substrate under the parallel-I/O simulator: a virtual clock with
 //! nanosecond resolution, a deterministic event queue, reproducible
 //! random-number streams with the samplers the file-system model needs
-//! (log-normal service overheads, Pareto outliers), FIFO service centers
-//! that model shared hardware resources by eager completion-time
-//! computation, and a max–min fair bandwidth solver used for fluid-flow
-//! rate assignment and for fairness ablations. [`par::map_claimed`] is
-//! the one parallel fan-out every ensemble and fleet path runs through.
+//! (log-normal service overheads, Pareto outliers), and FIFO service
+//! centers that model shared hardware resources (NICs, the fabric, OSTs)
+//! by eager completion-time computation — contention and bandwidth
+//! sharing fall out of their queues. [`par::map_claimed`] is the one
+//! parallel fan-out every ensemble and fleet path runs through.
 //!
 //! Everything here is deterministic: the same seed produces the same
 //! simulation, which is what lets the ensemble analysis treat the seed as
@@ -17,7 +17,6 @@
 pub mod engine;
 pub mod hash;
 pub mod hist;
-pub mod maxmin;
 pub mod par;
 pub mod queue;
 pub mod rng;

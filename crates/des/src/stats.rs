@@ -1,65 +1,12 @@
-//! Lightweight in-simulation statistics: counters, time-weighted values,
-//! and single-pass moment accumulation (Welford/Terriberry).
+//! Lightweight in-simulation statistics: time-weighted values and
+//! single-pass moment accumulation (Welford/Terriberry).
 //!
-//! These are the collectors the simulator itself uses (queue depths,
-//! utilization, dirty-page levels). The *analysis* statistics — the
-//! paper's contribution — live in `pio-core`.
+//! The simulator tracks each node's dirty-page level with
+//! [`TimeWeighted`]; `pio-ingest`'s sketches keep [`OnlineMoments`]. The
+//! *analysis* statistics — the paper's contribution — live in
+//! `pio-core`.
 
 use crate::time::SimTime;
-
-/// Running min/max/count/sum of a scalar series.
-#[derive(Debug, Clone, Default)]
-pub struct Tally {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Tally {
-    /// An empty tally.
-    pub fn new() -> Self {
-        Tally {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Minimum, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
 
 /// Integral of a piecewise-constant signal over virtual time
 /// (e.g. dirty bytes, queue depth), for time-averaged levels.
@@ -240,19 +187,6 @@ impl OnlineMoments {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tally_basics() {
-        let mut t = Tally::new();
-        assert!(t.mean().is_none());
-        for v in [3.0, 1.0, 2.0] {
-            t.record(v);
-        }
-        assert_eq!(t.count(), 3);
-        assert_eq!(t.mean(), Some(2.0));
-        assert_eq!(t.min(), Some(1.0));
-        assert_eq!(t.max(), Some(3.0));
-    }
 
     #[test]
     fn time_weighted_average() {

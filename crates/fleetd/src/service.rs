@@ -399,20 +399,6 @@ impl FleetService {
         }
     }
 
-    /// Register `name` and stream an on-disk trace file into it — any
-    /// format the `TraceCodec` registry knows (JSONL, ptb2),
-    /// sniffed from the file's leading bytes. Phase boundaries flow
-    /// through to the tenant's diagnoser; end of file is end of stream.
-    /// Returns the trace metadata and the number of records ingested.
-    pub fn ingest_file(
-        &self,
-        name: &str,
-        path: &std::path::Path,
-    ) -> std::io::Result<(pio_trace::TraceMeta, u64)> {
-        let mut sink = self.register(name);
-        pio_ingest::stream_file(path, &mut sink)
-    }
-
     fn worker_of(&self, id: JobId) -> usize {
         (id as usize) % self.live.len()
     }
@@ -804,7 +790,10 @@ mod tests {
         for format in TraceFormat::ALL {
             let path = dir.join(format!("job.{}", format.name()));
             pio_trace::io::save_as(&trace, &path, format).unwrap();
-            let (meta, n) = svc.ingest_file(format.name(), &path).unwrap();
+            // A trace file is one tenant: register it, stream the file
+            // into its sink; end of file is end of stream.
+            let mut sink = svc.register(format.name());
+            let (meta, n) = pio_trace::io::stream_file(&path, &mut sink).unwrap();
             assert_eq!(meta, trace.meta);
             assert_eq!(n, 600);
             std::fs::remove_file(&path).ok();

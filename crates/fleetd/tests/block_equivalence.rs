@@ -3,7 +3,7 @@
 //! block that straddles job EOS — the filed `JobReport` must be
 //! identical to the same stream pushed in blocks of one. This is what
 //! makes the service's diagnosis a pure function of the record stream,
-//! not of the upstream codec's framing.
+//! not of the upstream decoder's framing.
 
 use pio_fleetd::{FleetConfig, FleetService, JobReport};
 use pio_trace::{CallKind, Record, RecordSink};

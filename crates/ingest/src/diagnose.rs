@@ -32,7 +32,7 @@ use crate::shard::{SnapshotBuilder, SnapshotConfig};
 use crate::sketch::QuantileSketch;
 use pio_core::attribution::{
     attribute_data_tail_windowed, attribute_meta_tail, tail_bin_table, Attribution,
-    DataTailEvidence, TailEvent, WindowedProfile,
+    DataTailEvidence, TailEvent, WindowedProfile, FINE_HIST_BINS, TAIL_HIST_HI, TAIL_HIST_LO,
 };
 use pio_core::diagnosis::{
     deterioration_verdict, harmonic_verdict, rank_tail_verdict, shoulder_verdict, Finding,
@@ -88,9 +88,9 @@ impl Default for DiagnoserConfig {
                 CallKind::MetaRead,
                 CallKind::MetaWrite,
             ],
-            hist_lo: 1e-6,
-            hist_hi: 1e3,
-            hist_bins: 96,
+            hist_lo: TAIL_HIST_LO,
+            hist_hi: TAIL_HIST_HI,
+            hist_bins: FINE_HIST_BINS,
             hitter_capacity: 16,
         }
     }

@@ -23,14 +23,9 @@
 //!   mid-run through the same verdict functions as the batch path. It
 //!   owns the stream's snapshot builder and reads its whole-run
 //!   evidence from it, so one diagnoser is the whole analysis of a
-//!   stream.
-//! * [`reader`] — incremental trace reading through the `TraceCodec`
-//!   registry (JSONL via the hand-rolled fast parser, binary ptb2 via
-//!   the block reader, format sniffed from the file): diagnose an
-//!   on-disk trace in constant memory via any
-//!   [`RecordSink`](pio_trace::RecordSink) — typically a
-//!   `StreamDiagnoser`, as `analyze --stream` and every `pio-fleetd`
-//!   tenant run.
+//!   stream. Saved traces reach it through `pio_trace::io::stream_file`
+//!   (format sniffed, one decoded block in memory at a time), as
+//!   `analyze --stream` does.
 //! * [`tenant`] — multi-stream accounting: a per-job
 //!   [`tenant::TenantMeter`] enforcing a resident-memory budget (a
 //!   tenant over it is frozen, and its later records counted as shed),
@@ -38,13 +33,11 @@
 //!   (`pio-fleetd`).
 
 pub mod diagnose;
-pub mod reader;
 pub mod shard;
 pub mod sketch;
 pub mod tenant;
 
 pub use diagnose::{DiagnoserConfig, StreamDiagnoser, TimedFinding};
-pub use reader::{stream_file, stream_jsonl, stream_ptb2};
 pub use shard::{EnsembleSnapshot, ShardKey, ShardStats, SnapshotBuilder, SnapshotConfig};
 pub use sketch::{HeavyHitters, OnlineMoments, QuantileSketch};
 pub use tenant::{Admission, TenantMeter};

@@ -18,7 +18,9 @@
 //! reference that classification is tested against.
 
 use crate::sketch::{HeavyHitters, OnlineMoments, QuantileSketch};
-use pio_core::attribution::{tail_bin_table, TailProfile, MODULI, TAIL_KINDS};
+use pio_core::attribution::{
+    tail_bin_table, TailProfile, FINE_HIST_BINS, MODULI, TAIL_HIST_HI, TAIL_HIST_LO, TAIL_KINDS,
+};
 use pio_core::diagnosis::{
     metadata_shoulder_verdict, serialized_meta_verdict, Finding, Thresholds,
 };
@@ -255,9 +257,9 @@ impl Default for SnapshotConfig {
         let th = Thresholds::default();
         SnapshotConfig {
             rank_groups: 8,
-            hist_lo: 1e-6,
-            hist_hi: 1e3,
-            hist_bins: 96,
+            hist_lo: TAIL_HIST_LO,
+            hist_hi: TAIL_HIST_HI,
+            hist_bins: FINE_HIST_BINS,
             hitter_capacity: 16,
             small_write_bytes: th.small_write_bytes,
             stripe_bytes: th.stripe_bytes,

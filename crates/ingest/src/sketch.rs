@@ -49,13 +49,6 @@ impl QuantileSketch {
         }
     }
 
-    /// The default geometry for call durations: 1 µs to 1000 s. At 96
-    /// buckets over 9 decades each bucket spans a factor of ~1.24, so a
-    /// median/p99 ratio is resolved well inside the 4× shoulder threshold.
-    pub fn for_durations() -> Self {
-        QuantileSketch::new(1e-6, 1e3, 96)
-    }
-
     /// The bucket geometry.
     pub fn geometry(&self) -> LogBins {
         self.geom
@@ -338,10 +331,16 @@ impl HeavyHitters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pio_core::attribution::{FINE_HIST_BINS, TAIL_HIST_HI, TAIL_HIST_LO};
+
+    /// A sketch over the fine duration geometry the diagnoser uses.
+    fn durations() -> QuantileSketch {
+        QuantileSketch::new(TAIL_HIST_LO, TAIL_HIST_HI, FINE_HIST_BINS)
+    }
 
     #[test]
     fn sketch_quantiles_track_exact_order_stats() {
-        let mut s = QuantileSketch::for_durations();
+        let mut s = durations();
         let mut vals: Vec<f64> = (1..=1000).map(|i| 0.001 * i as f64).collect();
         for &v in &vals {
             s.add(v);
@@ -392,7 +391,7 @@ mod tests {
 
     #[test]
     fn empty_sketch_has_no_quantiles() {
-        let s = QuantileSketch::for_durations();
+        let s = durations();
         assert!(s.quantile(0.5).is_none());
         assert!(s.min().is_none());
         assert_eq!(s.fraction_above(0.0), 0.0);

@@ -1,6 +1,6 @@
 //! Property tests pinning the analysis plane's one ingest path,
 //! `RecordSink::push_block`, to its partition contract: for any record
-//! stream, any block partition, and any on-disk codec, the state must
+//! stream, any block partition, and any on-disk format, the state must
 //! equal that of the same stream fed in blocks of one — a bit-identical
 //! `EnsembleSnapshot` and identical findings. With the debug assertions
 //! that check every bin classification against `LogBins`, these are
@@ -10,7 +10,7 @@
 use std::io::Cursor;
 
 use pio_ingest::{DiagnoserConfig, SnapshotBuilder, SnapshotConfig, StreamDiagnoser};
-use pio_trace::{codec_for, CallKind, Record, RecordSink, Trace, TraceFormat, TraceMeta};
+use pio_trace::{CallKind, Record, RecordSink, Trace, TraceFormat, TraceMeta};
 use proptest::prelude::*;
 
 /// Arbitrary records across every call kind, with durations spanning the
@@ -125,7 +125,7 @@ proptest! {
 }
 
 /// Forwards every block as blocks of one, so the inner sink only ever
-/// sees the reference partition regardless of what the codec delivers.
+/// sees the reference partition regardless of what the decoder delivers.
 struct PerRecord<S>(S);
 
 impl<S: RecordSink> RecordSink for PerRecord<S> {
@@ -145,13 +145,13 @@ impl<S: RecordSink> RecordSink for PerRecord<S> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Streaming the same encoded trace through every codec produces
-    /// identical analysis whether the codec's blocks flow into the
+    /// Streaming the same encoded trace in every format produces
+    /// identical analysis whether the decoder's blocks flow into the
     /// batched kernels whole or unrolled into blocks of one — and the
     /// verdicts agree across both encodings. The sink is the one
     /// `analyze --stream` and a fleet tenant run: a diagnoser, which
     /// owns the stream's snapshot builder; [`PerRecord`] wraps it to
-    /// unroll the codec's blocks for the reference side.
+    /// unroll the decoder's blocks for the reference side.
     #[test]
     fn codec_streams_are_block_record_equivalent(records in arb_records()) {
         let mut trace = Trace::new(TraceMeta {
@@ -166,34 +166,33 @@ proptest! {
 
         let mut snapshots = Vec::new();
         for format in TraceFormat::ALL {
-            let codec = codec_for(format);
             let mut bytes = Vec::new();
-            codec.write(&trace, &mut bytes).expect("encode");
+            format.write(&trace, &mut bytes).expect("encode");
 
             let mut batched = diagnoser();
-            let (_, n) = codec
-                .stream(&mut Cursor::new(&bytes), &mut batched)
+            let (_, n) = format
+                .stream(Cursor::new(&bytes), &mut batched)
                 .expect("stream batched");
             prop_assert_eq!(n as usize, records.len());
 
             let mut unrolled = PerRecord(diagnoser());
-            codec
-                .stream(&mut Cursor::new(&bytes), &mut unrolled)
+            format
+                .stream(Cursor::new(&bytes), &mut unrolled)
                 .expect("stream unrolled");
 
             prop_assert_eq!(
                 batched.findings(),
                 unrolled.0.findings(),
                 "findings diverge under {}",
-                codec.name()
+                format.name()
             );
             let a = batched.builder().snapshot(0);
             let b = unrolled.0.builder().snapshot(0);
-            prop_assert_eq!(&a, &b, "snapshot diverges under {}", codec.name());
+            prop_assert_eq!(&a, &b, "snapshot diverges under {}", format.name());
             snapshots.push(a);
         }
         for s in &snapshots[1..] {
-            prop_assert_eq!(s, &snapshots[0], "snapshot diverges across codecs");
+            prop_assert_eq!(s, &snapshots[0], "snapshot diverges across formats");
         }
     }
 }

@@ -17,7 +17,11 @@
 //!   never store individual events.
 //! * [`sink`] — streaming record sinks: consume events as they happen
 //!   instead of buffering a whole trace (`pio-ingest` builds on this).
-//! * [`io`] — JSONL / ptb2 / CSV serialization of traces.
+//! * [`io`] — JSONL / ptb2 / CSV serialization of traces. The
+//!   [`TraceFormat`] enum is the one switch over the two on-disk
+//!   formats (sniff, read, write, stream: one `match` each), and
+//!   `load` / `save_as` / `stream_file` are the front door for trace
+//!   files.
 //! * [`jsonl`] — the hot hand-rolled JSONL record parser (with
 //!   `serde_json` as the strict fallback).
 //! * [`ptb2`] — the compact CRC-checked binary trace format:
@@ -25,9 +29,9 @@
 //!   timestamps, dictionary-coded call kinds and varint sizes, decoded
 //!   by branch-free columnar loops; a streaming block reader and a
 //!   `RecordSink` encoder.
-//! * [`codec`] — the `TraceCodec` trait and static registry that give
-//!   both formats (JSONL and ptb2) uniform sniff/read/write/stream
-//!   entry points.
+//! * [`codec`] — the [`PhaseTracker`] every format's stream decoder
+//!   runs through, synthesizing barrier-phase boundaries from the
+//!   records' phase indices.
 //! * [`summary`] — an IPM-style per-call summary report.
 
 pub mod codec;
@@ -42,7 +46,7 @@ pub mod sink;
 pub mod summary;
 pub mod trace;
 
-pub use codec::{codec_for, codecs, sniff_codec, PhaseTracker, TraceCodec};
+pub use codec::PhaseTracker;
 pub use fdtable::FdTable;
 pub use io::TraceFormat;
 pub use profile::OnlineProfile;

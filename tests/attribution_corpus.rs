@@ -7,14 +7,10 @@
 //! verdict, byte for byte.
 
 use events_to_ensembles::fault::{FaultPlan, FaultSchedule};
-use events_to_ensembles::ingest::{
-    stream_jsonl, stream_ptb2, DiagnoserConfig, StreamDiagnoser, TimedFinding,
-};
+use events_to_ensembles::ingest::{DiagnoserConfig, StreamDiagnoser, TimedFinding};
 use events_to_ensembles::stats::attribution::FaultClass;
 use events_to_ensembles::stats::diagnosis::{run_verdict, Verdict};
-use events_to_ensembles::trace::io::write_jsonl;
-use events_to_ensembles::trace::ptb2::write_ptb2;
-use events_to_ensembles::trace::{Record, RecordSink, Trace};
+use events_to_ensembles::trace::{Record, RecordSink, Trace, TraceFormat};
 use pio_bench::fault_matrix::{run_once, scenarios, verdict_of, Expect};
 
 const SCALE: u32 = 16;
@@ -257,24 +253,15 @@ fn stream_verdicts_are_identical_across_formats_and_ingest_threads() {
             sc.fault
         );
 
-        let mut jsonl = Vec::new();
-        write_jsonl(&t, &mut jsonl).unwrap();
-        let mut ptb2 = Vec::new();
-        write_ptb2(&t, &mut ptb2).unwrap();
-        for (fmt, bytes) in [("jsonl", &jsonl), ("ptb2", &ptb2)] {
+        for format in TraceFormat::ALL {
+            let mut bytes = Vec::new();
+            format.write(&t, &mut bytes).unwrap();
             let mut d = StreamDiagnoser::new(DiagnoserConfig {
                 window: 256,
                 ..DiagnoserConfig::default()
             });
-            let cursor = std::io::Cursor::new(bytes.as_slice());
-            let n = match fmt {
-                "jsonl" => {
-                    stream_jsonl(std::io::BufReader::new(cursor), &mut d)
-                        .unwrap()
-                        .1
-                }
-                _ => stream_ptb2(cursor, &mut d).unwrap().1,
-            };
+            let (_, n) = format.stream(bytes.as_slice(), &mut d).unwrap();
+            let fmt = format.name();
             assert_eq!(
                 n,
                 t.records.len() as u64,

@@ -5,13 +5,13 @@
 
 use events_to_ensembles::fleetd::sim::CORPUS_WINDOW;
 use events_to_ensembles::fs::FsConfig;
-use events_to_ensembles::ingest::{stream_file, DiagnoserConfig, StreamDiagnoser};
+use events_to_ensembles::ingest::{DiagnoserConfig, StreamDiagnoser};
 use events_to_ensembles::mpi::{RunConfig, Runner};
 use events_to_ensembles::stats::attribution::FaultClass;
 use events_to_ensembles::stats::empirical::EmpiricalDist;
 use events_to_ensembles::stats::ensemble::Ensemble;
 use events_to_ensembles::stats::lln;
-use events_to_ensembles::trace::io::TraceFormat;
+use events_to_ensembles::trace::io::{stream_file, TraceFormat};
 use events_to_ensembles::trace::CallKind;
 use events_to_ensembles::workloads::IorConfig;
 

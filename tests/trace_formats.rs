@@ -14,10 +14,9 @@
 //!   on a real trace.
 
 use events_to_ensembles::ingest::{
-    stream_file, stream_jsonl, stream_ptb2, DiagnoserConfig, SnapshotBuilder, SnapshotConfig,
-    StreamDiagnoser,
+    DiagnoserConfig, SnapshotBuilder, SnapshotConfig, StreamDiagnoser,
 };
-use events_to_ensembles::trace::io::{read_jsonl, write_jsonl, TraceFormat};
+use events_to_ensembles::trace::io::{read_jsonl, stream_file, write_jsonl, TraceFormat};
 use events_to_ensembles::trace::jsonl::{parse_record, parse_record_fast};
 use events_to_ensembles::trace::ptb2::{read_ptb2, write_ptb2};
 use events_to_ensembles::trace::{CallKind, Record, RecordSink, Trace, TraceMeta};
@@ -205,9 +204,9 @@ fn all_format_streams_are_event_identical_on_a_real_trace() {
     );
 
     let mut a = Collector::default();
-    let (meta_a, n_a) = stream_jsonl(std::io::Cursor::new(&jsonl), &mut a).unwrap();
+    let (meta_a, n_a) = TraceFormat::Jsonl.stream(&jsonl[..], &mut a).unwrap();
     let mut b = Collector::default();
-    let (meta_b, n_b) = stream_ptb2(std::io::Cursor::new(&ptb2), &mut b).unwrap();
+    let (meta_b, n_b) = TraceFormat::Ptb2.stream(&ptb2[..], &mut b).unwrap();
     assert_eq!(meta_a, meta_b);
     assert_eq!(n_a, n_b);
     assert_eq!(a.records, b.records);
