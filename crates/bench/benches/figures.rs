@@ -15,7 +15,7 @@ fn bench_fig1(c: &mut Criterion) {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            black_box(fig1::run(64, seed).runtime_s)
+            black_box(fig1::run(64, seed, None).runtime_s)
         })
     });
     g.finish();
@@ -28,7 +28,7 @@ fn bench_fig2(c: &mut Criterion) {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            black_box(fig2::run(64, seed).len())
+            black_box(fig2::run(64, seed, None).len())
         })
     });
     g.finish();
@@ -41,7 +41,7 @@ fn bench_fig4(c: &mut Criterion) {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            black_box(fig4::run(FsConfig::franklin(), 64, seed).runtime_s)
+            black_box(fig4::run(FsConfig::franklin(), 64, seed, None).runtime_s)
         })
     });
     g.finish();
@@ -67,7 +67,7 @@ fn bench_fig6(c: &mut Criterion) {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            black_box(fig6::run_all(256, seed).len())
+            black_box(fig6::run_all(256, seed, None).len())
         })
     });
     g.finish();

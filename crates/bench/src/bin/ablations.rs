@@ -4,7 +4,7 @@
 //!
 //! Usage: `ablations [--scale N]` (default 16).
 
-use pio_bench::util::{print_stdout, reject_unknown_flags, scale_from_args};
+use pio_bench::util::{positive, print_stdout, Args};
 use pio_core::empirical::EmpiricalDist;
 use pio_core::modes::find_modes;
 use pio_fs::FsConfig;
@@ -27,8 +27,9 @@ fn run(job: &Job, cfg: RunConfig) -> RunReport {
 }
 
 fn main() {
-    reject_unknown_flags(&["--scale N"]);
-    let scale = scale_from_args(16);
+    let scale = Args::parse(&["--scale N"])
+        .value("--scale", positive)
+        .unwrap_or(16);
     discipline_ablation(scale);
     readahead_ablation(scale * 2);
     alignment_ablation(scale * 4);

@@ -10,9 +10,7 @@
 //!
 //! Usage: `all_experiments [--scale N]` (default full scale).
 
-use pio_bench::util::{
-    print_rows, print_stdout, reject_unknown_flags, scale_from_args, Bound, Row,
-};
+use pio_bench::util::{positive, print_rows, print_stdout, Args, Bound, Row};
 use pio_bench::{fig1, fig2, fig4, fig5, fig6};
 use pio_fs::FsConfig;
 
@@ -20,8 +18,9 @@ use pio_fs::FsConfig;
 const PAPER_NUMBER: Bound = Bound::Ratio(0.5, 2.0);
 
 fn main() {
-    reject_unknown_flags(&["--scale N"]);
-    let scale = scale_from_args(1);
+    let scale = Args::parse(&["--scale N"])
+        .value("--scale", positive)
+        .unwrap_or(1);
     let scale_f = scale as f64;
     print_stdout(&format!(
         "# events-to-ensembles: full experiment sweep (scale 1/{scale})\n"
@@ -31,7 +30,7 @@ fn main() {
 
     // Figure 1: the paper's R, R/2, R/4 ladder needs a fundamental and
     // at least its first harmonic.
-    let r1 = fig1::run(scale, 1);
+    let r1 = fig1::run(scale, 1, None);
     let orders = r1.harmonics.map_or(Vec::new(), |h| h.orders);
     rows.extend([
         Row::new(
@@ -69,7 +68,7 @@ fn main() {
     eprintln!("[{:>6.1}s] fig1 done", t0.elapsed().as_secs_f64());
 
     // Figure 2: the rate never falls as k grows.
-    let r2 = fig2::run(scale, 21);
+    let r2 = fig2::run(scale, 21, None);
     for (i, row) in r2.iter().enumerate() {
         let label = format!("fig2 IOR rate k={}", row.k);
         let rate = row.rate_mb_s * scale_f;
@@ -91,7 +90,7 @@ fn main() {
     // reads; the slowest read is one event, which the paper calls
     // erratic, so it is printed for information only.
     let r5 = fig5::run(scale, 5);
-    let jaguar = fig4::run(FsConfig::jaguar(), scale, 5);
+    let jaguar = fig4::run(FsConfig::jaguar(), scale, 5, None);
     let reads = r5.before.read_dist.samples();
     let band = reads
         .iter()
@@ -137,7 +136,7 @@ fn main() {
     eprintln!("[{:>6.1}s] fig4/fig5 done", t0.elapsed().as_secs_f64());
 
     // Figure 6: each optimization stage is strictly faster than the last.
-    let r6 = fig6::run_all(scale, 11);
+    let r6 = fig6::run_all(scale, 11, None);
     for (i, r) in r6.iter().enumerate() {
         let label = format!("fig6 GCRM stage {} ({})", r.stage, r.label);
         let paper = fig6::PAPER_RUNTIMES[r.stage as usize];

@@ -7,27 +7,29 @@
 //!
 //! Usage: `analyze <trace> [--stream] [--format jsonl|ptb2] [--diagram] [--csv DIR]`
 //!
-//! A flag it does not know (`--strem`), a second positional, or `--csv`
-//! without a directory exits 2 with the usage line before the trace is
-//! read.
+//! A flag it does not know (`--strem`), a second positional, `--csv`
+//! without a directory, or `--stream` with `--csv` or `--diagram` exits
+//! 2 with the usage line before the trace is read.
 //!
-//! Prints the IPM summary, per-call-class ensemble statistics and modes,
-//! per-phase breakdown, and the bottleneck diagnosis; optionally the
-//! ASCII trace diagram and CSV exports of the histograms.
+//! Prints the run's totals (run time, aggregate and write rates),
+//! per-call-class ensemble statistics and modes, the bottleneck
+//! diagnosis, a per-phase breakdown and the slowest rank; optionally the
+//! ASCII trace diagram and CSV exports of the duration histograms and
+//! CDFs. A CSV file it cannot write exits 1 naming the path.
 //!
 //! With `--stream`, the trace is never loaded into memory: records are
 //! decoded one block at a time into the online diagnoser, which keeps
 //! its whole-run evidence in the ensemble snapshot it owns (as a
 //! `pio-fleetd` tenant does), and the report is rendered from that
-//! mergeable snapshot — constant memory regardless of trace size.
+//! mergeable snapshot — constant memory regardless of trace size. The
+//! diagram and the CSV exports need the loaded trace, so `--stream`
+//! takes neither.
 //!
 //! A reader that closes stdout early (`analyze t.jsonl | head`) ends the
 //! printing, not the run: CSV exports are still written and the exit
 //! status is 0.
 
-use pio_bench::util::{
-    format_from_args, parse_path_flag, print_stdout, reject_unknown_flags, usage_error,
-};
+use pio_bench::util::{file_path, print_stdout, trace_format, write_or_exit, Args};
 use pio_core::empirical::EmpiricalDist;
 use pio_core::rates::write_rate_curve;
 use pio_core::report;
@@ -39,28 +41,27 @@ use pio_viz::ascii;
 use pio_viz::csv as vcsv;
 use std::io::BufReader;
 
-const USAGE: [&str; 5] = [
-    "<trace>",
-    "--stream",
-    "--format jsonl|ptb2",
-    "--diagram",
-    "--csv DIR",
-];
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(path) = reject_unknown_flags(&USAGE).into_iter().next() else {
-        usage_error(&USAGE, "missing <trace>");
+    let args = Args::parse(&[
+        "<trace>",
+        "--stream",
+        "--format jsonl|ptb2",
+        "--diagram",
+        "--csv DIR",
+    ]);
+    let Some(path) = args.positional(0) else {
+        args.usage_error("missing <trace>");
     };
-    let path = path.as_str();
-    // Exit with status 2 on a malformed --format or --csv before any I/O.
-    let forced_format = format_from_args();
-    let csv_dir = parse_path_flag(&args, "--csv").unwrap_or_else(|msg| usage_error(&USAGE, &msg));
-    if args.iter().any(|a| a == "--stream") {
+    let forced_format = args.value("--format", trace_format);
+    let csv_dir = args.value("--csv", file_path);
+    let want_diagram = args.switch("--diagram");
+    if args.switch("--stream") {
+        if want_diagram || csv_dir.is_some() {
+            args.usage_error("--stream cannot take --csv or --diagram: both need the loaded trace");
+        }
         stream_analyze(path, forced_format);
         return;
     }
-    let want_diagram = args.iter().any(|a| a == "--diagram");
 
     let loaded = match forced_format {
         // A forced format bypasses sniffing (e.g. a trace behind a
@@ -126,15 +127,13 @@ fn main() {
                 continue;
             }
             let hist = LogHistogram::from_samples(&durs, 60);
-            vcsv::save(&dir.join(format!("{}_hist.csv", kind.name())), |w| {
-                vcsv::log_histogram_csv(&hist, w)
-            })
-            .expect("csv write");
+            write_or_exit(&dir.join(format!("{}_hist.csv", kind.name())), |p| {
+                vcsv::save(p, |w| vcsv::log_histogram_csv(&hist, w))
+            });
             let d = EmpiricalDist::new(&durs);
-            vcsv::save(&dir.join(format!("{}_cdf.csv", kind.name())), |w| {
-                vcsv::xy_csv("t_s,fraction", &d.progress_curve(), w)
-            })
-            .expect("csv write");
+            write_or_exit(&dir.join(format!("{}_cdf.csv", kind.name())), |p| {
+                vcsv::save(p, |w| vcsv::xy_csv("t_s,fraction", &d.progress_curve(), w))
+            });
         }
         print_stdout(&format!("\nCSV exports written to {}\n", dir.display()));
     }

@@ -23,10 +23,11 @@
 //! so a single scheduler hiccup does not fail CI.
 
 use pio_bench::summary::{self, BenchSummary};
-use pio_bench::util::{print_stdout, reject_unknown_flags};
+use pio_bench::util::{file_path, positive, print_stdout, write_or_exit, Args};
+use std::path::Path;
 
 fn main() {
-    reject_unknown_flags(&[
+    let args = Args::parse(&[
         "--out PATH",
         "--reps N",
         "--only PREFIX",
@@ -34,47 +35,16 @@ fn main() {
         "--gate METRIC",
         "--tolerance PCT",
     ]);
-    let args: Vec<String> = std::env::args().collect();
-    let mut out: Option<String> = None;
-    let mut reps: Option<u32> = None;
-    let mut only: Vec<String> = Vec::new();
-    let mut baseline: Option<String> = None;
-    let mut gates: Vec<String> = Vec::new();
-    let mut tolerance = 25.0f64;
-    for (i, arg) in args.iter().enumerate() {
-        let value = || args.get(i + 1).cloned();
-        match arg.as_str() {
-            "--out" => match value() {
-                Some(p) => out = Some(p),
-                None => die("--out requires a path"),
-            },
-            "--reps" => match value().and_then(|v| v.parse::<u32>().ok()) {
-                Some(n) if n >= 1 => reps = Some(n),
-                _ => die("--reps requires a positive integer"),
-            },
-            "--only" => match value() {
-                Some(p) => only.push(p),
-                None => die("--only requires a metric-name prefix"),
-            },
-            "--baseline" => match value() {
-                Some(p) => baseline = Some(p),
-                None => die("--baseline requires a path"),
-            },
-            "--gate" => match value() {
-                Some(m) => gates.push(m),
-                None => die("--gate requires a metric name"),
-            },
-            "--tolerance" => match value().and_then(|v| v.parse::<f64>().ok()) {
-                Some(t) if t >= 0.0 => tolerance = t,
-                _ => die("--tolerance requires a non-negative percentage"),
-            },
-            _ => {}
-        }
-    }
+    let out = args.value("--out", file_path);
+    let reps = args.value("--reps", positive);
+    let only = args.values("--only");
+    let baseline = args.value("--baseline", file_path);
+    let mut gates = args.values("--gate");
+    let tolerance = args.value("--tolerance", percentage).unwrap_or(25.0);
     if let Err(msg) = only_needs_out(&only, out.as_deref()) {
-        die(msg);
+        args.usage_error(msg);
     }
-    let out = out.unwrap_or_else(|| "BENCH_summary.json".to_string());
+    let out = out.unwrap_or_else(|| "BENCH_summary.json".into());
 
     print_stdout("== bench_summary: fixed-scale hot-path scenarios ==\n");
     let mut s = summary::run_filtered(reps, &only);
@@ -87,7 +57,7 @@ fn main() {
         {
             Ok(b) => b,
             Err(e) => {
-                eprintln!("error: cannot load baseline {path}: {e}");
+                eprintln!("error: cannot load baseline {}: {e}", path.display());
                 std::process::exit(2);
             }
         };
@@ -106,8 +76,9 @@ fn main() {
         }
         if failures.is_empty() {
             print_stdout(&format!(
-                "gate ok: {} metric(s) within {tolerance}% of {path}\n",
-                gates.len()
+                "gate ok: {} metric(s) within {tolerance}% of {}\n",
+                gates.len(),
+                path.display()
             ));
         } else {
             for f in &failures {
@@ -118,13 +89,13 @@ fn main() {
     }
 
     let json = serde_json::to_string(&s).expect("serialize summary");
-    std::fs::write(&out, &json).expect("write summary JSON");
-    print_stdout(&format!("wrote {out}\n"));
+    write_or_exit(&out, |p| std::fs::write(p, &json));
+    print_stdout(&format!("wrote {}\n", out.display()));
 }
 
 /// A `--only` run measures a subset, so writing it to the default path
 /// would replace the committed full baseline with a partial one.
-fn only_needs_out(only: &[String], out: Option<&str>) -> Result<(), &'static str> {
+fn only_needs_out(only: &[String], out: Option<&Path>) -> Result<(), &'static str> {
     if !only.is_empty() && out.is_none() {
         return Err("--only writes a partial summary: pass --out PATH \
                     (the default BENCH_summary.json is the full baseline)");
@@ -132,9 +103,12 @@ fn only_needs_out(only: &[String], out: Option<&str>) -> Result<(), &'static str
     Ok(())
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
+/// Value parser for `--tolerance`: a non-negative percentage.
+fn percentage(raw: &str) -> Result<f64, String> {
+    match raw.parse::<f64>() {
+        Ok(t) if t >= 0.0 => Ok(t),
+        _ => Err(format!("expected a non-negative percentage, got {raw:?}")),
+    }
 }
 
 #[cfg(test)]
@@ -146,7 +120,7 @@ mod tests {
         let only = vec!["fault/".to_string()];
         let err = only_needs_out(&only, None).unwrap_err();
         assert!(err.contains("--out"), "{err}");
-        assert!(only_needs_out(&only, Some("partial.json")).is_ok());
+        assert!(only_needs_out(&only, Some(Path::new("partial.json"))).is_ok());
         // A full run may still default to the baseline path.
         assert!(only_needs_out(&[], None).is_ok());
     }

@@ -7,26 +7,13 @@
 //! artifacts.
 
 use pio_bench::fault_matrix::{empty_plan_is_inert, per_window_report, render, run_matrix};
-use pio_bench::util::{
-    parse_out, parse_path_flag, print_stdout, reject_unknown_flags, scale_from_args,
-};
+use pio_bench::util::{file_path, positive, print_stdout, write_or_exit, Args};
 
 fn main() {
-    reject_unknown_flags(&["--scale N", "--out PATH", "--windows PATH"]);
-    let scale = scale_from_args(8);
-    let args: Vec<String> = std::env::args().collect();
-    let parsed = parse_out(&args).and_then(|o| Ok((o, parse_path_flag(&args, "--windows")?)));
-    let (out, windows_out) = match parsed {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: {} [--scale N] [--out PATH] [--windows PATH]",
-                args.first().map_or("fault_matrix", |a| a)
-            );
-            std::process::exit(2);
-        }
-    };
+    let args = Args::parse(&["--scale N", "--out PATH", "--windows PATH"]);
+    let scale = args.value("--scale", positive).unwrap_or(8);
+    let out = args.value("--out", file_path);
+    let windows_out = args.value("--windows", file_path);
     let seeds = [101, 202];
 
     // A closed stdout only ends the printing (`print_stdout`): `--out`,
@@ -53,10 +40,7 @@ fn main() {
 
     if let Some(path) = out {
         let body = format!("{header}\n{table}{inert_line}\n{verdict}\n");
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
+        write_or_exit(&path, |p| std::fs::write(p, body));
     }
 
     // Per-window evidence for the compound cells: which fingerprint
@@ -66,10 +50,7 @@ fn main() {
             "== per-window attribution evidence (scale {scale}, seeds {seeds:?}) ==\n\n{}",
             per_window_report(scale, &seeds)
         );
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
+        write_or_exit(&path, |p| std::fs::write(p, body));
     }
 
     if failed > 0 || !inert {

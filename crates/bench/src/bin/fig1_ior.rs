@@ -5,28 +5,28 @@
 //! (panel c), and the scratch-vs-scratch2 reproducibility comparison;
 //! exports the series as CSV under `results/`.
 //!
-//! Usage: `fig1_ior [--scale N] [--fault <plan>] [--fault-schedule <spec>]` (scale 1 = the
-//! paper's size; `--fault` re-runs the experiment under a named fault
-//! plan, e.g. `slow-ost`).
+//! Usage: `fig1_ior [--scale N] [--fault <plan>] [--fault-schedule <spec>]`
+//! (scale 1 = the paper's size; `--fault` re-runs the experiment under a
+//! named fault plan, e.g. `slow-ost`).
 
 use pio_bench::fig1;
 use pio_bench::util::{
-    fault_or_schedule_from_args, print_rows, print_stdout, reject_unknown_flags, results_dir,
-    scale_from_args, Row,
+    fault_plan, positive, print_rows, print_stdout, results_dir, write_or_exit, Args, Row,
+    FIGURE_USAGE,
 };
 use pio_core::hist::Histogram;
 use pio_viz::ascii;
 use pio_viz::csv as vcsv;
 
 fn main() {
-    reject_unknown_flags(&["--scale N", "--fault <plan>", "--fault-schedule <spec>"]);
-    let scale = scale_from_args(1);
-    let fault = fault_or_schedule_from_args();
+    let args = Args::parse(&FIGURE_USAGE);
+    let scale = args.value("--scale", positive).unwrap_or(1);
+    let fault = fault_plan(&args);
     let faulted = if fault.is_some() { ", faulted" } else { "" };
     print_stdout(&format!(
         "# Figure 1 — IOR ensembles (scale 1/{scale}{faulted})\n"
     ));
-    let r = fig1::run_with_fault(scale, 1, fault);
+    let r = fig1::run(scale, 1, fault);
 
     // Panel (a): trace diagram.
     print_stdout(&format!("\n{}\n", ascii::trace_diagram(&r.trace, 24, 100)));
@@ -99,18 +99,15 @@ fn main() {
 
     // CSV exports.
     let dir = results_dir();
-    vcsv::save(&dir.join("fig1_rate_curve.csv"), |w| {
-        vcsv::rate_curve_csv(&r.rate_curve, w)
-    })
-    .expect("write fig1_rate_curve.csv");
-    vcsv::save(&dir.join("fig1_write_hist.csv"), |w| {
-        vcsv::histogram_csv(&hist, w)
-    })
-    .expect("write fig1_write_hist.csv");
+    write_or_exit(&dir.join("fig1_rate_curve.csv"), |p| {
+        vcsv::save(p, |w| vcsv::rate_curve_csv(&r.rate_curve, w))
+    });
+    write_or_exit(&dir.join("fig1_write_hist.csv"), |p| {
+        vcsv::save(p, |w| vcsv::histogram_csv(&hist, w))
+    });
     let hist2 = Histogram::from_samples(r.write_dist2.samples(), 48);
-    vcsv::save(&dir.join("fig1_write_hist_scratch2.csv"), |w| {
-        vcsv::histogram_csv(&hist2, w)
-    })
-    .expect("write fig1_write_hist_scratch2.csv");
+    write_or_exit(&dir.join("fig1_write_hist_scratch2.csv"), |p| {
+        vcsv::save(p, |w| vcsv::histogram_csv(&hist2, w))
+    });
     print_stdout(&format!("CSV series written to {}\n", dir.display()));
 }

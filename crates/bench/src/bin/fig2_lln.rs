@@ -10,22 +10,22 @@
 
 use pio_bench::fig2;
 use pio_bench::util::{
-    fault_or_schedule_from_args, print_rows, print_stdout, reject_unknown_flags, results_dir,
-    scale_from_args, Row,
+    fault_plan, positive, print_rows, print_stdout, results_dir, write_or_exit, Args, Row,
+    FIGURE_USAGE,
 };
 use pio_core::hist::Histogram;
 use pio_viz::ascii;
 use pio_viz::csv as vcsv;
 
 fn main() {
-    reject_unknown_flags(&["--scale N", "--fault <plan>", "--fault-schedule <spec>"]);
-    let scale = scale_from_args(1);
-    let fault = fault_or_schedule_from_args();
+    let args = Args::parse(&FIGURE_USAGE);
+    let scale = args.value("--scale", positive).unwrap_or(1);
+    let fault = fault_plan(&args);
     let faulted = if fault.is_some() { ", faulted" } else { "" };
     print_stdout(&format!(
         "# Figure 2 — Law of Large Numbers (scale 1/{scale}{faulted})\n"
     ));
-    let rows = fig2::run_with_fault(scale, 21, fault);
+    let rows = fig2::run(scale, 21, fault);
 
     for r in &rows {
         let hist = Histogram::from_samples(r.tk_dist.samples(), 32);
@@ -77,16 +77,14 @@ fn main() {
         .iter()
         .map(|r| (r.k as f64, r.rate_mb_s * scale_f))
         .collect();
-    vcsv::save(&dir.join("fig2_rate_vs_k.csv"), |w| {
-        vcsv::xy_csv("k,rate_mb_s", &series, w)
-    })
-    .expect("write fig2_rate_vs_k.csv");
+    write_or_exit(&dir.join("fig2_rate_vs_k.csv"), |p| {
+        vcsv::save(p, |w| vcsv::xy_csv("k,rate_mb_s", &series, w))
+    });
     for r in &rows {
         let hist = Histogram::from_samples(r.tk_dist.samples(), 32);
-        vcsv::save(&dir.join(format!("fig2_tk_hist_k{}.csv", r.k)), |w| {
-            vcsv::histogram_csv(&hist, w)
-        })
-        .expect("write fig2 histogram csv");
+        write_or_exit(&dir.join(format!("fig2_tk_hist_k{}.csv", r.k)), |p| {
+            vcsv::save(p, |w| vcsv::histogram_csv(&hist, w))
+        });
     }
     print_stdout(&format!("CSV series written to {}\n", dir.display()));
 }

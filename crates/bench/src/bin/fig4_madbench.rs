@@ -6,23 +6,23 @@
 
 use pio_bench::fig4;
 use pio_bench::util::{
-    fault_or_schedule_from_args, print_rows, print_stdout, reject_unknown_flags, results_dir,
-    scale_from_args, Row,
+    fault_plan, positive, print_rows, print_stdout, results_dir, write_or_exit, Args, Row,
+    FIGURE_USAGE,
 };
 use pio_fs::FsConfig;
 use pio_viz::ascii;
 use pio_viz::csv as vcsv;
 
 fn main() {
-    reject_unknown_flags(&["--scale N", "--fault <plan>", "--fault-schedule <spec>"]);
-    let scale = scale_from_args(1);
-    let fault = fault_or_schedule_from_args();
+    let args = Args::parse(&FIGURE_USAGE);
+    let scale = args.value("--scale", positive).unwrap_or(1);
+    let fault = fault_plan(&args);
     let faulted = if fault.is_some() { ", faulted" } else { "" };
     print_stdout(&format!(
         "# Figure 4 — MADbench on Franklin vs Jaguar (scale 1/{scale}{faulted})\n"
     ));
-    let franklin = fig4::run_with_fault(FsConfig::franklin(), scale, 5, fault.clone());
-    let jaguar = fig4::run_with_fault(FsConfig::jaguar(), scale, 5, fault);
+    let franklin = fig4::run(FsConfig::franklin(), scale, 5, fault.clone());
+    let jaguar = fig4::run(FsConfig::jaguar(), scale, 5, fault);
 
     for r in [&franklin, &jaguar] {
         print_stdout(&format!(
@@ -82,18 +82,15 @@ fn main() {
     let dir = results_dir();
     for r in [&franklin, &jaguar] {
         let base = format!("fig4_{}", r.platform.replace(['-', '/'], "_"));
-        vcsv::save(&dir.join(format!("{base}_read_hist.csv")), |w| {
-            vcsv::log_histogram_csv(&r.read_hist, w)
-        })
-        .expect("csv");
-        vcsv::save(&dir.join(format!("{base}_write_hist.csv")), |w| {
-            vcsv::log_histogram_csv(&r.write_hist, w)
-        })
-        .expect("csv");
-        vcsv::save(&dir.join(format!("{base}_read_rate.csv")), |w| {
-            vcsv::rate_curve_csv(&r.read_rate, w)
-        })
-        .expect("csv");
+        write_or_exit(&dir.join(format!("{base}_read_hist.csv")), |p| {
+            vcsv::save(p, |w| vcsv::log_histogram_csv(&r.read_hist, w))
+        });
+        write_or_exit(&dir.join(format!("{base}_write_hist.csv")), |p| {
+            vcsv::save(p, |w| vcsv::log_histogram_csv(&r.write_hist, w))
+        });
+        write_or_exit(&dir.join(format!("{base}_read_rate.csv")), |p| {
+            vcsv::save(p, |w| vcsv::rate_curve_csv(&r.read_rate, w))
+        });
     }
     print_stdout(&format!("\nCSV series written to {}\n", dir.display()));
 }

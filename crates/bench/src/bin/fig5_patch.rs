@@ -6,16 +6,14 @@
 //! Usage: `fig5_patch [--scale N]`.
 
 use pio_bench::fig5;
-use pio_bench::util::{
-    print_rows, print_stdout, reject_unknown_flags, results_dir, scale_from_args, Row,
-};
+use pio_bench::util::{positive, print_rows, print_stdout, results_dir, write_or_exit, Args, Row};
 use pio_core::compare;
 use pio_viz::ascii;
 use pio_viz::csv as vcsv;
 
 fn main() {
-    reject_unknown_flags(&["--scale N"]);
-    let scale = scale_from_args(1);
+    let args = Args::parse(&["--scale N"]);
+    let scale = args.value("--scale", positive).unwrap_or(1);
     print_stdout(&format!(
         "# Figure 5 — the Lustre strided read-ahead bug (scale 1/{scale})\n"
     ));
@@ -85,18 +83,17 @@ fn main() {
 
     let dir = results_dir();
     for (m, d) in &r.phase_reads {
-        vcsv::save(&dir.join(format!("fig5_progress_read{m}.csv")), |w| {
-            vcsv::xy_csv("t_s,fraction_complete", &d.progress_curve(), w)
-        })
-        .expect("csv");
+        write_or_exit(&dir.join(format!("fig5_progress_read{m}.csv")), |p| {
+            vcsv::save(p, |w| {
+                vcsv::xy_csv("t_s,fraction_complete", &d.progress_curve(), w)
+            })
+        });
     }
-    vcsv::save(&dir.join("fig5_read_hist_before.csv"), |w| {
-        vcsv::log_histogram_csv(&r.before.read_hist, w)
-    })
-    .expect("csv");
-    vcsv::save(&dir.join("fig5_read_hist_after.csv"), |w| {
-        vcsv::log_histogram_csv(&r.after.read_hist, w)
-    })
-    .expect("csv");
+    write_or_exit(&dir.join("fig5_read_hist_before.csv"), |p| {
+        vcsv::save(p, |w| vcsv::log_histogram_csv(&r.before.read_hist, w))
+    });
+    write_or_exit(&dir.join("fig5_read_hist_after.csv"), |p| {
+        vcsv::save(p, |w| vcsv::log_histogram_csv(&r.after.read_hist, w))
+    });
     print_stdout(&format!("\nCSV series written to {}\n", dir.display()));
 }

@@ -8,22 +8,22 @@
 
 use pio_bench::fig6;
 use pio_bench::util::{
-    fault_or_schedule_from_args, print_rows, print_stdout, reject_unknown_flags, results_dir,
-    scale_from_args, Row,
+    fault_plan, positive, print_rows, print_stdout, results_dir, write_or_exit, Args, Row,
+    FIGURE_USAGE,
 };
 use pio_des::hist::LogHistogram;
 use pio_viz::ascii;
 use pio_viz::csv as vcsv;
 
 fn main() {
-    reject_unknown_flags(&["--scale N", "--fault <plan>", "--fault-schedule <spec>"]);
-    let scale = scale_from_args(1);
-    let fault = fault_or_schedule_from_args();
+    let args = Args::parse(&FIGURE_USAGE);
+    let scale = args.value("--scale", positive).unwrap_or(1);
+    let fault = fault_plan(&args);
     let faulted = if fault.is_some() { ", faulted" } else { "" };
     print_stdout(&format!(
         "# Figure 6 — GCRM optimization ladder (scale 1/{scale}{faulted})\n"
     ));
-    let results = fig6::run_all_with_fault(scale, 11, fault);
+    let results = fig6::run_all(scale, 11, fault);
     let dir = results_dir();
     let scale_f = scale as f64;
 
@@ -63,24 +63,21 @@ fn main() {
         }
 
         let data_hist = LogHistogram::from_samples(r.data_sec_per_mb.samples(), 60);
-        vcsv::save(
+        write_or_exit(
             &dir.join(format!("fig6_stage{}_data_secmb.csv", r.stage)),
-            |w| vcsv::log_histogram_csv(&data_hist, w),
-        )
-        .expect("csv");
+            |p| vcsv::save(p, |w| vcsv::log_histogram_csv(&data_hist, w)),
+        );
         if let Some(meta) = &r.meta_sec_per_mb {
             let meta_hist = LogHistogram::from_samples(meta.samples(), 60);
-            vcsv::save(
+            write_or_exit(
                 &dir.join(format!("fig6_stage{}_meta_secmb.csv", r.stage)),
-                |w| vcsv::log_histogram_csv(&meta_hist, w),
-            )
-            .expect("csv");
+                |p| vcsv::save(p, |w| vcsv::log_histogram_csv(&meta_hist, w)),
+            );
         }
-        vcsv::save(
+        write_or_exit(
             &dir.join(format!("fig6_stage{}_write_rate.csv", r.stage)),
-            |w| vcsv::rate_curve_csv(&r.write_rate, w),
-        )
-        .expect("csv");
+            |p| vcsv::save(p, |w| vcsv::rate_curve_csv(&r.write_rate, w)),
+        );
     }
 
     let mut rows: Vec<Row> = results

@@ -4,20 +4,20 @@
 //!
 //! Usage: `mktrace [<out>] [--format jsonl|ptb2]` (default
 //! `results/sample_trace.jsonl`). A flag it does not know (`--formt`)
-//! exits 2 with the usage line before anything is simulated or written.
-use pio_bench::util::{format_from_args, reject_unknown_flags};
+//! exits 2 with the usage line before anything is simulated or written;
+//! an output it cannot write exits 1 naming the path.
+use pio_bench::util::{trace_format, write_or_exit, Args};
 use pio_fs::FsConfig;
 use pio_mpi::{RunConfig, Runner};
 use pio_trace::TraceFormat;
 use pio_workloads::IorConfig;
+use std::path::Path;
 
 fn main() {
-    let path = reject_unknown_flags(&["[<out>]", "--format jsonl|ptb2"])
-        .into_iter()
-        .next()
-        .unwrap_or_else(|| "results/sample_trace.jsonl".into());
-    let format = format_from_args().unwrap_or_else(|| {
-        TraceFormat::from_extension(std::path::Path::new(&path)).unwrap_or(TraceFormat::Jsonl)
+    let args = Args::parse(&["[<out>]", "--format jsonl|ptb2"]);
+    let path = args.positional(0).unwrap_or("results/sample_trace.jsonl");
+    let format = args.value("--format", trace_format).unwrap_or_else(|| {
+        TraceFormat::from_extension(Path::new(path)).unwrap_or(TraceFormat::Jsonl)
     });
     let cfg = IorConfig {
         repetitions: 2,
@@ -30,10 +30,12 @@ fn main() {
     )
     .execute_one()
     .unwrap();
-    if let Some(parent) = std::path::Path::new(&path).parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    pio_trace::io::save_as(res.trace(), std::path::Path::new(&path), format).unwrap();
+    write_or_exit(Path::new(path), |p| {
+        if let Some(parent) = p.parent() {
+            std::fs::create_dir_all(parent)?;
+        }
+        pio_trace::io::save_as(res.trace(), p, format)
+    });
     eprintln!(
         "wrote {} records to {path} ({})",
         res.trace().records.len(),

@@ -10,19 +10,18 @@
 //! know (`--verfy`) or a third positional exits 2 with the usage line
 //! before anything is read or written.
 
-use pio_bench::util::{format_from_args, reject_unknown_flags, usage_error};
+use pio_bench::util::{trace_format, write_or_exit, Args};
 use pio_trace::io as trace_io;
 use pio_trace::TraceFormat;
 use std::path::Path;
 
-const USAGE: [&str; 4] = ["<in>", "<out>", "--format jsonl|ptb2", "--verify"];
-
 fn main() {
-    let positional = reject_unknown_flags(&USAGE);
-    let [input, output] = &positional[..] else {
-        usage_error(&USAGE, "expected <in> and <out>");
+    let args = Args::parse(&["<in>", "<out>", "--format jsonl|ptb2", "--verify"]);
+    let (Some(input), Some(output)) = (args.positional(0), args.positional(1)) else {
+        args.usage_error("expected <in> and <out>");
     };
-    let verify = std::env::args().any(|a| a == "--verify");
+    let out_format = args.value("--format", trace_format);
+    let verify = args.switch("--verify");
     let in_path = Path::new(input);
     let out_path = Path::new(output);
 
@@ -33,7 +32,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let out_format = format_from_args()
+    let out_format = out_format
         .unwrap_or_else(|| TraceFormat::from_extension(out_path).unwrap_or(TraceFormat::Jsonl));
 
     let trace = match trace_io::load(in_path) {
@@ -43,10 +42,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    if let Err(e) = trace_io::save_as(&trace, out_path, out_format) {
-        eprintln!("trace_convert: cannot write {output}: {e}");
-        std::process::exit(1);
-    }
+    write_or_exit(out_path, |p| trace_io::save_as(&trace, p, out_format));
     let out_bytes = std::fs::metadata(out_path).map(|m| m.len()).unwrap_or(0);
     eprintln!(
         "{}: {} records, {} -> {} ({} bytes)",

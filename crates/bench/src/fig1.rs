@@ -12,6 +12,8 @@ use pio_core::distance::ks_statistic;
 use pio_core::empirical::EmpiricalDist;
 use pio_core::modes::{find_modes, harmonic_structure, HarmonicStructure, Mode};
 use pio_core::rates::{write_rate_curve, RateCurve};
+use pio_fault::FaultPlan;
+use pio_mpi::{RunConfig, Runner};
 use pio_trace::{CallKind, Trace};
 use pio_workloads::presets::fig1_ior;
 
@@ -37,29 +39,26 @@ pub struct Fig1Result {
     pub trace: Trace,
 }
 
-/// Run the Figure 1 experiment at `scale` (1 = the paper's size).
-pub fn run(scale: u32, seed: u64) -> Fig1Result {
-    run_with_fault(scale, seed, None)
-}
-
-/// [`run`] under an optional fault plan (injected into both the scratch
-/// and scratch2 runs, so the reproducibility comparison stays
-/// like-for-like).
-pub fn run_with_fault(scale: u32, seed: u64, fault: Option<pio_fault::FaultPlan>) -> Fig1Result {
+/// Run the Figure 1 experiment at `scale` (1 = the paper's size), under
+/// `fault` if given (injected into both the scratch and scratch2 runs,
+/// so the reproducibility comparison stays like-for-like).
+pub fn run(scale: u32, seed: u64, fault: Option<FaultPlan>) -> Fig1Result {
     let exp = fig1_ior(seed, false, scale);
     let exp2 = fig1_ior(seed + 1, true, scale);
     let tasks = exp.job.ranks();
     let block = exp.job.total_bytes_written() as f64 / tasks as f64 / 5.0;
     let fair = block / (exp.run.fs.fabric_bw / tasks as f64);
 
-    let mut runner = pio_mpi::Runner::new(&exp.job, exp.run.clone());
-    let mut runner2 = pio_mpi::Runner::new(&exp2.job, exp2.run.clone());
-    if let Some(plan) = fault {
-        runner = runner.fault_plan(plan.clone());
-        runner2 = runner2.fault_plan(plan);
-    }
-    let res = runner.execute_one().expect("fig1 run");
-    let res2 = runner2.execute_one().expect("fig1 scratch2 run");
+    let cfg = |run: &RunConfig| RunConfig {
+        fault: fault.clone(),
+        ..run.clone()
+    };
+    let res = Runner::new(&exp.job, cfg(&exp.run))
+        .execute_one()
+        .expect("fig1 run");
+    let res2 = Runner::new(&exp2.job, cfg(&exp2.run))
+        .execute_one()
+        .expect("fig1 scratch2 run");
 
     let write_dist = dist_of(res.trace(), CallKind::Write).expect("writes");
     let write_dist2 = dist_of(res2.trace(), CallKind::Write).expect("writes");
@@ -88,7 +87,7 @@ mod tests {
     #[test]
     fn scaled_fig1_shows_the_papers_structure() {
         // 1/16 scale: 64 tasks × 32 MB × 5 phases.
-        let r = run(16, 42);
+        let r = run(16, 42, None);
         assert!(r.runtime_s > 0.0);
         // Five write phases → 5 write calls per task.
         assert_eq!(r.write_dist.n() as u32, 64 * 5);

@@ -10,6 +10,8 @@
 
 use pio_core::empirical::EmpiricalDist;
 use pio_core::lln;
+use pio_fault::FaultPlan;
+use pio_mpi::{RunConfig, Runner};
 use pio_trace::CallKind;
 use pio_workloads::presets::fig2_ior;
 
@@ -36,23 +38,18 @@ pub struct Fig2Row {
 pub const PAPER_RATES: [(u32, f64); 4] =
     [(1, 11_610.0), (2, 12_016.0), (4, 13_446.0), (8, 13_486.0)];
 
-/// Run the sweep at `scale` and compute per-k rows.
-pub fn run(scale: u32, seed: u64) -> Vec<Fig2Row> {
-    run_with_fault(scale, seed, None)
-}
-
-/// [`run`] under an optional fault plan (applied to every k, so the
-/// sweep compares like against like).
-pub fn run_with_fault(scale: u32, seed: u64, fault: Option<pio_fault::FaultPlan>) -> Vec<Fig2Row> {
+/// Run the sweep at `scale` and compute per-k rows, under `fault` if
+/// given (applied to every k, so the sweep compares like against like).
+pub fn run(scale: u32, seed: u64, fault: Option<FaultPlan>) -> Vec<Fig2Row> {
     let mut rows = Vec::new();
     let mut rate1 = None;
     for &(k, paper_rate) in &PAPER_RATES {
         let exp = fig2_ior(k, seed + k as u64, scale);
-        let mut runner = pio_mpi::Runner::new(&exp.job, exp.run.clone());
-        if let Some(plan) = &fault {
-            runner = runner.fault_plan(plan.clone());
-        }
-        let res = runner.execute_one().expect("fig2 run");
+        let cfg = RunConfig {
+            fault: fault.clone(),
+            ..exp.run.clone()
+        };
+        let res = Runner::new(&exp.job, cfg).execute_one().expect("fig2 run");
         let total_mb = res.stats.bytes_written as f64 / 1e6;
         // "The run time for an experiment, and therefore the reported
         // data rate, is determined by the slowest I/O operation amongst
@@ -97,7 +94,7 @@ mod tests {
 
     #[test]
     fn rate_improves_with_k_and_tk_narrows() {
-        let rows = run(16, 7);
+        let rows = run(16, 7, None);
         assert_eq!(rows.len(), 4);
         // The paper's direction: k=8 beats k=1 and t_k narrows.
         assert!(
@@ -120,7 +117,7 @@ mod tests {
 
     #[test]
     fn prediction_is_monotone() {
-        let rows = run(32, 3);
+        let rows = run(32, 3, None);
         let pred = predict_from_k1(&rows);
         assert_eq!(pred.len(), 4);
         for w in pred.windows(2) {

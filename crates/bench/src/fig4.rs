@@ -8,7 +8,9 @@ use pio_core::diagnosis::{detect_right_shoulder, Finding, Thresholds};
 use pio_core::empirical::EmpiricalDist;
 use pio_core::rates::{read_rate_curve, write_rate_curve, RateCurve};
 use pio_des::hist::LogHistogram;
+use pio_fault::FaultPlan;
 use pio_fs::FsConfig;
+use pio_mpi::{RunConfig, Runner};
 use pio_trace::{CallKind, Trace};
 use pio_workloads::presets::fig4_madbench;
 
@@ -38,24 +40,11 @@ pub struct Fig4Result {
     pub trace: Trace,
 }
 
-/// Run MADbench on `platform` at `scale`.
-pub fn run(platform: FsConfig, scale: u32, seed: u64) -> Fig4Result {
-    run_with_fault(platform, scale, seed, None)
-}
-
-/// [`run`] under an optional fault plan.
-pub fn run_with_fault(
-    platform: FsConfig,
-    scale: u32,
-    seed: u64,
-    fault: Option<pio_fault::FaultPlan>,
-) -> Fig4Result {
+/// Run MADbench on `platform` at `scale`, under `fault` if given.
+pub fn run(platform: FsConfig, scale: u32, seed: u64, fault: Option<FaultPlan>) -> Fig4Result {
     let exp = fig4_madbench(platform, seed, scale);
-    let mut runner = pio_mpi::Runner::new(&exp.job, exp.run.clone());
-    if let Some(plan) = fault {
-        runner = runner.fault_plan(plan);
-    }
-    let res = runner.execute_one().expect("fig4 run");
+    let cfg = RunConfig { fault, ..exp.run };
+    let res = Runner::new(&exp.job, cfg).execute_one().expect("fig4 run");
     let read_dist = dist_of(res.trace(), CallKind::Read).expect("reads");
     let write_dist = dist_of(res.trace(), CallKind::Write).expect("writes");
     let read_hist = LogHistogram::from_samples(read_dist.samples(), 60);
@@ -82,8 +71,8 @@ mod tests {
 
     #[test]
     fn franklin_vs_jaguar_shapes() {
-        let franklin = run(FsConfig::franklin(), 16, 5);
-        let jaguar = run(FsConfig::jaguar(), 16, 5);
+        let franklin = run(FsConfig::franklin(), 16, 5, None);
+        let jaguar = run(FsConfig::jaguar(), 16, 5, None);
         // Franklin hits the bug; Jaguar does not.
         assert!(franklin.degraded_reads > 0, "Franklin must degrade");
         assert_eq!(jaguar.degraded_reads, 0, "Jaguar must not");

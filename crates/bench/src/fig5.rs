@@ -30,8 +30,8 @@ pub struct Fig5Result {
 
 /// Run both configurations at `scale`.
 pub fn run(scale: u32, seed: u64) -> Fig5Result {
-    let before = fig4::run(FsConfig::franklin(), scale, seed);
-    let after = fig4::run(FsConfig::franklin_patched(), scale, seed);
+    let before = fig4::run(FsConfig::franklin(), scale, seed, None);
+    let after = fig4::run(FsConfig::franklin_patched(), scale, seed, None);
     let cfg = MadbenchConfig::paper().scaled(scale);
 
     // Middle-phase reads, one distribution per read index.

@@ -8,6 +8,8 @@
 use pio_core::diagnosis::{detect_serialized_rank, Finding, Thresholds};
 use pio_core::empirical::EmpiricalDist;
 use pio_core::rates::{sec_per_mb_samples, write_rate_curve, RateCurve};
+use pio_fault::FaultPlan;
+use pio_mpi::{RunConfig, Runner};
 use pio_trace::{CallKind, Trace};
 use pio_workloads::presets::fig6_gcrm;
 
@@ -46,24 +48,11 @@ pub const LABELS: [&str; 4] = [
     "+ metadata aggregation",
 ];
 
-/// Run one stage at `scale`.
-pub fn run(stage: u32, scale: u32, seed: u64) -> Fig6Result {
-    run_with_fault(stage, scale, seed, None)
-}
-
-/// [`run`] under an optional fault plan.
-pub fn run_with_fault(
-    stage: u32,
-    scale: u32,
-    seed: u64,
-    fault: Option<pio_fault::FaultPlan>,
-) -> Fig6Result {
+/// Run one stage at `scale`, under `fault` if given.
+pub fn run(stage: u32, scale: u32, seed: u64, fault: Option<FaultPlan>) -> Fig6Result {
     let exp = fig6_gcrm(stage, seed, scale);
-    let mut runner = pio_mpi::Runner::new(&exp.job, exp.run.clone());
-    if let Some(plan) = fault {
-        runner = runner.fault_plan(plan);
-    }
-    let res = runner.execute_one().expect("fig6 run");
+    let cfg = RunConfig { fault, ..exp.run };
+    let res = Runner::new(&exp.job, cfg).execute_one().expect("fig6 run");
     let data: Vec<f64> = sec_per_mb_samples(res.trace(), |r| r.call == CallKind::Write);
     let meta: Vec<f64> = sec_per_mb_samples(res.trace(), |r| {
         matches!(r.call, CallKind::MetaWrite | CallKind::MetaRead)
@@ -87,20 +76,9 @@ pub fn run_with_fault(
     }
 }
 
-/// Run the whole ladder.
-pub fn run_all(scale: u32, seed: u64) -> Vec<Fig6Result> {
-    run_all_with_fault(scale, seed, None)
-}
-
-/// [`run_all`] under an optional fault plan (same plan every stage).
-pub fn run_all_with_fault(
-    scale: u32,
-    seed: u64,
-    fault: Option<pio_fault::FaultPlan>,
-) -> Vec<Fig6Result> {
-    (0..4)
-        .map(|s| run_with_fault(s, scale, seed, fault.clone()))
-        .collect()
+/// Run the whole ladder, under `fault` if given (same plan every stage).
+pub fn run_all(scale: u32, seed: u64, fault: Option<FaultPlan>) -> Vec<Fig6Result> {
+    (0..4).map(|s| run(s, scale, seed, fault.clone())).collect()
 }
 
 #[cfg(test)]
@@ -109,7 +87,7 @@ mod tests {
 
     #[test]
     fn ladder_improves_and_mechanisms_match() {
-        let results = run_all(64, 13); // 160 tasks
+        let results = run_all(64, 13, None); // 160 tasks
         let times: Vec<f64> = results.iter().map(|r| r.runtime_s).collect();
         // Headline: >2x from baseline to final stage even at small scale.
         assert!(times[3] < times[0] / 1.5, "ladder must improve: {times:?}");

@@ -4,7 +4,7 @@ use pio_core::empirical::EmpiricalDist;
 use pio_fault::{Fault, FaultPlan, FaultSchedule};
 use pio_trace::{CallKind, Trace, TraceFormat};
 use std::io::{ErrorKind, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Write `text` to stdout and flush it. A reader that has gone away
 /// (`analyze trace.jsonl | head -3`) only ends the printing: the
@@ -22,127 +22,196 @@ pub fn print_stdout(text: &str) {
     }
 }
 
-/// Exit 2 with the usage line unless every argument is one of `known`,
-/// the value that follows one, or a positional `known` declares. Each
-/// entry is written as the usage line shows it: a flag and its value
-/// (`"--scale N"`), a switch that takes no value (`"--stream"`), or a
-/// positional (`"<trace>"`, anything not starting with `-`). Without
-/// this, a typo (`--scael 64`, `--strem`) or a retired flag silently
-/// runs the default. Returns the positional arguments in order; fewer
-/// than declared is the caller's to judge (see [`usage_error`]).
-pub fn reject_unknown_flags(known: &[&str]) -> Vec<String> {
-    let args: Vec<String> = std::env::args().collect();
-    check_flags(args.get(1..).unwrap_or_default(), known)
-        .unwrap_or_else(|msg| usage_error(known, &msg))
+/// Write the file at `path` through `write`, or exit 1 with a message
+/// naming the path: an output a binary cannot write fails the run
+/// instead of panicking.
+pub fn write_or_exit(path: &Path, write: impl FnOnce(&Path) -> std::io::Result<()>) {
+    if let Err(e) = write(path) {
+        eprintln!("error: cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
 }
 
-/// Exit 2 with `msg` and the usage line built from `known` (flags and
-/// switches bracketed, positionals as declared).
-pub fn usage_error(known: &[&str], msg: &str) -> ! {
-    let program = std::env::args().next().unwrap_or_else(|| "bench".into());
-    let usage: Vec<String> = known
-        .iter()
-        .map(|k| {
-            if k.starts_with('-') {
-                format!("[{k}]")
-            } else {
-                k.to_string()
+/// A binary's command line, read once and checked against its usage.
+///
+/// The usage is a list of entries written as the usage line shows them:
+/// a flag and its value (`"--scale N"`), a switch that takes no value
+/// (`"--stream"`), or a positional (`"<trace>"`, anything not starting
+/// with `-`). A flag owns the next argument unless that argument is
+/// itself a declared flag or switch, which leaves the flag without its
+/// value (`--out --scale 4` is an error, never a file named `--scale`);
+/// positionals fill their declared slots in order (fewer than declared is
+/// the caller's to judge); a flag given more than once has every value
+/// checked and the last one wins. Without this check a typo
+/// (`--scael 64`, `--strem`) or a retired flag would silently run the
+/// default.
+#[derive(Debug)]
+pub struct Args {
+    program: String,
+    usage: Vec<String>,
+    positionals: Vec<String>,
+    /// Flags and switches in the order given; a switch has no value.
+    given: Vec<(String, Option<String>)>,
+}
+
+impl Args {
+    /// Read argv against `usage`. An unknown flag, a flag without its
+    /// value or a positional beyond the declared slots exits 2 with the
+    /// usage line ([`Args::usage_error`]).
+    pub fn parse(usage: &[&str]) -> Args {
+        let mut argv = std::env::args();
+        let mut args = Args::new(argv.next().unwrap_or_else(|| "bench".into()), usage);
+        if let Err(msg) = args.read(argv) {
+            args.usage_error(&msg);
+        }
+        args
+    }
+
+    fn new(program: String, usage: &[&str]) -> Args {
+        Args {
+            program,
+            usage: usage.iter().map(|u| u.to_string()).collect(),
+            positionals: Vec::new(),
+            given: Vec::new(),
+        }
+    }
+
+    /// The testable core of [`Args::parse`]: `argv` without the program
+    /// name.
+    fn read(&mut self, argv: impl IntoIterator<Item = String>) -> Result<(), String> {
+        let slots = self.usage.iter().filter(|u| !u.starts_with('-')).count();
+        let mut rest = argv.into_iter();
+        while let Some(arg) = rest.next() {
+            match self.entry(&arg).map(|u| u.contains(' ')) {
+                Some(true) => match rest.next() {
+                    Some(value) if self.entry(&value).is_none() => {
+                        self.given.push((arg, Some(value)));
+                    }
+                    _ => return Err(format!("{arg} requires a value")),
+                },
+                Some(false) => self.given.push((arg, None)),
+                None if arg.starts_with('-') => return Err(format!("unknown flag {arg:?}")),
+                None if self.positionals.len() < slots => self.positionals.push(arg),
+                None => return Err(format!("unexpected argument {arg:?}")),
             }
-        })
-        .collect();
-    eprintln!("error: {msg}");
-    eprintln!("usage: {program} {}", usage.join(" "));
-    std::process::exit(2);
-}
+        }
+        Ok(())
+    }
 
-/// The testable core of [`reject_unknown_flags`]: `args` without the
-/// program name; returns the positionals.
-fn check_flags(args: &[String], known: &[&str]) -> Result<Vec<String>, String> {
-    let slots = known.iter().filter(|k| !k.starts_with('-')).count();
-    let mut positionals = Vec::new();
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        if let Some(flag) = known
+    /// The `i`-th positional argument, if given.
+    pub fn positional(&self, i: usize) -> Option<&str> {
+        self.positionals.get(i).map(String::as_str)
+    }
+
+    /// Whether the switch `flag` was given.
+    pub fn switch(&self, flag: &str) -> bool {
+        debug_assert!(self.entry(flag).is_some(), "{flag} is not in the usage");
+        self.given.iter().any(|(f, _)| f == flag)
+    }
+
+    /// Every value given for `flag`, in order (for repeatable flags).
+    pub fn values(&self, flag: &str) -> Vec<String> {
+        debug_assert!(self.entry(flag).is_some(), "{flag} is not in the usage");
+        self.given
             .iter()
-            .find(|k| k.starts_with('-') && k.split(' ').next() == Some(arg.as_str()))
-        {
-            if flag.contains(' ') {
-                // The flag owns the next argument, whatever it looks
-                // like; the flag's own parser judges it.
-                rest.next();
-            }
-        } else if arg.starts_with('-') {
-            return Err(format!("unknown flag {arg:?}"));
-        } else if positionals.len() < slots {
-            positionals.push(arg.clone());
-        } else {
-            return Err(format!("unexpected argument {arg:?}"));
-        }
+            .filter(|(f, _)| f == flag)
+            .filter_map(|(_, v)| v.clone())
+            .collect()
     }
-    Ok(positionals)
-}
 
-/// Parse `--scale N` from argv (default `default`). Scale divides task
-/// counts and transfer sizes so the full experiments can be smoke-run
-/// quickly; scale 1 is the paper's configuration.
-///
-/// A malformed or missing value after `--scale` is an error, not a
-/// silent fall-through to the default: exits with status 2.
-pub fn scale_from_args(default: u32) -> u32 {
-    let args: Vec<String> = std::env::args().collect();
-    match parse_scale(&args, default) {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("usage: {} [--scale N]", args.first().map_or("bench", |a| a));
-            std::process::exit(2);
-        }
+    /// The last value given for `flag`, read by `parse`; `None` when the
+    /// flag is absent. A value `parse` rejects exits 2 with the usage
+    /// line.
+    pub fn value<T>(&self, flag: &str, parse: fn(&str) -> Result<T, String>) -> Option<T> {
+        self.try_value(flag, parse)
+            .unwrap_or_else(|msg| self.usage_error(&msg))
     }
-}
 
-/// The testable core of [`scale_from_args`]: find `--scale N` in `args`.
-pub fn parse_scale(args: &[String], default: u32) -> Result<u32, String> {
-    let mut scale = default;
-    for (i, arg) in args.iter().enumerate() {
-        if arg == "--scale" {
-            let raw = args
-                .get(i + 1)
-                .ok_or_else(|| "--scale requires a value".to_string())?;
-            let v: u32 = raw.parse().map_err(|_| {
-                format!("invalid --scale value {raw:?}: expected a positive integer")
-            })?;
-            if v == 0 {
-                return Err("--scale must be at least 1".to_string());
-            }
-            scale = v;
+    /// The testable core of [`Args::value`].
+    fn try_value<T>(
+        &self,
+        flag: &str,
+        parse: fn(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        let mut last = None;
+        for raw in self.values(flag) {
+            last = Some(parse(&raw).map_err(|e| format!("{flag}: {e}"))?);
         }
+        Ok(last)
     }
-    Ok(scale)
-}
 
-/// Parse `--fault <plan>` from argv; `None` when the flag is absent, so
-/// every figure driver can re-run its experiment under a named fault
-/// plan without changing its clean-run default.
-///
-/// Like [`scale_from_args`], a malformed plan name is an error (exit 2),
-/// not a silent clean run — a typo must never masquerade as a baseline.
-pub fn fault_from_args() -> Option<FaultPlan> {
-    let args: Vec<String> = std::env::args().collect();
-    match parse_fault(&args) {
-        Ok(plan) => plan,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: {} [--scale N] [--fault {}]",
-                args.first().map_or("bench", |a| a),
-                FAULT_PLAN_NAMES.join("|"),
-            );
-            std::process::exit(2);
-        }
+    /// The usage entry of the flag or switch `flag`, if it is declared.
+    fn entry(&self, flag: &str) -> Option<&str> {
+        self.usage
+            .iter()
+            .find(|u| u.starts_with('-') && u.split(' ').next() == Some(flag))
+            .map(String::as_str)
+    }
+
+    /// Exit 2 with `msg` and the binary's one usage line (flags and
+    /// switches bracketed, positionals as declared).
+    pub fn usage_error(&self, msg: &str) -> ! {
+        let usage: Vec<String> = self
+            .usage
+            .iter()
+            .map(|u| {
+                if u.starts_with('-') {
+                    format!("[{u}]")
+                } else {
+                    u.clone()
+                }
+            })
+            .collect();
+        eprintln!("error: {msg}");
+        eprintln!("usage: {} {}", self.program, usage.join(" "));
+        std::process::exit(2);
     }
 }
 
-/// The named plans [`parse_fault`] accepts.
+/// The usage of the figure drivers that re-run their experiment under a
+/// fault plan (see [`fault_plan`]).
+pub const FIGURE_USAGE: [&str; 3] = [
+    "--scale N",
+    "--fault <plan>",
+    "--fault-schedule <plan>[@START..END][~RAMP],...",
+];
+
+/// Value parser for `--scale` and other counts: a positive integer.
+/// Scale divides task counts and transfer sizes so the full experiments
+/// can be smoke-run quickly; scale 1 is the paper's configuration.
+pub fn positive(raw: &str) -> Result<u32, String> {
+    match raw.parse::<u32>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("expected a positive integer, got {raw:?}")),
+    }
+}
+
+/// Value parser for a path (any string).
+pub fn file_path(raw: &str) -> Result<PathBuf, String> {
+    Ok(PathBuf::from(raw))
+}
+
+/// Value parser for `--format jsonl|ptb2`.
+pub fn trace_format(raw: &str) -> Result<TraceFormat, String> {
+    TraceFormat::from_name(raw)
+        .ok_or_else(|| format!("unknown format {raw:?}: expected jsonl or ptb2"))
+}
+
+/// The run's fault plan from `--fault` and `--fault-schedule`: either
+/// flag alone yields its plan, both together merge into one compound
+/// plan (the named plan whole-run, the scheduled entries on their
+/// windows). `None` when neither is given — the clean run. A malformed
+/// plan exits 2: a typo must never masquerade as a baseline.
+pub fn fault_plan(args: &Args) -> Option<FaultPlan> {
+    let named = args.value("--fault", named_fault_plan);
+    let scheduled = args.value("--fault-schedule", fault_plan_from_spec);
+    match (named, scheduled) {
+        (Some(named), Some(scheduled)) => Some(named.merged(&scheduled)),
+        (named, scheduled) => named.or(scheduled),
+    }
+}
+
+/// The named plans [`named_fault_plan`] accepts.
 pub const FAULT_PLAN_NAMES: [&str; 5] = [
     "slow-ost",
     "flaky-fabric",
@@ -150,21 +219,6 @@ pub const FAULT_PLAN_NAMES: [&str; 5] = [
     "straggler",
     "drop-retry",
 ];
-
-/// The testable core of [`fault_from_args`]: find `--fault <plan>` in
-/// `args` (last occurrence wins, matching `--scale`).
-pub fn parse_fault(args: &[String]) -> Result<Option<FaultPlan>, String> {
-    let mut plan = None;
-    for (i, arg) in args.iter().enumerate() {
-        if arg == "--fault" {
-            let raw = args
-                .get(i + 1)
-                .ok_or_else(|| "--fault requires a plan name".to_string())?;
-            plan = Some(named_fault_plan(raw)?);
-        }
-    }
-    Ok(plan)
-}
 
 /// A named single-fault plan with representative parameters — strong
 /// enough that every driver's ensemble shows the fault's shape
@@ -201,7 +255,7 @@ pub fn named_fault_plan(name: &str) -> Result<FaultPlan, String> {
         }),
         other => {
             return Err(format!(
-                "unknown --fault plan {other:?}: expected one of {}",
+                "unknown fault plan {other:?}: expected one of {}",
                 FAULT_PLAN_NAMES.join(", ")
             ))
         }
@@ -215,9 +269,9 @@ pub fn named_fault_plan(name: &str) -> Result<FaultPlan, String> {
 /// nobody can interpret), so the parser refuses it.
 pub const MAX_SCHEDULED_FAULTS: usize = 8;
 
-/// Parse `--fault-schedule <spec>` from argv; `None` when the flag is
-/// absent. The spec is a comma-separated list of scheduled fault
-/// entries, each `name[@START..END][~RAMP]`:
+/// Build a [`FaultPlan`] from a schedule spec, the `--fault-schedule`
+/// grammar: a comma-separated list of entries, each
+/// `name[@START..END][~RAMP]`:
 ///
 /// * `name` — one of [`FAULT_PLAN_NAMES`], with the same representative
 ///   parameters `--fault` uses;
@@ -225,51 +279,17 @@ pub const MAX_SCHEDULED_FAULTS: usize = 8;
 ///   whole run);
 /// * `~RAMP` — linear ramp-in length at the head of the window.
 ///
-/// `slow-ost@0..2,flaky-fabric@2..64~1.2` is the corpus's
-/// time-disjoint compound plan. Like [`scale_from_args`], a malformed
-/// spec is an error (exit 2), never a silent clean run.
-pub fn fault_schedule_from_args() -> Option<FaultPlan> {
-    let args: Vec<String> = std::env::args().collect();
-    match parse_fault_schedule(&args) {
-        Ok(plan) => plan,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: {} [--fault-schedule name[@START..END][~RAMP],...]  (names: {})",
-                args.first().map_or("bench", |a| a),
-                FAULT_PLAN_NAMES.join("|"),
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The testable core of [`fault_schedule_from_args`]: find
-/// `--fault-schedule <spec>` in `args` (last occurrence wins).
-pub fn parse_fault_schedule(args: &[String]) -> Result<Option<FaultPlan>, String> {
-    let mut plan = None;
-    for (i, arg) in args.iter().enumerate() {
-        if arg == "--fault-schedule" {
-            let raw = args
-                .get(i + 1)
-                .ok_or_else(|| "--fault-schedule requires a spec".to_string())?;
-            plan = Some(fault_plan_from_spec(raw)?);
-        }
-    }
-    Ok(plan)
-}
-
-/// Build a [`FaultPlan`] from a schedule spec string (the
-/// `--fault-schedule` grammar). Every entry is validated: unknown fault
-/// names, windows that end at or before their start, negative starts or
-/// ramps, and plans stacking more than [`MAX_SCHEDULED_FAULTS`]
-/// concurrently active faults are all hard errors.
+/// `slow-ost@0..2,flaky-fabric@2..64~1.2` is the corpus's time-disjoint
+/// compound plan. Every entry is validated: unknown fault names, windows
+/// that end at or before their start, negative starts or ramps, and
+/// plans stacking more than [`MAX_SCHEDULED_FAULTS`] concurrently active
+/// faults are all errors, never a silent clean run.
 pub fn fault_plan_from_spec(spec: &str) -> Result<FaultPlan, String> {
     let mut plan = FaultPlan::new();
     for entry in spec.split(',') {
         let entry = entry.trim();
         if entry.is_empty() {
-            return Err(format!("empty entry in --fault-schedule spec {spec:?}"));
+            return Err(format!("empty entry in spec {spec:?}"));
         }
         let (fault, schedule) = parse_schedule_entry(entry)?;
         plan = plan.with_scheduled(fault, schedule);
@@ -277,7 +297,7 @@ pub fn fault_plan_from_spec(spec: &str) -> Result<FaultPlan, String> {
     let live = plan.max_concurrent();
     if live > MAX_SCHEDULED_FAULTS {
         return Err(format!(
-            "--fault-schedule stacks {live} concurrently active faults; \
+            "the spec stacks {live} concurrently active faults; \
              at most {MAX_SCHEDULED_FAULTS} are supported"
         ));
     }
@@ -334,76 +354,6 @@ fn parse_schedule_entry(entry: &str) -> Result<(Fault, FaultSchedule), String> {
         .validate()
         .map_err(|e| format!("entry {entry:?}: {e}"))?;
     Ok((fault, schedule))
-}
-
-/// The combined `--fault` / `--fault-schedule` plan from argv: either
-/// flag alone yields its plan, both together merge into one compound
-/// plan (the named plan whole-run, the scheduled entries on their
-/// windows). `None` when neither flag is present — the clean run.
-pub fn fault_or_schedule_from_args() -> Option<FaultPlan> {
-    match (fault_from_args(), fault_schedule_from_args()) {
-        (Some(named), Some(scheduled)) => Some(named.merged(&scheduled)),
-        (named, scheduled) => named.or(scheduled),
-    }
-}
-
-/// Parse `--format jsonl|ptb2` from argv; `None` when absent so callers
-/// keep their own default (sniffing on input, JSONL on output).
-///
-/// Like [`scale_from_args`], a malformed format name is an error (exit
-/// 2), not a silent fall-through.
-pub fn format_from_args() -> Option<TraceFormat> {
-    let args: Vec<String> = std::env::args().collect();
-    match parse_format(&args) {
-        Ok(f) => f,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: {} [--format jsonl|ptb2]",
-                args.first().map_or("bench", |a| a)
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The testable core of [`format_from_args`]: find `--format <name>` in
-/// `args` (last occurrence wins, matching `--scale`).
-pub fn parse_format(args: &[String]) -> Result<Option<TraceFormat>, String> {
-    let mut format = None;
-    for (i, arg) in args.iter().enumerate() {
-        if arg == "--format" {
-            let raw = args
-                .get(i + 1)
-                .ok_or_else(|| "--format requires a value".to_string())?;
-            format = Some(
-                TraceFormat::from_name(raw)
-                    .ok_or_else(|| format!("unknown --format {raw:?}: expected jsonl or ptb2"))?,
-            );
-        }
-    }
-    Ok(format)
-}
-
-/// Parse `--out <path>` from argv; `None` when the flag is absent. The
-/// fault-matrix driver uses it to drop the rendered attribution table
-/// where CI can pick it up as a workflow artifact.
-pub fn parse_out(args: &[String]) -> Result<Option<PathBuf>, String> {
-    parse_path_flag(args, "--out")
-}
-
-/// Last occurrence of an arbitrary `--flag PATH` pair, if present.
-pub fn parse_path_flag(args: &[String], flag: &str) -> Result<Option<PathBuf>, String> {
-    let mut out = None;
-    for (i, arg) in args.iter().enumerate() {
-        if arg == flag {
-            let raw = args
-                .get(i + 1)
-                .ok_or_else(|| format!("{flag} requires a path"))?;
-            out = Some(PathBuf::from(raw));
-        }
-    }
-    Ok(out)
 }
 
 /// Output directory for CSV exports (`results/`, or `$PIO_RESULTS`).
@@ -600,68 +550,80 @@ mod tests {
         assert!(dist_of(&t, CallKind::Read).is_none());
     }
 
+    /// [`Args`] over `argv` (without the program name).
+    fn args(usage: &[&str], argv: &[&str]) -> Result<Args, String> {
+        let mut args = Args::new("bench".into(), usage);
+        args.read(argv.iter().map(|a| a.to_string()))?;
+        Ok(args)
+    }
+
     #[test]
     fn parse_scale_accepts_valid_and_rejects_malformed() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_scale(&args(&["bench"]), 16), Ok(16));
-        assert_eq!(parse_scale(&args(&["bench", "--scale", "8"]), 16), Ok(8));
+        let scale = |argv: &[&str]| -> Result<u32, String> {
+            Ok(args(&FIGURE_USAGE, argv)?
+                .try_value("--scale", positive)?
+                .unwrap_or(16))
+        };
+        assert_eq!(scale(&[]), Ok(16));
+        assert_eq!(scale(&["--scale", "8"]), Ok(8));
         // Last occurrence wins.
-        assert_eq!(
-            parse_scale(&args(&["bench", "--scale", "8", "--scale", "4"]), 16),
-            Ok(4)
-        );
+        assert_eq!(scale(&["--scale", "8", "--scale", "4"]), Ok(4));
         // Malformed values are errors, not silent defaults.
-        assert!(parse_scale(&args(&["bench", "--scale"]), 16).is_err());
-        assert!(parse_scale(&args(&["bench", "--scale", "abc"]), 16).is_err());
-        assert!(parse_scale(&args(&["bench", "--scale", "-3"]), 16).is_err());
-        assert!(parse_scale(&args(&["bench", "--scale", "0"]), 16).is_err());
-        assert!(parse_scale(&args(&["bench", "--scale", "8x"]), 16).is_err());
+        assert!(scale(&["--scale"]).is_err());
+        assert!(scale(&["--scale", "abc"]).is_err());
+        assert!(scale(&["--scale", "-3"]).is_err());
+        assert!(scale(&["--scale", "0"]).is_err());
+        assert!(scale(&["--scale", "8x"]).is_err());
+        // Every occurrence is checked, not only the one that wins.
+        assert!(scale(&["--scale", "abc", "--scale", "4"]).is_err());
     }
 
     #[test]
     fn parse_out_takes_a_path() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_out(&args(&["bench"])), Ok(None));
+        let out = |argv: &[&str]| -> Result<Option<PathBuf>, String> {
+            args(&["--out PATH"], argv)?.try_value("--out", file_path)
+        };
+        assert_eq!(out(&[]), Ok(None));
         assert_eq!(
-            parse_out(&args(&["bench", "--out", "matrix.txt"])),
+            out(&["--out", "matrix.txt"]),
             Ok(Some(PathBuf::from("matrix.txt")))
         );
-        assert!(parse_out(&args(&["bench", "--out"])).is_err());
+        assert!(out(&["--out"]).is_err());
     }
 
     #[test]
     fn parse_fault_resolves_named_plans() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_fault(&args(&["bench"])), Ok(None));
+        let fault = |argv: &[&str]| -> Result<Option<FaultPlan>, String> {
+            args(&FIGURE_USAGE, argv)?.try_value("--fault", named_fault_plan)
+        };
+        assert_eq!(fault(&[]), Ok(None));
         for name in FAULT_PLAN_NAMES {
-            let plan = parse_fault(&args(&["bench", "--fault", name]))
+            let plan = fault(&["--fault", name])
                 .expect("named plan parses")
                 .expect("plan present");
             assert!(!plan.is_empty(), "{name} produced an empty plan");
         }
         // Last occurrence wins, matching --scale.
-        let plan = parse_fault(&args(&[
-            "bench",
-            "--fault",
-            "slow-ost",
-            "--fault",
-            "mds-stall",
-        ]))
-        .unwrap()
-        .unwrap();
+        let plan = fault(&["--fault", "slow-ost", "--fault", "mds-stall"])
+            .unwrap()
+            .unwrap();
         assert_eq!(plan, named_fault_plan("mds-stall").unwrap());
         // Malformed input is an error, not a silent clean run.
-        assert!(parse_fault(&args(&["bench", "--fault"])).is_err());
-        assert!(parse_fault(&args(&["bench", "--fault", "bogus"])).is_err());
+        assert!(fault(&["--fault"]).is_err());
+        assert!(fault(&["--fault", "bogus"]).is_err());
+    }
+
+    /// `--fault-schedule` read through [`Args`].
+    fn schedule(argv: &[&str]) -> Result<Option<FaultPlan>, String> {
+        args(&FIGURE_USAGE, argv)?.try_value("--fault-schedule", fault_plan_from_spec)
     }
 
     #[test]
     fn parse_fault_schedule_builds_scheduled_plans() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_fault_schedule(&args(&["bench"])), Ok(None));
+        assert_eq!(schedule(&[]), Ok(None));
 
         // Bare name = the whole-run schedule, same fault as --fault.
-        let plan = parse_fault_schedule(&args(&["bench", "--fault-schedule", "slow-ost"]))
+        let plan = schedule(&["--fault-schedule", "slow-ost"])
             .unwrap()
             .unwrap();
         assert_eq!(plan.entries().len(), 1);
@@ -689,13 +651,12 @@ mod tests {
         );
 
         // Last flag occurrence wins, matching --scale.
-        let plan = parse_fault_schedule(&args(&[
-            "bench",
+        let plan = schedule(&[
             "--fault-schedule",
             "slow-ost",
             "--fault-schedule",
             "straggler",
-        ]))
+        ])
         .unwrap()
         .unwrap();
         assert_eq!(
@@ -705,19 +666,32 @@ mod tests {
     }
 
     #[test]
+    fn fault_plan_merges_named_and_scheduled_plans() {
+        let plan = |argv: &[&str]| fault_plan(&args(&FIGURE_USAGE, argv).unwrap());
+        assert_eq!(plan(&["--scale", "4"]), None);
+        let named = named_fault_plan("straggler").unwrap();
+        let scheduled = fault_plan_from_spec("slow-ost@0..2").unwrap();
+        assert_eq!(plan(&["--fault", "straggler"]), Some(named.clone()));
+        assert_eq!(
+            plan(&["--fault-schedule", "slow-ost@0..2"]),
+            Some(scheduled.clone())
+        );
+        assert_eq!(
+            plan(&["--fault-schedule", "slow-ost@0..2", "--fault", "straggler"]),
+            Some(named.merged(&scheduled))
+        );
+    }
+
+    #[test]
     fn schedule_spec_rejects_missing_value() {
-        let args: Vec<String> = ["bench", "--fault-schedule"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let err = parse_fault_schedule(&args).unwrap_err();
-        assert!(err.contains("requires a spec"), "{err}");
+        let err = schedule(&["--fault-schedule"]).unwrap_err();
+        assert!(err.contains("--fault-schedule requires a value"), "{err}");
     }
 
     #[test]
     fn schedule_spec_rejects_unknown_fault_name() {
         let err = fault_plan_from_spec("bogus@0..2").unwrap_err();
-        assert!(err.contains("unknown --fault plan"), "{err}");
+        assert!(err.contains("unknown fault plan \"bogus\""), "{err}");
     }
 
     #[test]
@@ -775,25 +749,21 @@ mod tests {
 
     #[test]
     fn parse_format_accepts_valid_and_rejects_malformed() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_format(&args(&["bench"])), Ok(None));
-        assert_eq!(
-            parse_format(&args(&["bench", "--format", "jsonl"])),
-            Ok(Some(TraceFormat::Jsonl))
-        );
-        assert_eq!(
-            parse_format(&args(&["bench", "--format", "ptb2"])),
-            Ok(Some(TraceFormat::Ptb2))
-        );
+        let format = |argv: &[&str]| -> Result<Option<TraceFormat>, String> {
+            args(&["--format jsonl|ptb2"], argv)?.try_value("--format", trace_format)
+        };
+        assert_eq!(format(&[]), Ok(None));
+        assert_eq!(format(&["--format", "jsonl"]), Ok(Some(TraceFormat::Jsonl)));
+        assert_eq!(format(&["--format", "ptb2"]), Ok(Some(TraceFormat::Ptb2)));
         // Last occurrence wins, matching --scale.
         assert_eq!(
-            parse_format(&args(&["bench", "--format", "ptb2", "--format", "jsonl"])),
+            format(&["--format", "ptb2", "--format", "jsonl"]),
             Ok(Some(TraceFormat::Jsonl))
         );
-        assert!(parse_format(&args(&["bench", "--format"])).is_err());
-        assert!(parse_format(&args(&["bench", "--format", "csv"])).is_err());
+        assert!(format(&["--format"]).is_err());
+        assert!(format(&["--format", "csv"]).is_err());
         // The retired v1 name is no longer a format.
-        let err = parse_format(&args(&["bench", "--format", "ptb"])).unwrap_err();
+        let err = format(&["--format", "ptb"]).unwrap_err();
         assert!(err.contains("expected jsonl or ptb2"), "{err}");
     }
 
@@ -820,43 +790,56 @@ mod tests {
     }
 
     #[test]
-    fn check_flags_accepts_known_flags_and_rejects_the_rest() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let known = ["--scale N", "--out PATH"];
-        assert_eq!(
-            check_flags(&args(&["--scale", "16", "--out", "t"]), &known),
-            Ok(vec![])
-        );
-        // A value-taking flag owns the next argument; its own parser
-        // judges a bad or missing value.
-        assert_eq!(
-            check_flags(&args(&["--out", "--scale"]), &known),
-            Ok(vec![])
-        );
-        assert_eq!(check_flags(&args(&["--scale"]), &known), Ok(vec![]));
-        let err = check_flags(&args(&["--scale", "4", "--shards", "4"]), &known).unwrap_err();
+    fn args_accept_known_flags_and_reject_the_rest() {
+        let positionals =
+            |argv: &[&str]| args(&["--scale N", "--out PATH"], argv).map(|a| a.positionals);
+        assert_eq!(positionals(&["--scale", "16", "--out", "t"]), Ok(vec![]));
+        // A value-taking flag owns the next argument unless it is another
+        // declared flag; a flag with no value left is an error.
+        let err = positionals(&["--out", "--scale"]).unwrap_err();
+        assert_eq!(err, "--out requires a value");
+        let err = positionals(&["--out", "--scale", "4"]).unwrap_err();
+        assert_eq!(err, "--out requires a value");
+        let out = args(&["--scale N", "--out PATH"], &["--out", "-x.txt"]).unwrap();
+        assert_eq!(out.values("--out"), ["-x.txt"]);
+        let err = positionals(&["--scale"]).unwrap_err();
+        assert_eq!(err, "--scale requires a value");
+        let err = positionals(&["--scale", "4", "--shards", "4"]).unwrap_err();
         assert_eq!(err, "unknown flag \"--shards\"");
-        let err = check_flags(&args(&["64"]), &known).unwrap_err();
+        let err = positionals(&["64"]).unwrap_err();
         assert_eq!(err, "unexpected argument \"64\"");
     }
 
     #[test]
-    fn check_flags_switches_take_no_value_and_positionals_fill_their_slots() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let known = ["<in>", "<out>", "--format F", "--verify"];
+    fn args_switches_take_no_value_and_positionals_fill_their_slots() {
+        let usage = ["<in>", "<out>", "--format F", "--verify"];
+        let positionals = |argv: &[&str]| args(&usage, argv).map(|a| a.positionals);
+        let strings = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         // A switch does not swallow the positional after it.
-        assert_eq!(
-            check_flags(&args(&["--verify", "a", "--format", "ptb2", "b"]), &known),
-            Ok(args(&["a", "b"]))
-        );
+        let a = args(&usage, &["--verify", "a", "--format", "ptb2", "b"]).unwrap();
+        assert_eq!(a.positionals, strings(&["a", "b"]));
+        assert!(a.switch("--verify"));
+        assert_eq!((a.positional(0), a.positional(1)), (Some("a"), Some("b")));
         // Fewer positionals than declared is the caller's to judge.
-        assert_eq!(check_flags(&args(&["a"]), &known), Ok(args(&["a"])));
-        let err = check_flags(&args(&["a", "b", "c"]), &known).unwrap_err();
+        assert_eq!(positionals(&["a"]), Ok(strings(&["a"])));
+        assert_eq!(args(&usage, &["a"]).unwrap().positional(1), None);
+        let err = positionals(&["a", "b", "c"]).unwrap_err();
         assert_eq!(err, "unexpected argument \"c\"");
-        let err = check_flags(&args(&["a", "b", "--verfy"]), &known).unwrap_err();
+        let err = positionals(&["a", "b", "--verfy"]).unwrap_err();
         assert_eq!(err, "unknown flag \"--verfy\"");
+        // A declared switch is not a flag's value either.
+        let err = positionals(&["a", "b", "--format", "--verify"]).unwrap_err();
+        assert_eq!(err, "--format requires a value");
         // A positional's declared name is not a flag.
-        let err = check_flags(&args(&["--in"]), &known).unwrap_err();
+        let err = positionals(&["--in"]).unwrap_err();
         assert_eq!(err, "unknown flag \"--in\"");
+    }
+
+    #[test]
+    fn repeatable_flags_keep_every_value_in_order() {
+        let usage = ["--only PREFIX", "--out PATH"];
+        let a = args(&usage, &["--only", "des/", "--out", "x", "--only", "size/"]).unwrap();
+        assert_eq!(a.values("--only"), ["des/", "size/"]);
+        assert!(args(&usage, &[]).unwrap().values("--only").is_empty());
     }
 }

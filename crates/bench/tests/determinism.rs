@@ -13,7 +13,7 @@ use pio_core::kde::Kde;
 use pio_core::modes::{find_modes_on_grid, harmonic_structure};
 use pio_core::rates::sec_per_mb_samples;
 use pio_fault::FaultPlan;
-use pio_mpi::{RunReport, Runner};
+use pio_mpi::{RunConfig, RunReport, Runner};
 use pio_trace::CallKind;
 use pio_workloads::presets::{fig1_ior, fig6_gcrm};
 
@@ -21,13 +21,11 @@ use pio_workloads::presets::{fig1_ior, fig6_gcrm};
 fn ensemble(threads: usize, fault: Option<FaultPlan>) -> Vec<RunReport> {
     let exp = fig1_ior(1, false, 256);
     let seeds: Vec<u64> = (1..=5).collect();
-    let mut runner = Runner::new(&exp.job, exp.run.clone())
+    Runner::new(&exp.job, RunConfig { fault, ..exp.run })
         .seeds(&seeds)
-        .threads(threads);
-    if let Some(plan) = fault {
-        runner = runner.fault_plan(plan);
-    }
-    runner.execute().expect("ensemble")
+        .threads(threads)
+        .execute()
+        .expect("ensemble")
 }
 
 #[test]

@@ -5,12 +5,15 @@
 //! The job mix is the fault × workload matrix's (`pio-bench`'s
 //! `fault_matrix`, whose cells the attribution-corpus test certifies):
 //! tenants build their jobs with the cells' own builders in
-//! [`pio_workloads::matrix`], every faulted tenant is a workload/plan
+//! [`pio_workloads::matrix`], and every faulted tenant is a workload/plan
 //! pair whose batch and streaming verdicts are golden at the corpus
-//! seeds, and every clean tenant is one of those cells' baselines. A
-//! fleet run is therefore checkable end to end — faulted jobs must be
-//! attributed to their injected class, clean jobs must stay clean —
-//! without this crate re-deriving any thresholds.
+//! seeds. The `paced-read` and `meta-stream` clean tenants are those
+//! cells' baselines; the `ior-read` one runs the slow-ost cell's job on
+//! the default platform rather than the cell's calm one, so no matrix
+//! cell certifies it (`pio-bench`'s `fleet_tenants` test checks all of
+//! this against the cells). A fleet run is therefore checkable end to
+//! end — faulted jobs must be attributed to their injected class, clean
+//! jobs must stay clean — without this crate re-deriving any thresholds.
 //!
 //! Replay order is the corpus's arrival order: each simulated trace is
 //! sorted by `(start_ns, rank)` before it is streamed, so per-job fleet
@@ -86,10 +89,11 @@ impl SimJob {
 /// Build the tenant list for a fleet shape. Deterministic in `cfg`:
 /// the first `faulted` tenants cycle through the five attributable
 /// fault cells (slow-ost, flaky-fabric, mds-stall, straggler-node,
-/// drop-retry), the rest cycle through the matching clean baselines;
-/// seeds alternate over [`CORPUS_SEEDS`]. With `faulted >= 6` the
-/// slow-ost cell recurs, giving two tenants colliding on the same
-/// degraded OST — the interference view's must-catch case.
+/// drop-retry), the rest cycle through three clean workloads (ior-read,
+/// paced-read, meta-stream; the module doc says which are matrix
+/// baselines); seeds alternate over [`CORPUS_SEEDS`]. With
+/// `faulted >= 6` the slow-ost cell recurs, giving two tenants colliding
+/// on the same degraded OST — the interference view's must-catch case.
 pub fn fleet_spec(cfg: &SimConfig) -> Vec<SimJob> {
     let fs = FsConfig::franklin().scaled(cfg.scale.max(1));
     let mut calm = fs.clone();

@@ -33,16 +33,6 @@ pub enum ReadMode {
     },
 }
 
-/// Pattern classification of a write on a stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteMode {
-    /// Appends at the stream's write cursor: dirty pages accumulate
-    /// contiguously and flush back efficiently.
-    Sequential,
-    /// Lands anywhere else: a seek-write dirtying a new region.
-    Seeked,
-}
-
 /// Per-stream access history.
 #[derive(Debug, Clone, Default)]
 struct StreamState {
@@ -54,25 +44,11 @@ struct StreamState {
     stride_matches: u32,
 }
 
-/// Per-stream write-side history, kept separate from the read state:
-/// Lustre's read-ahead state machine only advances on reads, so a write
-/// must never perturb stride detection.
-#[derive(Debug, Clone, Default)]
-struct WriteState {
-    /// End offset of the previous write.
-    last_end: Option<u64>,
-    /// Bytes written and not yet flushed back.
-    dirty: u64,
-}
-
 /// Detector over all open streams (keyed by an opaque stream id,
 /// typically hash of `(rank, fd)`).
 #[derive(Debug, Default)]
 pub struct ReadaheadTracker {
     streams: FxHashMap<u64, StreamState>,
-    writes: FxHashMap<u64, WriteState>,
-    /// Unflushed written bytes across all open streams.
-    dirty_bytes: u64,
     /// Total reads classified as strided (for diagnostics/stats).
     strided_classified: u64,
 }
@@ -139,44 +115,9 @@ impl ReadaheadTracker {
         mode
     }
 
-    /// Observe a write of `[offset, offset+len)` on `stream`. Writes
-    /// never touch the read-side stride state (Lustre's read-ahead state
-    /// machine only advances on reads); they maintain a separate write
-    /// cursor and a dirty-byte ledger — the memory-pressure signal the
-    /// paper's failure mode hinges on ("memory full of dirty pages").
-    pub fn observe_write(&mut self, stream: u64, offset: u64, len: u64) -> WriteMode {
-        let st = self.writes.entry(stream).or_default();
-        let mode = match st.last_end {
-            // First write on the stream is trivially an append.
-            Some(end) if offset != end => WriteMode::Seeked,
-            _ => WriteMode::Sequential,
-        };
-        st.last_end = Some(offset + len);
-        st.dirty += len;
-        self.dirty_bytes += len;
-        mode
-    }
-
-    /// Mark a stream's dirty pages as written back (fsync or write-out).
-    pub fn flush_stream(&mut self, stream: u64) {
-        if let Some(st) = self.writes.get_mut(&stream) {
-            self.dirty_bytes -= st.dirty;
-            st.dirty = 0;
-        }
-    }
-
-    /// Unflushed written bytes across all open streams.
-    pub fn dirty_bytes(&self) -> u64 {
-        self.dirty_bytes
-    }
-
-    /// Drop state for a closed stream (close implies write-back, so its
-    /// dirty bytes leave the ledger).
+    /// Drop state for a closed stream.
     pub fn close_stream(&mut self, stream: u64) {
         self.streams.remove(&stream);
-        if let Some(st) = self.writes.remove(&stream) {
-            self.dirty_bytes -= st.dirty;
-        }
     }
 
     /// Number of reads classified as strided so far.
@@ -291,42 +232,6 @@ mod tests {
         assert_eq!(t.streams_tracked(), 2);
         t.close_stream(7);
         assert_eq!(t.streams_tracked(), 1);
-    }
-
-    #[test]
-    fn writes_classify_and_ledger_dirty_bytes() {
-        let mut t = ReadaheadTracker::new();
-        assert_eq!(t.observe_write(3, 0, MB), WriteMode::Sequential);
-        assert_eq!(t.observe_write(3, MB, MB), WriteMode::Sequential);
-        assert_eq!(t.observe_write(3, 10 * MB, MB), WriteMode::Seeked);
-        assert_eq!(t.observe_write(3, 11 * MB, MB), WriteMode::Sequential);
-        // A second stream has its own cursor and ledger.
-        assert_eq!(t.observe_write(4, 5 * MB, 2 * MB), WriteMode::Sequential);
-        assert_eq!(t.dirty_bytes(), 6 * MB);
-        t.flush_stream(3);
-        assert_eq!(t.dirty_bytes(), 2 * MB);
-        // Post-flush the cursor survives: appends still sequential.
-        assert_eq!(t.observe_write(3, 12 * MB, MB), WriteMode::Sequential);
-        assert_eq!(t.dirty_bytes(), 3 * MB);
-        t.close_stream(4);
-        assert_eq!(t.dirty_bytes(), MB);
-    }
-
-    #[test]
-    fn writes_never_perturb_read_stride_state() {
-        let c = cfg(true);
-        let region = 301 * MB;
-        let mut plain = ReadaheadTracker::new();
-        let mut interleaved = ReadaheadTracker::new();
-        for i in 0..8u64 {
-            let m_plain = plain.observe_read(&c, 7, i * region, 300 * MB);
-            // Same stream, overlapping offsets, between every read.
-            interleaved.observe_write(7, i * 64, 4096);
-            let m_inter = interleaved.observe_read(&c, 7, i * region, 300 * MB);
-            interleaved.observe_write(7, i * MB, MB);
-            assert_eq!(m_inter, m_plain);
-        }
-        assert_eq!(interleaved.strided_classified(), plain.strided_classified());
     }
 
     #[test]

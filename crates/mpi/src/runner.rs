@@ -148,7 +148,8 @@ impl RunReport {
 ///   order regardless of completion order).
 /// * [`Runner::sink`] — stream records into a [`RecordSink`] instead of
 ///   buffering a trace (constant memory; single seed only).
-/// * [`Runner::fault_plan`] — inject a deterministic [`FaultPlan`].
+///
+/// A fault plan rides in the [`RunConfig`] ([`RunConfig::with_fault`]).
 pub struct Runner<'j, 's> {
     job: &'j Job,
     cfg: RunConfig,
@@ -191,13 +192,6 @@ impl<'j, 's> Runner<'j, 's> {
     /// single-seed and single-threaded.
     pub fn sink(mut self, sink: &'s mut dyn RecordSink) -> Self {
         self.sink = Some(sink);
-        self
-    }
-
-    /// Inject `plan` into every run (equivalent to
-    /// [`RunConfig::with_fault`]).
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.cfg.fault = Some(plan);
         self
     }
 

@@ -44,6 +44,8 @@ pub fn xy_csv<W: Write>(header: &str, series: &[(f64, f64)], mut w: W) -> std::i
 }
 
 /// Save any of the above to a file path, creating parent directories.
+/// The buffered tail is flushed before returning, so an error writing it
+/// (a full disk) is reported, not lost when the writer drops.
 pub fn save<F: FnOnce(&mut dyn Write) -> std::io::Result<()>>(
     path: &std::path::Path,
     writer: F,
@@ -52,7 +54,8 @@ pub fn save<F: FnOnce(&mut dyn Write) -> std::io::Result<()>>(
         std::fs::create_dir_all(parent)?;
     }
     let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    writer(&mut f)
+    writer(&mut f)?;
+    f.flush()
 }
 
 #[cfg(test)]
@@ -101,5 +104,17 @@ mod tests {
         assert!(text.starts_with("k,rate"));
         assert_eq!(text.lines().count(), 3);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `/dev/full` accepts the open and fails every write, so the error
+    /// surfaces only when the buffered rows are flushed.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn save_reports_an_error_flushing_the_buffered_tail() {
+        let err = save(std::path::Path::new("/dev/full"), |w| {
+            xy_csv("k,rate", &[(1.0, 11610.0)], w)
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::StorageFull, "{err}");
     }
 }
