@@ -20,9 +20,11 @@
 //! against the baseline file's `ns_per_op` and the process exits
 //! nonzero if any gate regresses by more than `--tolerance` percent
 //! (default 25). A failing gate gets one full re-run before the verdict,
-//! so a single scheduler hiccup does not fail CI.
+//! so a single scheduler hiccup does not fail CI. The baseline is read
+//! before anything is measured: a missing or unparseable file exits 1
+//! at once, naming the path.
 
-use pio_bench::summary::{self, BenchSummary};
+use pio_bench::summary;
 use pio_bench::util::{file_path, positive, print_stdout, write_or_exit, Args};
 use std::path::Path;
 
@@ -45,26 +47,23 @@ fn main() {
         args.usage_error(msg);
     }
     let out = out.unwrap_or_else(|| "BENCH_summary.json".into());
+    let baseline = baseline.map(|path| match summary::load_baseline(&path) {
+        Ok(base) => (path, base),
+        Err(e) => {
+            eprintln!("error: cannot load baseline {}: {e}", path.display());
+            std::process::exit(1);
+        }
+    });
 
     print_stdout("== bench_summary: fixed-scale hot-path scenarios ==\n");
     let mut s = summary::run_filtered(reps, &only);
     print_stdout(&summary::render(&s));
 
-    if let Some(path) = &baseline {
-        let base: BenchSummary = match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|j| serde_json::from_str(&j).map_err(|e| e.to_string()))
-        {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: cannot load baseline {}: {e}", path.display());
-                std::process::exit(2);
-            }
-        };
+    if let Some((path, base)) = &baseline {
         if gates.is_empty() {
-            gates.push("fleetd/pipeline_serial_8x50k".to_string());
+            gates.push(summary::DEFAULT_GATE.to_string());
         }
-        let mut failures = summary::gate_regressions(&base, &s, &gates, tolerance);
+        let mut failures = summary::gate_regressions(base, &s, &gates, tolerance);
         if !failures.is_empty() {
             eprintln!("gate exceeded tolerance; re-running once for noise:");
             for f in &failures {
@@ -72,7 +71,7 @@ fn main() {
             }
             s = summary::run_filtered(reps, &only);
             print_stdout(&summary::render(&s));
-            failures = summary::gate_regressions(&base, &s, &gates, tolerance);
+            failures = summary::gate_regressions(base, &s, &gates, tolerance);
         }
         if failures.is_empty() {
             print_stdout(&format!(

@@ -24,7 +24,12 @@ use pio_trace::{CallKind, NullSink, Record, Trace, TraceFormat, TraceMeta};
 use pio_workloads::IorConfig;
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
+use std::path::Path;
 use std::time::Instant;
+
+/// The metric the regression gate checks when `--gate` is not given
+/// (CI's perf gate names it explicitly too).
+pub const DEFAULT_GATE: &str = "fleetd/pipeline_serial_8x50k";
 
 /// One measured scenario.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -618,6 +623,14 @@ pub fn run_filtered(reps: Option<u32>, only: &[String]) -> BenchSummary {
     }
 }
 
+/// Read a saved summary, the regression gate's `--baseline`. A missing
+/// or unparseable file is an error; the message does not name the
+/// path, which the caller prints.
+pub fn load_baseline(path: &Path) -> Result<BenchSummary, String> {
+    let json = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+    serde_json::from_str(&json).map_err(|e| e.to_string())
+}
+
 /// Compare `fresh` against `baseline` on the `gates` metric names:
 /// returns one human-readable failure line per gate whose `ns_per_op`
 /// regressed by more than `tolerance_pct` percent (or was not measured
@@ -761,6 +774,20 @@ mod tests {
         assert_eq!(failures.len(), 2);
         assert!(failures[0].contains("a:") && failures[0].contains("+30.0%"));
         assert!(failures[1].contains("not measured"));
+    }
+
+    /// The committed summary loads as a baseline and carries the
+    /// default gate metric, so a schema change fails here rather than at
+    /// the end of CI's perf job.
+    #[test]
+    fn committed_summary_loads_as_a_baseline_with_the_default_gate() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_summary.json");
+        let base = load_baseline(&path).expect("BENCH_summary.json loads");
+        assert!(
+            base.metrics.iter().any(|m| m.name == DEFAULT_GATE),
+            "{DEFAULT_GATE} missing from {}",
+            path.display()
+        );
     }
 
     #[test]

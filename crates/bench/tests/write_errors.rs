@@ -86,3 +86,26 @@ fn trace_convert_under_a_regular_file_exits_1_naming_the_path() {
     assert_exit_1_naming(&out, &converted, "trace_convert");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A `--baseline` that cannot be loaded fails before anything is
+/// measured: exit 1 naming the path, nothing on stdout, and no `--out`
+/// file — for a missing file and for one that is not a summary.
+#[test]
+fn unloadable_baseline_exits_1_before_measuring() {
+    let (dir, _) = blocked_path("bench-summary-baseline");
+    let garbage = dir.join("garbage.json");
+    std::fs::write(&garbage, "not a summary").expect("write garbage baseline");
+    for baseline in [dir.join("missing.json"), garbage] {
+        let written = dir.join("x.json");
+        let out = Command::new(env!("CARGO_BIN_EXE_bench_summary"))
+            .args(["--only", "des/event_queue_churn", "--reps", "1"])
+            .args(["--out", arg(&written), "--baseline", arg(&baseline)])
+            .output()
+            .expect("run bench_summary");
+        assert_exit_1_naming(&out, &baseline, "bench_summary --baseline");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.is_empty(), "measured before loading: {stdout}");
+        assert!(!written.exists(), "{} was written", written.display());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -13,19 +13,23 @@
 //! independent of the pool size: verdicts, snapshots, and roll-ups are
 //! bit-identical whether the service runs 1 worker or 8.
 //!
-//! Each tenant carries a [`StreamDiagnoser`] (online findings, over the
-//! mergeable ensemble sketch it owns — one accumulator per stream), a
-//! [`TenantMeter`] enforcing the per-tenant resident budget (a tenant
-//! over it is frozen), a top-k slowest-operation heap, and a per-OST
-//! usage ledger for the cross-job interference view. End of
-//! stream finalizes the diagnosis, evicts the tenant from the live
-//! table, and files an immutable [`JobReport`] behind an [`Arc`]: the
-//! worker files it once, and every later query shares that allocation.
+//! Each tenant carries a [`StreamDiagnoser`] (online findings over its
+//! own whole-run evidence, and the mergeable ensemble sketch it owns), a
+//! [`TenantMeter`] enforcing the per-tenant resident budget over both
+//! ([`StreamDiagnoser::approx_bytes`]; a tenant over it is frozen), a
+//! top-k slowest-operation heap, and a per-OST usage ledger for the
+//! cross-job interference view. End of stream finalizes the diagnosis,
+//! evicts the tenant from the live table, and files an immutable
+//! [`JobReport`] behind an [`Arc`] — findings, the shard-only ensemble
+//! sketch, counts and ledgers; the evidence behind the findings is
+//! dropped. The worker files it once, and every later query shares that
+//! allocation.
 //!
 //! The machine-wide roll-up merges every per-job ensemble sketch
 //! ([`EnsembleSnapshot::merge`]) in job-id order — the canonical fold
 //! order that makes the roll-up reproducible across pool sizes and
-//! completion interleavings.
+//! completion interleavings. It pools shards only: no tenant's per-rank
+//! state is merged with another's.
 
 use crate::interference::{contention, OstContention, OstLayout, OstUsage};
 use pio_core::diagnosis::{run_verdict, Verdict};
@@ -181,8 +185,9 @@ impl JobReport {
 }
 
 /// Live per-tenant state, owned by exactly one worker. The diagnoser
-/// holds the tenant's ensemble sketch too, so each record is classified
-/// once and updates one set of whole-run accumulators.
+/// holds the tenant's ensemble sketch beside its evidence, so each
+/// record is classified once and updates one set of whole-run
+/// accumulators.
 struct TenantState {
     name: String,
     layout: OstLayout,
@@ -322,7 +327,7 @@ impl FleetService {
                             // An unlimited budget never reads the size,
                             // so only a metered tenant pays for it.
                             let resident = if st.meter.budget_bytes() > 0 {
-                                st.diagnoser.builder().approx_bytes()
+                                st.diagnoser.approx_bytes()
                             } else {
                                 0
                             };
@@ -506,7 +511,7 @@ impl FleetService {
             .chain(live.iter().map(|(id, snap)| (*id, snap)))
             .collect();
         parts.sort_unstable_by_key(|(id, _)| *id);
-        let mut acc = EnsembleSnapshot::empty(&self.cfg.diagnoser.snapshot_config());
+        let mut acc = EnsembleSnapshot::empty();
         for (_, snap) in parts {
             acc.merge(snap);
         }
@@ -935,7 +940,7 @@ mod tests {
             }
             assert_eq!(svc.completed_jobs(), vec![1, 3, 5]);
             assert_eq!(svc.live_jobs(), 3);
-            let mut want = EnsembleSnapshot::empty(&svc.cfg.diagnoser.snapshot_config());
+            let mut want = EnsembleSnapshot::empty();
             for &id in &ids {
                 want.merge(&svc.snapshot(id).expect("registered job"));
             }
@@ -970,7 +975,7 @@ mod tests {
         assert_eq!(one, eight);
         // And so is the roll-up.
         let roll = |reports: &[Arc<JobReport>]| {
-            let mut acc = EnsembleSnapshot::empty(&pio_ingest::SnapshotConfig::default());
+            let mut acc = EnsembleSnapshot::empty();
             for r in reports {
                 acc.merge(&r.snapshot);
             }

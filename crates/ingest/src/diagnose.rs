@@ -16,27 +16,31 @@
 //!   by rank and re-tests at each barrier.
 //!
 //! The whole-run evidence — metadata heavy hitters, the small-write
-//! aggregate, time totals, rank and record counts, and the per-kind tail
-//! profiles — lives in the [`SnapshotBuilder`] the diagnoser owns, which
-//! is also the stream's ensemble snapshot: one accumulator per stream.
+//! aggregate, metadata and I/O time totals, and the per-kind tail
+//! profiles — is the diagnoser's own, accumulated once per record and
+//! read nowhere else. Beside it the diagnoser owns the stream's
+//! [`SnapshotBuilder`], the ensemble a snapshot panel or fleet roll-up
+//! shows, whose rank and record counts the verdicts read too.
 //!
 //! Records come in through one path, [`RecordSink::push_block`] (a
 //! single [`RecordSink::push`] is a block of one): the findings, their
-//! stamps and the owned snapshot are bit-identical for any block
-//! partition of the stream.
+//! stamps, the evidence and the owned snapshot are bit-identical for
+//! any block partition of the stream.
 //!
 //! Memory is O(window bins + active phases × bins + heavy-hitter k +
-//! snapshot shards × bins): constant in the number of records.
+//! profiled ranks + snapshot shards × bins): constant in the number of
+//! records.
 
 use crate::shard::{SnapshotBuilder, SnapshotConfig};
-use crate::sketch::QuantileSketch;
+use crate::sketch::{HeavyHitters, QuantileSketch};
 use pio_core::attribution::{
     attribute_data_tail_windowed, attribute_meta_tail, tail_bin_table, Attribution,
-    DataTailEvidence, TailEvent, WindowedProfile, FINE_HIST_BINS, TAIL_HIST_HI, TAIL_HIST_LO,
+    DataTailEvidence, TailEvent, TailProfile, WindowedProfile, FINE_HIST_BINS, MODULI,
+    TAIL_HIST_BINS, TAIL_HIST_HI, TAIL_HIST_LO, TAIL_KINDS,
 };
 use pio_core::diagnosis::{
-    deterioration_verdict, harmonic_verdict, rank_tail_verdict, shoulder_verdict, Finding,
-    Thresholds,
+    deterioration_verdict, harmonic_verdict, metadata_shoulder_verdict, rank_tail_verdict,
+    serialized_meta_verdict, shoulder_verdict, Finding, Thresholds,
 };
 use pio_core::modes::find_modes_on_grid;
 use pio_des::hist::{BinTable, LogHistogram};
@@ -63,9 +67,8 @@ pub struct DiagnoserConfig {
     pub window: usize,
     /// Call classes watched for windowed distributional pathologies.
     /// Attribution reads a watched class's whole-run tail profile from
-    /// the snapshot, which profiles exactly
-    /// [`TAIL_KINDS`](pio_core::attribution::TAIL_KINDS) — the default's
-    /// kinds, and the only value any caller uses.
+    /// the diagnoser's evidence, which profiles exactly [`TAIL_KINDS`] —
+    /// the default's kinds, and the only value any caller uses.
     pub watch: Vec<CallKind>,
     /// Duration geometry: lower bound, seconds.
     pub hist_lo: f64,
@@ -73,7 +76,8 @@ pub struct DiagnoserConfig {
     pub hist_hi: f64,
     /// Duration geometry: bucket count.
     pub hist_bins: usize,
-    /// Heavy-hitter sketch capacity.
+    /// Heavy-hitter sketch capacity (metadata time and small writes,
+    /// by rank).
     pub hitter_capacity: usize,
 }
 
@@ -97,18 +101,14 @@ impl Default for DiagnoserConfig {
 }
 
 impl DiagnoserConfig {
-    /// The shape of the snapshot a diagnoser keeps its whole-run
-    /// evidence in: this geometry, hitter capacity, small-write cut and
-    /// stripe width, with the default rank groups. The default
+    /// The shape of the diagnoser's ensemble snapshot: this duration
+    /// geometry with the default rank groups. The default
     /// configuration's is [`SnapshotConfig::default`].
     pub fn snapshot_config(&self) -> SnapshotConfig {
         SnapshotConfig {
             hist_lo: self.hist_lo,
             hist_hi: self.hist_hi,
             hist_bins: self.hist_bins,
-            hitter_capacity: self.hitter_capacity,
-            small_write_bytes: self.thresholds.small_write_bytes,
-            stripe_bytes: self.thresholds.stripe_bytes,
             ..SnapshotConfig::default()
         }
     }
@@ -187,14 +187,229 @@ impl KindTail {
     }
 }
 
+/// Cumulative small-write size-class aggregate, the evidence behind the
+/// metadata-storm detector.
+#[derive(Debug, Clone, PartialEq)]
+struct SmallWriteAgg {
+    /// Write-direction operations below the small-write cut.
+    ops: u64,
+    /// Seconds spent in the small class.
+    secs: f64,
+    /// Seconds spent in *all* write-direction calls.
+    write_secs: f64,
+    /// Small-class seconds by rank (weighted heavy hitters).
+    per_rank: HeavyHitters,
+    /// Earliest small-class start, nanoseconds.
+    first_ns: u64,
+    /// Latest small-class end, nanoseconds.
+    last_ns: u64,
+}
+
+impl SmallWriteAgg {
+    fn new(hitter_capacity: usize) -> Self {
+        SmallWriteAgg {
+            ops: 0,
+            secs: 0.0,
+            write_secs: 0.0,
+            per_rank: HeavyHitters::new(hitter_capacity),
+            first_ns: u64::MAX,
+            last_ns: 0,
+        }
+    }
+
+    /// Accumulate one record (no-op for non-write-direction calls).
+    fn accumulate(&mut self, r: &Record, small_write_bytes: u64) {
+        if !matches!(r.call, CallKind::Write | CallKind::MetaWrite) {
+            return;
+        }
+        let secs = r.secs();
+        self.write_secs += secs;
+        if r.bytes > 0 && r.bytes < small_write_bytes {
+            self.ops += 1;
+            self.secs += secs;
+            self.per_rank.add(r.rank, secs);
+            self.first_ns = self.first_ns.min(r.start_ns);
+            self.last_ns = self.last_ns.max(r.end_ns);
+        }
+    }
+
+    /// The metadata-storm verdict over this aggregate: the heaviest
+    /// small-writer and the small class's wall-clock span.
+    fn verdict(&self, th: &Thresholds) -> Option<Finding> {
+        let top = self.per_rank.top().first().map(|h| (h.key, h.weight));
+        let span_secs = if self.last_ns > self.first_ns {
+            (self.last_ns - self.first_ns) as f64 / 1e9
+        } else {
+            0.0
+        };
+        metadata_shoulder_verdict(self.ops, self.secs, self.write_secs, top, span_secs, th)
+    }
+}
+
+/// A stream's whole-run evidence: the cumulative state a verdict reads
+/// beyond the windows, never reset. Each record updates it once, right
+/// after the owned [`SnapshotBuilder`]'s shard step; nothing outside
+/// this module reads it.
+#[derive(Debug, Clone)]
+struct Evidence {
+    /// Metadata-time heavy hitters by rank.
+    meta_hitters: HeavyHitters,
+    /// Scratch buffer for grouped heavy-hitter runs (reused per block).
+    run_buf: Vec<f64>,
+    /// Small-write size-class aggregate (metadata storms).
+    small: SmallWriteAgg,
+    /// Per-rank, per-target tail profiles, direct-indexed by
+    /// `call as usize`; only [`TAIL_KINDS`] are ever profiled.
+    profiles: Vec<Option<TailProfile>>,
+    /// Classifier for the tail-profile geometry ([`tail_bin_table`]),
+    /// looked up once here so the block path takes no lock.
+    tail_table: &'static BinTable,
+    /// The configured geometry is the tail geometry at exactly double
+    /// resolution (same range, 2× bins): a tail bin is the configured
+    /// bin halved — `floor(f·2n)/2 = floor(f·n)` exactly, range checks
+    /// and edge clamps included — saving the second lookup per record.
+    tail_nested: bool,
+    /// Total metadata seconds (exact).
+    meta_secs: f64,
+    /// Total I/O seconds across data + metadata calls (exact).
+    io_secs: f64,
+}
+
+/// Equal evidence is every accumulator equal; the per-block scratch and
+/// the shared classifier (fixed by the configuration) are not evidence.
+impl PartialEq for Evidence {
+    fn eq(&self, other: &Self) -> bool {
+        self.meta_hitters == other.meta_hitters
+            && self.small == other.small
+            && self.profiles == other.profiles
+            && self.meta_secs == other.meta_secs
+            && self.io_secs == other.io_secs
+    }
+}
+
+impl Evidence {
+    fn new(cfg: &DiagnoserConfig) -> Self {
+        let tail_table = tail_bin_table();
+        let tg = tail_table.geometry();
+        Evidence {
+            meta_hitters: HeavyHitters::new(cfg.hitter_capacity),
+            run_buf: Vec::new(),
+            small: SmallWriteAgg::new(cfg.hitter_capacity),
+            profiles: (0..KINDS).map(|_| None).collect(),
+            tail_table,
+            tail_nested: cfg.hist_lo == tg.lo()
+                && cfg.hist_hi == tg.hi()
+                && cfg.hist_bins == 2 * tg.bins(),
+            meta_secs: 0.0,
+            io_secs: 0.0,
+        }
+    }
+
+    /// The block path's first pass: metadata heavy hitters, grouped by
+    /// rank run over the block's metadata subsequence. The sketch sees
+    /// the same per-key weight sequence as per-record adds, and it is
+    /// only *read* between blocks (at phase boundaries), so hoisting it
+    /// ahead of the record loop is unobservable.
+    fn add_meta_runs(&mut self, block: &[Record]) {
+        let mut run = std::mem::take(&mut self.run_buf);
+        let mut i = 0;
+        while i < block.len() {
+            let r = &block[i];
+            i += 1;
+            if !matches!(r.call, CallKind::MetaRead | CallKind::MetaWrite) {
+                continue;
+            }
+            run.clear();
+            run.push(r.secs());
+            let key = r.rank;
+            while i < block.len() {
+                let n = &block[i];
+                if matches!(n.call, CallKind::MetaRead | CallKind::MetaWrite) {
+                    if n.rank != key {
+                        break;
+                    }
+                    run.push(n.secs());
+                }
+                i += 1;
+            }
+            self.meta_hitters.add_run(key, &run);
+        }
+        self.run_buf = run;
+    }
+
+    /// The block path's per-record step — everything except the
+    /// metadata heavy hitters ([`Self::add_meta_runs`]) — for a record
+    /// whose duration `secs` falls in `bin` of the configured geometry.
+    /// Returns the record's bin in the tail-profile geometry, so a
+    /// caller classifies each record once.
+    #[inline]
+    fn accumulate(&mut self, r: &Record, secs: f64, bin: usize, th: &Thresholds) -> usize {
+        if matches!(r.call, CallKind::MetaRead | CallKind::MetaWrite) {
+            self.meta_secs += secs;
+        }
+        if r.call.is_io() {
+            self.io_secs += secs;
+        }
+        // `add_binned` debug-asserts that the halving shortcut equals
+        // the tail-geometry classification.
+        let tail_bin = if self.tail_nested {
+            bin >> 1
+        } else {
+            self.tail_table.index_clamped(secs)
+        };
+        if TAIL_KINDS.contains(&r.call) {
+            self.profiles[r.call as usize]
+                .get_or_insert_with(|| TailProfile::new(th.stripe_bytes))
+                .add_binned(r.rank, r.offset, secs, tail_bin);
+        }
+        self.small.accumulate(r, th.small_write_bytes);
+        tail_bin
+    }
+
+    /// The whole-run tail profile of one call class, once a record of
+    /// it has arrived.
+    fn profile(&self, kind: CallKind) -> Option<&TailProfile> {
+        self.profiles[kind as usize].as_ref()
+    }
+
+    /// The serialized-metadata-rank verdict over everything so far, from
+    /// the metadata heavy hitters and time totals of a run of `ranks`
+    /// ranks.
+    fn serialized_verdict(&self, ranks: u32, th: &Thresholds) -> Option<Finding> {
+        let per_rank: Vec<(u32, f64, usize)> = self
+            .meta_hitters
+            .top()
+            .into_iter()
+            .map(|h| (h.key, h.weight, h.ops as usize))
+            .collect();
+        serialized_meta_verdict(&per_rank, self.meta_secs, ranks, self.io_secs, th)
+    }
+
+    /// Rough resident size in bytes: tracked metadata hitters plus each
+    /// profile's per-rank cells and fixed residue tables.
+    fn approx_bytes(&self) -> usize {
+        let bins = TAIL_HIST_BINS;
+        self.meta_hitters.tracked() * std::mem::size_of::<(u32, f64, u64)>()
+            + self
+                .profiles
+                .iter()
+                .flatten()
+                .map(|p| {
+                    p.ranks_observed() * (bins + 2) * std::mem::size_of::<u64>()
+                        + MODULI.iter().sum::<usize>() * bins * std::mem::size_of::<u64>()
+                })
+                .sum::<usize>()
+    }
+}
+
 /// Streaming, constant-memory implementation of the paper's detectors.
 ///
 /// Per-kind state (windows, cumulative tails, per-phase sketches) is
-/// stored in `CallKind`-indexed arrays rather than hash maps. The
-/// whole-run evidence is the owned [`SnapshotBuilder`]'s: each record
-/// goes through the builder's per-record step first, then through the
-/// diagnoser's windows, so a window that fills mid-block attributes from
-/// a profile holding exactly the records up to the one that filled it.
+/// stored in `CallKind`-indexed arrays rather than hash maps. Each
+/// record goes through the owned [`SnapshotBuilder`]'s shard step, then
+/// the whole-run evidence, then the diagnoser's windows, so a window
+/// that fills mid-block attributes from a profile holding exactly the
+/// records up to the one that filled it.
 /// Records come in through [`RecordSink::push_block`] alone (a single
 /// [`RecordSink::push`] is a block of one), which classifies each
 /// duration once against a precomputed [`BinTable`] shared by every
@@ -206,8 +421,10 @@ impl KindTail {
 /// [`LogBins`]: pio_des::hist::LogBins
 pub struct StreamDiagnoser {
     cfg: DiagnoserConfig,
-    /// Whole-run evidence, and the stream's ensemble snapshot.
+    /// The stream's ensemble snapshot, and its rank and record counts.
     builder: SnapshotBuilder,
+    /// Whole-run evidence, read only by this diagnoser's verdicts.
+    evidence: Evidence,
     /// The configured geometry's range equals the window slots' fine
     /// range (slot bins are `cfg.hist_bins` by construction), so the
     /// block path reuses the per-record cfg-geometry bin for the slot
@@ -235,6 +452,7 @@ impl StreamDiagnoser {
         let tg = tail_bin_table().geometry();
         let slot_fine_direct = cfg.hist_lo == tg.lo() && cfg.hist_hi == tg.hi();
         StreamDiagnoser {
+            evidence: Evidence::new(&cfg),
             cfg,
             builder,
             slot_fine_direct,
@@ -264,10 +482,19 @@ impl StreamDiagnoser {
         self.builder.ingested()
     }
 
-    /// The whole-run evidence so far, as the stream's snapshot builder
-    /// (its shape is [`DiagnoserConfig::snapshot_config`]).
+    /// The stream's ensemble snapshot builder (its shape is
+    /// [`DiagnoserConfig::snapshot_config`]).
     pub fn builder(&self) -> &SnapshotBuilder {
         &self.builder
+    }
+
+    /// Rough resident size in bytes of the diagnoser's whole-run state —
+    /// the snapshot's shards, the tracked metadata hitters and the tail
+    /// profiles — and the fleet budget's currency. `O(shards)` to
+    /// compute; bounded by shards × bins, hitter capacity and profiled
+    /// ranks, never by the record count.
+    pub fn approx_bytes(&self) -> usize {
+        self.builder.approx_bytes() + self.evidence.approx_bytes()
     }
 
     /// Split a finished diagnoser into its findings and its snapshot
@@ -346,12 +573,12 @@ impl StreamDiagnoser {
     }
 
     /// Attribute `kind`'s tail from the cumulative (whole-run-so-far)
-    /// state — the snapshot's profile, per-window slices, and the
+    /// state — the whole-run profile, per-window slices, and the
     /// rank-tagged slow-event reservoir; `None` until the evidence
     /// supports anything.
     fn attribute(&self, kind: CallKind) -> Option<Attribution> {
         let kt = self.tails[kind as usize].as_ref()?;
-        let profile = self.builder.profile(kind)?;
+        let profile = self.evidence.profile(kind)?;
         let th = &self.cfg.thresholds;
         if matches!(kind, CallKind::MetaRead | CallKind::MetaWrite) {
             return Some(Attribution::single(attribute_meta_tail(profile, th)));
@@ -381,7 +608,7 @@ impl StreamDiagnoser {
             }
             let (Some(kt), Some(profile)) = (
                 self.tails[kind as usize].as_ref(),
-                self.builder.profile(kind),
+                self.evidence.profile(kind),
             ) else {
                 continue;
             };
@@ -456,14 +683,14 @@ fn density_grid(hist: &LogHistogram, table: &BinTable) -> Vec<(f64, f64)> {
 
 impl RecordSink for StreamDiagnoser {
     /// The ingest path, bit-identical for any partition of the stream.
-    /// The snapshot builder's metadata heavy hitters take the block in
-    /// one grouped pass; then each record gets one [`BinTable`]
-    /// classification, which feeds the builder's per-record step and
-    /// every cfg-geometry accumulator here (window, cumulative and phase
-    /// sketches), and the tail-geometry bin the builder returns feeds
-    /// the window slices — no `ln` per record.
+    /// The evidence's metadata heavy hitters take the block in one
+    /// grouped pass; then each record gets one [`BinTable`]
+    /// classification, which feeds the builder's shard step, the
+    /// evidence step and every cfg-geometry accumulator here (window,
+    /// cumulative and phase sketches), and the tail-geometry bin the
+    /// evidence returns feeds the window slices — no `ln` per record.
     fn push_block(&mut self, block: &[Record]) {
-        self.builder.add_meta_runs(block);
+        self.evidence.add_meta_runs(block);
         // The builder's record count and `current_phase` advance per
         // record so a window that fills mid-block raises its finding
         // with the `after_records` / `phase` stamp of the record that
@@ -471,7 +698,8 @@ impl RecordSink for StreamDiagnoser {
         for r in block {
             let secs = r.secs();
             let bin = self.builder.table.index_clamped(secs);
-            let tail_bin = self.builder.accumulate_binned(r, secs, bin);
+            self.builder.accumulate_binned(r, secs, bin);
+            let tail_bin = self.evidence.accumulate(r, secs, bin, &self.cfg.thresholds);
             self.current_phase = self.current_phase.max(r.phase);
             let k = r.call as usize;
             if !self.watch_mask[k] {
@@ -533,11 +761,12 @@ impl RecordSink for StreamDiagnoser {
                 self.raise(f);
             }
         }
-        if let Some(f) = self.builder.serialized_verdict(&self.cfg.thresholds) {
+        let th = &self.cfg.thresholds;
+        if let Some(f) = self.evidence.serialized_verdict(self.builder.ranks(), th) {
             self.raise(f);
         }
         self.evaluate_rank_tails();
-        if let Some(f) = self.builder.small().verdict(&self.cfg.thresholds) {
+        if let Some(f) = self.evidence.small.verdict(&self.cfg.thresholds) {
             self.raise(f);
         }
     }
@@ -873,6 +1102,69 @@ mod tests {
                 "block size {block} diverged"
             );
             assert_eq!(d.records(), reference.records());
+            assert_eq!(d.evidence, reference.evidence, "block size {block}");
+        }
+    }
+
+    /// The evidence the block path accumulates equals a per-record
+    /// reference built from each sketch's own adds (heavy hitters one
+    /// record at a time, tail profiles classified in the log domain),
+    /// on a stream of every call kind with scattered offsets, small
+    /// writes, metadata runs and interleaved phases; and the metadata
+    /// hitters stay capped at `hitter_capacity` when more ranks than
+    /// that touch metadata.
+    #[test]
+    fn evidence_matches_per_record_reference() {
+        let recs: Vec<Record> = (0..1200u64)
+            .map(|i| {
+                let x = i.wrapping_mul(6364136223846793005).wrapping_add(17);
+                let mut r = rec(
+                    (x % 64) as u32,
+                    CallKind::ALL[(x % 12) as usize],
+                    1e-4 * (1 + (x >> 16) % 40_010) as f64,
+                    ((x >> 32) % 4) as u32,
+                );
+                r.bytes = ((x >> 8) % 5) << 11;
+                r.offset = (x >> 3) % (1 << 30);
+                r.start_ns = (x >> 5) % 1_000_000_000;
+                r.end_ns = r.start_ns + ((x >> 16) % 40_010) * 100_000;
+                r
+            })
+            .collect();
+        let cfg = DiagnoserConfig::default();
+        let th = &cfg.thresholds;
+        let mut reference = Evidence::new(&cfg);
+        for r in &recs {
+            let secs = r.secs();
+            if matches!(r.call, CallKind::MetaRead | CallKind::MetaWrite) {
+                reference.meta_hitters.add(r.rank, secs);
+                reference.meta_secs += secs;
+            }
+            if r.call.is_io() {
+                reference.io_secs += secs;
+            }
+            if TAIL_KINDS.contains(&r.call) {
+                reference.profiles[r.call as usize]
+                    .get_or_insert_with(|| TailProfile::new(th.stripe_bytes))
+                    .add(r.rank, r.offset, secs);
+            }
+            reference.small.accumulate(r, th.small_write_bytes);
+        }
+        assert!(reference.profiles.iter().flatten().count() > 1);
+        assert!(reference.small.ops > 0);
+        let meta_ranks: HashSet<u32> = recs
+            .iter()
+            .filter(|r| matches!(r.call, CallKind::MetaRead | CallKind::MetaWrite))
+            .map(|r| r.rank)
+            .collect();
+        assert!(meta_ranks.len() > cfg.hitter_capacity);
+        assert_eq!(reference.meta_hitters.tracked(), cfg.hitter_capacity);
+        for block in [1usize, 3, 17, 256, recs.len()] {
+            let mut d = StreamDiagnoser::new(cfg.clone());
+            for c in recs.chunks(block) {
+                d.push_block(c);
+            }
+            assert_eq!(d.evidence, reference, "block size {block}");
         }
     }
 

@@ -2,14 +2,15 @@
 //!
 //! A shard is keyed by `(call kind, rank group, barrier phase)` and holds
 //! only mergeable sketches, so a snapshot's memory is O(shards × bins)
-//! regardless of how many events stream through. An
-//! [`EnsembleSnapshot`] is the order-independent merge of every shard,
-//! plus the global scalars, metadata heavy hitters and per-kind tail
-//! profiles: an ensemble, not a diagnosis. A run's verdict comes from the
-//! [`StreamDiagnoser`](crate::StreamDiagnoser) that owns the stream's
-//! [`SnapshotBuilder`] and reads its whole-run evidence from it.
-//! Snapshots of many jobs merge into the fleet roll-up, which carries
-//! no verdict of its own: its rank cells pool the ranks of every tenant.
+//! however many events stream through and however many ranks produce
+//! them. An [`EnsembleSnapshot`] is the order-independent merge of every
+//! shard plus the rank and record counts: an ensemble, not a diagnosis.
+//! The whole-run evidence a verdict reads (metadata heavy hitters, the
+//! small-write aggregate, per-rank tail profiles, time totals) belongs
+//! to the [`StreamDiagnoser`](crate::StreamDiagnoser), its one reader,
+//! which owns the stream's [`SnapshotBuilder`] beside it. Snapshots of
+//! many jobs merge into the fleet roll-up, which carries no verdict and
+//! merges shards only, never one tenant's per-rank state with another's.
 //!
 //! A builder takes records through one path,
 //! [`SnapshotBuilder::accumulate_block`] (its [`RecordSink::push_block`]):
@@ -17,13 +18,8 @@
 //! partition. The log-domain [`ShardStats::accumulate`] stays as the
 //! reference that classification is tested against.
 
-use crate::sketch::{HeavyHitters, OnlineMoments, QuantileSketch};
-use pio_core::attribution::{
-    tail_bin_table, TailProfile, FINE_HIST_BINS, MODULI, TAIL_HIST_HI, TAIL_HIST_LO, TAIL_KINDS,
-};
-use pio_core::diagnosis::{
-    metadata_shoulder_verdict, serialized_meta_verdict, Finding, Thresholds,
-};
+use crate::sketch::{OnlineMoments, QuantileSketch};
+use pio_core::attribution::{FINE_HIST_BINS, TAIL_HIST_HI, TAIL_HIST_LO};
 use pio_des::hist::{BinTable, LogBins, LogHistogram};
 use pio_des::FxHashMap;
 use pio_trace::{CallKind, Record, RecordSink};
@@ -35,100 +31,9 @@ const KINDS: usize = CallKind::ALL.len();
 /// "No shard yet" marker in the per-`(kind, group)` direct index.
 const NO_SHARD: u32 = u32::MAX;
 
-/// Cumulative small-write size-class aggregate — the snapshot-side state
-/// behind the metadata-storm detector. Mergeable and order-independent
-/// like every other snapshot component.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SmallWriteAgg {
-    /// Write-direction operations below the small-write cut.
-    pub ops: u64,
-    /// Seconds spent in the small class.
-    pub secs: f64,
-    /// Seconds spent in *all* write-direction calls.
-    pub write_secs: f64,
-    /// Small-class seconds by rank (weighted heavy hitters).
-    pub per_rank: HeavyHitters,
-    /// Earliest small-class start, nanoseconds.
-    pub first_ns: u64,
-    /// Latest small-class end, nanoseconds.
-    pub last_ns: u64,
-}
-
-impl SmallWriteAgg {
-    /// An empty aggregate with the given heavy-hitter capacity.
-    pub fn new(hitter_capacity: usize) -> Self {
-        SmallWriteAgg {
-            ops: 0,
-            secs: 0.0,
-            write_secs: 0.0,
-            per_rank: HeavyHitters::new(hitter_capacity),
-            first_ns: u64::MAX,
-            last_ns: 0,
-        }
-    }
-
-    /// Accumulate one record (no-op for non-write-direction calls).
-    pub fn accumulate(&mut self, r: &Record, small_write_bytes: u64) {
-        if !matches!(r.call, CallKind::Write | CallKind::MetaWrite) {
-            return;
-        }
-        let secs = r.secs();
-        self.write_secs += secs;
-        if r.bytes > 0 && r.bytes < small_write_bytes {
-            self.ops += 1;
-            self.secs += secs;
-            self.per_rank.add(r.rank, secs);
-            self.first_ns = self.first_ns.min(r.start_ns);
-            self.last_ns = self.last_ns.max(r.end_ns);
-        }
-    }
-
-    /// Merge another aggregate.
-    pub fn merge(&mut self, other: &SmallWriteAgg) {
-        self.ops += other.ops;
-        self.secs += other.secs;
-        self.write_secs += other.write_secs;
-        self.per_rank.merge(&other.per_rank);
-        self.first_ns = self.first_ns.min(other.first_ns);
-        self.last_ns = self.last_ns.max(other.last_ns);
-    }
-
-    /// Wall-clock span of the small class, seconds.
-    pub fn span_secs(&self) -> f64 {
-        if self.last_ns > self.first_ns {
-            (self.last_ns - self.first_ns) as f64 / 1e9
-        } else {
-            0.0
-        }
-    }
-
-    /// The heaviest small-writer: `(rank, seconds)`.
-    pub fn top(&self) -> Option<(u32, f64)> {
-        self.per_rank.top().first().map(|h| (h.key, h.weight))
-    }
-
-    /// The metadata-storm verdict over this aggregate.
-    pub(crate) fn verdict(&self, th: &Thresholds) -> Option<Finding> {
-        metadata_shoulder_verdict(
-            self.ops,
-            self.secs,
-            self.write_secs,
-            self.top(),
-            self.span_secs(),
-            th,
-        )
-    }
-}
-
-/// Rough resident size in bytes of a snapshot's components — the tenant
-/// budget's currency. Bounded by shards × bins, tracked hitters, and
-/// profiled ranks and moduli, never by the record count.
-fn approx_bytes<'a>(
-    shards: &[(ShardKey, ShardStats)],
-    hitters: &HeavyHitters,
-    profiles: impl Iterator<Item = &'a TailProfile>,
-) -> usize {
-    let bins = pio_core::attribution::TAIL_HIST_BINS;
+/// Rough resident size in bytes of a snapshot's shards. Bounded by
+/// shards × bins, never by the record or rank count.
+fn approx_bytes(shards: &[(ShardKey, ShardStats)]) -> usize {
     shards
         .iter()
         .map(|(_, s)| {
@@ -137,17 +42,8 @@ fn approx_bytes<'a>(
                 + s.sketch.geometry().bins()
                     * (std::mem::size_of::<u64>() + std::mem::size_of::<f64>())
         })
-        .sum::<usize>()
-        + hitters.tracked() * std::mem::size_of::<(u32, f64, u64)>()
-        + profiles
-            .map(|p| {
-                // Per-rank cells plus the fixed residue tables.
-                p.ranks_observed() * (bins + 2) * std::mem::size_of::<u64>()
-                    + MODULI.iter().sum::<usize>() * bins * std::mem::size_of::<u64>()
-            })
-            .sum::<usize>()
+        .sum()
 }
-
 /// Which accumulator a record lands in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShardKey {
@@ -229,7 +125,7 @@ impl ShardStats {
     }
 }
 
-/// Geometry and capacity knobs shared by every snapshot accumulator —
+/// Geometry knobs shared by every snapshot accumulator —
 /// `analyze --stream`, a fleet tenant, or a test harness. Two
 /// accumulators are mergeable exactly when they share one of these.
 #[derive(Debug, Clone)]
@@ -242,37 +138,25 @@ pub struct SnapshotConfig {
     pub hist_hi: f64,
     /// Duration geometry: bucket count.
     pub hist_bins: usize,
-    /// Heavy-hitter sketch capacity (tracked ranks).
-    pub hitter_capacity: usize,
-    /// Writes strictly below this byte count feed the small-write
-    /// (metadata-storm) aggregate.
-    pub small_write_bytes: u64,
-    /// Stripe width for the per-target residue decomposition in the
-    /// tail profiles.
-    pub stripe_bytes: u64,
 }
 
 impl Default for SnapshotConfig {
     fn default() -> Self {
-        let th = Thresholds::default();
         SnapshotConfig {
             rank_groups: 8,
             hist_lo: TAIL_HIST_LO,
             hist_hi: TAIL_HIST_HI,
             hist_bins: FINE_HIST_BINS,
-            hitter_capacity: 16,
-            small_write_bytes: th.small_write_bytes,
-            stripe_bytes: th.stripe_bytes,
         }
     }
 }
 
 /// The sequential snapshot accumulator: one record stream in, an
 /// [`EnsembleSnapshot`] out, in `O(shards × bins)` memory. Every
-/// [`StreamDiagnoser`](crate::StreamDiagnoser) owns one and reads its
-/// whole-run evidence from it, so `analyze --stream` and a fleet tenant
-/// keep one accumulator per stream; as a [`RecordSink`] it also stands
-/// alone. Builders over the same [`SnapshotConfig`] merge freely through
+/// [`StreamDiagnoser`](crate::StreamDiagnoser) owns one beside its
+/// whole-run evidence, so `analyze --stream` and a fleet tenant keep
+/// one per stream; as a [`RecordSink`] it also stands alone. Builders
+/// over the same [`SnapshotConfig`] merge freely through
 /// [`EnsembleSnapshot::merge`].
 #[derive(Debug, Clone)]
 pub struct SnapshotBuilder {
@@ -280,14 +164,6 @@ pub struct SnapshotBuilder {
     /// Bit-exact bin classifier for the configured duration geometry,
     /// shared process-wide ([`BinTable::shared`]).
     pub(crate) table: &'static BinTable,
-    /// Classifier for the tail-profile geometry ([`tail_bin_table`]),
-    /// looked up once here so the block path takes no lock.
-    tail_table: &'static BinTable,
-    /// The configured geometry is the tail geometry at exactly double
-    /// resolution (same range, 2× bins): a tail bin is the configured
-    /// bin halved — `floor(f·2n)/2 = floor(f·n)` exactly, range checks
-    /// and edge clamps included — saving the second lookup per record.
-    tail_nested: bool,
     /// Dense shard storage; order is insertion order (the snapshot
     /// assembly sorts, so storage order is unobservable).
     shards: Vec<(ShardKey, ShardStats)>,
@@ -299,41 +175,22 @@ pub struct SnapshotBuilder {
     /// Complete key → position fallback for phase changes (fast
     /// non-SipHash hashing; never on the per-record fast path).
     lookup: FxHashMap<ShardKey, u32>,
-    hitters: HeavyHitters,
-    profiles: Vec<Option<TailProfile>>,
-    small: SmallWriteAgg,
-    meta_secs: f64,
-    io_secs: f64,
     ranks: u32,
     ingested: u64,
-    /// Scratch buffer for grouped heavy-hitter runs (reused per block).
-    run_buf: Vec<f64>,
 }
 
 impl SnapshotBuilder {
     /// An empty builder over `cfg`'s geometry.
     pub fn new(cfg: SnapshotConfig) -> Self {
         let groups = cfg.rank_groups.max(1) as usize;
-        let tail_table = tail_bin_table();
         SnapshotBuilder {
-            hitters: HeavyHitters::new(cfg.hitter_capacity),
-            small: SmallWriteAgg::new(cfg.hitter_capacity),
             table: BinTable::shared(LogBins::new(cfg.hist_lo, cfg.hist_hi, cfg.hist_bins)),
-            tail_table,
-            tail_nested: {
-                let tg = tail_table.geometry();
-                cfg.hist_lo == tg.lo() && cfg.hist_hi == tg.hi() && cfg.hist_bins == 2 * tg.bins()
-            },
             shards: Vec::new(),
             index: vec![NO_SHARD; KINDS * groups],
             lookup: FxHashMap::default(),
-            profiles: (0..KINDS).map(|_| None).collect(),
-            meta_secs: 0.0,
-            io_secs: 0.0,
             ranks: 0,
             ingested: 0,
             cfg,
-            run_buf: Vec::new(),
         }
     }
 
@@ -365,109 +222,26 @@ impl SnapshotBuilder {
         pos as usize
     }
 
-    /// Accumulate a block of records into every snapshot component —
-    /// the builder's one ingest path, bit-identical for any partition of
-    /// the stream. One [`BinTable`] classification per record serves the
-    /// shard histogram and quantile sketch, and (halved, or through
-    /// [`tail_bin_table`]) the attribution profile — no `ln` per record
-    /// — and heavy-hitter updates are grouped by key run before hashing.
+    /// Accumulate a block of records — the builder's one ingest path,
+    /// bit-identical for any partition of the stream. One [`BinTable`]
+    /// classification per record serves the shard histogram and quantile
+    /// sketch: no `ln` per record.
     pub fn accumulate_block(&mut self, block: &[Record]) {
-        self.add_meta_runs(block);
         for r in block {
             let secs = r.secs();
-            let bin = self.table.index_clamped(secs);
-            self.accumulate_binned(r, secs, bin);
+            self.accumulate_binned(r, secs, self.table.index_clamped(secs));
         }
     }
 
-    /// The block path's first pass: metadata heavy hitters, grouped by
-    /// rank run over the block's metadata subsequence. The sketch sees
-    /// the same per-key weight sequence as per-record adds, and it is
-    /// only *read* between blocks (at phase boundaries and snapshots),
-    /// so hoisting it ahead of the record loop is unobservable.
-    pub(crate) fn add_meta_runs(&mut self, block: &[Record]) {
-        let mut run = std::mem::take(&mut self.run_buf);
-        let mut i = 0;
-        while i < block.len() {
-            let r = &block[i];
-            i += 1;
-            if !matches!(r.call, CallKind::MetaRead | CallKind::MetaWrite) {
-                continue;
-            }
-            run.clear();
-            run.push(r.secs());
-            let key = r.rank;
-            while i < block.len() {
-                let n = &block[i];
-                if matches!(n.call, CallKind::MetaRead | CallKind::MetaWrite) {
-                    if n.rank != key {
-                        break;
-                    }
-                    run.push(n.secs());
-                }
-                i += 1;
-            }
-            self.hitters.add_run(key, &run);
-        }
-        self.run_buf = run;
-    }
-
-    /// The block path's per-record step — every component except the
-    /// metadata heavy hitters ([`Self::add_meta_runs`]) — for a record
-    /// whose duration `secs` falls in `bin` of the configured geometry.
-    /// Returns the record's bin in the tail-profile geometry, so a
-    /// caller classifies each record once.
+    /// The per-record step for a record whose duration `secs` falls in
+    /// `bin` of the configured geometry.
     #[inline]
-    pub(crate) fn accumulate_binned(&mut self, r: &Record, secs: f64, bin: usize) -> usize {
+    pub(crate) fn accumulate_binned(&mut self, r: &Record, secs: f64, bin: usize) {
         let group = r.rank % self.cfg.rank_groups.max(1);
         let pos = self.shard_pos(r.call, group, r.phase);
         self.shards[pos].1.accumulate_binned(r, secs, bin);
-        if matches!(r.call, CallKind::MetaRead | CallKind::MetaWrite) {
-            self.meta_secs += secs;
-        }
-        if r.call.is_io() {
-            self.io_secs += secs;
-        }
-        // `add_binned` debug-asserts that the halving shortcut equals
-        // the tail-geometry classification.
-        let tail_bin = if self.tail_nested {
-            bin >> 1
-        } else {
-            self.tail_table.index_clamped(secs)
-        };
-        if TAIL_KINDS.contains(&r.call) {
-            let stripe = self.cfg.stripe_bytes;
-            self.profiles[r.call as usize]
-                .get_or_insert_with(|| TailProfile::new(stripe))
-                .add_binned(r.rank, r.offset, secs, tail_bin);
-        }
-        self.small.accumulate(r, self.cfg.small_write_bytes);
         self.ranks = self.ranks.max(r.rank + 1);
         self.ingested += 1;
-        tail_bin
-    }
-
-    /// The whole-run tail profile of one call class (profiled classes
-    /// are [`TAIL_KINDS`]), once a record of it has arrived.
-    pub(crate) fn profile(&self, kind: CallKind) -> Option<&TailProfile> {
-        self.profiles[kind as usize].as_ref()
-    }
-
-    /// The serialized-metadata-rank verdict over everything so far, from
-    /// the whole-run metadata heavy hitters and time totals.
-    pub(crate) fn serialized_verdict(&self, th: &Thresholds) -> Option<Finding> {
-        let per_rank: Vec<(u32, f64, usize)> = self
-            .hitters
-            .top()
-            .into_iter()
-            .map(|h| (h.key, h.weight, h.ops as usize))
-            .collect();
-        serialized_meta_verdict(&per_rank, self.meta_secs, self.ranks, self.io_secs, th)
-    }
-
-    /// The small-write size-class aggregate so far.
-    pub(crate) fn small(&self) -> &SmallWriteAgg {
-        &self.small
     }
 
     /// Records accumulated so far.
@@ -475,17 +249,16 @@ impl SnapshotBuilder {
         self.ingested
     }
 
-    /// The geometry this builder accumulates under.
-    pub fn config(&self) -> &SnapshotConfig {
-        &self.cfg
+    /// Ranks observed so far (max rank + 1).
+    pub(crate) fn ranks(&self) -> u32 {
+        self.ranks
     }
 
-    /// Rough resident size in bytes — the budget-enforcement currency,
-    /// equal to the size of the snapshot it would produce. `O(shards)`
-    /// to compute; bounded by shards × bins, never by the record count
-    /// (see the bounded-memory tests).
+    /// Rough resident size in bytes, equal to the size of the snapshot
+    /// it would produce. `O(shards)` to compute; bounded by shards ×
+    /// bins, never by the record count (see the bounded-memory tests).
     pub fn approx_bytes(&self) -> usize {
-        approx_bytes(&self.shards, &self.hitters, self.profiles.iter().flatten())
+        approx_bytes(&self.shards)
     }
 
     /// Snapshot the current state (cloning the builder); `dropped` is
@@ -496,23 +269,14 @@ impl SnapshotBuilder {
 
     /// Consume the builder into its final snapshot without cloning. A
     /// builder holds one shard per key, so assembly is a sort of the
-    /// shard store by key plus the kind-indexed profiles in kind order.
+    /// shard store by key.
     pub fn into_snapshot(mut self, dropped: u64) -> EnsembleSnapshot {
         self.shards.sort_unstable_by_key(|(k, _)| k.order());
         EnsembleSnapshot {
             shards: self.shards,
-            meta_hitters: self.hitters,
-            meta_secs: self.meta_secs,
-            io_secs: self.io_secs,
             ranks: self.ranks,
             ingested: self.ingested,
             dropped,
-            profiles: CallKind::ALL
-                .into_iter()
-                .zip(self.profiles)
-                .filter_map(|(k, p)| p.map(|p| (k, p)))
-                .collect(),
-            small: self.small,
         }
     }
 }
@@ -531,38 +295,22 @@ impl RecordSink for SnapshotBuilder {
 pub struct EnsembleSnapshot {
     /// Every populated shard, sorted for deterministic iteration.
     pub shards: Vec<(ShardKey, ShardStats)>,
-    /// Metadata-time heavy hitters by rank.
-    pub meta_hitters: HeavyHitters,
-    /// Total metadata seconds (exact).
-    pub meta_secs: f64,
-    /// Total I/O seconds across data + metadata calls (exact).
-    pub io_secs: f64,
     /// Number of ranks observed (max rank + 1).
     pub ranks: u32,
     /// Records ingested.
     pub ingested: u64,
     /// Records dropped by the overflow policy.
     pub dropped: u64,
-    /// Per-call-class tail profiles for attribution, sorted by kind.
-    pub profiles: Vec<(CallKind, TailProfile)>,
-    /// Small-write size-class aggregate (metadata-storm detection).
-    pub small: SmallWriteAgg,
 }
 
 impl EnsembleSnapshot {
-    /// An empty snapshot over `cfg`'s capacities — the identity of
-    /// [`EnsembleSnapshot::merge`].
-    pub fn empty(cfg: &SnapshotConfig) -> Self {
+    /// An empty snapshot — the identity of [`EnsembleSnapshot::merge`].
+    pub fn empty() -> Self {
         EnsembleSnapshot {
             shards: Vec::new(),
-            meta_hitters: HeavyHitters::new(cfg.hitter_capacity),
-            meta_secs: 0.0,
-            io_secs: 0.0,
             ranks: 0,
             ingested: 0,
             dropped: 0,
-            profiles: Vec::new(),
-            small: SmallWriteAgg::new(cfg.hitter_capacity),
         }
     }
 
@@ -605,17 +353,6 @@ impl EnsembleSnapshot {
             self.shards.extend(only_other);
             self.shards.sort_unstable_by_key(|(k, _)| k.order());
         }
-        for (k, p) in &other.profiles {
-            match self.profiles.iter_mut().find(|(pk, _)| pk == k) {
-                Some((_, mine)) => mine.merge(p),
-                None => self.profiles.push((*k, p.clone())),
-            }
-        }
-        self.profiles.sort_by_key(|(k, _)| *k as u8);
-        self.meta_hitters.merge(&other.meta_hitters);
-        self.small.merge(&other.small);
-        self.meta_secs += other.meta_secs;
-        self.io_secs += other.io_secs;
         self.ranks = self.ranks.max(other.ranks);
         self.ingested += other.ingested;
         self.dropped += other.dropped;
@@ -637,13 +374,10 @@ impl EnsembleSnapshot {
     }
 
     /// Rough resident size of the snapshot in bytes — the bounded-memory
-    /// invariant is `O(shards × bins)`, independent of record count.
+    /// invariant is `O(shards × bins)`, independent of the record and
+    /// rank counts.
     pub fn approx_bytes(&self) -> usize {
-        approx_bytes(
-            &self.shards,
-            &self.meta_hitters,
-            self.profiles.iter().map(|(_, p)| p),
-        )
+        approx_bytes(&self.shards)
     }
 }
 
@@ -668,7 +402,6 @@ mod tests {
     fn snapshot_of(records: &[Record], groups: u32) -> EnsembleSnapshot {
         let cfg = SnapshotConfig {
             rank_groups: groups,
-            hitter_capacity: 8,
             ..SnapshotConfig::default()
         };
         assemble_reference(records, &cfg)
@@ -679,10 +412,6 @@ mod tests {
     /// accumulation and sort-based assembly must equal.
     fn assemble_reference(records: &[Record], cfg: &SnapshotConfig) -> EnsembleSnapshot {
         let mut map: HashMap<ShardKey, ShardStats> = HashMap::new();
-        let mut hitters = HeavyHitters::new(cfg.hitter_capacity);
-        let mut profiles: HashMap<CallKind, TailProfile> = HashMap::new();
-        let mut small = SmallWriteAgg::new(cfg.hitter_capacity);
-        let (mut meta_secs, mut io_secs) = (0.0, 0.0);
         let mut ranks = 0;
         for r in records {
             let key = ShardKey {
@@ -693,36 +422,15 @@ mod tests {
             map.entry(key)
                 .or_insert_with(|| ShardStats::new(cfg.hist_lo, cfg.hist_hi, cfg.hist_bins))
                 .accumulate(r);
-            if matches!(r.call, CallKind::MetaRead | CallKind::MetaWrite) {
-                hitters.add(r.rank, r.secs());
-                meta_secs += r.secs();
-            }
-            if r.call.is_io() {
-                io_secs += r.secs();
-            }
-            if pio_core::attribution::TAIL_KINDS.contains(&r.call) {
-                profiles
-                    .entry(r.call)
-                    .or_insert_with(|| TailProfile::new(cfg.stripe_bytes))
-                    .add(r.rank, r.offset, r.secs());
-            }
-            small.accumulate(r, cfg.small_write_bytes);
             ranks = ranks.max(r.rank + 1);
         }
         let mut shards: Vec<(ShardKey, ShardStats)> = map.into_iter().collect();
         shards.sort_by_key(|(k, _)| k.order());
-        let mut profiles: Vec<(CallKind, TailProfile)> = profiles.into_iter().collect();
-        profiles.sort_by_key(|(k, _)| *k as u8);
         EnsembleSnapshot {
             shards,
-            meta_hitters: hitters,
-            meta_secs,
-            io_secs,
             ranks,
             ingested: records.len() as u64,
             dropped: 0,
-            profiles,
-            small,
         }
     }
 
@@ -765,7 +473,7 @@ mod tests {
     fn rollup(jobs: &[(u64, EnsembleSnapshot)]) -> EnsembleSnapshot {
         let mut sorted: Vec<&(u64, EnsembleSnapshot)> = jobs.iter().collect();
         sorted.sort_by_key(|(id, _)| *id);
-        let mut acc = EnsembleSnapshot::empty(&SnapshotConfig::default());
+        let mut acc = EnsembleSnapshot::empty();
         for (_, s) in sorted {
             acc.merge(s);
         }
@@ -792,16 +500,15 @@ mod tests {
         let reference = build(&recs).snapshot(0);
         assert_eq!(snap, reference);
         // Both equal the map-and-sort reference under the builder's own
-        // configuration (8 rank groups, hitter capacity 16).
+        // configuration (8 rank groups).
         let cfg = SnapshotConfig::default();
-        assert_eq!((cfg.rank_groups, cfg.hitter_capacity), (8, 16));
-        assert!(snap.shards.len() > 1 && snap.profiles.len() > 1);
+        assert_eq!(cfg.rank_groups, 8);
+        assert!(snap.shards.len() > 1);
         assert_eq!(snap, assemble_reference(&recs, &cfg));
     }
 
     /// One size formula: a builder reports the size of the snapshot it
-    /// would produce, on a stream with several shards and tail profiles
-    /// and more metadata ranks than the hitter capacity.
+    /// would produce, on a stream with several shards.
     #[test]
     fn builder_and_snapshot_approx_bytes_agree() {
         let recs: Vec<Record> = (0..960u32)
@@ -817,14 +524,7 @@ mod tests {
             .collect();
         let b = build(&recs);
         let snap = b.snapshot(0);
-        assert!(snap.shards.len() > 1 && snap.profiles.len() > 1);
-        let meta_ranks: std::collections::HashSet<u32> = recs
-            .iter()
-            .filter(|r| matches!(r.call, CallKind::MetaRead | CallKind::MetaWrite))
-            .map(|r| r.rank)
-            .collect();
-        assert!(meta_ranks.len() > b.config().hitter_capacity);
-        assert_eq!(snap.meta_hitters.tracked(), b.config().hitter_capacity);
+        assert!(snap.shards.len() > 1);
         assert_eq!(b.approx_bytes(), snap.approx_bytes());
     }
 
@@ -904,9 +604,6 @@ mod tests {
             assert_eq!(sa.bytes, sb.bytes);
             assert!((sa.secs - sb.secs).abs() <= 1e-9 * sb.secs.abs().max(1.0));
         }
-        assert!((merged.meta_secs - whole.meta_secs).abs() < 1e-9);
-        assert!((merged.io_secs - whole.io_secs).abs() < 1e-9);
-        assert_eq!(merged.small.ops, whole.small.ops);
     }
 
     #[test]
@@ -923,13 +620,13 @@ mod tests {
             })
             .collect();
         let snap = build(&recs).into_snapshot(3);
-        let mut left = EnsembleSnapshot::empty(&SnapshotConfig::default());
+        let mut left = EnsembleSnapshot::empty();
         left.merge(&snap);
         assert_eq!(left, snap);
         let mut right = snap.clone();
-        right.merge(&EnsembleSnapshot::empty(&SnapshotConfig::default()));
+        right.merge(&EnsembleSnapshot::empty());
         assert_eq!(right, snap);
-        assert!(EnsembleSnapshot::empty(&SnapshotConfig::default()).is_empty());
+        assert!(EnsembleSnapshot::empty().is_empty());
         assert!(!snap.is_empty());
     }
 
@@ -998,19 +695,6 @@ mod tests {
                 }
             }
             acc.shards = merged;
-            let mut profiles = std::mem::take(&mut acc.profiles);
-            for (k, p) in &other.profiles {
-                match profiles.iter_mut().find(|(pk, _)| pk == k) {
-                    Some((_, mine)) => mine.merge(p),
-                    None => profiles.push((*k, p.clone())),
-                }
-            }
-            profiles.sort_by_key(|(k, _)| *k as u8);
-            acc.profiles = profiles;
-            acc.meta_hitters.merge(&other.meta_hitters);
-            acc.small.merge(&other.small);
-            acc.meta_secs += other.meta_secs;
-            acc.io_secs += other.io_secs;
             acc.ranks = acc.ranks.max(other.ranks);
             acc.ingested += other.ingested;
             acc.dropped += other.dropped;
@@ -1052,7 +736,7 @@ mod tests {
                 prop_assert!(right.difference(&left).next().is_some());
                 prop_assert!(left.intersection(&right).next().is_some());
 
-                let empty = EnsembleSnapshot::empty(&SnapshotConfig::default());
+                let empty = EnsembleSnapshot::empty();
                 for order in [snaps.clone(), snaps.iter().rev().cloned().collect()] {
                     let (mut fast, mut oracle) = (empty.clone(), empty.clone());
                     for s in &order {
@@ -1100,7 +784,7 @@ mod tests {
                 let recs = job_records(7, len);
                 let whole = build(&recs).into_snapshot(0);
                 let chunk = len.div_ceil(splits);
-                let mut merged = EnsembleSnapshot::empty(&SnapshotConfig::default());
+                let mut merged = EnsembleSnapshot::empty();
                 for part in recs.chunks(chunk) {
                     merged.merge(&build(part).into_snapshot(0));
                 }
@@ -1114,8 +798,6 @@ mod tests {
                     prop_assert_eq!(sa.bytes, sb.bytes);
                     prop_assert!((sa.secs - sb.secs).abs() <= 1e-9 * sb.secs.abs().max(1.0));
                 }
-                prop_assert_eq!(merged.small.ops, whole.small.ops);
-                prop_assert!((merged.meta_secs - whole.meta_secs).abs() < 1e-9);
             }
         }
     }
@@ -1139,5 +821,35 @@ mod tests {
         let (a, b) = (snapshot_of(&few, 4), snapshot_of(&many, 4));
         assert_eq!(a.approx_bytes(), b.approx_bytes());
         assert_eq!(b.ingested, 50_000);
+    }
+
+    /// Nor does a snapshot grow with its ranks: two streams with the
+    /// same shard keys (kinds, phases and `rank % 8` groups), one from
+    /// ranks 0–7 and one from ranks 0–4095, give snapshots of one size,
+    /// and so does their merge.
+    #[test]
+    fn snapshot_memory_is_bounded_by_shards_not_ranks() {
+        let stream = |ranks: u32| -> Vec<Record> {
+            (0..8192u32)
+                .map(|i| {
+                    rec(
+                        i % ranks,
+                        CallKind::ALL[(i / 8 % 12) as usize],
+                        1 << 12,
+                        1e-3 * (1 + i % 97) as f64,
+                        i / 96 % 3,
+                    )
+                })
+                .collect()
+        };
+        let few = build(&stream(8)).into_snapshot(0);
+        let many = build(&stream(4096)).into_snapshot(0);
+        assert_eq!((few.ranks, many.ranks), (8, 4096));
+        let keys = |s: &EnsembleSnapshot| s.shards.iter().map(|(k, _)| *k).collect::<Vec<_>>();
+        assert_eq!(keys(&few), keys(&many));
+        assert_eq!(few.approx_bytes(), many.approx_bytes());
+        let mut merged = few.clone();
+        merged.merge(&many);
+        assert_eq!(merged.approx_bytes(), few.approx_bytes());
     }
 }

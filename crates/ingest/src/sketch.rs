@@ -1,22 +1,26 @@
-//! Mergeable streaming sketches.
+//! Streaming sketches.
 //!
-//! Everything here satisfies the same law as [`pio_des::hist::LogHistogram`]: merging
-//! two sketches built from disjoint streams gives the same state (counts
-//! exactly, float accumulators up to rounding) as one sketch fed the
-//! concatenated stream. That law is what makes sharded ingestion safe —
-//! shards can be merged in any order at snapshot time.
+//! The snapshot's sketches satisfy the same law as
+//! [`pio_des::hist::LogHistogram`]: merging two sketches built from
+//! disjoint streams gives the same state (counts exactly, float
+//! accumulators up to rounding) as one sketch fed the concatenated
+//! stream. That law is what lets shards, and a fleet's snapshots, merge
+//! in any order.
 //!
-//! * [`QuantileSketch`] — log-bucketed quantile estimator. Buckets follow
-//!   a [`LogBins`] geometry; each keeps a count *and* a sum so quantiles
-//!   are reported at the mean of the in-bucket samples rather than the
-//!   geometric bin center, which tightens the estimate considerably for
-//!   the concentrated unimodal distributions healthy I/O produces. Its
-//!   counts are the clamped [`LogHistogram`] of the samples, which the
-//!   stream diagnoser's histogram-based detectors read.
-//! * [`HeavyHitters`] — weighted Space-Saving top-k over ranks, used to
-//!   spot one rank monopolizing metadata time without a per-rank table.
+//! * [`QuantileSketch`] — mergeable log-bucketed quantile estimator.
+//!   Buckets follow a [`LogBins`] geometry; each keeps a count *and* a
+//!   sum so quantiles are reported at the mean of the in-bucket samples
+//!   rather than the geometric bin center, which tightens the estimate
+//!   considerably for the concentrated unimodal distributions healthy
+//!   I/O produces. Its counts are the clamped [`LogHistogram`] of the
+//!   samples, which the stream diagnoser's histogram-based detectors
+//!   read.
 //! * [`OnlineMoments`] (re-exported) — mergeable mean/variance/skew/
 //!   kurtosis accumulator from `pio-des`.
+//! * [`HeavyHitters`] — weighted Space-Saving top-k over ranks, which
+//!   the stream diagnoser keeps to spot one rank monopolizing metadata
+//!   time or small writes without a per-rank table. It is one run's
+//!   evidence and does not merge.
 
 use pio_des::hist::{BinTable, LogBins, LogHistogram};
 pub use pio_des::stats::OnlineMoments;
@@ -308,24 +312,6 @@ impl HeavyHitters {
         v.sort_by(|a, b| b.weight.total_cmp(&a.weight).then(a.key.cmp(&b.key)));
         v
     }
-
-    /// Merge another sketch (capacities may differ; the receiver's is
-    /// kept). Totals are exact; per-key weights keep the Space-Saving
-    /// overestimate bound of the combined streams.
-    pub fn merge(&mut self, other: &HeavyHitters) {
-        self.total_weight += other.total_weight;
-        self.total_ops += other.total_ops;
-        // Heaviest first, so the keys that matter survive eviction; a
-        // full receiver admits a key only if it outweighs its lightest.
-        for h in other.top() {
-            if let Some(e) = self.entries.get_mut(&h.key) {
-                e.0 += h.weight;
-                e.1 += h.ops;
-            } else if self.entries.len() < self.capacity || h.weight > self.lightest().1 {
-                self.insert_new(h.key, h.weight, h.ops);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -463,23 +449,5 @@ mod tests {
         assert_eq!(grouped, per_record);
         grouped.add_run(42, &[]);
         assert_eq!(grouped, per_record);
-    }
-
-    #[test]
-    fn heavy_hitter_merge_preserves_dominance() {
-        let mut a = HeavyHitters::new(4);
-        let mut b = HeavyHitters::new(4);
-        for i in 0..100u32 {
-            a.add(0, 0.5);
-            a.add(i % 32, 0.01);
-            b.add(0, 0.5);
-            b.add(i % 16, 0.02);
-        }
-        let (wa, wb) = (a.total_weight(), b.total_weight());
-        a.merge(&b);
-        assert!((a.total_weight() - (wa + wb)).abs() < 1e-9);
-        let top = a.top();
-        assert_eq!(top[0].key, 0);
-        assert!(top[0].weight >= 100.0);
     }
 }

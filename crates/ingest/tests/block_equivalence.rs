@@ -67,9 +67,10 @@ proptest! {
 
     /// `StreamDiagnoser::push_block` over any partition is observationally
     /// identical to blocks of one (`push`): same findings (bit-identical
-    /// severities), same record count, same owned snapshot, under
-    /// mid-stream phase ends — and that snapshot is the one a standalone
-    /// builder of the same shape makes of the stream.
+    /// severities), same record count, same metered size, same owned
+    /// snapshot, under mid-stream phase ends — and that snapshot is the
+    /// one a standalone builder of the same shape makes of the stream.
+    /// (The diagnoser's unit tests hold its private evidence equal too.)
     #[test]
     fn diagnoser_block_path_matches_record_path(
         records in arb_records(),
@@ -93,6 +94,7 @@ proptest! {
 
         prop_assert_eq!(block.findings(), reference.findings());
         prop_assert_eq!(block.records(), reference.records());
+        prop_assert_eq!(block.approx_bytes(), reference.approx_bytes());
         let snapshot = reference.builder().snapshot(0);
         prop_assert_eq!(&block.builder().snapshot(0), &snapshot);
         let mut alone = SnapshotBuilder::new(DiagnoserConfig::default().snapshot_config());

@@ -24,4 +24,4 @@ pub mod runner;
 pub mod world;
 
 pub use program::{FileSpec, Job, Op, Program, ProgramBuilder};
-pub use runner::{MpiConfig, RunConfig, RunError, RunReport, Runner};
+pub use runner::{RunConfig, RunError, RunReport, Runner};

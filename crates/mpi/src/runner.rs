@@ -27,15 +27,11 @@ use pio_fs::sim::UtilizationReport;
 use pio_fs::{FsConfig, FsSim, FsStats, LockStats};
 use pio_trace::{RecordSink, Trace, TraceMeta};
 
-pub use crate::world::MpiConfig;
-
 /// Everything that identifies a run.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Platform preset.
     pub fs: FsConfig,
-    /// Message-layer cost model.
-    pub mpi: MpiConfig,
     /// Master seed — the only source of run-to-run variability.
     pub seed: u64,
     /// Experiment label for the trace metadata.
@@ -46,12 +42,10 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// A run of `experiment` on `fs` with `seed`, default MPI costs and
-    /// no faults.
+    /// A run of `experiment` on `fs` with `seed` and no faults.
     pub fn new(fs: FsConfig, seed: u64, experiment: impl Into<String>) -> Self {
         RunConfig {
             fs,
-            mpi: MpiConfig::default(),
             seed,
             experiment: experiment.into(),
             fault: None,
@@ -264,7 +258,7 @@ fn run_single(
     let buffered = sink.is_none();
     let mut trace = Trace::new(meta.clone());
     let sink = sink.unwrap_or(&mut trace);
-    let mut world = MpiWorld::new(job.clone(), fs, cfg.mpi.clone(), cfg.seed, &mut *sink);
+    let mut world = MpiWorld::new(job.clone(), fs, cfg.seed, &mut *sink);
     if let Some(plan) = plan {
         world.set_fault(Box::new(plan.mpi_injector(cfg.seed)));
     }

@@ -15,29 +15,20 @@ use pio_fs::{FsEvent, FsNotify, FsSim, IoKind, IoReq};
 use pio_trace::{CallKind, FdTable, Record, RecordSink};
 use std::collections::VecDeque;
 
-/// MPI message-layer cost model (the fabric's message path is far faster
-/// than its I/O path; modeled as latency + bandwidth without queueing).
-#[derive(Debug, Clone)]
-pub struct MpiConfig {
-    /// Point-to-point bandwidth (B/s).
-    pub bw: f64,
-    /// Per-message latency (s).
-    pub latency: f64,
-    /// Barrier exit skew: ranks resume within `[0, jitter)` seconds after
-    /// a barrier releases (also randomizes node token order, matching the
-    /// paper's observation that no rank is consistently slow or fast).
-    pub barrier_jitter: f64,
-}
+// The MPI message-layer cost model. The fabric's message path is far
+// faster than its I/O path, so a message costs latency + bandwidth,
+// without queueing.
 
-impl Default for MpiConfig {
-    fn default() -> Self {
-        MpiConfig {
-            bw: 2e9,
-            latency: 5e-6,
-            barrier_jitter: 200e-6,
-        }
-    }
-}
+/// Point-to-point bandwidth (B/s).
+const MSG_BW: f64 = 2e9;
+
+/// Per-message latency (s).
+const MSG_LATENCY: f64 = 5e-6;
+
+/// Barrier exit skew: ranks resume within `[0, BARRIER_JITTER)` seconds
+/// after a barrier releases (also randomizes node token order, matching
+/// the paper's observation that no rank is consistently slow or fast).
+const BARRIER_JITTER: f64 = 200e-6;
 
 /// Events of the execution world.
 #[derive(Debug, Clone, Copy)]
@@ -92,7 +83,6 @@ pub struct MpiWorld<'s> {
     barrier_arrivals: Vec<Option<SimTime>>,
     arrived: u32,
     channels: FxHashMap<(u32, u32), Channel>,
-    mpi: MpiConfig,
     rng: SimRng,
     finished: u32,
     fsout: FsOut,
@@ -110,13 +100,7 @@ impl<'s> MpiWorld<'s> {
     /// Build the world capturing into `sink`; `fs` must already have the
     /// job's files registered (in order, so job file index == fs file
     /// id).
-    pub fn new(
-        job: Job,
-        fs: FsSim,
-        mpi: MpiConfig,
-        seed: u64,
-        sink: &'s mut dyn RecordSink,
-    ) -> Self {
+    pub fn new(job: Job, fs: FsSim, seed: u64, sink: &'s mut dyn RecordSink) -> Self {
         let n = job.ranks() as usize;
         let tasks_per_node = fs.config().tasks_per_node;
         let ranks = (0..n)
@@ -138,7 +122,6 @@ impl<'s> MpiWorld<'s> {
             phase: 0,
             arrived: 0,
             channels: FxHashMap::default(),
-            mpi,
             rng: SimRng::stream(seed, 0xA1),
             finished: 0,
             fsout: FsOut::new(),
@@ -494,8 +477,8 @@ impl<'s> MpiWorld<'s> {
                     return;
                 }
                 Op::Send { to, bytes } => {
-                    let mut cost = SimSpan::from_secs_f64(self.mpi.latency)
-                        + SimSpan::for_bytes(bytes, self.mpi.bw);
+                    let mut cost =
+                        SimSpan::from_secs_f64(MSG_LATENCY) + SimSpan::for_bytes(bytes, MSG_BW);
                     if now.nanos() < self.fault_expiry {
                         if let Some(f) = self.fault.as_deref_mut() {
                             // Transient message loss: each drop costs one
@@ -558,7 +541,7 @@ impl<'s> MpiWorld<'s> {
         self.sink.phase_end(ended);
         self.fs.new_phase();
         for rank in 0..n {
-            let jitter = SimSpan::from_secs_f64(self.rng.f64() * self.mpi.barrier_jitter);
+            let jitter = SimSpan::from_secs_f64(self.rng.f64() * BARRIER_JITTER);
             sched.at(now + jitter, Ev::Start(rank));
         }
     }
@@ -569,7 +552,7 @@ impl<'s> MpiWorld<'s> {
         let n = self.job.ranks();
         (0..n)
             .map(|rank| {
-                let jitter = SimSpan::from_secs_f64(self.rng.f64() * self.mpi.barrier_jitter);
+                let jitter = SimSpan::from_secs_f64(self.rng.f64() * BARRIER_JITTER);
                 (SimTime::ZERO + jitter, Ev::Start(rank))
             })
             .collect()

@@ -34,8 +34,8 @@ pub struct OstContentionRow {
 /// Render the fleet roll-up panel: the merged machine-wide ensemble
 /// snapshot, one row per tenant (records, sheds, verdict, slowest op),
 /// and the interference view naming jobs that contend on the same OST.
-/// Verdicts are per job: the roll-up pools the ranks of every tenant, so
-/// it is shown as an ensemble only. `width` is the histogram bar width
+/// Verdicts are per job: the roll-up pools every tenant's shards, so it
+/// is shown as an ensemble only. `width` is the histogram bar width
 /// of the embedded snapshot panel.
 pub fn fleet_panel(
     machine: &EnsembleSnapshot,
@@ -92,7 +92,6 @@ pub fn fleet_panel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pio_ingest::shard::SnapshotConfig;
 
     fn rows() -> Vec<FleetJobRow> {
         vec![
@@ -117,7 +116,7 @@ mod tests {
 
     #[test]
     fn panel_names_jobs_verdicts_and_contention() {
-        let machine = EnsembleSnapshot::empty(&SnapshotConfig::default());
+        let machine = EnsembleSnapshot::empty();
         let contention = vec![OstContentionRow {
             ost: 1,
             jobs: vec![
@@ -174,7 +173,7 @@ mod tests {
             verdict: Some(run_verdict(&inner).label()),
             slowest_s: 1.0,
         };
-        let mut machine = EnsembleSnapshot::empty(&SnapshotConfig::default());
+        let mut machine = EnsembleSnapshot::empty();
         machine.merge(&builder.into_snapshot(0));
         let text = fleet_panel(&machine, &[row], &[], 30);
         let (rollup, jobs) = text.split_once("\n## jobs\n").expect("jobs section");
@@ -194,7 +193,7 @@ mod tests {
 
     #[test]
     fn quiet_fleet_renders_no_contention() {
-        let machine = EnsembleSnapshot::empty(&SnapshotConfig::default());
+        let machine = EnsembleSnapshot::empty();
         let text = fleet_panel(&machine, &[], &[], 20);
         assert!(text.contains("fleet: 0 jobs"));
         assert!(text.contains("no shared-target contention"));

@@ -152,9 +152,7 @@ mod tests {
 
     #[test]
     fn zero_record_snapshot_renders_a_no_data_header() {
-        let snap = pio_ingest::shard::EnsembleSnapshot::empty(
-            &pio_ingest::shard::SnapshotConfig::default(),
-        );
+        let snap = pio_ingest::shard::EnsembleSnapshot::empty();
         let text = snapshot_panel(&snap, 30);
         assert!(text.contains("no data"), "{text}");
         // No table header.

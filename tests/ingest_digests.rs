@@ -5,12 +5,13 @@
 //! fault-matrix trace (every `scenarios(16)` cell, baseline and faulted,
 //! seed 101) into a `StreamDiagnoser` beside a `SnapshotBuilder`, and
 //! folds into a 64-bit FNV-1a digest every finding with its
-//! `after_records`/`phase` stamp and the whole ensemble snapshot. Each
-//! trace is fed two ways: record by record, and in 256-record blocks
-//! through a `PhaseTracker`, which fires `phase_end` at every barrier.
-//! A small `FleetService` run adds each tenant's findings and final
-//! snapshot, plus the machine roll-up, at pools 1 and 2, unlimited and
-//! under a budget that freezes tenants mid-stream.
+//! `after_records`/`phase` stamp, the diagnoser's metered size (the
+//! fleet budget's currency) and the whole ensemble snapshot. Each trace
+//! is fed two ways: record by record, and in 256-record blocks through
+//! a `PhaseTracker`, which fires `phase_end` at every barrier. A small
+//! `FleetService` run adds each tenant's findings, admission counts and
+//! final snapshot, plus the machine roll-up, at pools 1 and 2,
+//! unlimited and under a budget that freezes tenants mid-stream.
 //!
 //! The stream cases tee a standalone `SnapshotBuilder` beside the
 //! diagnoser, an API every version of the analysis plane has, so the
@@ -20,19 +21,17 @@
 //! it equal to a standalone builder's.
 //!
 //! The digests hash a canonical form, never a `Debug` dump of a hash
-//! map: heavy hitters go in through `top()`, sketches and tail profiles
-//! through their public accessors, floats by bit pattern. A refactor
-//! that claims to leave the analysis alone must reproduce them exactly;
-//! a change that alters it on purpose re-pins them and says why in
-//! CHANGES.md. A failing case prints the digest it got.
+//! map: sketches go in through their public accessors, floats by bit
+//! pattern. A refactor that claims to leave the analysis alone must
+//! reproduce them exactly; a change that alters it on purpose re-pins
+//! them and says why in CHANGES.md. A failing case prints the digest it
+//! got.
 
 use events_to_ensembles::fleetd::{self, feed, fleet_config, fleet_spec, FleetService, SimConfig};
 use events_to_ensembles::ingest::{
-    DiagnoserConfig, EnsembleSnapshot, HeavyHitters, QuantileSketch, SnapshotBuilder,
-    SnapshotConfig, StreamDiagnoser, TimedFinding,
+    DiagnoserConfig, EnsembleSnapshot, QuantileSketch, SnapshotBuilder, SnapshotConfig,
+    StreamDiagnoser, TimedFinding,
 };
-use events_to_ensembles::stats::attribution::TailProfile;
-use events_to_ensembles::stats::diagnosis::Thresholds;
 use events_to_ensembles::trace::codec::PhaseTracker;
 use events_to_ensembles::trace::{Record, RecordSink, Tee, Trace};
 use pio_bench::fault_matrix::matrix_traces;
@@ -88,18 +87,6 @@ fn findings(h: &mut Fnv, findings: &[TimedFinding]) {
     }
 }
 
-fn hitters(h: &mut Fnv, hh: &HeavyHitters) {
-    h.f64(hh.total_weight());
-    h.u64(hh.total_ops());
-    let top = hh.top();
-    h.u64(top.len() as u64);
-    for t in top {
-        h.u64(u64::from(t.key));
-        h.f64(t.weight);
-        h.u64(t.ops);
-    }
-}
-
 fn sketch(h: &mut Fnv, s: &QuantileSketch) {
     let g = s.geometry();
     h.f64(g.lo());
@@ -117,23 +104,6 @@ fn sketch(h: &mut Fnv, s: &QuantileSketch) {
     }
     for cut in [1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0] {
         h.f64(s.fraction_above(cut));
-    }
-}
-
-fn profile(h: &mut Fnv, p: &TailProfile) {
-    let th = Thresholds::default();
-    h.u64(p.ranks_observed() as u64);
-    h.u64(p.ops());
-    match p.top_rank_share() {
-        Some((rank, share)) => {
-            h.u64(u64::from(rank));
-            h.f64(share);
-        }
-        None => h.u64(u64::MAX),
-    }
-    for cut in [1e-3, 1e-2, 0.1, 1.0] {
-        h.text(&format!("{:?}", p.rank_correlated(cut, &th)));
-        h.text(&format!("{:?}", p.target_correlated(cut, &th)));
     }
 }
 
@@ -160,25 +130,9 @@ fn snapshot(h: &mut Fnv, s: &EnsembleSnapshot) {
         h.u64(st.bytes);
         h.f64(st.secs);
     }
-    hitters(h, &s.meta_hitters);
-    h.f64(s.meta_secs);
-    h.f64(s.io_secs);
     h.u64(u64::from(s.ranks));
     h.u64(s.ingested);
     h.u64(s.dropped);
-    h.u64(s.profiles.len() as u64);
-    for (k, p) in &s.profiles {
-        h.text(k.name());
-        profile(h, p);
-    }
-    let small = &s.small;
-    h.u64(small.ops);
-    h.f64(small.secs);
-    h.f64(small.write_secs);
-    hitters(h, &small.per_rank);
-    h.u64(small.first_ns);
-    h.u64(small.last_ns);
-    h.u64(s.approx_bytes() as u64);
 }
 
 /// Every `scenarios(16)` cell's baseline and faulted trace at seed 101
@@ -217,6 +171,7 @@ fn digest_stream(feed: impl FnOnce(&mut dyn RecordSink)) -> u64 {
     feed(&mut Tee(&mut d, &mut b));
     let mut h = Fnv::new();
     findings(&mut h, d.findings());
+    h.u64(d.approx_bytes() as u64);
     snapshot(&mut h, &b.into_snapshot(0));
     h.0
 }
@@ -246,62 +201,62 @@ fn check(got: &[(String, u64)], pinned: &[(&str, u64)]) {
 }
 
 const RECORD_BY_RECORD: [(&str, u64); 18] = [
-    ("fault-slow-ost/baseline", 0x61cdc938fe112e67),
-    ("fault-slow-ost/faulted", 0x7c3a08795b36e938),
-    ("fault-slow-ost-ramp/baseline", 0x2718c3bb9fe87fd3),
-    ("fault-slow-ost-ramp/faulted", 0xd80992f103f2baec),
-    ("fault-flaky-fabric/baseline", 0x17314650484d2713),
-    ("fault-flaky-fabric/faulted", 0x55ddc098e762aa9d),
-    ("fault-mds-stall/baseline", 0x34587b466eb32d19),
-    ("fault-mds-stall/faulted", 0x38ac916589c36c7b),
-    ("fault-straggler-node/baseline", 0x17314650484d2713),
-    ("fault-straggler-node/faulted", 0x4ad828b4c3066c24),
-    ("fault-drop-retry/baseline", 0x17314650484d2713),
-    ("fault-drop-retry/faulted", 0xb42f03ecfd14d344),
-    ("fault-slow-ost+mds-stall/baseline", 0xef1182757374dad5),
-    ("fault-slow-ost+mds-stall/faulted", 0xff16babab8a46e71),
-    ("fault-straggler+flaky/baseline", 0x17314650484d2713),
-    ("fault-straggler+flaky/faulted", 0x61a8a3f430cc9b9b),
+    ("fault-slow-ost/baseline", 0x6c5268e0c766f616),
+    ("fault-slow-ost/faulted", 0x06570b01a941595a),
+    ("fault-slow-ost-ramp/baseline", 0xaf5f96ce2fd237b6),
+    ("fault-slow-ost-ramp/faulted", 0xa8e7ddd5874c8cb9),
+    ("fault-flaky-fabric/baseline", 0x7553ccff9a1ba889),
+    ("fault-flaky-fabric/faulted", 0x7fc2de6f48854f1c),
+    ("fault-mds-stall/baseline", 0xe5c963452843157a),
+    ("fault-mds-stall/faulted", 0x0631f251557f6bda),
+    ("fault-straggler-node/baseline", 0x7553ccff9a1ba889),
+    ("fault-straggler-node/faulted", 0xd54454593dffaf0d),
+    ("fault-drop-retry/baseline", 0x7553ccff9a1ba889),
+    ("fault-drop-retry/faulted", 0x8dee8d81e87642a4),
+    ("fault-slow-ost+mds-stall/baseline", 0xf33510e604f82989),
+    ("fault-slow-ost+mds-stall/faulted", 0x6ab9237c00b53016),
+    ("fault-straggler+flaky/baseline", 0x7553ccff9a1ba889),
+    ("fault-straggler+flaky/faulted", 0xc9722e375ee99fe7),
     (
         "fault-slow-ost@early+flaky@late/baseline",
-        0x17314650484d2713,
+        0x7553ccff9a1ba889,
     ),
     (
         "fault-slow-ost@early+flaky@late/faulted",
-        0xd25173cd51eecf10,
+        0x67a1c9c466c5cc78,
     ),
 ];
 
 const PHASE_TRACKED_BLOCKS: [(&str, u64); 18] = [
-    ("fault-slow-ost/baseline", 0x61cdc938fe112e67),
-    ("fault-slow-ost/faulted", 0x7c3a08795b36e938),
-    ("fault-slow-ost-ramp/baseline", 0x2718c3bb9fe87fd3),
-    ("fault-slow-ost-ramp/faulted", 0x7206a4bf3d841b0f),
-    ("fault-flaky-fabric/baseline", 0x17314650484d2713),
-    ("fault-flaky-fabric/faulted", 0x55ddc098e762aa9d),
-    ("fault-mds-stall/baseline", 0x34587b466eb32d19),
-    ("fault-mds-stall/faulted", 0x38ac916589c36c7b),
-    ("fault-straggler-node/baseline", 0x17314650484d2713),
-    ("fault-straggler-node/faulted", 0x4ad828b4c3066c24),
-    ("fault-drop-retry/baseline", 0x17314650484d2713),
-    ("fault-drop-retry/faulted", 0xb42f03ecfd14d344),
-    ("fault-slow-ost+mds-stall/baseline", 0xef1182757374dad5),
-    ("fault-slow-ost+mds-stall/faulted", 0xff16babab8a46e71),
-    ("fault-straggler+flaky/baseline", 0x17314650484d2713),
-    ("fault-straggler+flaky/faulted", 0x61a8a3f430cc9b9b),
+    ("fault-slow-ost/baseline", 0x6c5268e0c766f616),
+    ("fault-slow-ost/faulted", 0x06570b01a941595a),
+    ("fault-slow-ost-ramp/baseline", 0xaf5f96ce2fd237b6),
+    ("fault-slow-ost-ramp/faulted", 0xf868c0d437482ff8),
+    ("fault-flaky-fabric/baseline", 0x7553ccff9a1ba889),
+    ("fault-flaky-fabric/faulted", 0x7fc2de6f48854f1c),
+    ("fault-mds-stall/baseline", 0xe5c963452843157a),
+    ("fault-mds-stall/faulted", 0x0631f251557f6bda),
+    ("fault-straggler-node/baseline", 0x7553ccff9a1ba889),
+    ("fault-straggler-node/faulted", 0xd54454593dffaf0d),
+    ("fault-drop-retry/baseline", 0x7553ccff9a1ba889),
+    ("fault-drop-retry/faulted", 0x8dee8d81e87642a4),
+    ("fault-slow-ost+mds-stall/baseline", 0xf33510e604f82989),
+    ("fault-slow-ost+mds-stall/faulted", 0x6ab9237c00b53016),
+    ("fault-straggler+flaky/baseline", 0x7553ccff9a1ba889),
+    ("fault-straggler+flaky/faulted", 0xc9722e375ee99fe7),
     (
         "fault-slow-ost@early+flaky@late/baseline",
-        0x17314650484d2713,
+        0x7553ccff9a1ba889,
     ),
     (
         "fault-slow-ost@early+flaky@late/faulted",
-        0xd25173cd51eecf10,
+        0x67a1c9c466c5cc78,
     ),
 ];
 
 const FLEET: [(&str, u64); 2] = [
-    ("budget-0", 0x0a3be5369a91627e),
-    ("budget-160000", 0x687d3b0d91ebf017),
+    ("budget-0", 0x810167cc29df38b0),
+    ("budget-160000", 0xf1bb2b86081cc18c),
 ];
 
 #[test]
@@ -342,7 +297,8 @@ fn stream_in_phase_tracked_blocks() {
 /// Six tenants, three faulted, through the service: per report its
 /// name, findings, admission counts and final snapshot, then the
 /// roll-up. The 160 kB budget freezes the larger tenants mid-stream, so
-/// the budget currency (`approx_bytes`) is pinned too.
+/// the admission counts pin where the budget currency (the diagnoser's
+/// `approx_bytes`) crosses it.
 #[test]
 fn fleet_reports_at_pools_1_and_2() {
     let spec = fleet_spec(&SimConfig {
