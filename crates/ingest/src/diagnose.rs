@@ -432,7 +432,9 @@ pub struct StreamDiagnoser {
     slot_fine_direct: bool,
     /// `watch_mask[call as usize]` ⟺ `cfg.watch.contains(call)`.
     watch_mask: [bool; KINDS],
-    windows: Vec<Option<QuantileSketch>>,
+    /// Per-kind tumbling windows, cleared in place when they tumble (an
+    /// empty window holds no buckets).
+    windows: Vec<QuantileSketch>,
     phase_sketches: Vec<Vec<(u32, QuantileSketch)>>,
     phase_medians: Vec<Vec<(u32, f64)>>,
     tails: Vec<Option<KindTail>>,
@@ -451,13 +453,16 @@ impl StreamDiagnoser {
         }
         let tg = tail_bin_table().geometry();
         let slot_fine_direct = cfg.hist_lo == tg.lo() && cfg.hist_hi == tg.hi();
+        let windows = (0..KINDS)
+            .map(|_| QuantileSketch::new(cfg.hist_lo, cfg.hist_hi, cfg.hist_bins))
+            .collect();
         StreamDiagnoser {
             evidence: Evidence::new(&cfg),
             cfg,
             builder,
             slot_fine_direct,
             watch_mask,
-            windows: (0..KINDS).map(|_| None).collect(),
+            windows,
             phase_sketches: (0..KINDS).map(|_| Vec::new()).collect(),
             phase_medians: (0..KINDS).map(|_| Vec::new()).collect(),
             tails: (0..KINDS).map(|_| None).collect(),
@@ -489,10 +494,11 @@ impl StreamDiagnoser {
     }
 
     /// Rough resident size in bytes of the diagnoser's whole-run state —
-    /// the snapshot's shards, the tracked metadata hitters and the tail
-    /// profiles — and the fleet budget's currency. `O(shards)` to
-    /// compute; bounded by shards × bins, hitter capacity and profiled
-    /// ranks, never by the record count.
+    /// the snapshot's shards at their dense-equivalent charge
+    /// ([`SnapshotBuilder::approx_bytes`]), the tracked metadata hitters
+    /// and the tail profiles — and the fleet budget's currency.
+    /// `O(shards)` to compute; bounded by shards × bins, hitter capacity
+    /// and profiled ranks, never by the record count.
     pub fn approx_bytes(&self) -> usize {
         self.builder.approx_bytes() + self.evidence.approx_bytes()
     }
@@ -534,23 +540,19 @@ impl StreamDiagnoser {
     /// Evaluate and reset `kind`'s window once it holds `cfg.window`
     /// records.
     fn tumble(&mut self, kind: CallKind) {
-        if self.windows[kind as usize]
-            .as_ref()
-            .is_some_and(|w| w.count() as usize >= self.cfg.window)
-        {
+        if self.windows[kind as usize].count() as usize >= self.cfg.window {
             self.evaluate_window(kind);
-            self.windows[kind as usize] = None;
+            self.windows[kind as usize].clear();
         }
     }
 
-    /// Evaluate the distributional detectors over one kind's window.
+    /// Evaluate the distributional detectors over one kind's window; an
+    /// empty window raises nothing and re-tests nothing.
     fn evaluate_window(&mut self, kind: CallKind) {
-        let Some(w) = self.windows[kind as usize].as_ref() else {
-            return;
-        };
+        let w = &self.windows[kind as usize];
         let n = w.count() as usize;
         let th = self.cfg.thresholds.clone();
-        if n < th.min_samples {
+        if n == 0 || n < th.min_samples {
             return;
         }
         let mut raised = Vec::new();
@@ -720,9 +722,7 @@ impl RecordSink for StreamDiagnoser {
             }
             kt.offer_slow(r, secs);
             let (lo, hi, bins) = (cfg.hist_lo, cfg.hist_hi, cfg.hist_bins);
-            self.windows[k]
-                .get_or_insert_with(|| QuantileSketch::new(lo, hi, bins))
-                .add_at(secs, bin);
+            self.windows[k].add_at(secs, bin);
             phase_sketch(&mut self.phase_sketches[k], r.phase, lo, hi, bins).add_at(secs, bin);
             self.tumble(r.call);
         }

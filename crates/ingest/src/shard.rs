@@ -3,7 +3,14 @@
 //! A shard is keyed by `(call kind, rank group, barrier phase)` and holds
 //! only mergeable sketches, so a snapshot's memory is O(shards × bins)
 //! however many events stream through and however many ranks produce
-//! them. An [`EnsembleSnapshot`] is the order-independent merge of every
+//! them. Its duration histogram is its quantile sketch's counts
+//! ([`ShardStats::hist`]), and the sketch stores only the buckets its
+//! records touched, so a shard of a healthy, few-moded ensemble holds a
+//! handful of buckets, not the geometry's 96. The tenant budget still
+//! charges each shard its dense-equivalent size, a fixed currency that
+//! the storage layout does not move.
+//!
+//! An [`EnsembleSnapshot`] is the order-independent merge of every
 //! shard plus the rank and record counts: an ensemble, not a diagnosis.
 //! The whole-run evidence a verdict reads (metadata heavy hitters, the
 //! small-write aggregate, per-rank tail profiles, time totals) belongs
@@ -31,19 +38,30 @@ const KINDS: usize = CallKind::ALL.len();
 /// "No shard yet" marker in the per-`(kind, group)` direct index.
 const NO_SHARD: u32 = u32::MAX;
 
-/// Rough resident size in bytes of a snapshot's shards. Bounded by
-/// shards × bins, never by the record or rank count.
+/// The tenant budget's fixed charge per shard, in bytes: the
+/// dense-equivalent size of a shard entry, as the metered size has
+/// always counted it (`size_of::<(ShardKey, ShardStats)>()` on x86-64
+/// while a shard stored a duration histogram beside its sketch). A
+/// currency, not a measurement: a shard's resident size is smaller and
+/// grows with the buckets it touches, but a charge that moved with the
+/// layout would move every freeze point.
+const SHARD_CHARGE_BYTES: usize = 224;
+
+/// The budget's charge per geometry bucket of a shard: a histogram
+/// count, a sketch count and a sketch sum, dense (see
+/// [`SHARD_CHARGE_BYTES`]).
+const BIN_CHARGE_BYTES: usize = 24;
+
+/// The budget's charge for a snapshot's shards: each shard at its
+/// dense-equivalent size. Bounded by shards × bins, never by the record
+/// or rank count.
 fn approx_bytes(shards: &[(ShardKey, ShardStats)]) -> usize {
     shards
         .iter()
-        .map(|(_, s)| {
-            std::mem::size_of::<(ShardKey, ShardStats)>()
-                + s.hist.bins() * std::mem::size_of::<u64>()
-                + s.sketch.geometry().bins()
-                    * (std::mem::size_of::<u64>() + std::mem::size_of::<f64>())
-        })
+        .map(|(_, s)| SHARD_CHARGE_BYTES + BIN_CHARGE_BYTES * s.sketch.geometry().bins())
         .sum()
 }
+
 /// Which accumulator a record lands in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShardKey {
@@ -65,9 +83,8 @@ impl ShardKey {
 /// The mergeable statistics one shard accumulates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardStats {
-    /// Duration histogram (clamped, capture-style).
-    pub hist: LogHistogram,
-    /// Duration quantile sketch.
+    /// Duration quantile sketch; its counts are the shard's clamped
+    /// duration histogram ([`ShardStats::hist`]).
     pub sketch: QuantileSketch,
     /// Duration moments (mean/variance/skew/kurtosis).
     pub moments: OnlineMoments,
@@ -83,7 +100,6 @@ impl ShardStats {
     /// An empty shard over the given duration geometry.
     pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
         ShardStats {
-            hist: LogHistogram::new(lo, hi, bins),
             sketch: QuantileSketch::new(lo, hi, bins),
             moments: OnlineMoments::new(),
             ops: 0,
@@ -96,16 +112,20 @@ impl ShardStats {
     /// geometry's log-domain arithmetic ([`LogBins::index_clamped`]).
     pub fn accumulate(&mut self, r: &Record) {
         let secs = r.secs();
-        self.accumulate_binned(r, secs, self.hist.geometry().index_clamped(secs));
+        self.accumulate_binned(r, secs, self.sketch.geometry().index_clamped(secs));
+    }
+
+    /// The clamped duration histogram (capture-style) of the shard's
+    /// records, built from the sketch's counts.
+    pub fn hist(&self) -> LogHistogram {
+        self.sketch.to_histogram()
     }
 
     /// Accumulate one record whose duration bin is already classified
-    /// (`bin` from a [`BinTable`] over this shard's geometry): one table
-    /// lookup serves the histogram and the sketch, which debug-asserts
-    /// the bin against [`LogBins`].
+    /// (`bin` from a [`BinTable`] over this shard's geometry); the
+    /// sketch debug-asserts the bin against [`LogBins`].
     #[inline]
     pub fn accumulate_binned(&mut self, r: &Record, secs: f64, bin: usize) {
-        self.hist.add_clamped_at(bin);
         self.sketch.add_at(secs, bin);
         self.moments.record(secs);
         self.ops += 1;
@@ -116,7 +136,6 @@ impl ShardStats {
     /// Merge another shard (same geometry); equivalent to having
     /// accumulated both record streams into one shard.
     pub fn merge(&mut self, other: &ShardStats) {
-        self.hist.merge(&other.hist);
         self.sketch.merge(&other.sketch);
         self.moments.merge(&other.moments);
         self.ops += other.ops;
@@ -224,8 +243,8 @@ impl SnapshotBuilder {
 
     /// Accumulate a block of records — the builder's one ingest path,
     /// bit-identical for any partition of the stream. One [`BinTable`]
-    /// classification per record serves the shard histogram and quantile
-    /// sketch: no `ln` per record.
+    /// classification per record serves the shard's quantile sketch: no
+    /// `ln` per record.
     pub fn accumulate_block(&mut self, block: &[Record]) {
         for r in block {
             let secs = r.secs();
@@ -254,26 +273,34 @@ impl SnapshotBuilder {
         self.ranks
     }
 
-    /// Rough resident size in bytes, equal to the size of the snapshot
-    /// it would produce. `O(shards)` to compute; bounded by shards ×
-    /// bins, never by the record count (see the bounded-memory tests).
+    /// The budget's charge for the builder's shards, each at its
+    /// dense-equivalent size (224 B + 24 B per geometry bucket, whatever
+    /// the sketch stores): equal to the charge of the snapshot it would
+    /// produce. `O(shards)` to compute; bounded by shards × bins, never
+    /// by the record count (see the bounded-memory tests).
     pub fn approx_bytes(&self) -> usize {
         approx_bytes(&self.shards)
     }
 
-    /// Snapshot the current state (cloning the builder); `dropped` is
-    /// the caller's shed-record count for this stream.
+    /// Snapshot the current state, cloning the shards alone (the index,
+    /// lookup and configuration stay with the builder); `dropped` is the
+    /// caller's shed-record count for this stream.
     pub fn snapshot(&self, dropped: u64) -> EnsembleSnapshot {
-        self.clone().into_snapshot(dropped)
+        self.assemble(self.shards.clone(), dropped)
     }
 
-    /// Consume the builder into its final snapshot without cloning. A
-    /// builder holds one shard per key, so assembly is a sort of the
-    /// shard store by key.
+    /// Consume the builder into its final snapshot without cloning.
     pub fn into_snapshot(mut self, dropped: u64) -> EnsembleSnapshot {
-        self.shards.sort_unstable_by_key(|(k, _)| k.order());
+        let shards = std::mem::take(&mut self.shards);
+        self.assemble(shards, dropped)
+    }
+
+    /// A snapshot of `shards`, this builder's store or a copy of it. A
+    /// builder holds one shard per key, so assembly is a sort by key.
+    fn assemble(&self, mut shards: Vec<(ShardKey, ShardStats)>, dropped: u64) -> EnsembleSnapshot {
+        shards.sort_unstable_by_key(|(k, _)| k.order());
         EnsembleSnapshot {
-            shards: self.shards,
+            shards,
             ranks: self.ranks,
             ingested: self.ingested,
             dropped,
@@ -373,9 +400,9 @@ impl EnsembleSnapshot {
         acc
     }
 
-    /// Rough resident size of the snapshot in bytes — the bounded-memory
-    /// invariant is `O(shards × bins)`, independent of the record and
-    /// rank counts.
+    /// The budget's dense-equivalent charge for the snapshot's shards,
+    /// in bytes (see [`SnapshotBuilder::approx_bytes`]) — `O(shards ×
+    /// bins)`, independent of the record and rank counts.
     pub fn approx_bytes(&self) -> usize {
         approx_bytes(&self.shards)
     }
@@ -451,7 +478,7 @@ mod tests {
             whole.accumulate(r);
         }
         a.merge(&b);
-        assert_eq!(a.hist, whole.hist);
+        assert_eq!(a.hist(), whole.hist());
         assert_eq!(a.sketch.count(), whole.sketch.count());
         assert_eq!(a.ops, whole.ops);
         assert_eq!(a.bytes, whole.bytes);
@@ -528,6 +555,31 @@ mod tests {
         assert_eq!(b.approx_bytes(), snap.approx_bytes());
     }
 
+    /// The budget's currency is the named dense-equivalent charge,
+    /// 2,528 B per 96-bucket shard: the builder above meters the value
+    /// pinned from the layout that stored a histogram beside each
+    /// sketch, however few buckets its compact sketches hold, so no
+    /// tenant's freeze point moves with the storage.
+    #[test]
+    fn approx_bytes_is_the_dense_equivalent_charge() {
+        let recs: Vec<Record> = (0..960u32)
+            .map(|i| {
+                rec(
+                    i % 64,
+                    CallKind::ALL[(i % 12) as usize],
+                    (i as u64 % 3) << 12,
+                    1e-3 * (1 + i % 53) as f64,
+                    i / 240,
+                )
+            })
+            .collect();
+        let b = build(&recs);
+        assert_eq!(b.shards.len(), 96);
+        assert_eq!(b.approx_bytes(), 242_688);
+        let stored: usize = b.shards.iter().map(|(_, s)| s.sketch.span().len()).sum();
+        assert!(stored < b.shards.len() * FINE_HIST_BINS / 4, "{stored}");
+    }
+
     /// The block path must produce a byte-identical snapshot for every
     /// partitioning of the same stream — including interleaved phases
     /// (late arrivals) and metadata runs. Blocks of one are the
@@ -599,7 +651,7 @@ mod tests {
         assert_eq!(merged.shards.len(), whole.shards.len());
         for ((ka, sa), (kb, sb)) in merged.shards.iter().zip(&whole.shards) {
             assert_eq!(ka, kb);
-            assert_eq!(sa.hist, sb.hist);
+            assert_eq!(sa.hist(), sb.hist());
             assert_eq!(sa.ops, sb.ops);
             assert_eq!(sa.bytes, sb.bytes);
             assert!((sa.secs - sb.secs).abs() <= 1e-9 * sb.secs.abs().max(1.0));
@@ -793,7 +845,7 @@ mod tests {
                 prop_assert_eq!(merged.shards.len(), whole.shards.len());
                 for ((ka, sa), (kb, sb)) in merged.shards.iter().zip(&whole.shards) {
                     prop_assert_eq!(ka, kb);
-                    prop_assert_eq!(&sa.hist, &sb.hist);
+                    prop_assert_eq!(sa.hist(), sb.hist());
                     prop_assert_eq!(sa.ops, sb.ops);
                     prop_assert_eq!(sa.bytes, sb.bytes);
                     prop_assert!((sa.secs - sb.secs).abs() <= 1e-9 * sb.secs.abs().max(1.0));

@@ -12,9 +12,12 @@
 //!   sum so quantiles are reported at the mean of the in-bucket samples
 //!   rather than the geometric bin center, which tightens the estimate
 //!   considerably for the concentrated unimodal distributions healthy
-//!   I/O produces. Its counts are the clamped [`LogHistogram`] of the
-//!   samples, which the stream diagnoser's histogram-based detectors
-//!   read.
+//!   I/O produces. It stores only the span of buckets its samples
+//!   touched, and keeps its sample count, so `count`, `min` and `max`
+//!   are O(1). Its counts are the clamped [`LogHistogram`] of the
+//!   samples ([`QuantileSketch::to_histogram`], built on demand), which
+//!   the stream diagnoser's histogram-based detectors and a shard's
+//!   duration panel read; nothing stores them a second time.
 //! * [`OnlineMoments`] (re-exported) — mergeable mean/variance/skew/
 //!   kurtosis accumulator from `pio-des`.
 //! * [`HeavyHitters`] — weighted Space-Saving top-k over ranks, which
@@ -31,23 +34,36 @@ use std::collections::HashMap;
 /// Out-of-range samples are clamped into the edge buckets (capture-style:
 /// nothing is dropped), and the exact global min/max are tracked so the
 /// extreme quantiles never report outside the observed range.
+///
+/// Storage is compact: `buckets` holds a `(count, sum)` pair for
+/// exactly the span from the lowest to the highest bucket any sample
+/// has touched, starting at bucket `first`, and grows on a cold path
+/// when a sample lands outside it. A healthy ensemble sits in a few modes, so a shard or window
+/// holds a handful of buckets, not the geometry's 96. Every reading
+/// equals the dense layout's bit for bit: buckets outside the span are
+/// empty and contribute nothing to a count, a quantile walk or a sum.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
     geom: LogBins,
-    counts: Vec<u64>,
-    sums: Vec<f64>,
+    /// Bucket index of `buckets[0]` (0 while the sketch is empty).
+    first: usize,
+    /// `(count, sum)` of each bucket in the span.
+    buckets: Vec<(u64, f64)>,
+    /// Samples recorded: the sum of the counts, kept so `count()` is O(1).
+    total: u64,
     min: f64,
     max: f64,
 }
 
 impl QuantileSketch {
-    /// A sketch with `bins` log-spaced buckets over `[lo, hi)`.
+    /// A sketch with `bins` log-spaced buckets over `[lo, hi)`. It
+    /// allocates nothing until the first sample.
     pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        let geom = LogBins::new(lo, hi, bins);
         QuantileSketch {
-            geom,
-            counts: vec![0; bins],
-            sums: vec![0.0; bins],
+            geom: LogBins::new(lo, hi, bins),
+            first: 0,
+            buckets: Vec::new(),
+            total: 0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -60,10 +76,20 @@ impl QuantileSketch {
 
     /// The bucket counts as a [`LogHistogram`] over the sketch's
     /// geometry: the histogram `add_clamped` builds from the same
-    /// samples. Built on demand, so a sketch keeps one count array: its
-    /// size is part of the tenant budget's currency (`approx_bytes`).
-    pub(crate) fn to_histogram(&self) -> LogHistogram {
-        LogHistogram::from_parts(self.geom.lo(), self.geom.hi(), self.counts.clone(), 0, 0)
+    /// samples. Built on demand, dense, so a sketch stores its counts
+    /// once.
+    pub fn to_histogram(&self) -> LogHistogram {
+        let mut counts = vec![0; self.geom.bins()];
+        for (c, &(n, _)) in counts[self.span()].iter_mut().zip(&self.buckets) {
+            *c = n;
+        }
+        LogHistogram::from_parts(self.geom.lo(), self.geom.hi(), counts, 0, 0)
+    }
+
+    /// The stored bucket span: exactly the lowest to the highest touched
+    /// bucket, empty for an empty sketch.
+    pub(crate) fn span(&self) -> std::ops::Range<usize> {
+        self.first..self.first + self.buckets.len()
     }
 
     /// Record one sample.
@@ -79,65 +105,120 @@ impl QuantileSketch {
     #[inline]
     pub fn add_at(&mut self, v: f64, i: usize) {
         debug_assert_eq!(i, self.geom.index_clamped(v));
-        self.counts[i] += 1;
-        self.sums[i] += v;
+        let b = self.bucket_mut(i);
+        b.0 += 1;
+        b.1 += v;
+        self.total += 1;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
 
+    /// Bucket `i`'s `(count, sum)`, widening the span to it first if a
+    /// sample lands outside it.
+    #[inline]
+    fn bucket_mut(&mut self, i: usize) -> &mut (u64, f64) {
+        // Below `first` the offset wraps past any length: one compare
+        // checks both sides of the span.
+        if i.wrapping_sub(self.first) >= self.buckets.len() {
+            self.cover(i, i);
+        }
+        &mut self.buckets[i - self.first]
+    }
+
+    /// Widen the stored span to include buckets `lo..=hi`, the new
+    /// buckets empty. Capacity grows exactly, so a filed sketch holds
+    /// no slack; a cleared one keeps its allocation for reuse.
+    #[cold]
+    fn cover(&mut self, lo: usize, hi: usize) {
+        if self.buckets.is_empty() {
+            self.first = lo;
+        }
+        let first = self.first.min(lo);
+        let len = (self.first + self.buckets.len()).max(hi + 1) - first;
+        self.buckets.reserve_exact(len - self.buckets.len());
+        let front = self.first - first;
+        if front > 0 {
+            self.buckets
+                .splice(0..0, std::iter::repeat_n((0, 0.0), front));
+            self.first = first;
+        }
+        self.buckets.resize(len, (0, 0.0));
+    }
+
     /// Record a slice of samples, classifying against `table` (which
     /// must carry this sketch's geometry). Bit-identical to calling
-    /// [`Self::add`] per element, without a `ln` per value.
-    #[inline]
+    /// [`Self::add`] per element, without a `ln` per value. The running
+    /// extremes stay in registers for the block: the widening call
+    /// inside the loop would otherwise make every sample reload and
+    /// store them.
     pub fn add_block(&mut self, vs: &[f64], table: &BinTable) {
         debug_assert_eq!(table.geometry(), self.geom);
+        let (mut min, mut max) = (self.min, self.max);
         for &v in vs {
-            self.add_at(v, table.index_clamped(v));
+            let b = self.bucket_mut(table.index_clamped(v));
+            b.0 += 1;
+            b.1 += v;
+            min = min.min(v);
+            max = max.max(v);
         }
+        self.total += vs.len() as u64;
+        (self.min, self.max) = (min, max);
+    }
+
+    /// Forget every sample, keeping the geometry and the allocation: a
+    /// tumbling window reuses its sketch instead of building a new one.
+    pub(crate) fn clear(&mut self) {
+        self.first = 0;
+        self.buckets.clear();
+        self.total = 0;
+        self.min = f64::INFINITY;
+        self.max = f64::NEG_INFINITY;
     }
 
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
-        self.counts.iter().sum()
+        self.total
     }
 
-    /// Sum of all samples.
+    /// Sum of all samples, bucket by bucket in bucket order (`+0.0` when
+    /// empty): the sum over every bucket of the geometry, since a bucket
+    /// outside the span holds `+0.0` and adding it changes nothing.
     pub fn sum(&self) -> f64 {
-        self.sums.iter().sum()
+        self.buckets.iter().fold(0.0, |acc, &(_, s)| acc + s)
     }
 
     /// Smallest sample, or `None` if empty.
     pub fn min(&self) -> Option<f64> {
-        (self.count() > 0).then_some(self.min)
+        (self.total > 0).then_some(self.min)
     }
 
     /// Largest sample, or `None` if empty.
     pub fn max(&self) -> Option<f64> {
-        (self.count() > 0).then_some(self.max)
+        (self.total > 0).then_some(self.max)
     }
 
-    /// Estimated value of bucket `i`: the mean of its samples, falling
-    /// back to the geometric center for empty buckets.
-    fn bucket_value(&self, i: usize) -> f64 {
-        if self.counts[i] > 0 {
-            self.sums[i] / self.counts[i] as f64
+    /// Estimated value of the bucket at span offset `j`: the mean of its
+    /// samples, falling back to the geometric center for empty buckets.
+    fn bucket_value(&self, j: usize) -> f64 {
+        let (n, s) = self.buckets[j];
+        if n > 0 {
+            s / n as f64
         } else {
-            self.geom.center(i)
+            self.geom.center(self.first + j)
         }
     }
 
     /// Approximate quantile, `q` in `[0, 1]`, or `None` if empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        let total = self.count();
-        if total == 0 {
+        if self.total == 0 {
             return None;
         }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
+        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil().max(1.0) as u64;
         let mut acc = 0;
-        for i in 0..self.counts.len() {
-            acc += self.counts[i];
+        for (j, &(n, _)) in self.buckets.iter().enumerate() {
+            acc += n;
             if acc >= target {
-                return Some(self.bucket_value(i).clamp(self.min, self.max));
+                return Some(self.bucket_value(j).clamp(self.min, self.max));
             }
         }
         Some(self.max)
@@ -146,15 +227,14 @@ impl QuantileSketch {
     /// Estimated fraction of samples above `x` (buckets count wholly by
     /// their in-bucket mean).
     pub fn fraction_above(&self, x: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
+        if self.total == 0 {
             return 0.0;
         }
-        let above: u64 = (0..self.counts.len())
-            .filter(|&i| self.counts[i] > 0 && self.bucket_value(i) > x)
-            .map(|i| self.counts[i])
+        let above: u64 = (0..self.buckets.len())
+            .filter(|&j| self.buckets[j].0 > 0 && self.bucket_value(j) > x)
+            .map(|j| self.buckets[j].0)
             .sum();
-        above as f64 / total as f64
+        above as f64 / self.total as f64
     }
 
     /// Merge another sketch with the same geometry; equivalent to having
@@ -164,12 +244,17 @@ impl QuantileSketch {
             self.geom == other.geom,
             "merging quantile sketches with different bucket geometry"
         );
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
+        if other.total == 0 {
+            return;
         }
-        for (s, o) in self.sums.iter_mut().zip(&other.sums) {
-            *s += o;
+        let span = other.span();
+        self.cover(span.start, span.end - 1);
+        let at = span.start - self.first;
+        for (b, o) in self.buckets[at..].iter_mut().zip(&other.buckets) {
+            b.0 += o.0;
+            b.1 += o.1;
         }
+        self.total += other.total;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -365,6 +450,57 @@ mod tests {
         assert_eq!(a.quantile(0.5), whole.quantile(0.5));
         assert_eq!(a.min(), whole.min());
         assert_eq!(a.max(), whole.max());
+    }
+
+    /// Storage covers exactly the lowest to the highest touched bucket
+    /// however samples arrive: after adds above, below and inside the
+    /// span and clamped at both edges, after merges of disjoint,
+    /// overlapping and empty spans, and after `clear`, which leaves a
+    /// sketch equal to a new one.
+    #[test]
+    fn storage_spans_exactly_the_touched_buckets() {
+        let new = || QuantileSketch::new(1e-6, 1e3, 96);
+        let geom = LogBins::new(1e-6, 1e3, 96);
+        let at = |i: usize| geom.center(i);
+        let of = |bins: &[usize]| {
+            let mut s = new();
+            bins.iter().for_each(|&i| s.add(at(i)));
+            s
+        };
+        let spans = |s: &QuantileSketch, lo: usize, hi: usize| {
+            assert_eq!(s.span(), lo..hi + 1);
+            assert!(s.buckets[0].0 > 0 && s.buckets[s.buckets.len() - 1].0 > 0);
+        };
+        let mut s = new();
+        assert!(s.span().is_empty());
+        for (i, lo, hi) in [(40, 40, 40), (43, 40, 43), (12, 12, 43), (20, 12, 43)] {
+            s.add(at(i));
+            spans(&s, lo, hi);
+        }
+        s.add(1e-9);
+        spans(&s, 0, 43);
+        s.add(5e4);
+        spans(&s, 0, 95);
+        assert_eq!(s.count(), 6);
+
+        let mut m = of(&[30, 31]);
+        m.merge(&of(&[60]));
+        spans(&m, 30, 60);
+        m.merge(&of(&[10, 35]));
+        spans(&m, 10, 60);
+        m.merge(&new());
+        spans(&m, 10, 60);
+        let mut e = new();
+        e.merge(&m);
+        assert_eq!(e, m);
+
+        m.clear();
+        assert!(m.span().is_empty());
+        assert_eq!(m, new());
+        assert_eq!((m.count(), m.sum().to_bits()), (0, 0.0f64.to_bits()));
+        assert_eq!((m.min(), m.quantile(0.5)), (None, None));
+        m.add(at(70));
+        spans(&m, 70, 70);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub fn snapshot_panel(snap: &EnsembleSnapshot, width: usize) -> String {
         let Some(stats) = snap.kind_stats(kind) else {
             continue;
         };
-        let hist = &stats.hist;
+        let hist = stats.hist();
         if hist.in_range() == 0 {
             continue;
         }

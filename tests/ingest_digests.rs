@@ -113,7 +113,7 @@ fn snapshot(h: &mut Fnv, s: &EnsembleSnapshot) {
         h.text(k.kind.name());
         h.u64(u64::from(k.group));
         h.u64(u64::from(k.phase));
-        let hist = &st.hist;
+        let hist = &st.hist();
         h.u64(hist.bins() as u64);
         for &c in hist.counts() {
             h.u64(c);
