@@ -82,6 +82,12 @@ fn bench_modes_and_order_stats(c: &mut Criterion) {
     c.bench_function("modes/find_modes_5k", |b| {
         b.iter(|| find_modes(black_box(&d), 256, 0.1))
     });
+    // A small ensemble on the batch harmonic detector's grid: its step
+    // (0.065) resolves the bandwidth (1.39), so the grid is binned.
+    let small = EmpiricalDist::new(&samples(256));
+    c.bench_function("modes/find_modes_256", |b| {
+        b.iter(|| find_modes(black_box(&small), 512, 0.1))
+    });
     c.bench_function("order_stats/expected_max_1024", |b| {
         b.iter(|| order_stats::expected_max(black_box(&d), 1024))
     });

@@ -127,3 +127,60 @@ fn binned_kde_reaches_the_same_verdicts_as_exact_on_workload_data() {
         "harmonic verdict differs between binned and exact"
     );
 }
+
+#[test]
+fn binned_kde_reaches_the_same_harmonic_call_on_small_matrix_ensembles() {
+    // Every Write and Read ensemble of fewer than 512 samples that the
+    // batch harmonic detector reads on the fault matrix. `grid` bins
+    // those whose grid resolves the bandwidth; binned and exact must
+    // agree on whether the modes form a harmonic ladder.
+    use pio_bench::fault_matrix::matrix_traces;
+    use pio_core::diagnosis::Thresholds;
+
+    let th = Thresholds::default();
+    let (mut compared, mut binned) = (0, 0);
+    for (i, trace) in matrix_traces(16, &[101, 202]).iter().enumerate() {
+        for kind in [CallKind::Write, CallKind::Read] {
+            let secs: Vec<f64> = trace
+                .records
+                .iter()
+                .filter(|r| r.call == kind)
+                .map(|r| r.secs())
+                .collect();
+            if secs.len() < th.min_samples || secs.len() >= 512 {
+                continue;
+            }
+            let dist = EmpiricalDist::new(&secs);
+            if dist.variance() <= 0.0 {
+                continue;
+            }
+            // find_modes' undersmoothed bandwidth on the detector's grid.
+            let bw = (0.5 * Kde::silverman_bandwidth(&dist)).max(f64::MIN_POSITIVE);
+            let kde = Kde::with_bandwidth(&dist, bw);
+            let grid = kde.grid(512);
+            let exact = kde.grid_exact(512);
+            if grid[1].0 - grid[0].0 <= bw {
+                binned += 1;
+            }
+            let ladder = |g: &[(f64, f64)]| {
+                let modes = find_modes_on_grid(g, th.mode_height_frac);
+                harmonic_structure(&modes, th.harmonic_tol).is_some()
+            };
+            assert_eq!(
+                ladder(&grid),
+                ladder(&exact),
+                "trace {i} ({}, seed {}) {kind:?}, n = {}: harmonic call differs",
+                trace.meta.experiment,
+                trace.meta.seed,
+                secs.len()
+            );
+            compared += 1;
+        }
+    }
+    // Scale 16 at these seeds: the slow-ost cell's reads and writes,
+    // 256 samples each, all on the binned path.
+    assert!(
+        binned > 0,
+        "no small ensemble was binned ({compared} compared)"
+    );
+}

@@ -1665,6 +1665,30 @@ mod tests {
             shoulder(Some(Attribution::single(FaultClass::SlowOst))),
         ];
         assert_eq!(run_verdict(&fs), Verdict::Single(FaultClass::SlowOst));
+        // Harmonic modes carry no attribution: whichever KDE path found
+        // them, alone they leave the run clean, and beside an attributed
+        // shoulder they leave its verdict as it was.
+        let harmonic = Finding::HarmonicModes {
+            kind: CallKind::Read,
+            fundamental: 0.135,
+            orders: vec![1, 3, 8],
+        };
+        assert!(harmonic.attribution().is_none());
+        assert_eq!(run_verdict(std::slice::from_ref(&harmonic)), Verdict::Clean);
+        for attr in [
+            Attribution::single(FaultClass::SlowOst),
+            Attribution::candidates(vec![FaultClass::FlakyFabric, FaultClass::StragglerNode]),
+        ] {
+            let alone = run_verdict(&[shoulder(Some(attr.clone()))]);
+            assert_eq!(
+                run_verdict(&[harmonic.clone(), shoulder(Some(attr.clone()))]),
+                alone
+            );
+            assert_eq!(
+                run_verdict(&[shoulder(Some(attr)), harmonic.clone()]),
+                alone
+            );
+        }
     }
 }
 
