@@ -2,7 +2,7 @@
 //! analysis throughput and trace parse throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pio_core::diagnosis::{diagnose_with, Thresholds};
+use pio_core::diagnose;
 use pio_ingest::{DiagnoserConfig, StreamDiagnoser};
 use pio_trace::{CallKind, Record, RecordSink, Trace, TraceFormat, TraceMeta};
 use std::hint::black_box;
@@ -51,7 +51,7 @@ fn bench_streaming_vs_batch(c: &mut Criterion) {
             for r in black_box(&recs) {
                 trace.push(r.clone());
             }
-            black_box(diagnose_with(&trace, &Thresholds::default()))
+            black_box(diagnose(&trace))
         })
     });
     group.bench_function("stream_diagnoser", |b| {

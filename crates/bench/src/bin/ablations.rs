@@ -112,7 +112,7 @@ fn discipline_ablation(scale: u32) {
         let med = EmpiricalDist::new(&all).median();
         let drained: Vec<f64> = all.iter().cloned().filter(|&d| d > 0.2 * med).collect();
         let d = EmpiricalDist::new(&drained);
-        let modes = find_modes(&d, 512, 0.15);
+        let modes = find_modes(&d);
         let locs: Vec<String> = modes.iter().map(|m| format!("{:.0}", m.location)).collect();
         outln!(
             "{label:<28} {:>8.2} {:>8.1} {:>10.0} {:>26}",
@@ -122,8 +122,10 @@ fn discipline_ablation(scale: u32) {
             locs.join(",")
         );
     }
-    outln!("-> exclusive/paired service spreads completions over T/4..T (wide");
-    outln!("   iqr, multiple modes); pure fair collapses them to one peak at T.");
+    outln!("-> exclusive/paired service widens the spread (cv and iqr above pure");
+    outln!("   fair's) and pure exclusive spaces its modes about T/4 apart; pure");
+    outln!("   fair is the narrowest but still multimodal, so node arbitration is");
+    outln!("   not the only source of modes.");
 }
 
 /// Strided detection on/off × memory pressure: the MADbench bug matrix.

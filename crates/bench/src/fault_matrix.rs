@@ -18,7 +18,7 @@
 //! thresholds, so a matrix pass certifies the production detectors.
 
 use pio_core::attribution::{quantized_tail_levels, FaultClass, WindowedProfile, FINE_HIST_BINS};
-use pio_core::diagnosis::{detect_progressive_deterioration, run_verdict, Thresholds, Verdict};
+use pio_core::diagnosis::{run_verdict, Thresholds, Verdict};
 use pio_core::EmpiricalDist;
 use pio_core::{diagnose, Finding};
 use pio_fault::{Fault, FaultPlan, FaultSchedule};
@@ -65,8 +65,9 @@ pub struct Scenario {
     plan: FaultPlan,
     job: Job,
     fs: FsConfig,
+    /// The cell's check over one run and `diagnose`'s findings on it.
     #[allow(clippy::type_complexity)]
-    detect: Box<dyn Fn(&RunReport) -> Result<String, String>>,
+    detect: Box<dyn Fn(&RunReport, &[Finding]) -> Result<String, String>>,
 }
 
 impl Scenario {
@@ -116,11 +117,11 @@ pub fn verdict_of(res: &RunReport) -> Verdict {
     run_verdict(&diagnose(res.trace()))
 }
 
-/// Assert that `diagnose` attributes exactly `want` — nothing less (the
+/// Assert that `findings` attribute exactly `want` — nothing less (the
 /// fault must be named) and nothing more (no cross-contamination from a
 /// second, wrong verdict).
-fn expect_class(res: &RunReport, want: FaultClass) -> Result<(), String> {
-    let v = verdict_of(res);
+fn expect_class(findings: &[Finding], want: FaultClass) -> Result<(), String> {
+    let v = run_verdict(findings);
     if v == Verdict::Single(want) {
         Ok(())
     } else {
@@ -135,8 +136,8 @@ fn expect_class(res: &RunReport, want: FaultClass) -> Result<(), String> {
 /// Assert that a compound plan's verdict names *both* injected classes
 /// — confidently, or as an honest `Ambiguous` candidate list — and
 /// nothing outside the pair.
-fn expect_pair(res: &RunReport, a: FaultClass, b: FaultClass) -> Result<String, String> {
-    let v = verdict_of(res);
+fn expect_pair(findings: &[Finding], a: FaultClass, b: FaultClass) -> Result<String, String> {
+    let v = run_verdict(findings);
     if !v.implicates(a) || !v.implicates(b) {
         return Err(format!(
             "verdict {} does not name both {} and {}",
@@ -194,8 +195,8 @@ pub fn scenarios(scale: u32) -> Vec<Scenario> {
         }),
         job: read_heavy(tasks, 2),
         fs: calm.clone(),
-        detect: Box::new(move |res| {
-            expect_class(res, FaultClass::SlowOst)?;
+        detect: Box::new(move |res, findings| {
+            expect_class(findings, FaultClass::SlowOst)?;
             // Resource-level cross-check: the utilization ledger must
             // point at the same target the stripe decomposition blamed.
             let imb = res.util.ost_imbalance();
@@ -235,9 +236,12 @@ pub fn scenarios(scale: u32) -> Vec<Scenario> {
         plan: ramp_plan,
         job: read_heavy(tasks, 4),
         fs: fs.clone(),
-        detect: Box::new(|res| {
-            detect_progressive_deterioration(res.trace(), CallKind::Read, &Thresholds::default())
-                .map(|f| f.to_string())
+        detect: Box::new(|_, findings| {
+            let ramp = findings.iter().find(|f| match f {
+                Finding::ProgressiveDeterioration { kind, .. } => *kind == CallKind::Read,
+                _ => false,
+            });
+            ramp.map(|f| f.to_string())
                 .ok_or_else(|| "no progressive deterioration on reads".into())
         }),
     });
@@ -256,8 +260,8 @@ pub fn scenarios(scale: u32) -> Vec<Scenario> {
         }),
         job: paced_reads(tasks, 48, 0.1),
         fs: calm.clone(),
-        detect: Box::new(|res| {
-            expect_class(res, FaultClass::FlakyFabric)?;
+        detect: Box::new(|res, findings| {
+            expect_class(findings, FaultClass::FlakyFabric)?;
             let imb = res.util.ost_imbalance();
             if imb >= 1.4 {
                 return Err(format!(
@@ -282,8 +286,8 @@ pub fn scenarios(scale: u32) -> Vec<Scenario> {
         }),
         job: meta_heavy(tasks, 40),
         fs: fs.clone(),
-        detect: Box::new(|res| {
-            expect_class(res, FaultClass::MdsStall)?;
+        detect: Box::new(|_, findings| {
+            expect_class(findings, FaultClass::MdsStall)?;
             Ok("mds-stall attributed (meta shoulder, rank-spread tail)".into())
         }),
     });
@@ -301,12 +305,12 @@ pub fn scenarios(scale: u32) -> Vec<Scenario> {
         }),
         job: paced_reads(tasks, 48, 0.1),
         fs: calm.clone(),
-        detect: Box::new(move |res| {
-            expect_class(res, FaultClass::StragglerNode)?;
+        detect: Box::new(move |_, findings| {
+            expect_class(findings, FaultClass::StragglerNode)?;
             // The finding must name the faulted node's ranks, not merely
             // notice *some* concentration.
-            let culprits = diagnose(res.trace())
-                .into_iter()
+            let culprits = findings
+                .iter()
                 .find_map(|f| match f {
                     Finding::RankCorrelatedTail { ranks, .. } => Some(ranks),
                     _ => None,
@@ -336,16 +340,16 @@ pub fn scenarios(scale: u32) -> Vec<Scenario> {
         }),
         job: paced_reads(tasks, 48, 0.1),
         fs: calm.clone(),
-        detect: Box::new(move |res| {
-            expect_class(res, FaultClass::DropRetry)?;
-            let tail_mass = diagnose(res.trace())
-                .into_iter()
+        detect: Box::new(move |_, findings| {
+            expect_class(findings, FaultClass::DropRetry)?;
+            let tail_mass = findings
+                .iter()
                 .find_map(|f| match f {
                     Finding::RightShoulder {
                         kind: CallKind::Read,
                         tail_mass,
                         ..
-                    } => Some(tail_mass),
+                    } => Some(*tail_mass),
                     _ => None,
                 })
                 .ok_or("attributed drop-retry without a read shoulder")?;
@@ -381,7 +385,9 @@ pub fn scenarios(scale: u32) -> Vec<Scenario> {
             }),
         job: paced_mixed(tasks, 48, 0.1),
         fs: calm.clone(),
-        detect: Box::new(move |res| expect_pair(res, FaultClass::SlowOst, FaultClass::MdsStall)),
+        detect: Box::new(|_, findings| {
+            expect_pair(findings, FaultClass::SlowOst, FaultClass::MdsStall)
+        }),
     });
 
     // 8. Compound, separated in *rank space*: node 0 straggles on
@@ -413,8 +419,8 @@ pub fn scenarios(scale: u32) -> Vec<Scenario> {
         // scale factors the 10x bursts stay under it).
         job: paced_reads(16, 48, 0.1),
         fs: calm_at_scale_16.clone(),
-        detect: Box::new(move |res| {
-            expect_pair(res, FaultClass::FlakyFabric, FaultClass::StragglerNode)
+        detect: Box::new(|_, findings| {
+            expect_pair(findings, FaultClass::FlakyFabric, FaultClass::StragglerNode)
         }),
     });
 
@@ -452,7 +458,9 @@ pub fn scenarios(scale: u32) -> Vec<Scenario> {
         // cut and drops below the residual threshold on some seeds.
         job: paced_reads(16, 48, 0.1),
         fs: calm_at_scale_16,
-        detect: Box::new(move |res| expect_pair(res, FaultClass::SlowOst, FaultClass::FlakyFabric)),
+        detect: Box::new(|_, findings| {
+            expect_pair(findings, FaultClass::SlowOst, FaultClass::FlakyFabric)
+        }),
     });
 
     cells
@@ -475,7 +483,9 @@ pub fn run_once(
         .unwrap_or_else(|e| panic!("{label}: {e}"))
 }
 
-/// Run one cell at one seed: baseline + faulted + repeat.
+/// Run one cell at one seed: baseline + faulted + repeat. The baseline
+/// and the faulted run are each diagnosed once, and the cell's check
+/// reads those findings.
 pub fn run_cell(s: &Scenario, seed: u64) -> CellOutcome {
     let label = format!("fault-{}", s.fault);
     let base = run_once(&s.job, &s.fs, seed, &label, None);
@@ -484,12 +494,13 @@ pub fn run_cell(s: &Scenario, seed: u64) -> CellOutcome {
     let reproducible = faulted.trace().records == repeat.trace().records
         && faulted.events == repeat.events
         && faulted.end == repeat.end;
+    let check = |res: &RunReport| (s.detect)(res, &diagnose(res.trace()));
     CellOutcome {
         fault: s.fault,
         workload: s.workload,
         seed,
-        signature: (s.detect)(&faulted),
-        baseline_clean: (s.detect)(&base).is_err(),
+        signature: check(&faulted),
+        baseline_clean: check(&base).is_err(),
         reproducible,
     }
 }

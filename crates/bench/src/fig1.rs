@@ -5,13 +5,16 @@
 //! plateau and tail, (c) the completion-time histogram with modes at the
 //! fair-share time T and its harmonics T/2, T/4 — reproduced on a second
 //! "file system" (same hardware, different run) to show the distribution
-//! is stable while the trace is not.
+//! is stable while the trace is not. The ladder is `diagnose`'s
+//! `HarmonicModes` finding on the writes, so the figure prints what the
+//! diagnoser concludes.
 
 use crate::util::dist_of;
 use pio_core::distance::ks_statistic;
 use pio_core::empirical::EmpiricalDist;
-use pio_core::modes::{find_modes, harmonic_structure, HarmonicStructure, Mode};
+use pio_core::modes::{find_modes, HarmonicStructure, Mode};
 use pio_core::rates::{write_rate_curve, RateCurve};
+use pio_core::{diagnose, Finding};
 use pio_fault::FaultPlan;
 use pio_mpi::{RunConfig, Runner};
 use pio_trace::{CallKind, Trace};
@@ -29,7 +32,8 @@ pub struct Fig1Result {
     pub write_dist2: EmpiricalDist,
     /// Detected histogram modes.
     pub modes: Vec<Mode>,
-    /// Harmonic ladder among the modes, if recognized.
+    /// The harmonic ladder of `diagnose`'s `HarmonicModes` finding on
+    /// the writes, if it raised one.
     pub harmonics: Option<HarmonicStructure>,
     /// KS distance between the two runs' distributions (reproducibility).
     pub ks_between_runs: f64,
@@ -62,8 +66,18 @@ pub fn run(scale: u32, seed: u64, fault: Option<FaultPlan>) -> Fig1Result {
 
     let write_dist = dist_of(res.trace(), CallKind::Write).expect("writes");
     let write_dist2 = dist_of(res2.trace(), CallKind::Write).expect("writes");
-    let modes = find_modes(&write_dist, 512, 0.08);
-    let harmonics = harmonic_structure(&modes, 0.2);
+    let modes = find_modes(&write_dist);
+    let harmonics = diagnose(res.trace()).into_iter().find_map(|f| match f {
+        Finding::HarmonicModes {
+            kind: CallKind::Write,
+            fundamental,
+            orders,
+        } => Some(HarmonicStructure {
+            fundamental,
+            orders,
+        }),
+        _ => None,
+    });
     let ks = ks_statistic(&write_dist, &write_dist2);
     let dt = (res.wall_secs() / 200.0).max(1e-3);
 

@@ -4,9 +4,9 @@
 //! "broad right shoulder" of the read distribution.
 
 use crate::util::dist_of;
-use pio_core::diagnosis::{detect_right_shoulder, Finding, Thresholds};
 use pio_core::empirical::EmpiricalDist;
 use pio_core::rates::{read_rate_curve, write_rate_curve, RateCurve};
+use pio_core::{diagnose, Finding};
 use pio_des::hist::LogHistogram;
 use pio_fault::FaultPlan;
 use pio_fs::FsConfig;
@@ -32,7 +32,7 @@ pub struct Fig4Result {
     pub read_rate: RateCurve,
     /// Aggregate write rate (panel b/e).
     pub write_rate: RateCurve,
-    /// Right-shoulder finding on the reads, if detected.
+    /// `diagnose`'s right-shoulder finding on the reads, if it raised one.
     pub shoulder: Option<Finding>,
     /// Reads that executed on the degraded (bug) path.
     pub degraded_reads: u64,
@@ -55,7 +55,9 @@ pub fn run(platform: FsConfig, scale: u32, seed: u64, fault: Option<FaultPlan>) 
         runtime_s: res.wall_secs(),
         read_rate: read_rate_curve(res.trace(), dt),
         write_rate: write_rate_curve(res.trace(), dt),
-        shoulder: detect_right_shoulder(res.trace(), CallKind::Read, &Thresholds::default()),
+        shoulder: diagnose(res.trace())
+            .into_iter()
+            .find(|f| matches!(f, Finding::RightShoulder { kind, .. } if *kind == CallKind::Read)),
         degraded_reads: res.stats.degraded_reads,
         read_dist,
         write_dist,

@@ -5,9 +5,9 @@
 //! histogram split into data (1.6 MB records) and metadata (<3 KB)
 //! classes.
 
-use pio_core::diagnosis::{detect_serialized_rank, Finding, Thresholds};
 use pio_core::empirical::EmpiricalDist;
 use pio_core::rates::{sec_per_mb_samples, write_rate_curve, RateCurve};
+use pio_core::{diagnose, Finding};
 use pio_fault::FaultPlan;
 use pio_mpi::{RunConfig, Runner};
 use pio_trace::{CallKind, Trace};
@@ -31,7 +31,7 @@ pub struct Fig6Result {
     pub lock_conflicts: u64,
     /// Writes forced synchronous by conflicts.
     pub sync_writes: u64,
-    /// Serialized-rank finding (expected through stage 2).
+    /// `diagnose`'s serialized-rank finding (expected through stage 2).
     pub serialized: Option<Finding>,
     /// The trace.
     pub trace: Trace,
@@ -71,7 +71,9 @@ pub fn run(stage: u32, scale: u32, seed: u64, fault: Option<FaultPlan>) -> Fig6R
         },
         lock_conflicts: res.lock_stats.contended,
         sync_writes: res.stats.sync_writes,
-        serialized: detect_serialized_rank(res.trace(), &Thresholds::default()),
+        serialized: diagnose(res.trace())
+            .into_iter()
+            .find(|f| matches!(f, Finding::SerializedRank { .. })),
         trace: res.into_trace(),
     }
 }

@@ -10,7 +10,7 @@
 use pio_bench::util::named_fault_plan;
 use pio_core::empirical::EmpiricalDist;
 use pio_core::kde::Kde;
-use pio_core::modes::{find_modes_on_grid, harmonic_structure};
+use pio_core::modes::{find_modes_on_grid, harmonic_structure, MODE_GRID_POINTS};
 use pio_core::rates::sec_per_mb_samples;
 use pio_fault::FaultPlan;
 use pio_mpi::{RunConfig, RunReport, Runner};
@@ -104,8 +104,8 @@ fn binned_kde_reaches_the_same_verdicts_as_exact_on_workload_data() {
 
     // ...and the derived verdicts — mode count, locations, masses, and
     // the harmonic-structure call — are identical.
-    let modes_b = find_modes_on_grid(&binned, 0.08);
-    let modes_e = find_modes_on_grid(&exact, 0.08);
+    let modes_b = find_modes_on_grid(&binned);
+    let modes_e = find_modes_on_grid(&exact);
     assert_eq!(
         modes_b.len(),
         modes_e.len(),
@@ -122,8 +122,8 @@ fn binned_kde_reaches_the_same_verdicts_as_exact_on_workload_data() {
         );
     }
     assert_eq!(
-        harmonic_structure(&modes_b, 0.2).is_some(),
-        harmonic_structure(&modes_e, 0.2).is_some(),
+        harmonic_structure(&modes_b).is_some(),
+        harmonic_structure(&modes_e).is_some(),
         "harmonic verdict differs between binned and exact"
     );
 }
@@ -157,15 +157,12 @@ fn binned_kde_reaches_the_same_harmonic_call_on_small_matrix_ensembles() {
             // find_modes' undersmoothed bandwidth on the detector's grid.
             let bw = (0.5 * Kde::silverman_bandwidth(&dist)).max(f64::MIN_POSITIVE);
             let kde = Kde::with_bandwidth(&dist, bw);
-            let grid = kde.grid(512);
-            let exact = kde.grid_exact(512);
+            let grid = kde.grid(MODE_GRID_POINTS);
+            let exact = kde.grid_exact(MODE_GRID_POINTS);
             if grid[1].0 - grid[0].0 <= bw {
                 binned += 1;
             }
-            let ladder = |g: &[(f64, f64)]| {
-                let modes = find_modes_on_grid(g, th.mode_height_frac);
-                harmonic_structure(&modes, th.harmonic_tol).is_some()
-            };
+            let ladder = |g: &[(f64, f64)]| harmonic_structure(&find_modes_on_grid(g)).is_some();
             assert_eq!(
                 ladder(&grid),
                 ladder(&exact),

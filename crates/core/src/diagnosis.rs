@@ -14,6 +14,13 @@
 //! * **Serialized rank** (GCRM, Fig. 6g): one rank owning the bulk of
 //!   metadata time ⇒ serialized middleware metadata, fixed by
 //!   aggregation.
+//!
+//! [`diagnose`] is the one batch entry point: one pass over the records
+//! gathers every detector's evidence, and the figure drivers, the fault
+//! matrix, the reports and the benchmarks all read its findings. The
+//! `*_verdict` functions are the evidence→finding tests it shares with
+//! the stream diagnoser in `pio-ingest`. The test module keeps a
+//! per-detector evidence gather as the oracle the one pass must match.
 
 use crate::attribution::{
     attribute_data_tail_windowed, attribute_meta_tail, Attribution, DataTailEvidence, FaultClass,
@@ -27,14 +34,11 @@ use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 /// Detector thresholds (defaults chosen to match the paper's examples).
+/// Mode finding has its one setting in [`crate::modes`].
 #[derive(Debug, Clone)]
 pub struct Thresholds {
     /// Minimum samples before any distributional claim.
     pub min_samples: usize,
-    /// KDE mode floor as a fraction of the tallest peak.
-    pub mode_height_frac: f64,
-    /// Relative tolerance when matching harmonic locations.
-    pub harmonic_tol: f64,
     /// Right shoulder: p99/median ratio that counts as pathological.
     pub shoulder_tail_ratio: f64,
     /// Right shoulder: minimum mass beyond 2× median.
@@ -109,8 +113,6 @@ impl Default for Thresholds {
     fn default() -> Self {
         Thresholds {
             min_samples: 32,
-            mode_height_frac: 0.10,
-            harmonic_tol: 0.18,
             shoulder_tail_ratio: 4.0,
             shoulder_mass: 0.02,
             deterioration_factor: 1.5,
@@ -413,8 +415,8 @@ impl std::fmt::Display for Finding {
 /// Harmonic verdict from already-extracted modes. Shared by the batch
 /// detector (KDE modes) and the streaming path in `pio-ingest` (modes from
 /// a windowed log-histogram grid).
-pub fn harmonic_verdict(kind: CallKind, modes: &[Mode], th: &Thresholds) -> Option<Finding> {
-    let h = harmonic_structure(modes, th.harmonic_tol)?;
+pub fn harmonic_verdict(kind: CallKind, modes: &[Mode]) -> Option<Finding> {
+    let h = harmonic_structure(modes)?;
     Some(Finding::HarmonicModes {
         kind,
         fundamental: h.fundamental,
@@ -423,17 +425,12 @@ pub fn harmonic_verdict(kind: CallKind, modes: &[Mode], th: &Thresholds) -> Opti
 }
 
 /// Harmonic-mode detector over one call class.
-pub fn detect_harmonics(trace: &Trace, kind: CallKind, th: &Thresholds) -> Option<Finding> {
-    harmonics(&ClassEvidence::gather(trace, kind), th)
-}
-
 fn harmonics(class: &ClassEvidence, th: &Thresholds) -> Option<Finding> {
     let dist = class.dist(th)?;
     if dist.variance() <= 0.0 {
         return None;
     }
-    let modes = find_modes(dist, 512, th.mode_height_frac);
-    harmonic_verdict(class.kind, &modes, th)
+    harmonic_verdict(class.kind, &find_modes(dist))
 }
 
 /// Right-shoulder verdict from summary statistics (`n` samples with the
@@ -468,10 +465,6 @@ pub fn shoulder_verdict(
 
 /// Right-shoulder (pathological slow tail) detector. A detected shoulder
 /// is handed to the tail-decomposition machinery for attribution.
-pub fn detect_right_shoulder(trace: &Trace, kind: CallKind, th: &Thresholds) -> Option<Finding> {
-    right_shoulder(&ClassEvidence::gather(trace, kind), th)
-}
-
 fn right_shoulder(class: &ClassEvidence, th: &Thresholds) -> Option<Finding> {
     let dist = class.dist(th)?;
     let n = class.records.len();
@@ -549,14 +542,6 @@ pub fn rank_tail_verdict(
 /// ensemble tail mass concentrates on ≤`tail_rank_frac` of the ranks
 /// *and* those ranks are slower across the board, naming the culprit
 /// rank set.
-pub fn detect_rank_correlated_tail(
-    trace: &Trace,
-    kind: CallKind,
-    th: &Thresholds,
-) -> Option<Finding> {
-    rank_correlated_tail(&ClassEvidence::gather(trace, kind), th)
-}
-
 fn rank_correlated_tail(class: &ClassEvidence, th: &Thresholds) -> Option<Finding> {
     let median = class.dist(th)?.median();
     if median <= 0.0 {
@@ -607,10 +592,6 @@ pub fn metadata_shoulder_verdict(
 /// Size-class-split shoulder detector over sub-`small_write_bytes`
 /// write-direction operations (the paper's GCRM signature: thousands of
 /// serialized sub-3KB task-0 writes).
-pub fn detect_metadata_shoulder(trace: &Trace, th: &Thresholds) -> Option<Finding> {
-    metadata_shoulder(&Evidence::gather(trace, th), th)
-}
-
 fn metadata_shoulder(ev: &Evidence, th: &Thresholds) -> Option<Finding> {
     let small = &ev.small;
     let top = ev
@@ -660,14 +641,6 @@ pub fn deterioration_verdict(
 }
 
 /// Progressive per-phase deterioration detector.
-pub fn detect_progressive_deterioration(
-    trace: &Trace,
-    kind: CallKind,
-    th: &Thresholds,
-) -> Option<Finding> {
-    progressive_deterioration(&ClassEvidence::gather(trace, kind), th)
-}
-
 fn progressive_deterioration(class: &ClassEvidence, th: &Thresholds) -> Option<Finding> {
     // One sort by (phase, duration) groups the class by barrier phase,
     // ascending, with each phase's durations already in the order its
@@ -744,10 +717,6 @@ pub fn serialized_meta_verdict(
 }
 
 /// Serialized-rank detector (metadata first, then all I/O).
-pub fn detect_serialized_rank(trace: &Trace, th: &Thresholds) -> Option<Finding> {
-    serialized_rank(&Evidence::gather(trace, th), th)
-}
-
 fn serialized_rank(ev: &Evidence, th: &Thresholds) -> Option<Finding> {
     // Metadata concentration.
     let per_rank: Vec<(u32, f64, usize)> = ev
@@ -784,17 +753,14 @@ fn serialized_rank(ev: &Evidence, th: &Thresholds) -> Option<Finding> {
     }
 }
 
-/// Run every detector over the natural call classes.
+/// Run every detector over the natural call classes, with the default
+/// [`Thresholds`]. The evidence is gathered in one pass over the records;
+/// each detector then reads its share of it, with the same f64
+/// accumulation order as a detector gathering its class alone (the test
+/// module's oracle), so the findings equal the per-detector ones bit for
+/// bit.
 pub fn diagnose(trace: &Trace) -> Vec<Finding> {
-    diagnose_with(trace, &Thresholds::default())
-}
-
-/// Run every detector with explicit thresholds. The evidence is gathered
-/// in one pass over the records; each detector then reads its share of
-/// it, in the same order and with the same f64 accumulation order as the
-/// public `detect_*` functions, so the findings equal their in-order
-/// concatenation bit for bit.
-pub fn diagnose_with(trace: &Trace, th: &Thresholds) -> Vec<Finding> {
+    let th = &Thresholds::default();
     let ev = Evidence::gather(trace, th);
     let [write, read, meta_read, meta_write] = &ev.classes;
     let mut findings = Vec::new();
@@ -834,13 +800,6 @@ impl<'t> ClassEvidence<'t> {
             dist: OnceCell::new(),
             profile: OnceCell::new(),
         }
-    }
-
-    /// The class alone, for the single-detector entry points.
-    fn gather(trace: &'t Trace, kind: CallKind) -> Self {
-        let mut class = ClassEvidence::new(kind);
-        class.records = trace.records.iter().filter(|r| r.call == kind).collect();
-        class
     }
 
     /// The duration distribution, or `None` below `min_samples` (no
@@ -985,6 +944,43 @@ mod tests {
         }
     }
 
+    // The per-detector oracle: each detector over evidence it gathers
+    // alone, with the default thresholds. `diagnose`'s one pass must give
+    // the same findings, in order (`diagnose_equals_the_per_detector_oracle`).
+
+    /// One call class's records, gathered on their own.
+    fn class_of(trace: &Trace, kind: CallKind) -> ClassEvidence<'_> {
+        let mut class = ClassEvidence::new(kind);
+        class.records = trace.records.iter().filter(|r| r.call == kind).collect();
+        class
+    }
+
+    fn detect_harmonics(t: &Trace, kind: CallKind) -> Option<Finding> {
+        harmonics(&class_of(t, kind), &Thresholds::default())
+    }
+
+    fn detect_right_shoulder(t: &Trace, kind: CallKind) -> Option<Finding> {
+        right_shoulder(&class_of(t, kind), &Thresholds::default())
+    }
+
+    fn detect_progressive_deterioration(t: &Trace, kind: CallKind) -> Option<Finding> {
+        progressive_deterioration(&class_of(t, kind), &Thresholds::default())
+    }
+
+    fn detect_rank_correlated_tail(t: &Trace, kind: CallKind) -> Option<Finding> {
+        rank_correlated_tail(&class_of(t, kind), &Thresholds::default())
+    }
+
+    fn detect_serialized_rank(t: &Trace) -> Option<Finding> {
+        let th = Thresholds::default();
+        serialized_rank(&Evidence::gather(t, &th), &th)
+    }
+
+    fn detect_metadata_shoulder(t: &Trace) -> Option<Finding> {
+        let th = Thresholds::default();
+        metadata_shoulder(&Evidence::gather(t, &th), &th)
+    }
+
     #[test]
     fn harmonic_trace_detected() {
         let mut t = Trace::new(meta(128));
@@ -997,7 +993,7 @@ mod tests {
             } + (i % 5) as f64 * 0.05;
             t.push(rec(i, CallKind::Write, 1 << 20, 0.0, dur, 0));
         }
-        let f = detect_harmonics(&t, CallKind::Write, &Thresholds::default()).expect("harmonics");
+        let f = detect_harmonics(&t, CallKind::Write).expect("harmonics");
         match f {
             Finding::HarmonicModes {
                 fundamental,
@@ -1026,7 +1022,7 @@ mod tests {
                 0,
             ));
         }
-        assert!(detect_harmonics(&t, CallKind::Write, &Thresholds::default()).is_none());
+        assert!(detect_harmonics(&t, CallKind::Write).is_none());
     }
 
     #[test]
@@ -1046,8 +1042,7 @@ mod tests {
         for (i, dur) in [(60u32, 90.0), (61, 200.0), (62, 450.0), (63, 35.0)] {
             t.push(rec(i, CallKind::Read, 1 << 20, 0.0, dur, 0));
         }
-        let f =
-            detect_right_shoulder(&t, CallKind::Read, &Thresholds::default()).expect("shoulder");
+        let f = detect_right_shoulder(&t, CallKind::Read).expect("shoulder");
         match f {
             Finding::RightShoulder {
                 median,
@@ -1076,7 +1071,7 @@ mod tests {
                 0,
             ));
         }
-        assert!(detect_right_shoulder(&t, CallKind::Read, &Thresholds::default()).is_none());
+        assert!(detect_right_shoulder(&t, CallKind::Read).is_none());
     }
 
     #[test]
@@ -1096,8 +1091,7 @@ mod tests {
                 ));
             }
         }
-        let f = detect_progressive_deterioration(&t, CallKind::Read, &Thresholds::default())
-            .expect("deterioration");
+        let f = detect_progressive_deterioration(&t, CallKind::Read).expect("deterioration");
         match f {
             Finding::ProgressiveDeterioration {
                 factor,
@@ -1147,9 +1141,7 @@ mod tests {
                 ));
             }
         }
-        assert!(
-            detect_progressive_deterioration(&t, CallKind::Read, &Thresholds::default()).is_none()
-        );
+        assert!(detect_progressive_deterioration(&t, CallKind::Read).is_none());
     }
 
     #[test]
@@ -1162,7 +1154,7 @@ mod tests {
         for i in 0..256u32 {
             t.push(rec(i, CallKind::Write, 1 << 20, 0.0, 1.0, 0));
         }
-        let f = detect_serialized_rank(&t, &Thresholds::default()).expect("serialized");
+        let f = detect_serialized_rank(&t).expect("serialized");
         match f {
             Finding::SerializedRank {
                 rank,
@@ -1184,7 +1176,7 @@ mod tests {
             t.push(rec(i, CallKind::Write, 1 << 20, 0.0, 1.0, 0));
             t.push(rec(i, CallKind::MetaWrite, 2048, 1.0, 0.01, 0));
         }
-        assert!(detect_serialized_rank(&t, &Thresholds::default()).is_none());
+        assert!(detect_serialized_rank(&t).is_none());
     }
 
     #[test]
@@ -1233,8 +1225,6 @@ mod tests {
     fn default_thresholds_are_pinned() {
         let th = Thresholds::default();
         assert_eq!(th.min_samples, 32);
-        assert_eq!(th.mode_height_frac, 0.10);
-        assert_eq!(th.harmonic_tol, 0.18);
         assert_eq!(th.shoulder_tail_ratio, 4.0);
         assert_eq!(th.shoulder_mass, 0.02);
         assert_eq!(th.deterioration_factor, 1.5);
@@ -1281,8 +1271,7 @@ mod tests {
     #[test]
     fn rank_correlated_tail_names_the_stragglers() {
         let t = straggler_trace(16, 32, &[3, 11]);
-        let f = detect_rank_correlated_tail(&t, CallKind::Read, &Thresholds::default())
-            .expect("must fire");
+        let f = detect_rank_correlated_tail(&t, CallKind::Read).expect("must fire");
         match &f {
             Finding::RankCorrelatedTail {
                 ranks, mean_ratio, ..
@@ -1309,7 +1298,7 @@ mod tests {
                 t.push(rec(rank, CallKind::Read, 1 << 20, i as f64, dur, 0));
             }
         }
-        assert!(detect_rank_correlated_tail(&t, CallKind::Read, &Thresholds::default()).is_none());
+        assert!(detect_rank_correlated_tail(&t, CallKind::Read).is_none());
     }
 
     #[test]
@@ -1323,7 +1312,7 @@ mod tests {
         for rank in 0..64u32 {
             t.push(rec(rank, CallKind::Write, 8 << 20, 0.0, 2.0, 0));
         }
-        let f = detect_metadata_shoulder(&t, &Thresholds::default()).expect("must fire");
+        let f = detect_metadata_shoulder(&t).expect("must fire");
         match &f {
             Finding::MetadataShoulder {
                 small_ops,
@@ -1354,7 +1343,7 @@ mod tests {
                 t.push(rec(rank, CallKind::Write, 2048, i as f64 * 0.1, 0.1, 0));
             }
         }
-        assert!(detect_metadata_shoulder(&t, &Thresholds::default()).is_none());
+        assert!(detect_metadata_shoulder(&t).is_none());
     }
 
     #[test]
@@ -1378,15 +1367,14 @@ mod tests {
         let mut shuffled = t.clone();
         shuffled.records.reverse();
         shuffled.records.rotate_left(37);
-        let th = Thresholds::default();
         for (a, b) in [
             (
-                detect_rank_correlated_tail(&t, CallKind::Read, &th),
-                detect_rank_correlated_tail(&shuffled, CallKind::Read, &th),
+                detect_rank_correlated_tail(&t, CallKind::Read),
+                detect_rank_correlated_tail(&shuffled, CallKind::Read),
             ),
             (
-                detect_metadata_shoulder(&t, &th),
-                detect_metadata_shoulder(&shuffled, &th),
+                detect_metadata_shoulder(&t),
+                detect_metadata_shoulder(&shuffled),
             ),
         ] {
             let a = a.expect("fires on original");
@@ -1449,9 +1437,8 @@ mod tests {
     #[test]
     fn serialized_rank_on_a_tie_is_deterministic() {
         let t = tied_serialized_trace();
-        let th = Thresholds::default();
         for call in 0..32 {
-            match detect_serialized_rank(&t, &th) {
+            match detect_serialized_rank(&t) {
                 Some(Finding::SerializedRank {
                     rank,
                     metadata: true,
@@ -1477,7 +1464,7 @@ mod tests {
 
     #[test]
     fn serialized_io_rank_detected() {
-        match detect_serialized_rank(&io_hog_trace(), &Thresholds::default()) {
+        match detect_serialized_rank(&io_hog_trace()) {
             Some(Finding::SerializedRank {
                 rank,
                 share,
@@ -1504,25 +1491,25 @@ mod tests {
         assert_eq!(v, vec![(0, 1.0), (1, 1.0), (2, 2.0)]);
     }
 
-    /// The public detectors, one after another, in `diagnose_with`'s order.
-    fn detectors_in_order(t: &Trace, th: &Thresholds) -> Vec<Finding> {
+    /// The oracle detectors, one after another, in `diagnose`'s order.
+    fn detectors_in_order(t: &Trace) -> Vec<Finding> {
         let mut out = Vec::new();
         for kind in [CallKind::Write, CallKind::Read] {
-            out.extend(detect_harmonics(t, kind, th));
-            out.extend(detect_right_shoulder(t, kind, th));
-            out.extend(detect_progressive_deterioration(t, kind, th));
-            out.extend(detect_rank_correlated_tail(t, kind, th));
+            out.extend(detect_harmonics(t, kind));
+            out.extend(detect_right_shoulder(t, kind));
+            out.extend(detect_progressive_deterioration(t, kind));
+            out.extend(detect_rank_correlated_tail(t, kind));
         }
         for kind in [CallKind::MetaRead, CallKind::MetaWrite] {
-            out.extend(detect_right_shoulder(t, kind, th));
+            out.extend(detect_right_shoulder(t, kind));
         }
-        out.extend(detect_serialized_rank(t, th));
-        out.extend(detect_metadata_shoulder(t, th));
+        out.extend(detect_serialized_rank(t));
+        out.extend(detect_metadata_shoulder(t));
         out
     }
 
     #[test]
-    fn diagnose_is_the_public_detectors_in_order() {
+    fn diagnose_equals_the_per_detector_oracle() {
         // One fixture per detector, plus a mixed and an empty trace.
         let mut harmonic = Trace::new(meta(128));
         for i in 0..128u32 {
@@ -1587,11 +1574,10 @@ mod tests {
             ("mixed", mixed),
             ("empty", Trace::new(meta(0))),
         ];
-        let th = Thresholds::default();
         let mut fired = std::collections::BTreeSet::new();
         for (name, t) in &fixtures {
-            let findings = diagnose_with(t, &th);
-            assert_eq!(findings, detectors_in_order(t, &th), "{name}");
+            let findings = diagnose(t);
+            assert_eq!(findings, detectors_in_order(t), "{name}");
             fired.extend(findings.iter().map(|f| match f {
                 Finding::HarmonicModes { .. } => "HarmonicModes",
                 Finding::RightShoulder { .. } => "RightShoulder",
@@ -1720,6 +1706,26 @@ mod proptests {
         }
     }
 
+    /// `diagnose`'s read-class rank-correlated tail, if it found one.
+    fn read_rank_tail(t: &Trace) -> Option<Finding> {
+        diagnose(t).into_iter().find(|f| {
+            matches!(
+                f,
+                Finding::RankCorrelatedTail {
+                    kind: CallKind::Read,
+                    ..
+                }
+            )
+        })
+    }
+
+    /// `diagnose`'s metadata shoulder, if it found one.
+    fn metadata_shoulder(t: &Trace) -> Option<Finding> {
+        diagnose(t)
+            .into_iter()
+            .find(|f| matches!(f, Finding::MetadataShoulder { .. }))
+    }
+
     /// Fisher–Yates with a splitmix-style LCG, so shuffles are a pure
     /// function of the proptest-chosen seed.
     fn shuffle(records: &mut [Record], seed: u64) {
@@ -1752,9 +1758,7 @@ mod proptests {
                     t.push(rec(rank, stripe << 20, i as f64, dur));
                 }
             }
-            prop_assert!(
-                detect_rank_correlated_tail(&t, CallKind::Read, &Thresholds::default()).is_none()
-            );
+            prop_assert!(read_rank_tail(&t).is_none());
         }
 
         /// A planted straggler rank must always fire — and be named.
@@ -1775,8 +1779,7 @@ mod proptests {
                     t.push(rec(rank, stripe << 20, i as f64, dur));
                 }
             }
-            let f = detect_rank_correlated_tail(&t, CallKind::Read, &Thresholds::default());
-            match f {
+            match read_rank_tail(&t) {
                 Some(Finding::RankCorrelatedTail { ranks: ref culprits, .. }) =>
                     prop_assert_eq!(culprits, &vec![culprit]),
                 other => prop_assert!(false, "expected RankCorrelatedTail, got {:?}", other),
@@ -1802,10 +1805,9 @@ mod proptests {
             }
             let mut s = t.clone();
             shuffle(&mut s.records, seed);
-            let th = Thresholds::default();
 
-            let a = detect_rank_correlated_tail(&t, CallKind::Read, &th);
-            let b = detect_rank_correlated_tail(&s, CallKind::Read, &th);
+            let a = read_rank_tail(&t);
+            let b = read_rank_tail(&s);
             match (&a, &b) {
                 (
                     Some(Finding::RankCorrelatedTail { ranks: ra, .. }),
@@ -1817,8 +1819,8 @@ mod proptests {
                 other => prop_assert!(false, "both must fire identically: {:?}", other),
             }
 
-            let ma = detect_metadata_shoulder(&t, &th);
-            let mb = detect_metadata_shoulder(&s, &th);
+            let ma = metadata_shoulder(&t);
+            let mb = metadata_shoulder(&s);
             match (&ma, &mb) {
                 (
                     Some(Finding::MetadataShoulder { small_ops: oa, rank: ka, .. }),

@@ -7,7 +7,7 @@
 
 use crate::distance::{ks_statistic, wasserstein1};
 use crate::empirical::EmpiricalDist;
-use crate::modes::{find_modes, Mode};
+use crate::modes::{find_modes, Mode, STABLE_MODE_TOL};
 
 /// A set of runs of one experiment, each reduced to a distribution of
 /// per-event times.
@@ -114,21 +114,18 @@ impl Ensemble {
 
     /// The paper's strongest claim is that the *modes* of the
     /// distribution are stable run to run. Detect modes in every run and
-    /// greedily match them across runs within `tol` relative location
-    /// error; returns the matched mode groups (location = mean across
-    /// runs) together with the fraction of runs each mode appeared in.
-    pub fn stable_modes(&self, min_height_frac: f64, tol: f64) -> Vec<(Mode, f64)> {
-        let per_run: Vec<Vec<Mode>> = self
-            .runs
-            .iter()
-            .map(|d| find_modes(d, 512, min_height_frac))
-            .collect();
+    /// greedily match them across runs within [`STABLE_MODE_TOL`]
+    /// relative location error; returns the matched mode groups
+    /// (location = mean across runs) together with the fraction of runs
+    /// each mode appeared in.
+    pub fn stable_modes(&self) -> Vec<(Mode, f64)> {
+        let per_run: Vec<Vec<Mode>> = self.runs.iter().map(find_modes).collect();
         let mut groups: Vec<(Vec<Mode>, f64)> = Vec::new();
         for modes in &per_run {
             for m in modes {
                 match groups.iter_mut().find(|(g, _)| {
                     let loc = g.iter().map(|x| x.location).sum::<f64>() / g.len() as f64;
-                    (m.location - loc).abs() <= tol * loc.abs().max(1e-12)
+                    (m.location - loc).abs() <= STABLE_MODE_TOL * loc.abs().max(1e-12)
                 }) {
                     Some((g, _)) => g.push(*m),
                     None => groups.push((vec![*m], 0.0)),
@@ -232,7 +229,7 @@ mod tests {
             })
             .collect();
         let e = Ensemble::from_samples(&runs);
-        let stable = e.stable_modes(0.1, 0.15);
+        let stable = e.stable_modes();
         // All three modes present in every run.
         let full: Vec<_> = stable.iter().filter(|&&(_, f)| f >= 1.0).collect();
         assert_eq!(full.len(), 3, "{stable:?}");
@@ -249,7 +246,7 @@ mod tests {
         // One run has an extra cluster far away.
         runs[0].extend((0..60).map(|i| 50.0 + (i % 5) as f64 * 0.05));
         let e = Ensemble::from_samples(&runs);
-        let stable = e.stable_modes(0.05, 0.15);
+        let stable = e.stable_modes();
         let far = stable
             .iter()
             .find(|(m, _)| m.location > 40.0)

@@ -10,6 +10,7 @@
 //! likely it is to have average performance".
 
 use crate::empirical::EmpiricalDist;
+use crate::order_stats::expected_max_of_steps;
 
 /// A density on a uniform grid: `t0 + i·dt ↦ pdf[i]`.
 ///
@@ -149,24 +150,19 @@ pub struct LlnPrediction {
 pub fn predict(dist: &EmpiricalDist, k: u32, n_tasks: u32, bins: usize) -> LlnPrediction {
     let base = GridPdf::from_empirical(dist, bins);
     let conv = base.convolve_k(k);
-    // Expected maximum over n_tasks of the (discretized) sum distribution:
-    // E[max] = Σ t (F(t)^n − F(t⁻)^n).
-    let mut acc = 0.0;
-    let mut cum = 0.0;
-    let mut prev_pow = 0.0;
+    // Expected maximum over n_tasks of the (discretized) sum distribution,
+    // stepping its CDF at the cell centres.
     let mass = conv.mass();
-    for (i, &f) in conv.pdf.iter().enumerate() {
-        let t = conv.t0 + (i as f64 + 0.5) * conv.dt;
+    let mut cum = 0.0;
+    let steps = conv.pdf.iter().enumerate().map(|(i, &f)| {
         cum += f * conv.dt / mass;
-        let pow = cum.min(1.0).powi(n_tasks as i32);
-        acc += t * (pow - prev_pow);
-        prev_pow = pow;
-    }
+        (conv.t0 + (i as f64 + 0.5) * conv.dt, cum.min(1.0))
+    });
     LlnPrediction {
         k,
         mean: conv.mean(),
         cv: conv.cv(),
-        expected_worst: acc,
+        expected_worst: expected_max_of_steps(steps, n_tasks),
     }
 }
 

@@ -6,9 +6,27 @@
 //! node monopolized the node's I/O. `find_modes` extracts peaks from a
 //! KDE-smoothed density; `harmonic_structure` tests whether the peak
 //! locations form that ×2 ladder.
+//!
+//! Modes are found one way, with one setting: every caller — batch
+//! `diagnose`, the stream diagnoser's window grids, the figure drivers,
+//! the ablations and the reports — reads the constants below, so a
+//! figure's ladder is the diagnoser's finding.
 
 use crate::empirical::EmpiricalDist;
 use crate::kde::Kde;
+
+/// KDE grid points `find_modes` evaluates the density on.
+pub const MODE_GRID_POINTS: usize = 512;
+
+/// A peak lower than this fraction of the tallest one is not a mode.
+pub const MODE_HEIGHT_FRAC: f64 = 0.10;
+
+/// Relative error within which a mode counts as sitting at T/k.
+pub const HARMONIC_TOL: f64 = 0.18;
+
+/// Relative location error within which modes of different runs are
+/// the same mode (`Ensemble::stable_modes`).
+pub const STABLE_MODE_TOL: f64 = 0.15;
 
 /// One detected mode of a distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,21 +39,21 @@ pub struct Mode {
     pub mass: f64,
 }
 
-/// Find modes of `dist` by KDE smoothing on a `grid_points` grid.
-/// Peaks with height below `min_height_frac` of the tallest peak are
+/// Find modes of `dist` by KDE smoothing on a [`MODE_GRID_POINTS`]
+/// grid. Peaks lower than [`MODE_HEIGHT_FRAC`] of the tallest peak are
 /// dropped. Returned modes are sorted by location.
-pub fn find_modes(dist: &EmpiricalDist, grid_points: usize, min_height_frac: f64) -> Vec<Mode> {
+pub fn find_modes(dist: &EmpiricalDist) -> Vec<Mode> {
     // Undersmooth relative to Silverman: mode finding on multimodal data
     // needs to resolve peaks Silverman's unimodal-optimal bandwidth blurs.
     let bw = 0.5 * Kde::silverman_bandwidth(dist);
     let kde = Kde::with_bandwidth(dist, bw.max(f64::MIN_POSITIVE));
-    let grid = kde.grid(grid_points);
-    find_modes_on_grid(&grid, min_height_frac)
+    let grid = kde.grid(MODE_GRID_POINTS);
+    find_modes_on_grid(&grid)
 }
 
-/// Mode detection over an explicit `(t, density)` grid (exposed for
-/// testing and for densities produced by convolution).
-pub fn find_modes_on_grid(grid: &[(f64, f64)], min_height_frac: f64) -> Vec<Mode> {
+/// Mode detection over an explicit `(t, density)` grid (the stream
+/// diagnoser's log-histogram windows, and tests).
+pub fn find_modes_on_grid(grid: &[(f64, f64)]) -> Vec<Mode> {
     if grid.len() < 3 {
         return Vec::new();
     }
@@ -50,7 +68,7 @@ pub fn find_modes_on_grid(grid: &[(f64, f64)], min_height_frac: f64) -> Vec<Mode
     if tallest <= 0.0 {
         return Vec::new();
     }
-    peaks.retain(|&i| grid[i].1 >= min_height_frac * tallest);
+    peaks.retain(|&i| grid[i].1 >= MODE_HEIGHT_FRAC * tallest);
 
     // Prominence filter: two adjacent peaks separated by a shallow valley
     // (valley ≥ 80% of the shorter peak) are ripples of one mode — keep
@@ -118,9 +136,10 @@ pub struct HarmonicStructure {
 }
 
 /// Test whether `modes` (sorted by location) contain a fundamental T plus
-/// at least one mode near T/2ᵏ (within `tol` relative error). The paper's
-/// R / R/2 / R/4 fingerprint corresponds to orders `[1, 2, 4]`.
-pub fn harmonic_structure(modes: &[Mode], tol: f64) -> Option<HarmonicStructure> {
+/// at least one mode near T/k for k ∈ {2, 3, 4, 8} (within
+/// [`HARMONIC_TOL`] relative error). The paper's R / R/2 / R/4
+/// fingerprint corresponds to orders `[1, 2, 4]`.
+pub fn harmonic_structure(modes: &[Mode]) -> Option<HarmonicStructure> {
     if modes.len() < 2 {
         return None;
     }
@@ -132,7 +151,7 @@ pub fn harmonic_structure(modes: &[Mode], tol: f64) -> Option<HarmonicStructure>
     for m in &modes[..modes.len() - 1] {
         for order in [2u32, 3, 4, 8] {
             let expect = fundamental / order as f64;
-            if (m.location - expect).abs() <= tol * expect {
+            if (m.location - expect).abs() <= HARMONIC_TOL * expect {
                 orders.push(order);
                 break;
             }
@@ -172,7 +191,7 @@ mod tests {
     #[test]
     fn finds_three_modes() {
         let d = EmpiricalDist::new(&harmonic_samples());
-        let modes = find_modes(&d, 512, 0.05);
+        let modes = find_modes(&d);
         assert_eq!(modes.len(), 3, "{modes:?}");
         assert!((modes[0].location - 8.0).abs() < 1.0);
         assert!((modes[1].location - 16.0).abs() < 1.0);
@@ -185,8 +204,8 @@ mod tests {
     #[test]
     fn recognizes_the_harmonic_ladder() {
         let d = EmpiricalDist::new(&harmonic_samples());
-        let modes = find_modes(&d, 512, 0.05);
-        let h = harmonic_structure(&modes, 0.15).expect("harmonics");
+        let modes = find_modes(&d);
+        let h = harmonic_structure(&modes).expect("harmonics");
         assert!((h.fundamental - 32.0).abs() < 1.0);
         assert_eq!(h.orders, vec![1, 2, 4]);
     }
@@ -197,9 +216,9 @@ mod tests {
             .map(|i| 10.0 + ((i * 37) % 100) as f64 * 0.004)
             .collect();
         let d = EmpiricalDist::new(&samples);
-        let modes = find_modes(&d, 256, 0.1);
+        let modes = find_modes(&d);
         assert_eq!(modes.len(), 1, "{modes:?}");
-        assert!(harmonic_structure(&modes, 0.15).is_none());
+        assert!(harmonic_structure(&modes).is_none());
     }
 
     #[test]
@@ -211,33 +230,60 @@ mod tests {
             samples.push(13.0 + (i % 5) as f64 * 0.02);
         }
         let d = EmpiricalDist::new(&samples);
-        let modes = find_modes(&d, 512, 0.1);
+        let modes = find_modes(&d);
         assert!(modes.len() >= 2);
-        assert!(harmonic_structure(&modes, 0.1).is_none());
+        assert!(harmonic_structure(&modes).is_none());
     }
 
     #[test]
     fn min_height_filters_noise_peaks() {
         let mut samples = harmonic_samples();
-        samples.push(100.0); // lone outlier should not be a mode at 0.2
+        samples.push(100.0); // a lone outlier is not a mode
         let d = EmpiricalDist::new(&samples);
-        let strict = find_modes(&d, 512, 0.2);
-        assert!(strict.iter().all(|m| m.location < 50.0));
+        assert!(find_modes(&d).iter().all(|m| m.location < 50.0));
+
+        // Three well-separated bumps: the tallest, one just above the
+        // cut and one just below it.
+        let bump = |t: f64, at: f64, height: f64| height * (-(t - at).powi(2) / 0.5).exp();
+        let grid: Vec<(f64, f64)> = (0..400)
+            .map(|i| {
+                let t = i as f64 * 0.1;
+                let f = bump(t, 5.0, 1.0)
+                    + bump(t, 20.0, 1.05 * MODE_HEIGHT_FRAC)
+                    + bump(t, 35.0, 0.95 * MODE_HEIGHT_FRAC);
+                (t, f)
+            })
+            .collect();
+        let modes = find_modes_on_grid(&grid);
+        assert_eq!(modes.len(), 2, "{modes:?}");
+        assert!((modes[0].location - 5.0).abs() < 1e-9, "{modes:?}");
+        assert!((modes[1].location - 20.0).abs() < 1e-9, "{modes:?}");
+    }
+
+    /// One setting for every caller: batch diagnosis, the stream
+    /// diagnoser's windows, the figure drivers and the reports. Pin it
+    /// so a drive-by edit cannot re-tune all of them at once.
+    #[test]
+    fn mode_settings_are_pinned() {
+        assert_eq!(MODE_GRID_POINTS, 512);
+        assert_eq!(MODE_HEIGHT_FRAC, 0.10);
+        assert_eq!(HARMONIC_TOL, 0.18);
+        assert_eq!(STABLE_MODE_TOL, 0.15);
     }
 
     #[test]
     fn grid_mode_mass_sums_to_about_one() {
         let d = EmpiricalDist::new(&harmonic_samples());
-        let modes = find_modes(&d, 512, 0.02);
+        let modes = find_modes(&d);
         let total: f64 = modes.iter().map(|m| m.mass).sum();
         assert!(total > 0.9 && total < 1.1, "{total}");
     }
 
     #[test]
     fn degenerate_grids_are_safe() {
-        assert!(find_modes_on_grid(&[], 0.1).is_empty());
-        assert!(find_modes_on_grid(&[(0.0, 1.0), (1.0, 2.0)], 0.1).is_empty());
+        assert!(find_modes_on_grid(&[]).is_empty());
+        assert!(find_modes_on_grid(&[(0.0, 1.0), (1.0, 2.0)]).is_empty());
         let flat: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, 0.0)).collect();
-        assert!(find_modes_on_grid(&flat, 0.1).is_empty());
+        assert!(find_modes_on_grid(&flat).is_empty());
     }
 }

@@ -34,11 +34,24 @@ pub fn max_survival(dist: &EmpiricalDist, t: f64, n: u32) -> f64 {
 /// ```
 pub fn expected_max(dist: &EmpiricalDist, n: u32) -> f64 {
     let m = dist.n() as f64;
-    let samples = dist.samples();
+    let steps = dist
+        .samples()
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| (t, (i + 1) as f64 / m));
+    expected_max_of_steps(steps, n)
+}
+
+/// Equation (1) in expectation over a step CDF: the expected maximum of
+/// `n` iid draws from a distribution given as ascending `(t, F(t))`
+/// steps, `E[max] = Σ t·(F(t)ⁿ − F(t⁻)ⁿ)`. The one implementation behind
+/// [`expected_max`] (ECDF steps) and `lln::predict` (a convolved grid
+/// density's running mass).
+pub(crate) fn expected_max_of_steps(steps: impl IntoIterator<Item = (f64, f64)>, n: u32) -> f64 {
     let mut acc = 0.0;
     let mut prev = 0.0f64;
-    for (i, &t) in samples.iter().enumerate() {
-        let cur = ((i + 1) as f64 / m).powi(n as i32);
+    for (t, cdf) in steps {
+        let cur = cdf.powi(n as i32);
         acc += t * (cur - prev);
         prev = cur;
     }
@@ -90,6 +103,16 @@ mod tests {
         assert!((max_cdf(&d, t, 4) - f1.powi(4)).abs() < 1e-12);
         assert!(max_cdf(&d, t, 64) < 1e-12 + f1.powi(64) + 1e-12);
         assert!((max_survival(&d, t, 2) - (1.0 - f1 * f1)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn expected_max_of_steps_is_equation_one() {
+        // A fair coin on {0, 1}: the max of two draws is 1 unless both
+        // are 0, and of one draw the coin itself.
+        let coin = [(0.0, 0.5), (1.0, 1.0)];
+        assert_eq!(expected_max_of_steps(coin, 1), 0.5);
+        assert_eq!(expected_max_of_steps(coin, 2), 0.75);
+        assert_eq!(expected_max_of_steps(coin, 3), 0.875);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Human-readable ensemble-analysis report for a trace: the textual
 //! equivalent of the paper's figure panels plus the diagnosis.
 
-use crate::diagnosis::{diagnose_with, Thresholds};
+use crate::diagnosis::diagnose;
 use crate::empirical::EmpiricalDist;
 use crate::modes::find_modes;
 use crate::rates::{durations, write_rate_curve};
@@ -10,11 +10,6 @@ use std::fmt::Write as _;
 
 /// Render a full analysis report for `trace`.
 pub fn render(trace: &Trace) -> String {
-    render_with(trace, &Thresholds::default())
-}
-
-/// Render with explicit detector thresholds.
-pub fn render_with(trace: &Trace, th: &Thresholds) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -59,7 +54,7 @@ pub fn render_with(trace: &Trace, th: &Thresholds) -> String {
             d.max(),
             d.cv().unwrap_or(0.0),
         );
-        let modes = find_modes(&d, 256, 0.1);
+        let modes = find_modes(&d);
         if !modes.is_empty() {
             let locs: Vec<String> = modes
                 .iter()
@@ -69,7 +64,7 @@ pub fn render_with(trace: &Trace, th: &Thresholds) -> String {
         }
     }
 
-    let findings = diagnose_with(trace, th);
+    let findings = diagnose(trace);
     let _ = writeln!(out, "\n## Diagnosis ({} findings)", findings.len());
     if findings.is_empty() {
         let _ = writeln!(out, "  no pathological signatures detected");
@@ -118,7 +113,7 @@ pub fn render_ensemble(label: &str, runs: &[Vec<f64>]) -> String {
         ci.hi,
         pooled.n()
     );
-    let stable = ens.stable_modes(0.1, 0.15);
+    let stable = ens.stable_modes();
     if !stable.is_empty() {
         let _ = writeln!(out, "modes (location, mass, presence across runs):");
         for (m, presence) in &stable {

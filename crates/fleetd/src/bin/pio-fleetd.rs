@@ -13,8 +13,9 @@
 //! and not judged, since its verdict covers only the records admitted
 //! before the freeze. Exits 1 if any judged faulted job is misattributed
 //! or any judged clean job is flagged; exits 2 with the usage line on an
-//! unknown flag, a flag without its value, a malformed value, a zero
-//! `--pool` or `--threads`, or `--scale 0`.
+//! unknown flag, a flag without its value (another flag in its place
+//! counts as none), a malformed value, a zero `--pool` or `--threads`,
+//! or `--scale 0`.
 
 use pio_fleetd::{fleet_config, fleet_spec, FleetService, SimConfig};
 use pio_viz::{fleet_panel, FleetJobRow, OstContentionRow};
@@ -31,10 +32,14 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Parse the value that follows `flag`; the flag owns the next
-/// argument, whatever it looks like.
+/// Parse the value that follows `flag`. The flag owns the next argument
+/// unless that argument is itself a flag the usage line declares (as
+/// `[--flag VALUE]`): `--out --pool` leaves `--out` without its value,
+/// never a roll-up written to a file named `--pool`.
 fn value<T: std::str::FromStr>(flag: &str, raw: Option<&String>) -> T {
-    let raw = raw.unwrap_or_else(|| usage_error(&format!("{flag} requires a value")));
+    let raw = raw
+        .filter(|raw| !USAGE.contains(&format!("[{raw} ")))
+        .unwrap_or_else(|| usage_error(&format!("{flag} requires a value")));
     raw.parse()
         .unwrap_or_else(|_| usage_error(&format!("bad value for {flag}: {raw}")))
 }

@@ -1,13 +1,29 @@
 //! `pio-fleetd` rejects what it cannot honour: an unknown flag, a flag
-//! without its value, a zero-sized worker pool or feeder set, and a zero
-//! scale each exit 2 with the usage line before any job is simulated. A
-//! tenant frozen over its budget is named and left unjudged.
+//! without its value (or with another flag in its place), a zero-sized
+//! worker pool or feeder set, and a zero scale each exit 2 with the
+//! usage line before any job is simulated. A tenant frozen over its
+//! budget is named and left unjudged.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
+/// A fresh working directory, so a run that took a flag for a file name
+/// would leave that file behind.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("pio-fleetd-cli-{name}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
 fn run(args: &[&str]) -> (Option<i32>, String) {
+    run_in(&std::env::temp_dir(), args)
+}
+
+fn run_in(dir: &Path, args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_pio-fleetd"))
         .args(args)
+        .current_dir(dir)
         .output()
         .expect("run pio-fleetd");
     (
@@ -17,7 +33,11 @@ fn run(args: &[&str]) -> (Option<i32>, String) {
 }
 
 fn assert_usage_error(args: &[&str], message: &str) {
-    let (code, stderr) = run(args);
+    assert_usage_error_in(&std::env::temp_dir(), args, message);
+}
+
+fn assert_usage_error_in(dir: &Path, args: &[&str], message: &str) {
+    let (code, stderr) = run_in(dir, args);
     assert_eq!(code, Some(2), "{args:?}: {stderr}");
     assert!(stderr.contains(message), "{args:?}: {stderr}");
     assert!(stderr.contains("usage: pio-fleetd"), "{args:?}: {stderr}");
@@ -43,6 +63,33 @@ fn flag_without_value_is_a_usage_error() {
         "--pool requires a value",
     );
     assert_usage_error(&["--out"], "--out requires a value");
+}
+
+#[test]
+fn a_flag_in_place_of_a_value_is_a_usage_error() {
+    // Each flag's value slot holds another flag: the flag has no value,
+    // and nothing may be simulated or written under the other's name.
+    let dir = scratch_dir("flag-as-value");
+    assert_usage_error_in(
+        &dir,
+        &[
+            "--jobs",
+            "2",
+            "--faulted",
+            "1",
+            "--scale",
+            "16",
+            "--out",
+            "--pool",
+        ],
+        "--out requires a value",
+    );
+    assert_usage_error_in(&dir, &["--jobs", "--pool", "2"], "--jobs requires a value");
+    assert!(
+        !dir.join("--pool").exists(),
+        "a roll-up was written to a file named --pool"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

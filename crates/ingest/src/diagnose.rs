@@ -2,7 +2,7 @@
 //!
 //! [`StreamDiagnoser`] is a [`RecordSink`] that watches the record stream
 //! as it is produced and raises the same findings as
-//! `pio_core::diagnosis::diagnose_with` — through the *same* verdict
+//! `pio_core::diagnosis::diagnose` — through the *same* verdict
 //! functions, fed sketch estimates instead of exact order statistics:
 //!
 //! * **Right shoulder** and **harmonic modes** are evaluated over a
@@ -557,8 +557,7 @@ impl StreamDiagnoser {
         }
         let mut raised = Vec::new();
         let grid = density_grid(&w.to_histogram(), self.builder.table);
-        let modes = find_modes_on_grid(&grid, th.mode_height_frac);
-        if let Some(f) = harmonic_verdict(kind, &modes, &th) {
+        if let Some(f) = harmonic_verdict(kind, &find_modes_on_grid(&grid)) {
             raised.push(f);
         }
         if let (Some(median), Some(p99)) = (w.quantile(0.5), w.quantile(0.99)) {

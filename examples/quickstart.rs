@@ -64,11 +64,11 @@ fn main() {
     );
 
     // 6. Modes: the paper's harmonic fingerprint of node-level sharing.
-    let modes = find_modes(&dist, 256, 0.1);
+    let modes = find_modes(&dist);
     for m in &modes {
         println!("mode at {:.1}s (mass {:.0}%)", m.location, m.mass * 100.0);
     }
-    if let Some(h) = harmonic_structure(&modes, 0.2) {
+    if let Some(h) = harmonic_structure(&modes) {
         println!(
             "harmonic ladder: T={:.1}s, orders {:?}",
             h.fundamental, h.orders
