@@ -33,7 +33,7 @@
 use crate::diagnosis::Thresholds;
 use pio_des::hist::{BinTable, LogBins, LogHistogram};
 use pio_des::FxHashMap;
-use pio_trace::{CallKind, Record};
+use pio_trace::CallKind;
 use std::sync::OnceLock;
 
 /// Duration geometry shared by every tail profile: 1 µs to 1000 s.
@@ -264,18 +264,6 @@ impl TailProfile {
             .enumerate()
             .filter_map(|(i, c)| c.as_ref().map(|c| (i as u32, c)))
             .chain(self.sparse.iter().map(|(&r, c)| (r, c)))
-    }
-
-    /// Profile records of one call class, in the given order.
-    pub fn from_records<'r>(
-        records: impl IntoIterator<Item = &'r Record>,
-        stripe_bytes: u64,
-    ) -> Self {
-        let mut p = TailProfile::new(stripe_bytes);
-        for r in records {
-            p.add(r.rank, r.offset, r.secs());
-        }
-        p
     }
 
     /// Accumulate one record.

@@ -28,7 +28,7 @@ use crate::attribution::{
 };
 use crate::empirical::EmpiricalDist;
 use crate::modes::{find_modes, harmonic_structure, Mode};
-use pio_des::hist::LogHistogram;
+use pio_des::hist::{BinTable, LogBins, LogHistogram};
 use pio_trace::{CallKind, Record, Trace};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
@@ -488,7 +488,8 @@ fn attribute_shoulder(class: &ClassEvidence, median: f64, th: &Thresholds) -> Op
         return Some(Attribution::single(attribute_meta_tail(profile, th)));
     }
     // The windowed evidence needs the tail cut, so it is a second pass
-    // over the class, taken only when a shoulder fires.
+    // over the class, taken only when a shoulder fires. It reads the
+    // bins the profile was built from.
     let cut = th.tail_cut(median);
     let mut hist = LogHistogram::new(TAIL_HIST_LO, TAIL_HIST_HI, FINE_HIST_BINS);
     let mut windows = WindowedProfile::new(
@@ -498,10 +499,10 @@ fn attribute_shoulder(class: &ClassEvidence, median: f64, th: &Thresholds) -> Op
         FINE_HIST_BINS,
     );
     let mut events = Vec::new();
-    for r in &class.records {
+    for (r, &fine) in class.records.iter().zip(class.fine_bins()) {
         let secs = r.secs();
-        hist.add_clamped(secs);
-        windows.add(r.rank, r.offset, r.start_ns, secs);
+        hist.add_clamped_at(fine);
+        windows.add_binned(r.rank, r.offset, r.start_ns, secs, fine >> 1, fine);
         if secs > cut {
             events.push(TailEvent {
                 start_ns: r.start_ns,
@@ -642,17 +643,21 @@ pub fn deterioration_verdict(
 
 /// Progressive per-phase deterioration detector.
 fn progressive_deterioration(class: &ClassEvidence, th: &Thresholds) -> Option<Finding> {
-    // One sort by (phase, duration) groups the class by barrier phase,
-    // ascending, with each phase's durations already in the order its
-    // median needs.
+    // A sort by phase alone groups the class by barrier phase, ascending;
+    // each phase's median is then found by selection, which needs no
+    // order within the phase. A buffered trace is nearly phase-ordered
+    // (phases interleave only where a barrier releases), so the stable
+    // sort is close to one pass over its runs.
     let mut by_phase: Vec<(u32, f64)> = class.records.iter().map(|r| (r.phase, r.secs())).collect();
-    by_phase.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+    by_phase.sort_by_key(|&(phase, _)| phase);
+    let mut secs = Vec::new();
     let phase_medians: Vec<(u32, f64)> = by_phase
         .chunk_by(|a, b| a.0 == b.0)
         .filter(|group| group.len() >= th.min_samples.min(8))
         .map(|group| {
-            let sorted = group.iter().map(|&(_, secs)| secs).collect();
-            (group[0].0, EmpiricalDist::from_sorted_vec(sorted).median())
+            secs.clear();
+            secs.extend(group.iter().map(|&(_, s)| s));
+            (group[0].0, EmpiricalDist::median_of(&mut secs))
         })
         .collect();
     deterioration_verdict(class.kind, &phase_medians, th)
@@ -787,6 +792,9 @@ struct ClassEvidence<'t> {
     records: Vec<&'t Record>,
     /// Sorted durations — harmonics, shoulder and rank tail share it.
     dist: OnceCell<EmpiricalDist>,
+    /// Each record's duration bin in the fine geometry — the profile and
+    /// the shoulder's windowed pass share it.
+    fine_bins: OnceCell<Vec<usize>>,
     /// Rank/stripe decomposition — shoulder attribution and rank tail
     /// share it.
     profile: OnceCell<TailProfile>,
@@ -798,6 +806,7 @@ impl<'t> ClassEvidence<'t> {
             kind,
             records: Vec::new(),
             dist: OnceCell::new(),
+            fine_bins: OnceCell::new(),
             profile: OnceCell::new(),
         }
     }
@@ -815,9 +824,27 @@ impl<'t> ClassEvidence<'t> {
         }))
     }
 
+    /// One lookup per record in the shared fine [`BinTable`], instead of
+    /// a `ln` per record and geometry. The tail-profile bin is the fine
+    /// bin halved: each tail bin nests exactly two fine bins (DESIGN.md
+    /// §16), which `TailProfile::add_binned` debug-asserts.
+    fn fine_bins(&self) -> &[usize] {
+        self.fine_bins.get_or_init(|| {
+            let table = BinTable::shared(LogBins::new(TAIL_HIST_LO, TAIL_HIST_HI, FINE_HIST_BINS));
+            self.records
+                .iter()
+                .map(|r| table.index_clamped(r.secs()))
+                .collect()
+        })
+    }
+
     fn profile(&self, th: &Thresholds) -> &TailProfile {
         self.profile.get_or_init(|| {
-            TailProfile::from_records(self.records.iter().copied(), th.stripe_bytes)
+            let mut profile = TailProfile::new(th.stripe_bytes);
+            for (r, &fine) in self.records.iter().zip(self.fine_bins()) {
+                profile.add_binned(r.rank, r.offset, r.secs(), fine >> 1);
+            }
+            profile
         })
     }
 }

@@ -80,24 +80,38 @@ impl EmpiricalDist {
 
     /// Quantile by linear interpolation; `q` clamped to `[0,1]`.
     pub fn quantile(&self, q: f64) -> f64 {
-        let q = q.clamp(0.0, 1.0);
         let n = self.sorted.len();
         if n == 1 {
             return self.sorted[0];
         }
-        let pos = q * (n - 1) as f64;
-        let i = pos.floor() as usize;
-        let frac = pos - i as f64;
+        let (i, frac) = quantile_pos(q, n);
         if i + 1 >= n {
             self.sorted[n - 1]
         } else {
-            self.sorted[i] * (1.0 - frac) + self.sorted[i + 1] * frac
+            interpolate(self.sorted[i], self.sorted[i + 1], frac)
         }
     }
 
     /// Median.
     pub fn median(&self) -> f64 {
         self.quantile(0.5)
+    }
+
+    /// [`Self::median`] of unsorted `samples`, bit for bit, found by
+    /// selection instead of a sort; `samples` is left reordered.
+    pub(crate) fn median_of(samples: &mut [f64]) -> f64 {
+        let n = samples.len();
+        assert!(n > 0, "empty distribution");
+        if n == 1 {
+            return samples[0];
+        }
+        // The median's lower index is below n − 1 for every n ≥ 2, so
+        // the upper part is never empty and its minimum is the next
+        // order statistic.
+        let (i, frac) = quantile_pos(0.5, n);
+        let (_, &mut lo, upper) = samples.select_nth_unstable_by(i, f64::total_cmp);
+        let hi = upper.iter().copied().min_by(f64::total_cmp);
+        interpolate(lo, hi.expect("n ≥ 2 samples"), frac)
     }
 
     /// Interquartile range.
@@ -179,6 +193,19 @@ impl EmpiricalDist {
             .map(|(i, &t)| (t, (i + 1) as f64 / n))
             .collect()
     }
+}
+
+/// Where quantile `q` (clamped to `[0, 1]`) falls among `n ≥ 2` sorted
+/// samples: the lower order statistic's index and the next one's weight.
+fn quantile_pos(q: f64, n: usize) -> (usize, f64) {
+    let pos = q.clamp(0.0, 1.0) * (n - 1) as f64;
+    let i = pos.floor() as usize;
+    (i, pos - i as f64)
+}
+
+/// Linear interpolation between adjacent order statistics.
+fn interpolate(lo: f64, hi: f64, frac: f64) -> f64 {
+    lo * (1.0 - frac) + hi * frac
 }
 
 #[cfg(test)]
@@ -311,6 +338,17 @@ mod proptests {
                 prop_assert!(v >= d.min() && v <= d.max());
                 last = v;
             }
+        }
+
+        /// The selection median equals the sorted one bit for bit, ties
+        /// and odd and even counts alike.
+        #[test]
+        fn selection_median_is_the_sorted_median(
+            samples in proptest::collection::vec(0u32..40, 1..200)
+        ) {
+            let mut secs: Vec<f64> = samples.iter().map(|&v| f64::from(v) * 0.37).collect();
+            let want = EmpiricalDist::new(&secs).median();
+            prop_assert_eq!(EmpiricalDist::median_of(&mut secs).to_bits(), want.to_bits());
         }
 
         /// Mean lies within [min, max]; variance nonnegative.

@@ -562,7 +562,13 @@ impl StreamDiagnoser {
         }
         if let (Some(median), Some(p99)) = (w.quantile(0.5), w.quantile(0.99)) {
             let tail = w.fraction_above(th.tail_cut(median));
-            let attribution = self.attribute(kind);
+            // Only a shoulder that fires is attributed, as in batch
+            // `right_shoulder`; `attribute` only reads, so skipping it
+            // changes no finding.
+            let attribution = shoulder_verdict(kind, n, median, p99, tail, None, &th)
+                .is_some()
+                .then(|| self.attribute(kind))
+                .flatten();
             if let Some(f) = shoulder_verdict(kind, n, median, p99, tail, attribution, &th) {
                 raised.push(f);
             }

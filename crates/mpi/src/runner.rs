@@ -25,7 +25,7 @@ use pio_des::{SimTime, Simulator};
 use pio_fault::FaultPlan;
 use pio_fs::sim::UtilizationReport;
 use pio_fs::{FsConfig, FsSim, FsStats, LockStats};
-use pio_trace::{RecordSink, Trace, TraceMeta};
+use pio_trace::{Record, RecordSink, Trace, TraceMeta};
 
 /// Everything that identifies a run.
 #[derive(Debug, Clone)]
@@ -257,6 +257,11 @@ fn run_single(
     };
     let buffered = sink.is_none();
     let mut trace = Trace::new(meta.clone());
+    if buffered {
+        // Every op emits one record, so the capture allocates once.
+        let ops = job.programs.iter().map(|p| p.ops.len()).sum();
+        trace.records.reserve_exact(ops);
+    }
     let sink = sink.unwrap_or(&mut trace);
     let mut world = MpiWorld::new(job.clone(), fs, cfg.seed, &mut *sink);
     if let Some(plan) = plan {
@@ -288,11 +293,50 @@ fn run_single(
     sink.phase_end(final_phase);
     sink.finish();
     if buffered {
-        trace.sort_by_start();
+        trace.records = start_order(&trace.records);
         debug_assert_eq!(trace.validate(), Ok(()));
         report.trace = Some(trace);
     }
     Ok(report)
+}
+
+/// A buffered run's records, given in arrival order, in the order a
+/// stable [`Trace::sort_by_start`] gives: by `(start_ns, rank,
+/// end_ns)`, ties in arrival order.
+///
+/// A rank has one call in flight, so its records arrive ordered by
+/// `(start_ns, end_ns)`, and the target order is exactly `(start_ns,
+/// rank, arrival index)`. Those keys are distinct, so an unstable sort
+/// of them, packed into one `u128` each, gives that order without
+/// comparing or moving a whole record; one gather then places each
+/// record once.
+fn start_order(arrived: &[Record]) -> Vec<Record> {
+    debug_assert!(
+        arrives_in_rank_order(arrived),
+        "a rank's records arrived out of (start, end) order"
+    );
+    assert!(
+        u32::try_from(arrived.len()).is_ok(),
+        "a buffered trace holds at most 2^32 records"
+    );
+    let mut keys: Vec<u128> = arrived
+        .iter()
+        .enumerate()
+        .map(|(i, r)| u128::from(r.start_ns) << 64 | u128::from(r.rank) << 32 | i as u128)
+        .collect();
+    keys.sort_unstable();
+    keys.iter()
+        .map(|&k| arrived[k as u32 as usize].clone())
+        .collect()
+}
+
+/// Does each rank's stream arrive nondecreasing in `(start_ns, end_ns)`?
+fn arrives_in_rank_order(arrived: &[Record]) -> bool {
+    let mut last: pio_des::FxHashMap<u32, (u64, u64)> = Default::default();
+    arrived.iter().all(|r| {
+        let now = (r.start_ns, r.end_ns);
+        last.insert(r.rank, now).is_none_or(|prev| prev <= now)
+    })
 }
 
 #[cfg(test)]
@@ -693,5 +737,50 @@ mod tests {
             .collect();
         assert_eq!(offsets, vec![10 * MB, 0]);
         assert!(matches!(job.programs[0].ops[1], Op::WriteAt { .. }));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use pio_trace::CallKind;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Any interleaving of per-rank streams, each nondecreasing in
+        /// `(start, end)`, comes out of `start_order` exactly as a stable
+        /// sort by `(start_ns, rank, end_ns)` leaves it. Gaps and
+        /// durations of 0–2 ns make equal starts across ranks,
+        /// zero-duration records and whole-key ties within a rank
+        /// common; each record's `offset` is its arrival index, so a tie
+        /// broken against arrival order shows.
+        #[test]
+        fn start_order_is_the_stable_start_sort(steps in proptest::collection::vec(
+            (0u32..6, 0u64..3, 0u64..3),
+            0..300,
+        )) {
+            let mut cursor = [0u64; 6];
+            let arrived: Vec<Record> = steps
+                .iter()
+                .enumerate()
+                .map(|(i, &(rank, gap, dur))| {
+                    let start = cursor[rank as usize] + gap;
+                    cursor[rank as usize] = start + dur;
+                    Record {
+                        rank,
+                        call: CallKind::Read,
+                        fd: 3,
+                        offset: i as u64,
+                        bytes: 1,
+                        start_ns: start,
+                        end_ns: start + dur,
+                        phase: 0,
+                    }
+                })
+                .collect();
+            let mut want = arrived.clone();
+            want.sort_by_key(|r| (r.start_ns, r.rank, r.end_ns));
+            prop_assert_eq!(start_order(&arrived), want);
+        }
     }
 }

@@ -3,8 +3,9 @@
 //! is built on.
 
 use crate::record::{CallKind, Record};
-use pio_des::{SimSpan, SimTime};
+use pio_des::{FxHashMap, SimSpan, SimTime};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Identification of the experiment a trace came from.
 ///
@@ -122,16 +123,16 @@ impl Trace {
     }
 
     /// The rank whose records sum to the largest total I/O time
-    /// (the paper's "slowest individual performer").
+    /// (the paper's "slowest individual performer"); a tie goes to the
+    /// lowest rank.
     pub fn slowest_rank(&self) -> Option<(u32, f64)> {
-        if self.records.is_empty() {
-            return None;
-        }
-        let mut per_rank = std::collections::HashMap::new();
+        let mut per_rank = BTreeMap::new();
         for r in self.records.iter().filter(|r| r.call.is_io()) {
             *per_rank.entry(r.rank).or_insert(0.0) += r.secs();
         }
-        per_rank.into_iter().max_by(|a, b| a.1.total_cmp(&b.1))
+        per_rank
+            .into_iter()
+            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
     }
 
     /// Records overlapping the virtual-time window `[t0, t1)` — for
@@ -167,7 +168,7 @@ impl Trace {
     /// record has nonzero bytes, and phases are nondecreasing per rank.
     /// Returns the first violation description, if any.
     pub fn validate(&self) -> Result<(), String> {
-        let mut last_phase: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
+        let mut last_phase: FxHashMap<u32, u32> = FxHashMap::default();
         for (i, r) in self.records.iter().enumerate() {
             if r.end_ns < r.start_ns {
                 return Err(format!("record {i}: end before start"));
@@ -262,6 +263,20 @@ mod tests {
         let (rank, secs) = t.slowest_rank().unwrap();
         assert_eq!(rank, 1);
         assert!((secs - 4.1).abs() < 1e-9);
+    }
+
+    #[test]
+    fn slowest_rank_tie_goes_to_the_lowest_rank() {
+        let mut t = Trace::new(TraceMeta {
+            ranks: 4,
+            ..TraceMeta::default()
+        });
+        for rank in [3, 1, 0, 2] {
+            t.push(rec(rank, CallKind::Write, 1000, 0, 2_000_000_000, 0));
+        }
+        for _ in 0..50 {
+            assert_eq!(t.slowest_rank(), Some((0, 2.0)));
+        }
     }
 
     #[test]
